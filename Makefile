@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test stress bench bench-json examples lint lint-flocks conlint clean outputs
+.PHONY: install test stress bench bench-json bench-e2e loc examples lint lint-flocks conlint clean outputs
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -36,6 +36,15 @@ bench-json:
 		benchmarks/bench_recovery_overhead.py \
 		benchmarks/bench_optimizer_modes.py \
 		--benchmark-only -s
+
+# The end-to-end + per-layer benchmark's self-check (BENCHMARK.json is
+# its contract; see benchmarks/e2e/README.md for full runs).
+bench-e2e:
+	python3 benchmarks/e2e/run.py --smoke
+
+# The one definition of the ROADMAP's line budget.
+loc:
+	@find src/repro -name '*.py' | xargs wc -l | tail -1
 
 examples:
 	@for f in examples/*.py; do \

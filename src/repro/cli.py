@@ -42,18 +42,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
 from .datalog.safety import check_safety
 from .datalog.subqueries import safe_subqueries, unsafe_subqueries
-from .errors import ReproError
+from .errors import ReproError, ResumeError
 from .guard import ResourceBudget
 from .flocks import (
-    evaluate_flock,
-    evaluate_flock_dynamic,
-    execute_plan,
     flock_to_sql,
+    mine,
     parse_flock,
     plan_to_sql,
     single_step_plan,
@@ -122,84 +119,46 @@ def cmd_run(args: argparse.Namespace) -> int:
     if db is None:
         print("run requires a data directory", file=sys.stderr)
         return 2
-    budget = _run_budget(args)
-    guard = budget.start() if budget is not None else None
-    started = time.perf_counter()
     checkpointed = args.checkpoint is not None
     if args.resume is not None and not checkpointed:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
-    if (
-        args.strategy == "auto" or args.backend == "sqlite"
-        or args.jobs > 1 or checkpointed
-    ):
-        from .errors import ResumeError
-        from .flocks.mining import mine
-
-        try:
-            relation, report = mine(
-                db, flock, strategy=args.strategy,
-                budget=budget, backend=args.backend,
-                join_order=args.join_order,
-                runtime_filters=args.runtime_filters,
-                parallelism=args.jobs,
-                checkpoint=args.checkpoint,
-                run_id=args.run_id,
-                resume=args.resume,
-            )
-        except (ResumeError, ValueError) as error:
-            if not checkpointed:
-                raise
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        if report.run_id is not None:
-            print(
-                f"# checkpoint run {report.run_id}: "
-                f"{report.steps_resumed} step(s) resumed, "
-                f"{report.steps_checkpointed} checkpointed "
-                f"-> {args.checkpoint}",
-                file=sys.stderr,
-            )
-        trace_text = str(report)
-    elif args.strategy == "naive":
-        relation = evaluate_flock(
-            db, flock, guard=guard, order_strategy=args.join_order
+    try:
+        relation, report = mine(
+            db, flock, strategy=args.strategy,
+            budget=_run_budget(args), backend=args.backend,
+            join_order=args.join_order,
+            runtime_filters=args.runtime_filters,
+            parallelism=args.jobs,
+            checkpoint=args.checkpoint,
+            run_id=args.run_id,
+            resume=args.resume,
         )
-        trace_text = ""
-    elif args.strategy == "dynamic":
-        result, trace = evaluate_flock_dynamic(
-            db, flock, guard=guard, order_strategy=args.join_order
+    except (ResumeError, ValueError) as error:
+        if not checkpointed:
+            raise
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if report.run_id is not None:
+        print(
+            f"# checkpoint run {report.run_id}: "
+            f"{report.steps_resumed} step(s) resumed, "
+            f"{report.steps_checkpointed} checkpointed "
+            f"-> {args.checkpoint}",
+            file=sys.stderr,
         )
-        relation = result.relation
-        trace_text = str(trace)
-    else:
-        gather = args.strategy == "stats"
-        plan = _optimized_plan(db, flock, gather)
-        rf = (
-            args.join_order == "ues"
-            if args.runtime_filters is None
-            else args.runtime_filters
-        )
-        result = execute_plan(
-            db, flock, plan, validate=False, guard=guard,
-            order_strategy=args.join_order,
-            runtime_filters=rf,
-        )
-        relation = result.relation
-        trace_text = str(result.trace)
-    elapsed = time.perf_counter() - started
 
     print(f"# {len(relation)} acceptable assignments "
-          f"({args.strategy}, {elapsed * 1e3:.1f} ms)")
+          f"({args.strategy}, {report.seconds * 1e3:.1f} ms)")
     print("\t".join(relation.columns))
     for row in sorted(relation.tuples, key=repr)[: args.limit]:
         print("\t".join(str(v) for v in row))
     if len(relation) > args.limit:
         print(f"... and {len(relation) - args.limit} more "
               "(raise --limit to see them)")
-    if args.verbose and trace_text:
+    if args.verbose:
         print("\n# trace", file=sys.stderr)
-        print(trace_text, file=sys.stderr)
+        print(report, file=sys.stderr)
     return 0
 
 

@@ -49,16 +49,21 @@ from .ir import (
 
 @dataclass
 class StepResult:
-    """Everything a FILTER step produces, before and after the filter.
+    """What one step runner produced for one FILTER step.
 
-    ``answer`` is the unioned rule result; ``passed`` keeps the
-    surviving groups *with* their aggregate columns (what the session
-    cache stores); ``result`` is the materialized survivor relation.
+    ``result`` is the materialized survivor relation; ``passed`` keeps
+    the surviving groups *with* their aggregate columns (what the
+    session cache stores) and is only computed when the caller asked
+    for aggregates — otherwise survivorship is early-exit-counted;
+    ``answer_tuples`` is the size of the unioned rule result.  ``mode``
+    and ``partition_sizes`` say how a partitioned runner executed it.
     """
 
-    answer: Relation
-    passed: Relation
     result: Relation
+    passed: Optional[Relation]
+    answer_tuples: int
+    mode: str = "serial"  # "process" | "thread" | "serial"
+    partition_sizes: tuple[int, ...] = ()
 
 
 class MemoryEngine:
@@ -345,21 +350,18 @@ class MemoryEngine:
     # Step plans (FILTER steps / flock answers)
     # ------------------------------------------------------------------
 
-    def run_answer(
-        self, step: StepPlan, union_node: str | None = None
-    ) -> Relation:
-        """The unioned answer relation of a step's rule branches.
-
-        ``union_node`` names a guard checkpoint fired after each branch
-        (the union operator's single instrumentation point).
-        """
-        if len(step.branches) == 1 and union_node is None:
+    def run_answer(self, step: StepPlan) -> Relation:
+        """The unioned answer relation of a step's rule branches (the
+        guard is polled after each branch of a union)."""
+        if len(step.branches) == 1:
             return self.run_plan(step.branches[0]).with_name("answer")
         rows: set[tuple] = set()
         for branch in step.branches:
             rows |= self.run_plan(branch).tuples
-            if union_node is not None and self.guard is not None:
-                self.guard.checkpoint(rows=len(rows), node=union_node)
+            if self.guard is not None:
+                self.guard.checkpoint(
+                    rows=len(rows), node=f"union:{step.result_name}"
+                )
         return Relation.from_distinct_rows(
             "answer", step.answer_columns, rows
         )
@@ -583,14 +585,17 @@ class MemoryEngine:
         return self.project_unique(passed, step.root.columns, step.root.name)
 
     def run_step(
-        self, step: StepPlan, union_node: str | None = None
+        self, step: StepPlan, need_aggregates: bool = False
     ) -> StepResult:
-        """Execute one FILTER step end to end."""
+        """Execute one FILTER step end to end — the serial step body
+        every in-memory path shares."""
         self._verify_before_execution(step)
-        answer = self.run_answer(step, union_node=union_node)
+        answer = self.run_answer(step)
+        if self.guard is not None:
+            self.guard.checkpoint(
+                rows=len(answer), node=f"step:{step.result_name}"
+            )
+        if not need_aggregates:
+            return StepResult(self.run_survivors(answer, step), None, len(answer))
         passed = self.run_group_filter(answer, step)
-        return StepResult(
-            answer=answer,
-            passed=passed,
-            result=self.finalize_step(passed, step),
-        )
+        return StepResult(self.finalize_step(passed, step), passed, len(answer))

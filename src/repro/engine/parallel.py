@@ -75,7 +75,6 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from ..errors import ExecutionAborted, HungWorkerError
@@ -86,7 +85,7 @@ from ..relational.relation import CODE_BYTES, Relation
 from ..testing.faults import WorkerKill, maybe_hang, trip
 from . import shm
 from .ir import PartitionedStepPlan, StepPlan
-from .memory import MemoryEngine
+from .memory import MemoryEngine, StepResult
 from .partition import (
     partition_restrictor,
     partition_rows,
@@ -156,20 +155,8 @@ def clamp_default_jobs(jobs: int) -> tuple[int, Optional[str]]:
     )
 
 
-@dataclass
-class ParallelStepResult:
-    """What one (possibly partitioned) step execution produced.
-
-    ``passed`` carries the survivors *with* aggregate columns and is
-    only computed when the caller asked for aggregates (a session sink
-    wants them); otherwise workers early-exit-count survivorship only.
-    """
-
-    result: Relation
-    passed: Optional[Relation]
-    answer_tuples: int
-    mode: str  # "process" | "thread" | "serial"
-    partition_sizes: tuple[int, ...] = ()
+#: The partitioned runner returns the same record as the serial one.
+ParallelStepResult = StepResult
 
 
 def merged_relation(
@@ -237,12 +224,9 @@ def _run_partition(
         guard=guard,
         scan_restrict=partition_restrictor(column, parts, index),
     )
-    answer = engine.run_answer(step)
-    if need_aggregates:
-        passed = engine.run_group_filter(answer, step)
-    else:
-        passed = engine.run_survivors(answer, step)
-    return len(answer), passed
+    outcome = engine.run_step(step, need_aggregates=need_aggregates)
+    survivors = outcome.passed if outcome.passed is not None else outcome.result
+    return outcome.answer_tuples, survivors
 
 
 def _pack_survivors(passed: Relation, seed_codes: Optional[int]) -> tuple:
@@ -423,7 +407,7 @@ class ParallelExecutor:
         step: StepPlan,
         db: Optional[Database] = None,
         need_aggregates: bool = False,
-    ) -> ParallelStepResult:
+    ) -> StepResult:
         """Execute one step plan, partitioned when possible.
 
         Falls back to serial execution (same engine code, same guard)
@@ -435,8 +419,9 @@ class ParallelExecutor:
         """
         db = db if db is not None else self.db
         plan = partition_step(step, self.parts, db=db)
+        serial = MemoryEngine(db, guard=self.guard)
         if plan is None or self.jobs < 2:
-            return self._run_serial(step, db, need_aggregates)
+            return serial.run_step(step, need_aggregates=need_aggregates)
         started = time.perf_counter()
         use_process = self._pick_process(step)
         try:
@@ -459,7 +444,7 @@ class ParallelExecutor:
                 f"worker failure ({detail}); step "
                 f"{step.result_name!r} re-ran serially"
             )
-            return self._run_serial(step, db, need_aggregates)
+            return serial.run_step(step, need_aggregates=need_aggregates)
         self.ran_parallel = True
         self.last_mode = "process" if use_process else "thread"
         return self._merge(
@@ -473,24 +458,6 @@ class ParallelExecutor:
         if self.mode == "thread":
             return False
         return step_cost_estimate(step) >= self.process_threshold
-
-    def _run_serial(
-        self, step: StepPlan, db: Database, need_aggregates: bool
-    ) -> ParallelStepResult:
-        engine = MemoryEngine(db, guard=self.guard)
-        answer = engine.run_answer(step)
-        if need_aggregates:
-            passed: Optional[Relation] = engine.run_group_filter(answer, step)
-            result = engine.finalize_step(passed, step)
-        else:
-            passed = None
-            result = engine.run_survivors(answer, step)
-        return ParallelStepResult(
-            result=result,
-            passed=passed,
-            answer_tuples=len(answer),
-            mode="serial",
-        )
 
     def _run_process(
         self, plan: PartitionedStepPlan, db: Database, need_aggregates: bool
@@ -703,7 +670,7 @@ class ParallelExecutor:
         need_aggregates: bool,
         mode: str,
         seconds: float,
-    ) -> ParallelStepResult:
+    ) -> StepResult:
         step = plan.step
         sizes = tuple(count for count, _columns, _rows in outputs)
         answer_tuples = sum(sizes)
@@ -745,7 +712,7 @@ class ParallelExecutor:
             self.guard.checkpoint(
                 rows=len(result), node=f"parallel:{step.result_name}"
             )
-        return ParallelStepResult(
+        return StepResult(
             result=result,
             passed=passed,
             answer_tuples=answer_tuples,

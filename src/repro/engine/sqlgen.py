@@ -269,14 +269,16 @@ def render_step(
     )
 
 
-def materialize_step(step: StepPlan, columns_of: ColumnSource) -> str:
-    """Render one pre-filter step as a materialized table.
+def materialize_step(
+    step: StepPlan, columns_of: ColumnSource, include_aggregates: bool = False
+) -> str:
+    """Render one step as a materialized table.
 
     ``CREATE TABLE ... AS`` rather than a view: a view would be
     re-expanded by most engines, losing the point of computing the
     filter once (Section 1.3).
     """
-    body = render_step(step, columns_of)
+    body = render_step(step, columns_of, include_aggregates=include_aggregates)
     return f"CREATE TABLE {step.root.name} AS\n{_indent(body)}"
 
 

@@ -56,7 +56,6 @@ from .paper import (
 from .naive import (
     evaluate_flock,
     evaluate_flock_bruteforce,
-    flock_answer_relation,
     parameter_domains,
 )
 from .optimizer import (
@@ -140,7 +139,6 @@ __all__ = [
     "fig7_plan",
     "filter_implies",
     "filter_signature",
-    "flock_answer_relation",
     "flock_to_sql",
     "frequent_pairs",
     "itemset_flock",

@@ -1,12 +1,28 @@
-"""Execution of query plans against a database.
+"""Execution of query plans against a database — the one executor loop.
 
-Each FILTER step is lowered to a physical
+:func:`execute_plan` is the only loop over a plan's FILTER steps in the
+engine.  Each step is lowered once to a physical
 :class:`~repro.engine.ir.StepPlan` — the union of its rules' join
 stages, a GroupAggregate per filter conjunct, a ThresholdFilter, and a
-Materialize of the surviving assignments — and interpreted by the
-columnar :class:`~repro.engine.memory.MemoryEngine`, producing the
-step's ok-relation in a scratch overlay of the database.  The final
-step's relation is the flock result.
+Materialize of the surviving assignments — and handed to a *step
+runner*, which produces the step's ok-relation; the loop adds it to a
+scratch overlay of the database.  The final step's relation is the
+flock result.
+
+A step runner is any object with one method::
+
+    run_step(step_plan, db, need_aggregates) -> StepResult
+
+(:class:`~repro.engine.memory.StepResult`: the ok-relation, the
+survivors with their aggregate columns when ``need_aggregates`` else
+``None``, and the answer-tuple count).  There are three: the serial
+in-memory :class:`MemoryRunner` (the default), the partitioning
+:class:`~repro.engine.parallel.ParallelExecutor`, and
+:class:`~repro.flocks.sqlbackend.SQLiteBackend`.  Everything else —
+cache serving and publication, retry supervision, checkpoint recording,
+runtime-filter sources, guard recording and the step trace — is
+attached here, once, whatever the runner and whichever strategy
+produced the plan (the naive evaluation is the single-step plan).
 
 Why the final step is *cheaper* than the naive evaluation even though it
 repeats the original query (the paper's Example 4.1 intuition): the
@@ -23,8 +39,8 @@ from typing import Collection
 
 from ..datalog.query import as_union
 from ..datalog.safety import assert_safe
-from ..engine.ir import StageObservation
-from ..engine.memory import MemoryEngine
+from ..engine.ir import StageObservation, StepPlan
+from ..engine.memory import MemoryEngine, StepResult
 from ..engine.planner import lower_step
 from ..guard import ExecutionGuard, GuardLike, as_guard
 from ..relational.catalog import Database
@@ -36,19 +52,25 @@ from .plans import FilterStep, QueryPlan, validate_plan
 from .result import ExecutionTrace, FlockResult, StepTrace
 
 
-class ExecStats:
-    """Mutable per-run accumulator for the engine's observability data:
+class MemoryRunner:
+    """The serial in-memory step runner: a fresh
+    :class:`~repro.engine.memory.MemoryEngine` interprets each step.
+    Accumulates the engines' observability data over the run:
     join-stage observations and scan rows pruned by runtime filters."""
 
-    __slots__ = ("observations", "rows_pruned")
-
-    def __init__(self) -> None:
+    def __init__(self, guard: ExecutionGuard | None = None) -> None:
+        self.guard = guard
         self.observations: list[StageObservation] = []
         self.rows_pruned: int = 0
 
-    def absorb(self, engine: MemoryEngine) -> None:
+    def run_step(
+        self, step_plan: StepPlan, db: Database, need_aggregates: bool = False
+    ) -> StepResult:
+        engine = MemoryEngine(db, guard=self.guard)
+        outcome = engine.run_step(step_plan, need_aggregates=need_aggregates)
         self.observations.extend(engine.stage_log)
         self.rows_pruned += engine.rows_pruned
+        return outcome
 
 
 def lower_filter_step(
@@ -108,10 +130,9 @@ def execute_step(
     sink=None,
     final_sink=None,
     order_strategy: str = "greedy",
-    parallel=None,
+    runner=None,
     supervisor=None,
     runtime_filters: Collection[str] | None = None,
-    stats: ExecStats | None = None,
 ) -> tuple[Relation, int]:
     """Execute one FILTER step; return (ok-relation, answer-tuple count).
 
@@ -125,7 +146,7 @@ def execute_step(
     of the true survivors (later steps, and always the final step,
     re-filter) — and a freshly computed ok is published for future
     sessions.  A served step reports 0 answer tuples: no base-relation
-    join ran.
+    join ran, and the runner is never reached.
 
     ``final_sink`` marks the *final* step: its survivors are computed
     together with their per-conjunct aggregate values and published as
@@ -134,90 +155,47 @@ def execute_step(
     happens one level up in :func:`repro.flocks.mining.mine`.
 
     ``order_strategy`` picks the join ordering the step's rules are
-    lowered with (``"greedy"`` or ``"selinger"``).
+    lowered with (``"greedy"``, ``"selinger"`` or ``"ues"``).
 
-    ``parallel`` (a :class:`~repro.engine.parallel.ParallelExecutor`)
-    runs the step partitioned when it has a usable partition column;
-    aggregate values are only computed per partition when a
-    ``final_sink`` wants them — otherwise workers early-exit-count
+    ``runner`` is the step runner the lowered plan is handed to (see the
+    module docstring); ``None`` runs it on a serial
+    :class:`MemoryRunner`.  Aggregate values are only computed when a
+    ``final_sink`` wants them — otherwise the runner early-exit-counts
     survivorship.
 
     ``supervisor`` (a :class:`~repro.recovery.RetrySupervisor`) wraps
-    the step body in the retry rung of the recovery ladder: a transient
-    fault re-runs the step after a guard-clamped backoff instead of
-    aborting the whole evaluation.
+    the runner call in the retry rung of the recovery ladder: a
+    transient fault re-runs the step after a guard-clamped backoff
+    instead of aborting the whole evaluation.
     """
-    if supervisor is not None:
-        body = supervisor.run(
-            lambda: _execute_step_body(
-                db, flock, step,
-                guard=guard, sink=sink, final_sink=final_sink,
-                order_strategy=order_strategy, parallel=parallel,
-                runtime_filters=runtime_filters, stats=stats,
-            ),
-            site=f"step:{step.result_name}",
-        )
-        assert isinstance(body, tuple)
-        return body
-    return _execute_step_body(
-        db, flock, step,
-        guard=guard, sink=sink, final_sink=final_sink,
-        order_strategy=order_strategy, parallel=parallel,
-        runtime_filters=runtime_filters, stats=stats,
-    )
-
-
-def _execute_step_body(
-    db: Database,
-    flock: QueryFlock,
-    step: FilterStep,
-    guard: ExecutionGuard | None = None,
-    sink=None,
-    final_sink=None,
-    order_strategy: str = "greedy",
-    parallel=None,
-    runtime_filters: Collection[str] | None = None,
-    stats: ExecStats | None = None,
-) -> tuple[Relation, int]:
-    trip("executor.step")
-    params = list(step.parameters)
-    param_cols = [str(p) for p in params]
-
+    param_cols = [str(p) for p in step.parameters]
     if sink is not None and final_sink is None:
         served = sink.serve_step(step.query, param_cols)
         if served is not None:
-            ok = served.project(param_cols, name=step.result_name)
-            return ok, 0
+            return served.project(param_cols, name=step.result_name), 0
 
-    plan = lower_filter_step(
+    step_plan = lower_filter_step(
         db, flock, step,
         order_strategy=order_strategy, runtime_filters=runtime_filters,
     )
+    if runner is None:
+        runner = MemoryRunner(guard)
 
-    if parallel is not None and parallel.jobs > 1:
-        need_aggregates = final_sink is not None
-        outcome = parallel.run_step(plan, db=db, need_aggregates=need_aggregates)
-        ok = outcome.result
-        if final_sink is not None:
-            final_sink.publish_final(outcome.passed, outcome.answer_tuples)
-        elif sink is not None:
-            sink.publish_step(step.query, param_cols, ok, outcome.answer_tuples)
-        return ok, outcome.answer_tuples
+    def run() -> StepResult:
+        trip("executor.step")
+        return runner.run_step(step_plan, db, final_sink is not None)
 
-    engine = MemoryEngine(db, guard=guard)
-    answer = engine.run_answer(plan)
-    if guard is not None:
-        guard.checkpoint(rows=len(answer), node=f"step:{step.result_name}")
-
-    passed = engine.run_group_filter(answer, plan)
-    ok = engine.finalize_step(passed, plan)
-    if stats is not None:
-        stats.absorb(engine)
+    outcome = (
+        run() if supervisor is None
+        else supervisor.run(run, site=f"step:{step.result_name}")
+    )
     if final_sink is not None:
-        final_sink.publish_final(passed, len(answer))
+        final_sink.publish_final(outcome.passed, outcome.answer_tuples)
     elif sink is not None:
-        sink.publish_step(step.query, param_cols, ok, len(answer))
-    return ok, len(answer)
+        sink.publish_step(
+            step.query, param_cols, outcome.result, outcome.answer_tuples
+        )
+    return outcome.result, outcome.answer_tuples
 
 
 def execute_plan(
@@ -232,8 +210,13 @@ def execute_plan(
     supervisor=None,
     recorder=None,
     runtime_filters: bool = False,
+    runner=None,
 ) -> FlockResult:
     """Run a plan and return the flock result with a per-step trace.
+
+    ``runner`` is the step runner every lowered step is handed to (see
+    the module docstring).  ``None`` picks ``parallel`` when it has
+    more than one job, else a serial :class:`MemoryRunner`.
 
     ``runtime_filters=True`` enables sideways information passing: once
     a pre-filter step's ok-relation materializes, its name joins the set
@@ -255,9 +238,9 @@ def execute_plan(
     :class:`~repro.errors.ExecutionCancelled`) whose ``trace`` lists
     exactly the steps that completed.
 
-    ``parallel`` hands every step to a
-    :class:`~repro.engine.parallel.ParallelExecutor`; results stay
-    bit-identical to serial execution (see :mod:`repro.engine.partition`).
+    ``parallel`` (a :class:`~repro.engine.parallel.ParallelExecutor`)
+    is the partitioning runner; results stay bit-identical to serial
+    execution (see :mod:`repro.engine.partition`).
 
     ``supervisor`` threads the retry rung through every step (see
     :func:`execute_step`).
@@ -274,7 +257,12 @@ def execute_plan(
         validate_plan(flock, plan)
     scratch = db.scratch()
     trace = ExecutionTrace()
-    stats = ExecStats()
+    serial = MemoryRunner(guard)
+    if runner is None:
+        runner = (
+            parallel if parallel is not None and parallel.jobs > 1
+            else serial
+        )
     rf_sources: set[str] = set()
     result: Relation | None = None
     final_step = plan.final_step
@@ -295,12 +283,11 @@ def execute_plan(
                 sink=None if step is final_step else sink,
                 final_sink=sink if step is final_step else None,
                 order_strategy=order_strategy,
-                parallel=parallel,
+                runner=runner,
                 supervisor=supervisor,
                 runtime_filters=(
                     frozenset(rf_sources) if runtime_filters else None
                 ),
-                stats=stats,
             )
             description = str(step.query).replace("\n", " | ")
             if recorder is not None:
@@ -332,6 +319,6 @@ def execute_plan(
     return FlockResult(
         final,
         trace,
-        stage_rows=tuple(stats.observations),
-        runtime_filter_rows_pruned=stats.rows_pruned,
+        stage_rows=tuple(serial.observations),
+        runtime_filter_rows_pruned=serial.rows_pruned,
     )

@@ -87,8 +87,9 @@ from .dynamic import evaluate_flock_dynamic
 from .executor import execute_plan
 from .flock import QueryFlock
 from .lint import LintWarning, lint_flock
-from .naive import evaluate_flock
 from .optimizer import FlockOptimizer, optimize_union
+from .plans import single_step_plan
+from .result import FlockResult
 from .sqlbackend import SQLiteBackend
 
 if TYPE_CHECKING:
@@ -145,7 +146,7 @@ class MiningReport:
     #: Per-join-stage observations (System-R estimate, guaranteed UES
     #: bound, actual output rows) from the in-memory engine —
     #: :class:`repro.engine.ir.StageObservation` tuples.  Empty when the
-    #: run had no instrumented stages (naive/SQLite/cache paths).
+    #: run had no instrumented stages (SQLite/partitioned/cache paths).
     stage_rows: tuple = ()
     #: Worker count the call asked for (``parallelism=`` argument or the
     #: ``REPRO_JOBS`` environment default) and what actually ran: the
@@ -408,7 +409,7 @@ def _next_cheaper(flock: QueryFlock, strategy: str) -> str | None:
 class _Attempt:
     """Mutable scratch state for one mine() call."""
 
-    relation: Relation | None = None
+    result: FlockResult | None = None
     plan_text: str | None = None
     decision_text: str | None = None
     downgrades: list[Downgrade] = field(default_factory=list)
@@ -416,8 +417,6 @@ class _Attempt:
     certificate: Optional["LegalityCertificate"] = None
     decision_certificates: tuple["BranchCertificate", ...] = ()
     recorder: Optional[CheckpointRecorder] = None
-    stage_rows: tuple = ()
-    runtime_filter_rows_pruned: int = 0
 
 
 def _certified(flock: QueryFlock, plan):
@@ -476,33 +475,28 @@ def _run_strategy(
     resume: str | None = None,
     runtime_filters: bool = False,
 ) -> None:
-    """Execute one strategy, filling ``attempt``.
+    """Execute one strategy, filling ``attempt``: pick the plan
+    producer, then hand the plan to :func:`_run_plan` (which picks the
+    step runner and runs the one executor loop).
 
     Raises whatever the strategy raises; the caller decides whether a
     failure degrades or propagates.
 
-    ``sink`` is the session's cache side-channel: in-memory strategies
-    serve pre-filter steps from it and publish what they materialize.
-    The SQLite paths run entirely inside the SQL engine and do not
-    participate (their *fallbacks* do — a backend downgrade lands on
-    the instrumented in-memory code).
+    The plan-shaped strategies are producers: naive is the single-step
+    plan, optimized/stats the searched plan.  Dynamic keeps its own
+    stage-granular driver (it interleaves planning and execution).
 
-    ``parallel`` is the call's shared
-    :class:`~repro.engine.parallel.ParallelExecutor` (or None); every
-    strategy and both backends thread it through to their step
-    execution.
-
-    ``supervisor`` threads the retry rung through the evaluation: the
-    plan-based strategies retry per FILTER step (inside
-    :func:`~repro.flocks.executor.execute_step`), the monolithic
-    strategies (naive/dynamic) retry the whole strategy body — their
-    evaluation is deterministic, so a re-run after a transient fault is
-    sound.  Plan *search* is supervised the same way.
+    ``sink`` is the session's cache side-channel, ``parallel`` the
+    call's shared :class:`~repro.engine.parallel.ParallelExecutor` (or
+    None), ``supervisor`` the retry rung — per FILTER step inside the
+    executor loop, around the whole body for dynamic (its evaluation is
+    deterministic, so a re-run after a transient fault is sound) and
+    around plan *search*.
 
     ``checkpoint_store``/``run_id``/``resume`` arm step checkpointing
-    for the plan-based strategies (validated upstream in :func:`mine`):
-    the recorder built here lands on ``attempt.recorder`` for the
-    report's accounting.
+    for the searched plans (validated upstream in :func:`mine`): the
+    recorder built here lands on ``attempt.recorder`` for the report's
+    accounting.
     """
 
     def supervised(fn, site: str):
@@ -510,31 +504,7 @@ def _run_strategy(
             return fn()
         return supervisor.run(fn, site=site)
 
-    if strategy == "naive":
-        if backend == "sqlite":
-            attempt.relation = _on_sqlite(
-                db, attempt, guard,
-                lambda be: be.evaluate_flock(
-                    flock, guard=guard, order_strategy=join_order,
-                    parallel=parallel,
-                ),
-                fallback=lambda: supervised(
-                    lambda: evaluate_flock(
-                        db, flock, guard=guard, sink=sink,
-                        order_strategy=join_order, parallel=parallel,
-                    ),
-                    "strategy:naive",
-                ),
-            )
-        else:
-            attempt.relation = supervised(
-                lambda: evaluate_flock(
-                    db, flock, guard=guard, sink=sink,
-                    order_strategy=join_order, parallel=parallel,
-                ),
-                "strategy:naive",
-            )
-    elif strategy == "dynamic":
+    if strategy == "dynamic":
         # The dynamic evaluator interleaves planning and execution in
         # the in-memory engine; SQLite cannot host it.
         if backend == "sqlite":
@@ -552,82 +522,77 @@ def _run_strategy(
             ),
             "strategy:dynamic",
         )
-        attempt.relation = result.relation
-        attempt.stage_rows = tuple(result.stage_rows)
-        attempt.runtime_filter_rows_pruned = result.runtime_filter_rows_pruned
         attempt.decision_text = str(trace)
         attempt.decision_certificates = trace.certificates
-    elif strategy in ("optimized", "stats"):
-        # Phase 1 — plan search.  PlanError/FilterError *and* budget
-        # exhaustion here degrade: no answer work has been lost yet.
-        plan, attempt.certificate = supervised(
-            lambda: _build_plan(db, flock, strategy, guard, sink=sink),
-            "plan-search",
-        )
-        attempt.plan_text = plan.render(flock)
+    else:
         recorder = None
-        if checkpoint_store is not None:
-            recorder = checkpoint_store.recorder(
-                flock, plan, db, join_order=join_order,
-                run_id=run_id, resume=resume,
-            )
-            attempt.recorder = recorder
-        # Phase 2 — execution.  Only backend failures degrade from here;
-        # budget/cancellation aborts propagate with their partial trace.
-        if backend == "sqlite":
-            attempt.relation = _on_sqlite(
-                db, attempt, guard,
-                lambda be: be.execute_plan(
-                    flock, plan, guard=guard, order_strategy=join_order,
-                    parallel=parallel, runtime_filters=runtime_filters,
-                ),
-                fallback=lambda: execute_plan(
-                    db, flock, plan, validate=False, guard=guard, sink=sink,
-                    order_strategy=join_order, parallel=parallel,
-                    supervisor=supervisor, runtime_filters=runtime_filters,
-                ).relation,
-            )
+        if strategy == "naive":
+            plan = single_step_plan(flock)
         else:
-            result = execute_plan(
-                db, flock, plan, validate=False, guard=guard, sink=sink,
-                order_strategy=join_order, parallel=parallel,
-                supervisor=supervisor, recorder=recorder,
+            # Plan search.  PlanError/FilterError *and* budget
+            # exhaustion here degrade: no answer work has been lost yet.
+            plan, attempt.certificate = supervised(
+                lambda: _build_plan(db, flock, strategy, guard, sink=sink),
+                "plan-search",
+            )
+            attempt.plan_text = plan.render(flock)
+            if checkpoint_store is not None:
+                recorder = checkpoint_store.recorder(
+                    flock, plan, db, join_order=join_order,
+                    run_id=run_id, resume=resume,
+                )
+                attempt.recorder = recorder
+        # Execution.  Only backend failures degrade from here;
+        # budget/cancellation aborts propagate with their partial trace.
+        result = _run_plan(
+            db, flock, plan, backend, attempt,
+            shared=dict(
+                guard=guard, order_strategy=join_order, parallel=parallel,
                 runtime_filters=runtime_filters,
-            )
-            attempt.relation = result.relation
-            attempt.stage_rows = tuple(result.stage_rows)
-            attempt.runtime_filter_rows_pruned = (
-                result.runtime_filter_rows_pruned
-            )
-    else:  # pragma: no cover - STRATEGIES guard upstream
-        raise AssertionError(strategy)
-
-
-def _on_sqlite(
-    db: Database,
-    attempt: _Attempt,
-    guard: ExecutionGuard | None,
-    action,
-    fallback,
-) -> Relation:
-    """Run ``action`` against a fresh SQLite backend; on a (post-retry)
-    backend failure, degrade to the in-memory ``fallback``.
-
-    Guard aborts (budget/cancellation) are *not* degraded — they are
-    user-requested limits, not backend faults.
-    """
-    try:
-        with SQLiteBackend(db) as backend:
-            attempt.backend_used = "sqlite"
-            return action(backend)
-    except ExecutionAborted:
-        raise
-    except EvaluationError as error:
-        attempt.downgrades.append(
-            Downgrade("backend", "sqlite", "memory", str(error).split("\n")[0])
+            ),
+            memory_only=dict(
+                sink=sink, supervisor=supervisor, recorder=recorder
+            ),
         )
-        attempt.backend_used = "memory"
-        return fallback()
+    attempt.result = result
+
+
+def _run_plan(
+    db: Database,
+    flock: QueryFlock,
+    plan,
+    backend: str,
+    attempt: _Attempt,
+    shared: dict,
+    memory_only: dict,
+) -> FlockResult:
+    """Pick the step runner for ``backend`` and run the executor loop.
+
+    On SQLite the backend is the runner and the loop gets only the
+    ``shared`` arguments — no session sink, retry supervisor or
+    checkpoint recorder (the backend retries its own statements).  A
+    (post-retry) backend failure degrades to the in-memory runners,
+    which get ``memory_only`` too.  Guard aborts (budget/cancellation)
+    are *not* degraded — they are user-requested limits, not backend
+    faults.
+    """
+    if backend == "sqlite":
+        try:
+            with SQLiteBackend(db) as sqlite:
+                attempt.backend_used = "sqlite"
+                return FlockResult(sqlite.execute_plan(flock, plan, **shared))
+        except ExecutionAborted:
+            raise
+        except EvaluationError as error:
+            attempt.downgrades.append(
+                Downgrade(
+                    "backend", "sqlite", "memory", str(error).split("\n")[0]
+                )
+            )
+            attempt.backend_used = "memory"
+    return execute_plan(
+        db, flock, plan, validate=False, **shared, **memory_only
+    )
 
 
 def mine(
@@ -913,9 +878,10 @@ def mine(
         jobs if parallel is not None and parallel.ran_parallel else 1
     )
 
-    assert attempt.relation is not None
+    result = attempt.result
+    assert result is not None
     if live_guard is not None:
-        live_guard.check_answer(len(attempt.relation))
+        live_guard.check_answer(len(result))
 
     seconds = time.perf_counter() - started
     report = MiningReport(
@@ -929,8 +895,8 @@ def mine(
         backend_used=attempt.backend_used,
         join_order=join_order,
         runtime_filters=rf,
-        runtime_filter_rows_pruned=attempt.runtime_filter_rows_pruned,
-        stage_rows=attempt.stage_rows,
+        runtime_filter_rows_pruned=result.runtime_filter_rows_pruned,
+        stage_rows=tuple(result.stage_rows),
         parallelism_requested=requested_jobs,
         parallelism_used=parallelism_used,
         peak_partition_bytes=(
@@ -954,4 +920,4 @@ def mine(
             if attempt.recorder is not None else 0
         ),
     )
-    return attempt.relation, report
+    return result.relation, report

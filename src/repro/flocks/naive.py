@@ -5,8 +5,9 @@ Two independent implementations of the Section 2 semantics:
 * :func:`evaluate_flock` — the "SQL way" (the paper's Fig. 1): compute
   the full parametrized query once with the parameters as output
   columns, GROUP BY the parameters, apply the filter as a HAVING
-  condition.  This is the *baseline* every optimized plan must match —
-  and the thing the a-priori plans beat.
+  condition — i.e. the single-step plan, handed to the executor loop.
+  This is the *baseline* every optimized plan must match — and the
+  thing the a-priori plans beat.
 
 * :func:`evaluate_flock_bruteforce` — the literal generate-and-test
   semantics: enumerate every active-domain assignment of the
@@ -19,75 +20,18 @@ from __future__ import annotations
 
 from itertools import product
 
-import time
-
 from ..errors import EvaluationError
 from ..datalog.query import as_union
-from ..datalog.terms import Parameter, Term
-from ..engine.memory import MemoryEngine
+from ..datalog.terms import Parameter
 from ..guard import GuardLike, as_guard
 from ..relational.aggregates import AggregateFunction
 from ..relational.catalog import Database
 from ..relational.evaluate import evaluate_conjunctive
 from ..relational.relation import Relation
-from .filters import (
-    STAR,
-    iter_conditions,
-    plan_aggregate_specs,
-)
+from .executor import execute_plan
+from .filters import STAR, iter_conditions
 from .flock import QueryFlock
-
-
-def flock_answer_relation(
-    db: Database,
-    flock: QueryFlock,
-    guard: GuardLike = None,
-    order_strategy: str = "greedy",
-) -> Relation:
-    """The ungrouped answer relation: parameter columns + head columns.
-
-    For a single-rule flock the head columns keep their variable names;
-    for a union the branches are aligned positionally under ``_h0..``
-    (branch head variables differ, per Fig. 4).
-    """
-    guard = as_guard(guard)
-    params = list(flock.parameters)
-    union = as_union(flock.query)
-    if not flock.is_union:
-        rule = union.rules[0]
-        output: list[Term] = list(params) + list(rule.head_terms)
-        return evaluate_conjunctive(
-            db, rule, output_terms=output, guard=guard,
-            order_strategy=order_strategy,
-        )
-
-    width = union.head_arity
-    head_cols = tuple(f"_h{i}" for i in range(width))
-    columns = tuple(str(p) for p in params) + head_cols
-    rows: set[tuple] = set()
-    for rule in union.rules:
-        output = list(params) + list(rule.head_terms)
-        branch = evaluate_conjunctive(
-            db, rule, output_terms=output, guard=guard,
-            order_strategy=order_strategy,
-        )
-        rows |= branch.tuples
-        if guard is not None:
-            guard.checkpoint(rows=len(rows), node=f"union:{union.head_name}")
-    return Relation.from_distinct_rows(union.head_name, columns, rows)
-
-
-def _target_resolver(flock: QueryFlock, answer: Relation):
-    """Map one filter condition to the answer columns it aggregates."""
-    param_cols = set(flock.parameter_columns)
-    head_cols = [c for c in answer.columns if c not in param_cols]
-
-    def resolve(condition) -> list[str]:
-        if condition.target == STAR:
-            return head_cols
-        return [condition.target]
-
-    return resolve
+from .plans import single_step_plan
 
 
 def evaluate_flock(
@@ -99,8 +43,10 @@ def evaluate_flock(
     parallel=None,
 ) -> Relation:
     """Group-by evaluation: the flock result as a relation over its
-    parameter columns (sorted by parameter name).  Composite filters
-    intersect the per-conjunct survivor sets.
+    parameter columns (sorted by parameter name) — "the original query
+    flock expressed as a single filter step", run through the one
+    executor loop (:func:`~repro.flocks.executor.execute_plan`).
+    Composite filters intersect the per-conjunct survivor sets.
 
     ``guard`` (an :class:`~repro.guard.ExecutionGuard`,
     :class:`~repro.guard.ResourceBudget` or
@@ -117,84 +63,11 @@ def evaluate_flock(
     join-group-filter pipeline fans out over hash partitions of a
     parameter column, bit-identical to the serial result.
     """
-    guard = as_guard(guard)
-    if parallel is not None and parallel.jobs > 1:
-        return _evaluate_flock_parallel(
-            db, flock, parallel, guard=guard, sink=sink,
-            order_strategy=order_strategy,
-        )
-    started = time.perf_counter()
-    answer = flock_answer_relation(
-        db, flock, guard=guard, order_strategy=order_strategy
-    )
-    aggregates, conditions = plan_aggregate_specs(
-        flock.filter, _target_resolver(flock, answer)
-    )
-    engine = MemoryEngine(db, guard=guard)
-    passed = engine.group_filter(
-        answer, list(flock.parameter_columns), aggregates, conditions,
-        name="flock",
-    )
-    if sink is not None:
-        sink.publish_final(passed, len(answer))
-    result = engine.project_unique(
-        passed, list(flock.parameter_columns), "flock"
-    )
-    if guard is not None:
-        guard.note_step(
-            name="flock",
-            description=f"final FILTER({flock.filter})",
-            input_tuples=len(answer),
-            output_assignments=len(result),
-            seconds=time.perf_counter() - started,
-            filtered=True,
-        )
-        guard.check_answer(len(result))
-    return result
-
-
-def _evaluate_flock_parallel(
-    db: Database,
-    flock: QueryFlock,
-    parallel,
-    guard=None,
-    sink=None,
-    order_strategy: str = "greedy",
-) -> Relation:
-    """The group-by evaluation as one partitioned step plan.
-
-    Lowering the flock as its own single FILTER step reuses the shared
-    lowering (identical join orders to the serial path) and lets the
-    parallel executor partition it; survivors come back canonically
-    merged, so the result matches the serial evaluation bit for bit.
-    """
-    from .executor import lower_filter_step
-    from .plans import single_step_plan
-
-    started = time.perf_counter()
-    step = single_step_plan(flock, name="flock").final_step
-    plan = lower_filter_step(db, flock, step, order_strategy=order_strategy)
-    outcome = parallel.run_step(
-        plan, db=db, need_aggregates=sink is not None
-    )
-    if sink is not None:
-        sink.publish_final(outcome.passed, outcome.answer_tuples)
-    result = outcome.result
-    if tuple(result.columns) != tuple(flock.parameter_columns):
-        result = MemoryEngine(db).project_unique(
-            result, list(flock.parameter_columns), "flock"
-        )
-    if guard is not None:
-        guard.note_step(
-            name="flock",
-            description=f"final FILTER({flock.filter})",
-            input_tuples=outcome.answer_tuples,
-            output_assignments=len(result),
-            seconds=time.perf_counter() - started,
-            filtered=True,
-        )
-        guard.check_answer(len(result))
-    return result
+    return execute_plan(
+        db, flock, single_step_plan(flock), validate=False,
+        guard=guard, sink=sink, order_strategy=order_strategy,
+        parallel=parallel,
+    ).relation
 
 
 def parameter_domains(db: Database, flock: QueryFlock) -> dict[Parameter, set]:

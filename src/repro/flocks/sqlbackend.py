@@ -4,11 +4,12 @@ Section 1.4: "we assume that the data is stored in a conventional
 relational system and that mining occurs by issuing a sequence of SQL
 queries to the database."  This backend does exactly that: it loads a
 :class:`~repro.relational.catalog.Database` into SQLite, lowers each
-FILTER step to the same physical :class:`~repro.engine.ir.StepPlan` the
-in-memory engine interprets
-(:func:`~repro.flocks.executor.lower_filter_step`), and issues the SQL
+FILTER step's physical :class:`~repro.engine.ir.StepPlan` (lowered once
+by the one executor loop, :func:`~repro.flocks.executor.execute_plan`)
+and, as that loop's *step runner*, issues the SQL
 :mod:`repro.engine.sqlgen` renders from it — the naive Fig. 1 statement
-for a whole flock, or the Section 1.3 rewrite script for a plan.
+for a whole flock (the single-step plan), or the Section 1.3 rewrite
+for a searched plan, one materialized table per step.
 
 The backend is the "DBMS-based setting" of the paper's argument; the
 in-memory engine is the "file-based" one.  Both must agree on every
@@ -25,10 +26,11 @@ Robustness contract:
   in-memory engine when the retries are exhausted;
 * an :class:`~repro.guard.ExecutionGuard` is enforced from inside the
   SQLite VM via a progress handler (wall-clock deadline and
-  cancellation) and per materialized step table (row budget), raising
+  cancellation) and, by the executor loop, per materialized step
+  table (row budget), raising
   :class:`~repro.errors.BudgetExceededError` /
   :class:`~repro.errors.ExecutionCancelled` with the partial trace of
-  the statements that completed.
+  the steps that completed.
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
+from ..engine.ir import StepPlan
+from ..engine.memory import StepResult
+from ..engine.parallel import ParallelExecutor
 from ..engine.partition import partition_step, stable_hash
 from ..engine.sqlgen import (
+    ColumnSource,
     column_source,
     materialize_step,
     render_step,
@@ -47,18 +53,14 @@ from ..engine.sqlgen import (
 )
 from ..errors import EvaluationError, ExecutionAborted
 from ..guard import ExecutionGuard, GuardLike, as_guard
-from ..recovery import TRANSIENT_SQLITE_MARKERS, RetryPolicy
+from ..recovery import RetryPolicy
 from ..relational.catalog import Database
 from ..relational.relation import Relation
 from ..testing.faults import WorkerKill, trip
-from .executor import lower_filter_step
+from .executor import execute_plan
 from .flock import QueryFlock
 from .plans import QueryPlan, single_step_plan
 
-
-#: Substrings that mark a retryable sqlite3.OperationalError (the
-#: shared classifier in :mod:`repro.recovery` is the source of truth).
-_TRANSIENT_MARKERS = TRANSIENT_SQLITE_MARKERS
 
 #: How many SQLite VM opcodes run between guard polls.
 _PROGRESS_OPCODES = 1000
@@ -123,9 +125,15 @@ class SQLiteBackend:
         )
         #: Injectable for tests; production uses time.sleep.
         self._sleep = time.sleep
-        #: The guard of the script currently running (retry sleeps are
-        #: clamped to its remaining wall-clock).
+        #: The guard of the plan currently running (polled from inside
+        #: the VM; retry sleeps are clamped to its remaining wall-clock).
         self._active_guard: ExecutionGuard | None = None
+        #: The ParallelExecutor of the plan currently running, if its
+        #: steps fan out, and the per-worker backends they fan out over.
+        self._parallel: ParallelExecutor | None = None
+        self._workers: list["SQLiteBackend"] = []
+        #: Step tables materialized so far: name -> SQL-safe columns.
+        self._step_tables: dict[str, list[str]] = {}
         self._loaded: Database | None = None
         #: Guard abort raised from inside the progress handler, if any.
         self._guard_abort: list[ExecutionAborted] = []
@@ -180,103 +188,12 @@ class SQLiteBackend:
         order_strategy: str = "greedy",
         parallel=None,
     ) -> Relation:
-        """The naive one-statement evaluation (the Fig. 1 path).
-
-        ``parallel`` (a :class:`~repro.engine.parallel.ParallelExecutor`)
-        fans the statement out over per-worker connections, each running
-        one hash partition of the plan; a worker failure degrades back
-        to the serial statement and records the downgrade.
-        """
-        db = self._require_loaded()
-        guard = as_guard(guard)
-        step_plan = lower_filter_step(
-            db, flock, single_step_plan(flock).final_step,
-            order_strategy=order_strategy,
+        """The naive one-statement evaluation (the Fig. 1 path): the
+        single-step plan through :meth:`execute_plan`."""
+        return self.execute_plan(
+            flock, single_step_plan(flock), guard=guard,
+            order_strategy=order_strategy, parallel=parallel,
         )
-        if parallel is not None and parallel.jobs > 1:
-            rows = self._parallel_step_rows(
-                step_plan, column_source(db, {}), parallel, guard
-            )
-            if rows is not None:
-                if guard is not None:
-                    guard.check_answer(len(rows))
-                return Relation("flock", flock.parameter_columns, rows)
-        sql = render_step(step_plan, column_source(db, {})) + ";"
-        rows = self._run_script(sql, guard=guard)
-        return Relation("flock", flock.parameter_columns, rows)
-
-    def evaluate_flock_with_aggregates(
-        self, flock: QueryFlock, guard: GuardLike = None
-    ) -> Relation:
-        """Survivors together with their per-conjunct aggregate values
-        (one ``_agg{i}`` column per filter conjunct) — the SQL rendering
-        of the in-memory engine's ``group_filter`` output, compared
-        column for column by the differential tests."""
-        db = self._require_loaded()
-        step_plan = lower_filter_step(
-            db, flock, single_step_plan(flock).final_step
-        )
-        sql = render_step(
-            step_plan, column_source(db, {}), include_aggregates=True
-        ) + ";"
-        rows = self._run_script(sql, guard=as_guard(guard))
-        columns = tuple(flock.parameter_columns) + tuple(
-            spec.column for spec in step_plan.group.aggregates
-        )
-        return Relation("flock", columns, rows)
-
-    def _plan_script(
-        self,
-        flock: QueryFlock,
-        plan: QueryPlan,
-        order_strategy: str = "greedy",
-        runtime_filters: bool = False,
-    ) -> str:
-        """Lower every step of ``plan`` and render the rewrite script.
-
-        Pre-filter ok-relations are registered in a scratch catalog as
-        empty placeholders, so the planner's join ordering sees them as
-        the smallest relations and joins them first — the Example 4.1
-        point of the rewrite.
-
-        With ``runtime_filters``, each later step's scans additionally
-        gain ``IN (SELECT ... FROM ok_...)`` semi-join conjuncts over
-        the already-materialized step tables.  The lowering-time
-        catalog only holds empty placeholders, so the recorded key
-        counts are advisory — the subqueries read the real tables when
-        the script runs.
-        """
-        db = self._require_loaded()
-        scratch = db.scratch()
-        schemas: dict[str, list[str]] = {}
-        statements: list[str] = []
-        materialized: set[str] = set()
-        final = plan.final_step
-        for step in plan.steps:
-            step_plan = lower_filter_step(
-                scratch, flock, step, order_strategy=order_strategy,
-                runtime_filters=(
-                    frozenset(materialized) if runtime_filters else None
-                ),
-            )
-            columns_of = column_source(db, schemas)
-            if step is final:
-                statements.append(render_step(step_plan, columns_of) + ";")
-            else:
-                statements.append(
-                    materialize_step(step_plan, columns_of) + ";"
-                )
-                schemas[step.result_name] = [
-                    safe_column(c) for c in step_plan.root.columns
-                ]
-                scratch.add(
-                    Relation(
-                        step.result_name,
-                        tuple(str(p) for p in step.parameters),
-                    )
-                )
-                materialized.add(step.result_name)
-        return "\n\n".join(statements)
 
     def execute_plan(
         self,
@@ -287,45 +204,103 @@ class SQLiteBackend:
         parallel=None,
         runtime_filters: bool = False,
     ) -> Relation:
-        """The rewritten evaluation: one materialized table per FILTER
-        step (the Section 1.3 path).  Step tables are dropped afterwards
-        so the backend can be reused.
+        """The rewritten evaluation: the executor loop with this backend
+        as its step runner, one materialized table per FILTER step (the
+        Section 1.3 path).  Step tables are dropped afterwards — also
+        on an abort or a failure — so the backend can be reused.
 
-        With ``parallel``, each step's SELECT runs partitioned across
-        per-worker connections; the merged survivors are inserted as the
-        step table into the main and every worker connection, so later
-        steps lower and render exactly as in the serial script.
+        With ``parallel`` (a
+        :class:`~repro.engine.parallel.ParallelExecutor`), each step's
+        SELECT runs partitioned across per-worker connections; a worker
+        failure degrades the rest of the plan to the main connection
+        and records the downgrade.
 
         ``runtime_filters`` injects semi-join ``IN`` conjuncts over
-        already-materialized step tables into later steps' scans (see
-        :meth:`_plan_script`).
+        already-materialized step tables into later steps' scans.
         """
-        guard = as_guard(guard)
+        db = self._require_loaded()
+        self._active_guard = as_guard(guard)
         if parallel is not None and parallel.jobs > 1:
-            result = self._execute_plan_parallel(
-                flock, plan, guard, order_strategy, parallel,
-                runtime_filters=runtime_filters,
-            )
-            if result is not None:
-                return result
-        script = self._plan_script(
-            flock, plan, order_strategy=order_strategy,
-            runtime_filters=runtime_filters,
-        )
-        step_names = tuple(s.result_name for s in plan.prefilter_steps)
+            self._parallel = parallel
         try:
-            rows = self._run_script(
-                script, guard=guard, step_names=step_names
-            )
+            return execute_plan(
+                db, flock, plan, validate=False, guard=self._active_guard,
+                order_strategy=order_strategy,
+                runtime_filters=runtime_filters, runner=self,
+            ).relation
         finally:
-            cursor = self.connection.cursor()
-            for step in plan.prefilter_steps:
-                try:
-                    cursor.execute(f"DROP TABLE IF EXISTS {step.result_name}")
-                except sqlite3.Error:  # cleanup must not mask the error
-                    pass
-            self.connection.commit()
-        return Relation("flock", flock.parameter_columns, rows)
+            self._active_guard = None
+            self._parallel = None
+            self.drop_step_tables()
+
+    def run_step(
+        self,
+        step_plan: StepPlan,
+        db: Database | None = None,
+        need_aggregates: bool = False,
+    ) -> StepResult:
+        """The step-runner seam: render the lowered step, materialize it
+        as its step table (``CREATE TABLE ok AS ...``) and read the
+        small ok-relation back.
+
+        ``db`` (the loop's scratch catalog) is not consulted: step
+        tables resolve against this backend's own schema.  With
+        ``need_aggregates`` the table and ``passed`` also carry one
+        ``_agg{i}`` column per filter conjunct — the SQL rendering of
+        the in-memory engine's ``group_filter`` output.  The table stays
+        until :meth:`drop_step_tables`, so later steps can join it.
+        """
+        base = self._require_loaded()
+        name = step_plan.result_name
+        if name in base:
+            raise EvaluationError(
+                f"step table {name!r} would overwrite a base relation"
+            )
+        out_columns = (
+            step_plan.group.columns if need_aggregates
+            else step_plan.root.columns
+        )
+        columns = [safe_column(c) for c in out_columns]
+        columns_of = column_source(base, self._step_tables)
+        rows = None
+        if self._parallel is not None:
+            rows = self._parallel_step_rows(
+                self._parallel, step_plan, columns_of, need_aggregates
+            )
+        # Registered before it exists: cleanup must cover a table whose
+        # creation was interrupted.
+        self._step_tables[name] = columns
+        if rows is not None:
+            self._create_step_table(
+                name, columns, rows, [self] + self._workers
+            )
+        else:
+            self._run(
+                materialize_step(
+                    step_plan, columns_of, include_aggregates=need_aggregates
+                ),
+                name,
+            )
+            rows = self._run(f"SELECT * FROM {name}", name)
+            self._create_step_table(name, columns, rows, self._workers)
+        passed = Relation(name, out_columns, rows)
+        if not need_aggregates:
+            return StepResult(passed, None, len(passed))
+        result = passed.project(list(step_plan.root.columns), name=name)
+        return StepResult(result, passed, len(passed))
+
+    def drop_step_tables(self) -> None:
+        """Drop every step table :meth:`run_step` materialized (and
+        retire the worker connections that mirrored them)."""
+        self._close_workers()
+        cursor = self.connection.cursor()
+        for name in self._step_tables:
+            try:
+                cursor.execute(f"DROP TABLE IF EXISTS {name}")
+            except sqlite3.Error:  # cleanup must not mask the error
+                pass
+        self.connection.commit()
+        self._step_tables = {}
 
     # ------------------------------------------------------------------
     # Parallel execution
@@ -338,11 +313,12 @@ class SQLiteBackend:
     # hash partition via the repro_partition UDF.  Partitioned results
     # are exact for the same reason as in the memory engine — see
     # repro.engine.partition — so the union of worker rows equals the
-    # serial statement's rows.
+    # serial statement's rows.  Merged step tables are created on the
+    # main connection *and* every worker, keeping all catalogs in step.
 
     def _spawn_workers(self, count: int) -> list["SQLiteBackend"]:
         db = self._require_loaded()
-        return [
+        workers = [
             SQLiteBackend(
                 db,
                 max_retries=self.max_retries,
@@ -351,186 +327,96 @@ class SQLiteBackend:
             )
             for _ in range(count)
         ]
+        for worker in workers:
+            # The shared guard is enforced inside every worker's VM, so
+            # budgets and cancellation propagate.
+            worker._active_guard = self._active_guard
+        return workers
+
+    def _close_workers(self) -> None:
+        for worker in self._workers:
+            worker.close()
+        self._workers = []
 
     def _parallel_step_rows(
         self,
-        step_plan,
-        columns_of,
-        parallel,
-        guard: ExecutionGuard | None,
-        workers: list["SQLiteBackend"] | None = None,
-    ) -> set[tuple] | None:
-        """Run one step plan partitioned across worker connections.
+        parallel: ParallelExecutor,
+        step_plan: StepPlan,
+        columns_of: ColumnSource,
+        need_aggregates: bool,
+    ) -> list[tuple] | None:
+        """Run one step plan partitioned across the worker connections.
 
-        Returns the merged row set, or ``None`` when the step has no
-        partition column or a worker failed (failure is recorded as a
-        downgrade on ``parallel``; the caller's serial path takes over).
-        The shared ``guard`` is enforced inside every worker's VM via
-        its progress handler, so budgets and cancellation propagate.
+        Returns the merged rows, or ``None`` when the step has no
+        partition column or a worker failed.  A failure is recorded as
+        a downgrade on the plan's executor and retires the workers: the
+        caller — and every later step — runs on the main connection.
+        Workers are spawned on the plan's first step, so they never
+        miss a step table.
         """
-        plan = partition_step(step_plan, parallel.jobs, db=None)
-        if plan is None:
-            return None
-        parts = plan.partition.parts
-        statements = [
-            render_step(
-                step_plan,
-                columns_of,
-                partition=(plan.partition.column, parts, index),
-            ) + ";"
-            for index in range(parts)
-        ]
 
-        def run_partition(worker: "SQLiteBackend", sql: str) -> set[tuple]:
+        def run_partition(worker: "SQLiteBackend", sql: str) -> list[tuple]:
             trip("parallel.worker")
-            return worker._run_script(sql, guard=guard)
+            return worker._run(sql, step_plan.result_name)
 
-        own_workers = workers is None
         try:
-            if own_workers:
-                workers = self._spawn_workers(parts)
+            if not self._workers:
+                self._workers = self._spawn_workers(parallel.jobs)
+            plan = partition_step(step_plan, parallel.jobs, db=None)
+            if plan is None:
+                return None
+            parts = plan.partition.parts
+            statements = [
+                render_step(
+                    step_plan,
+                    columns_of,
+                    include_aggregates=need_aggregates,
+                    partition=(plan.partition.column, parts, index),
+                )
+                for index in range(parts)
+            ]
             with ThreadPoolExecutor(max_workers=parallel.jobs) as pool:
                 futures = [
                     pool.submit(run_partition, worker, sql)
-                    for worker, sql in zip(workers, statements)
+                    for worker, sql in zip(self._workers, statements)
                 ]
                 rows: set[tuple] = set()
                 for future in futures:
-                    rows |= future.result()
+                    rows.update(future.result())
         except ExecutionAborted:
             raise
         except (Exception, WorkerKill) as error:
             detail = f"{type(error).__name__}: {error}".rstrip(": ")
             parallel.note_downgrade(
                 f"SQL worker failure ({detail}); step "
-                f"{step_plan.result_name!r} re-ran serially"
+                f"{step_plan.result_name!r} onwards re-ran serially"
             )
+            self._close_workers()
+            self._parallel = None
             return None
-        finally:
-            if own_workers and workers is not None:
-                for worker in workers:
-                    worker.close()
         parallel.ran_parallel = True
         parallel.last_mode = "thread"
-        return rows
+        return sorted(rows, key=repr)
 
-    def _execute_plan_parallel(
-        self,
-        flock: QueryFlock,
-        plan: QueryPlan,
-        guard: ExecutionGuard | None,
-        order_strategy: str,
-        parallel,
-        runtime_filters: bool = False,
-    ) -> Relation | None:
-        """The rewrite script with every step's SELECT partitioned.
-
-        Lowering mirrors :meth:`_plan_script` exactly — same scratch
-        placeholders, same schemas — so join orders and rendered SQL
-        (minus the partition conjunct) are identical to the serial
-        script.  Merged step tables are created on the main connection
-        *and* every worker, keeping all catalogs in step.  Returns
-        ``None`` on worker failure (downgrade recorded) so the caller
-        reruns the serial script.
-        """
-        db = self._require_loaded()
-        scratch = db.scratch()
-        schemas: dict[str, list[str]] = {}
-        workers: list["SQLiteBackend"] = []
-        created: list[str] = []
-        final = plan.final_step
-        try:
-            workers = self._spawn_workers(parallel.jobs)
-            rows: set[tuple] = set()
-            for step in plan.steps:
-                started = time.perf_counter()
-                step_plan = lower_filter_step(
-                    scratch, flock, step, order_strategy=order_strategy,
-                    runtime_filters=(
-                        frozenset(created) if runtime_filters else None
-                    ),
-                )
-                columns_of = column_source(db, schemas)
-                rows_or_none = self._parallel_step_rows(
-                    step_plan, columns_of, parallel, guard, workers=workers
-                )
-                if rows_or_none is None:
-                    # No partition column for this step (or its workers
-                    # failed): run it serially on the main connection —
-                    # worker catalogs stay in step via the table fan-out
-                    # below.
-                    sql = render_step(step_plan, columns_of) + ";"
-                    rows = self._run_script(sql, guard=guard)
-                else:
-                    rows = rows_or_none
-                if step is not final:
-                    safe_cols = [
-                        safe_column(c) for c in step_plan.root.columns
-                    ]
-                    self._create_step_table(
-                        step.result_name, safe_cols, rows, workers
-                    )
-                    created.append(step.result_name)
-                    schemas[step.result_name] = safe_cols
-                    scratch.add(
-                        Relation(
-                            step.result_name,
-                            tuple(str(p) for p in step.parameters),
-                        )
-                    )
-                if guard is not None:
-                    guard.note_step(
-                        name=step.result_name,
-                        description=f"parallel SQL x{parallel.jobs}",
-                        input_tuples=len(rows),
-                        output_assignments=len(rows),
-                        seconds=time.perf_counter() - started,
-                        filtered=True,
-                    )
-                    guard.checkpoint(rows=len(rows), node=step.result_name)
-            if guard is not None:
-                guard.check_answer(len(rows))
-            return Relation("flock", flock.parameter_columns, rows)
-        except ExecutionAborted:
-            raise
-        except (Exception, WorkerKill) as error:
-            detail = f"{type(error).__name__}: {error}".rstrip(": ")
-            parallel.note_downgrade(
-                f"SQL worker failure ({detail}); plan re-ran serially"
-            )
-            return None
-        finally:
-            for worker in workers:
-                worker.close()
-            cursor = self.connection.cursor()
-            for name in created:
-                try:
-                    cursor.execute(f"DROP TABLE IF EXISTS {name}")
-                except sqlite3.Error:  # cleanup must not mask the error
-                    pass
-            self.connection.commit()
-
+    @staticmethod
     def _create_step_table(
-        self,
         name: str,
         columns: list[str],
-        rows: set[tuple],
-        workers: list["SQLiteBackend"],
+        rows: Sequence[tuple],
+        backends: Sequence["SQLiteBackend"],
     ) -> None:
-        """Materialize one merged step result as a table on the main
-        connection and every worker connection."""
-        ordered = sorted(rows, key=repr)
-        for backend in [self] + list(workers):
+        """Materialize one step result as a table on each of
+        ``backends``."""
+        placeholders = ", ".join("?" for _ in columns)
+        for backend in backends:
             cursor = backend.connection.cursor()
-            backend._execute(cursor, f"DROP TABLE IF EXISTS {name}")
             backend._execute(
                 cursor, f"CREATE TABLE {name} ({', '.join(columns)})"
             )
-            placeholders = ", ".join("?" for _ in columns)
             backend._execute(
                 cursor,
                 f"INSERT INTO {name} VALUES ({placeholders})",
-                parameters=ordered,
+                parameters=rows,
                 many=True,
             )
             backend.connection.commit()
@@ -700,104 +586,30 @@ class SQLiteBackend:
         self.connection.set_progress_handler(handler, _PROGRESS_OPCODES)
         return True
 
-    def _run_script(
-        self,
-        script: str,
-        guard: ExecutionGuard | None = None,
-        step_names: tuple[str, ...] = (),
-    ) -> set[tuple]:
-        statements = [s.strip() for s in script.split(";") if s.strip()]
-        rows: set[tuple] = set()
-        cursor = self.connection.cursor()
+    def _run(self, statement: str, label: str) -> list[tuple]:
+        """Execute one statement of step ``label`` under the active
+        guard and return its rows.  An abort from inside the VM marks
+        the interrupted step on the guard, so the partial trace is never
+        empty and shows where work stopped."""
+        guard = self._active_guard
         installed = self._install_guard(guard)
-        self._active_guard = guard
+        started = time.perf_counter()
         try:
-            for index, statement in enumerate(statements):
-                started = time.perf_counter()
-                try:
-                    result = self._execute(cursor, statement)
-                except ExecutionAborted as aborted:
-                    if guard is not None:
-                        # Mark the aborted statement so the partial trace
-                        # is never empty and shows where work stopped.
-                        guard.note_step(
-                            name=f"aborted:sql#{index}",
-                            description=statement.replace("\n", " ")[:100],
-                            input_tuples=0,
-                            output_assignments=0,
-                            seconds=time.perf_counter() - started,
-                            filtered=False,
-                        )
-                    raise aborted
-                if index == len(statements) - 1:
-                    rows = {tuple(r) for r in result.fetchall()}
-                elapsed = time.perf_counter() - started
-                if guard is not None:
-                    self._note_statement(
-                        guard, statement, index, elapsed, step_names,
-                        final_rows=len(rows) if index == len(statements) - 1
-                        else None,
-                    )
+            return self._execute(self.connection.cursor(), statement).fetchall()
+        except ExecutionAborted:
             if guard is not None:
-                guard.check_answer(len(rows))
+                guard.note_step(
+                    name=f"aborted:{label}",
+                    description=statement.replace("\n", " ")[:100],
+                    input_tuples=0,
+                    output_assignments=0,
+                    seconds=time.perf_counter() - started,
+                    filtered=False,
+                )
+            raise
         finally:
-            self._active_guard = None
             if installed:
                 self.connection.set_progress_handler(None, 0)
-        return rows
-
-    def _note_statement(
-        self,
-        guard: ExecutionGuard,
-        statement: str,
-        index: int,
-        elapsed: float,
-        step_names: tuple[str, ...],
-        final_rows: int | None,
-    ) -> None:
-        """Record one completed statement on the guard and enforce the
-        row budget on materialized step tables."""
-        created = self._created_step_table(statement, step_names)
-        if created is not None:
-            cursor = self.connection.cursor()
-            (count,) = self._execute(
-                cursor, f"SELECT COUNT(*) FROM {created}"
-            ).fetchone()
-            guard.note_step(
-                name=created,
-                description=statement.replace("\n", " ")[:100],
-                input_tuples=count,
-                output_assignments=count,
-                seconds=elapsed,
-                filtered=True,
-            )
-            guard.checkpoint(rows=count, node=created)
-        elif final_rows is not None:
-            guard.note_step(
-                name="flock",
-                description=statement.replace("\n", " ")[:100],
-                input_tuples=final_rows,
-                output_assignments=final_rows,
-                seconds=elapsed,
-                filtered=True,
-            )
-            guard.checkpoint(rows=final_rows, node="flock")
-        else:
-            guard.checkpoint(node=f"sql#{index}")
-
-    @staticmethod
-    def _created_step_table(
-        statement: str, step_names: tuple[str, ...]
-    ) -> str | None:
-        tokens = statement.split(None, 3)
-        if (
-            len(tokens) >= 3
-            and tokens[0].upper() == "CREATE"
-            and tokens[1].upper() == "TABLE"
-            and tokens[2] in step_names
-        ):
-            return tokens[2]
-        return None
 
 
 def evaluate_flock_sqlite(

@@ -135,9 +135,16 @@ class TestMultiDiseaseFlock:
         """Demonstrates *why* the paper needs the extension: with one
         diagnosis joined per row, patient 1's rash pairs with the flu
         row and looks unexplained, inflating the count to 3."""
-        from repro.flocks import flock_answer_relation
+        from repro.engine.memory import MemoryEngine
+        from repro.flocks import single_step_plan
+        from repro.flocks.executor import lower_filter_step
 
-        answer = flock_answer_relation(multi_disease_db, self.naive_fig3_flock())
+        flock = self.naive_fig3_flock()
+        answer = MemoryEngine(multi_disease_db).run_answer(
+            lower_filter_step(
+                multi_disease_db, flock, single_step_plan(flock).final_step
+            )
+        )
         rash_rows = {
             row for row in answer.tuples if row[1] == "rash"
         }

@@ -16,9 +16,8 @@ import repro.engine.memory as memory_module
 from repro.datalog import atom, rule
 from repro.engine.memory import MemoryEngine
 from repro.errors import ExecutionCancelled
-from repro.flocks import QueryFlock, parse_filter
-from repro.flocks.filters import plan_aggregate_specs
-from repro.flocks.naive import _target_resolver, flock_answer_relation
+from repro.flocks import QueryFlock, parse_filter, single_step_plan
+from repro.flocks.executor import lower_filter_step
 from repro.guard import CancellationToken, ExecutionGuard
 from repro.relational import database_from_dict
 
@@ -38,15 +37,16 @@ def composite_flock():
     )
 
 
+def composite_step_plan(db):
+    flock = composite_flock()
+    return lower_filter_step(db, flock, single_step_plan(flock).final_step)
+
+
 def test_group_filter_aborts_between_aggregates(db, monkeypatch):
     """Cancel lands after the first of two aggregate kernels: the
     second must never run."""
-    flock = composite_flock()
-    answer = flock_answer_relation(db, flock)
-    aggregates, conditions = plan_aggregate_specs(
-        flock.filter, _target_resolver(flock, answer)
-    )
-    assert len(aggregates) == 2  # COUNT and SUM conjuncts
+    step_plan = composite_step_plan(db)
+    assert len(step_plan.group.aggregates) == 2  # COUNT and SUM conjuncts
 
     cancel = CancellationToken()
     calls = []
@@ -62,21 +62,12 @@ def test_group_filter_aborts_between_aggregates(db, monkeypatch):
     )
     engine = MemoryEngine(db, guard=ExecutionGuard(cancel=cancel))
     with pytest.raises(ExecutionCancelled):
-        engine.group_filter(
-            answer, list(flock.parameter_columns), aggregates, conditions,
-            name="flock",
-        )
+        engine.run_step(step_plan, need_aggregates=True)
     assert len(calls) == 1  # aborted before the second aggregate
 
 
 def test_group_filter_unguarded_engine_still_completes(db):
-    flock = composite_flock()
-    answer = flock_answer_relation(db, flock)
-    aggregates, conditions = plan_aggregate_specs(
-        flock.filter, _target_resolver(flock, answer)
+    outcome = MemoryEngine(db).run_step(
+        composite_step_plan(db), need_aggregates=True
     )
-    result = MemoryEngine(db).group_filter(
-        answer, list(flock.parameter_columns), aggregates, conditions,
-        name="flock",
-    )
-    assert len(result) > 0
+    assert len(outcome.passed) > 0

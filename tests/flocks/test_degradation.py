@@ -20,8 +20,10 @@ from repro import (
 )
 from repro.datalog import Parameter, atom, comparison, rule
 from repro.datalog.subqueries import safe_subqueries_with_parameters
+from repro.engine.parallel import ParallelExecutor
 from repro.flocks import (
     QueryFlock,
+    SQLiteBackend,
     evaluate_flock,
     evaluate_flock_sqlite,
     execute_plan,
@@ -110,6 +112,75 @@ class TestPartialTrace:
         assert execute_plan_sqlite(
             wide_db, pair_flock, plan, guard=roomy
         ) == unbudgeted
+
+
+# ----------------------------------------------------------------------
+# No SQLite step table outlives its plan (ROADMAP 5f)
+# ----------------------------------------------------------------------
+
+
+class TestSQLiteLeavesNoStepTables:
+    """After a guard abort or a backend fault mid-plan — serial or
+    partitioned — the catalog holds the base tables only, and the same
+    backend object answers the next plan correctly."""
+
+    @staticmethod
+    def leaked(backend, db):
+        tables = {
+            name for (name,) in backend.connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        return tables - set(db.names())
+
+    @staticmethod
+    def executor(jobs, db):
+        return ParallelExecutor(jobs, db) if jobs > 1 else None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_after_budget_abort(self, wide_db, pair_flock, jobs):
+        plan = two_step_plan(pair_flock)
+        expected = execute_plan(wide_db, pair_flock, plan).relation
+        with SQLiteBackend(wide_db) as backend:
+            with pytest.raises(BudgetExceededError) as exc:
+                backend.execute_plan(
+                    pair_flock, plan,
+                    guard=ResourceBudget(max_intermediate_rows=50),
+                    parallel=self.executor(jobs, wide_db),
+                )
+            assert [s.name for s in exc.value.trace.steps if s.filtered] == [
+                "ok0", "ok1",
+            ]
+            assert self.leaked(backend, wide_db) == set()
+            again = backend.execute_plan(
+                pair_flock, plan, parallel=self.executor(jobs, wide_db)
+            )
+        assert again == expected
+
+    @pytest.mark.faults
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_after_fault_mid_plan(self, wide_db, pair_flock, jobs):
+        plan = two_step_plan(pair_flock)
+        expected = execute_plan(wide_db, pair_flock, plan).relation
+        broken = sqlite3.OperationalError("disk I/O error")
+        with SQLiteBackend(wide_db) as backend:
+            # Count the plan's statements, then fail from the last step on.
+            with inject("sqlite.execute", broken, skip=10**9) as counted:
+                backend.execute_plan(
+                    pair_flock, plan, parallel=self.executor(jobs, wide_db)
+                )
+            assert self.leaked(backend, wide_db) == set()
+            with inject("sqlite.execute", broken, skip=counted.hits - 2):
+                with pytest.raises(EvaluationError, match="disk I/O"):
+                    backend.execute_plan(
+                        pair_flock, plan,
+                        parallel=self.executor(jobs, wide_db),
+                    )
+            assert self.leaked(backend, wide_db) == set()
+            again = backend.execute_plan(
+                pair_flock, plan, parallel=self.executor(jobs, wide_db)
+            )
+        assert again == expected
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.flocks.executor as executor_module
 from repro.datalog import Parameter
+from repro.engine.memory import MemoryEngine
 from repro.datalog.subqueries import (
     SubqueryCandidate,
     union_subqueries_with_parameters,
@@ -126,3 +128,208 @@ class TestPlanCorrectnessAcrossThresholds:
         naive = evaluate_flock(small_basket_db, flock)
         planned = execute_plan(small_basket_db, flock, plan)
         assert planned.relation == naive
+
+
+# ----------------------------------------------------------------------
+# The step-runner seam: everything but the step body is attached once,
+# in execute_plan, whichever runner executes the steps
+# ----------------------------------------------------------------------
+
+
+class RecordingRunner:
+    """A fake step runner: logs every call, delegates to the real one."""
+
+    def __init__(self):
+        self.inner = executor_module.MemoryRunner()
+        self.calls = []
+
+    def run_step(self, step_plan, db, need_aggregates):
+        self.calls.append((step_plan.result_name, need_aggregates))
+        return self.inner.run_step(step_plan, db, need_aggregates)
+
+
+class RecordingSupervisor:
+    def __init__(self):
+        self.sites = []
+
+    def run(self, fn, site="step"):
+        self.sites.append(site)
+        return fn()
+
+
+class RecordingRecorder:
+    """Checkpoint-recorder double; ``saved`` holds already-durable steps."""
+
+    def __init__(self, saved=None):
+        self.saved = dict(saved or {})
+        self.completed = []
+        self.finished = 0
+
+    def served(self, step_name):
+        return self.saved.get(step_name)
+
+    def complete(self, step_name, relation):
+        self.completed.append(step_name)
+
+    def finish(self):
+        self.finished += 1
+
+
+class RecordingSink:
+    """Session-sink double; ``cached`` maps a step's parameter columns
+    to a relation served in place of executing the step."""
+
+    def __init__(self, cached=None):
+        self.cached = dict(cached or {})
+        self.published_steps = []
+        self.published_final = []
+
+    def serve_step(self, query, param_columns):
+        return self.cached.get(tuple(param_columns))
+
+    def publish_step(self, query, param_columns, ok, source_rows):
+        self.published_steps.append(tuple(param_columns))
+
+    def publish_final(self, with_aggregates, source_rows):
+        self.published_final.append(with_aggregates.columns)
+
+
+class TestStepRunnerSeam:
+    @pytest.fixture
+    def lowered(self, monkeypatch):
+        """Names of the steps lowered, in order."""
+        names = []
+        real = executor_module.lower_filter_step
+
+        def counting(db, flock, step, **kwargs):
+            names.append(step.result_name)
+            return real(db, flock, step, **kwargs)
+
+        monkeypatch.setattr(executor_module, "lower_filter_step", counting)
+        return names
+
+    def test_each_step_attached_once(
+        self, small_medical_db, medical_flock, lowered
+    ):
+        runner = RecordingRunner()
+        supervisor = RecordingSupervisor()
+        recorder = RecordingRecorder()
+        sink = RecordingSink()
+        result = execute_plan(
+            small_medical_db, medical_flock, fig5_plan(medical_flock),
+            runner=runner, supervisor=supervisor, recorder=recorder,
+            sink=sink,
+        )
+        steps = ["okS", "okM", "ok"]
+        assert lowered == steps
+        assert result.relation == evaluate_flock(
+            small_medical_db, medical_flock
+        )
+        # Only the final step, whose survivors a sink stores, asks the
+        # runner for aggregate values.
+        assert runner.calls == [("okS", False), ("okM", False), ("ok", True)]
+        assert supervisor.sites == [f"step:{name}" for name in steps]
+        assert recorder.completed == steps
+        assert recorder.finished == 1
+        assert sink.published_steps == [("$s",), ("$m",)]
+        assert sink.published_final == [("$m", "$s", "_agg0")]
+        assert [s.name for s in result.trace.steps] == steps
+
+    def test_resumed_step_never_reaches_the_runner(
+        self, small_medical_db, medical_flock, lowered
+    ):
+        plan = fig5_plan(medical_flock)
+        ok_s = execute_plan(
+            small_medical_db, medical_flock, plan
+        ).relation.project(["$s"], name="okS")
+        del lowered[:]
+        runner = RecordingRunner()
+        supervisor = RecordingSupervisor()
+        recorder = RecordingRecorder(saved={"okS": ok_s})
+        result = execute_plan(
+            small_medical_db, medical_flock, plan,
+            runner=runner, supervisor=supervisor, recorder=recorder,
+        )
+        assert lowered == ["okM", "ok"]
+        assert result.relation == evaluate_flock(
+            small_medical_db, medical_flock
+        )
+        assert [name for name, _ in runner.calls] == ["okM", "ok"]
+        assert supervisor.sites == ["step:okM", "step:ok"]
+        assert recorder.completed == ["okM", "ok"]
+        assert result.trace.steps[0].description == "resumed from checkpoint"
+        assert result.trace.steps[0].input_tuples == 0
+
+    def test_cache_served_step_never_reaches_the_runner(
+        self, small_medical_db, medical_flock, lowered
+    ):
+        plan = fig5_plan(medical_flock)
+        # Any superset of the true survivors is a sound pre-filter.
+        every_symptom = small_medical_db.get("exhibits").project(
+            ["S"]
+        ).rename({"S": "$s"})
+        runner = RecordingRunner()
+        sink = RecordingSink(cached={("$s",): every_symptom})
+        result = execute_plan(
+            small_medical_db, medical_flock, plan, runner=runner, sink=sink
+        )
+        assert lowered == ["okM", "ok"]
+        assert result.relation == evaluate_flock(
+            small_medical_db, medical_flock
+        )
+        assert [name for name, _ in runner.calls] == ["okM", "ok"]
+        assert sink.published_steps == [("$m",)]
+        assert len(sink.published_final) == 1
+
+
+class TestSerialEarlyExit:
+    """The serial runner honours ``need_aggregates`` like the partitioned
+    one: without a sink, survivorship is early-exit-counted and no
+    ``_agg*`` column is ever built (``--jobs 1`` used to compute full
+    aggregates where ``--jobs 2`` did not)."""
+
+    @pytest.fixture
+    def group_filter_calls(self, monkeypatch):
+        calls = []
+        real = MemoryEngine.group_filter
+
+        def recording(self, answer, *args, **kwargs):
+            passed = real(self, answer, *args, **kwargs)
+            calls.append(passed.columns)
+            return passed
+
+        monkeypatch.setattr(MemoryEngine, "group_filter", recording)
+        return calls
+
+    def test_no_sink_no_aggregate_columns(
+        self, small_medical_db, medical_flock, group_filter_calls
+    ):
+        execute_plan(small_medical_db, medical_flock, fig5_plan(medical_flock))
+        assert group_filter_calls == []
+
+    def test_sink_gets_aggregates_for_the_final_step_only(
+        self, small_medical_db, medical_flock, group_filter_calls
+    ):
+        execute_plan(
+            small_medical_db, medical_flock, fig5_plan(medical_flock),
+            sink=RecordingSink(),
+        )
+        assert group_filter_calls == [("$m", "$s", "_agg0")]
+
+    def test_survivors_identical_either_way(
+        self, small_medical_db, medical_flock
+    ):
+        rule = medical_flock.rules[0]
+        step = FilterStep("okS", (Parameter("s"),), rule.with_body_subset([0]))
+        step_plan = executor_module.lower_filter_step(
+            small_medical_db, medical_flock, step
+        )
+        counted = MemoryEngine(small_medical_db).run_step(step_plan)
+        full = MemoryEngine(small_medical_db).run_step(
+            step_plan, need_aggregates=True
+        )
+        assert counted.passed is None
+        assert full.passed.columns == ("$s", "_agg0")
+        assert counted.result.columns == full.result.columns == ("$s",)
+        assert counted.result.columns_data() == full.result.columns_data()
+        assert counted.answer_tuples == full.answer_tuples

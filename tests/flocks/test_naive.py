@@ -2,15 +2,17 @@
 
 
 from repro.datalog import Parameter
+from repro.engine.memory import MemoryEngine
 from repro.flocks import (
     QueryFlock,
     evaluate_flock,
     evaluate_flock_bruteforce,
-    flock_answer_relation,
     parameter_domains,
     parse_flock,
+    single_step_plan,
     support_filter,
 )
+from repro.flocks.executor import lower_filter_step
 
 
 class TestEvaluateFlock:
@@ -71,13 +73,22 @@ class TestEvaluateFlock:
         assert result.tuples == frozenset({("a", "b")})
 
 
+def answer_relation(db, flock):
+    """The ungrouped answer of the naive (single-step) plan."""
+    step_plan = lower_filter_step(db, flock, single_step_plan(flock).final_step)
+    return MemoryEngine(db).run_answer(step_plan)
+
+
 class TestAnswerRelation:
+    """Parameter columns first, then the head aligned positionally under
+    ``_h0..`` (union branches' head variables differ, per Fig. 4)."""
+
     def test_columns(self, small_basket_db, basket_flock):
-        answer = flock_answer_relation(small_basket_db, basket_flock)
-        assert answer.columns == ("$1", "$2", "B")
+        answer = answer_relation(small_basket_db, basket_flock)
+        assert answer.columns == ("$1", "$2", "_h0")
 
     def test_union_positional_columns(self, small_web_db, web_flock):
-        answer = flock_answer_relation(small_web_db, web_flock)
+        answer = answer_relation(small_web_db, web_flock)
         assert answer.columns == ("$1", "$2", "_h0")
 
 

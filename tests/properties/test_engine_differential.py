@@ -14,9 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datalog import atom, comparison, negated, rule
 from repro.engine.memory import MemoryEngine
-from repro.flocks import QueryFlock, evaluate_flock, parse_filter
-from repro.flocks.filters import plan_aggregate_specs
-from repro.flocks.naive import _target_resolver, flock_answer_relation
+from repro.flocks import (
+    QueryFlock,
+    evaluate_flock,
+    parse_filter,
+    single_step_plan,
+)
+from repro.flocks.executor import lower_filter_step
 from repro.flocks.sqlbackend import SQLiteBackend
 from repro.relational import database_from_dict
 
@@ -86,17 +90,8 @@ FLOCK_MAKERS = [
 ]
 
 
-def memory_with_aggregates(db, flock):
-    """The memory engine's survivors with their aggregate columns —
-    the same group_filter output the session cache stores."""
-    answer = flock_answer_relation(db, flock)
-    aggregates, conditions = plan_aggregate_specs(
-        flock.filter, _target_resolver(flock, answer)
-    )
-    return MemoryEngine(db).group_filter(
-        answer, list(flock.parameter_columns), aggregates, conditions,
-        name="flock",
-    )
+def naive_step_plan(db, flock):
+    return lower_filter_step(db, flock, single_step_plan(flock).final_step)
 
 
 @pytest.mark.parametrize("make_flock", FLOCK_MAKERS)
@@ -116,11 +111,16 @@ def test_survivors_identical(make_flock, r, s, bad, threshold):
 @given(r=r_rows, s=s_rows, bad=bad_rows, threshold=thresholds)
 @settings(max_examples=25, deadline=None)
 def test_aggregate_values_identical(make_flock, r, s, bad, threshold):
+    """Both runners hand back the same ``passed`` relation — survivors
+    with one ``_agg{i}`` column per conjunct, what the session cache
+    stores — column for column."""
     db = make_db(r, s, bad)
-    flock = make_flock(threshold)
-    in_memory = memory_with_aggregates(db, flock)
+    step_plan = naive_step_plan(db, make_flock(threshold))
+    in_memory = MemoryEngine(db).run_step(
+        step_plan, need_aggregates=True
+    ).passed
     with SQLiteBackend(db) as backend:
-        on_sqlite = backend.evaluate_flock_with_aggregates(flock)
+        on_sqlite = backend.run_step(step_plan, need_aggregates=True).passed
     assert in_memory.columns == on_sqlite.columns
     assert in_memory.tuples == on_sqlite.tuples
 

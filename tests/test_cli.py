@@ -56,12 +56,25 @@ class TestRun:
         out = capsys.readouterr().out
         assert "more" in out
 
-    def test_verbose_trace(self, workspace, capsys):
+    @pytest.mark.parametrize(
+        "strategy", ["naive", "optimized", "stats", "dynamic"]
+    )
+    def test_verbose_prints_the_mining_report(
+        self, workspace, capsys, strategy
+    ):
+        """Every strategy goes through mine(): --verbose is its report,
+        not a per-strategy trace."""
         flock_file, data_dir = workspace
-        main(["run", str(flock_file), str(data_dir), "--strategy", "dynamic",
+        main(["run", str(flock_file), str(data_dir), "--strategy", strategy,
               "--verbose"])
         err = capsys.readouterr().err
-        assert "trace" in err
+        assert "# trace" in err
+        assert f"strategy: {strategy} (requested {strategy})" in err
+
+    def test_quiet_without_verbose(self, workspace, capsys):
+        flock_file, data_dir = workspace
+        main(["run", str(flock_file), str(data_dir), "--strategy", "naive"])
+        assert capsys.readouterr().err == ""
 
     def test_jobs_matches_serial(self, workspace, capsys):
         flock_file, data_dir = workspace
