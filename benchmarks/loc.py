@@ -1,0 +1,41 @@
+"""``make loc``'s second number: code-only lines under a source tree.
+
+A line counts when it carries at least one token that is not a comment,
+and is not part of a docstring — so deleting comments or docstrings
+never shows up as a reduction (the simplicity guide does not count it
+as one).  Usage: ``python benchmarks/loc.py src/repro``.
+"""
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
+}
+
+
+def code_lines(source: str) -> int:
+    docstrings: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    code: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
+if __name__ == "__main__":
+    root = Path(sys.argv[1])
+    total = sum(code_lines(p.read_text()) for p in root.rglob("*.py"))
+    print(f"{total:>7} code-only (no blank, comment or docstring lines)")

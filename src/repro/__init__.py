@@ -97,6 +97,7 @@ from .flocks import (
     FilterStep,
     FlockOptimizer,
     FlockResult,
+    MiningOptions,
     QueryFlock,
     QueryPlan,
     apriori_itemsets,
@@ -150,6 +151,7 @@ __all__ = [
     "FlockResult",
     "HungWorkerError",
     "MiningClient",
+    "MiningOptions",
     "MiningService",
     "MiningSession",
     "Parameter",

@@ -56,10 +56,8 @@ from .flocks import (
     single_step_plan,
 )
 from .flocks.optimizer import FlockOptimizer
+from .flocks.options import MiningOptions, positive_int
 from .relational.io import load_database
-
-
-STRATEGIES = ("auto", "naive", "optimized", "dynamic", "stats")
 
 
 def _load(flock_path: str, data_dir: str | None):
@@ -98,13 +96,6 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = _nonnegative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
 def _run_budget(args: argparse.Namespace) -> ResourceBudget | None:
     """Build the execution budget from --timeout/--max-rows, if any."""
     if args.timeout is None and args.max_rows is None:
@@ -119,24 +110,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     if db is None:
         print("run requires a data directory", file=sys.stderr)
         return 2
-    checkpointed = args.checkpoint is not None
-    if args.resume is not None and not checkpointed:
-        print("--resume requires --checkpoint", file=sys.stderr)
-        return 2
     try:
+        options = MiningOptions.from_args(args)
         relation, report = mine(
-            db, flock, strategy=args.strategy,
-            budget=_run_budget(args), backend=args.backend,
-            join_order=args.join_order,
-            runtime_filters=args.runtime_filters,
-            parallelism=args.jobs,
-            checkpoint=args.checkpoint,
-            run_id=args.run_id,
-            resume=args.resume,
+            db, flock, budget=_run_budget(args), options=options
         )
     except (ResumeError, ValueError) as error:
-        if not checkpointed:
-            raise
+        # An invalid option combination, or a checkpoint that does not
+        # match this flock/data: a usage error, not a mining failure.
         print(f"error: {error}", file=sys.stderr)
         return 2
     if report.run_id is not None:
@@ -149,7 +130,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
 
     print(f"# {len(relation)} acceptable assignments "
-          f"({args.strategy}, {report.seconds * 1e3:.1f} ms)")
+          f"({options.strategy}, {report.seconds * 1e3:.1f} ms)")
     print("\t".join(relation.columns))
     for row in sorted(relation.tuples, key=repr)[: args.limit]:
         print("\t".join(str(v) for v in row))
@@ -269,13 +250,12 @@ def cmd_session(args: argparse.Namespace) -> int:
 
     db = load_database(args.data)
     budget = _run_budget(args)
+    options = MiningOptions.from_args(args)
     session = MiningSession(
         db,
         budget=budget,
-        backend=args.backend,
         max_cache_rows=args.cache_rows,
         persist_path=args.persist,
-        parallelism=args.jobs,
     )
 
     if args.script is not None:
@@ -328,9 +308,7 @@ def cmd_session(args: argparse.Namespace) -> int:
                             else int(threshold_text)
                         )
                         flock = with_support_threshold(flock, threshold)
-                    relation, report = session.mine(
-                        flock, strategy=args.strategy
-                    )
+                    relation, report = session.mine(flock, options=options)
                 except (ReproError, FileNotFoundError, ValueError) as error:
                     print(f"error: {error}", file=sys.stderr)
                     status = 1
@@ -360,6 +338,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     budget = _run_budget(args)
     db = load_database(args.data)
+    defaults = MiningOptions.given(args)
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -368,12 +347,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_queued_per_tenant=args.max_queued,
         cache_entries=args.cache_entries,
         cache_rows=args.cache_rows,
-        backend=args.backend,
-        strategy=args.strategy,
-        parallelism=args.jobs,
-        join_order=args.join_order,
-        runtime_filters=args.runtime_filters,
-        checkpoint_path=args.checkpoint,
+        # Here --checkpoint is where the server keeps the store that
+        # {"checkpoint": true} requests write to, not a per-call default.
+        checkpoint_path=defaults.pop("checkpoint", None),
+        **defaults,
     )
     service = MiningService(db, config)
 
@@ -485,36 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="evaluate a flock against CSV data")
     run.add_argument("flock", help="path to a flock file (QUERY:/FILTER:)")
     run.add_argument("data", help="directory of <relation>.csv files")
-    run.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    run.add_argument("--backend", choices=("memory", "sqlite"),
-                     default="memory",
-                     help="execution backend (sqlite falls back to memory "
-                     "on backend failure)")
-    run.add_argument("--join-order", choices=("greedy", "selinger", "ues"),
-                     default="greedy", dest="join_order",
-                     help="join ordering plans are lowered with: greedy "
-                     "(default), the Selinger-style DP orderer, or ues "
-                     "(pessimistic upper-bound ordering — robust on "
-                     "skewed data)")
-    run.add_argument("--runtime-filters", action="store_true", default=None,
-                     dest="runtime_filters",
-                     help="inject semi-join filters from materialized "
-                     "pre-filter steps into later scans (default: on "
-                     "exactly when --join-order=ues)")
-    run.add_argument("--checkpoint", default=None, metavar="PATH",
-                     help="persist each completed FILTER step to this "
-                          "SQLite file so an interrupted run can be "
-                          "resumed (requires a plan-based strategy)")
-    run.add_argument("--run-id", default=None, metavar="ID",
-                     help="explicit run id for --checkpoint "
-                          "(default: generated)")
-    run.add_argument("--resume", default=None, metavar="RUN_ID",
-                     help="resume the checkpointed run RUN_ID from "
-                          "--checkpoint, re-executing only unfinished "
-                          "steps")
-    run.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                     help="worker count for partitioned parallel "
-                     "execution (1 = serial; REPRO_JOBS also honoured)")
+    MiningOptions.add_arguments(run, (
+        "--strategy", "--backend", "--join-order", "--runtime-filters",
+        "--checkpoint", "--run-id", "--resume", "--jobs",
+    ))
     run.add_argument("--timeout", type=_nonnegative_float, default=None,
                      metavar="SECONDS",
                      help="wall-clock budget; exceeding it aborts with a "
@@ -558,9 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="interactive mining session with a warm result cache",
     )
     session.add_argument("data", help="directory of <relation>.csv files")
-    session.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    session.add_argument("--backend", choices=("memory", "sqlite"),
-                         default="memory")
+    MiningOptions.add_arguments(
+        session, ("--strategy", "--backend", "--jobs")
+    )
     session.add_argument("--script", default=None, metavar="FILE",
                          help="read commands from FILE instead of stdin")
     session.add_argument("--timeout", type=_nonnegative_float, default=None,
@@ -575,10 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     session.add_argument("--persist", default=None, metavar="PATH",
                          help="SQLite file to persist cached results in "
                          "(warm start across invocations)")
-    session.add_argument("--jobs", type=_positive_int, default=1,
-                         metavar="N",
-                         help="worker count for partitioned parallel "
-                         "execution (1 = serial)")
     session.add_argument("--limit", type=int, default=50,
                          help="max result rows to print per query")
     session.set_defaults(fn=cmd_session)
@@ -625,24 +572,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=_nonnegative_int, default=8321,
                        help="TCP port (0 picks a free one)")
-    serve.add_argument("--workers", type=_positive_int, default=2,
+    serve.add_argument("--workers", type=positive_int, default=2,
                        metavar="N",
                        help="concurrent mining calls (dispatcher threads)")
-    serve.add_argument("--strategy", choices=STRATEGIES, default="auto",
-                       help="default strategy for requests that name none")
-    serve.add_argument("--backend", choices=("memory", "sqlite"),
-                       default="memory")
-    serve.add_argument("--jobs", type=_positive_int, default=None,
-                       metavar="N",
-                       help="default per-call partitioned parallelism")
-    serve.add_argument("--join-order", choices=("greedy", "selinger", "ues"),
-                       default="greedy", dest="join_order",
-                       help="default join ordering for requests that "
-                       "name none")
-    serve.add_argument("--runtime-filters", action="store_true",
-                       default=None, dest="runtime_filters",
-                       help="default runtime semi-join filter injection "
-                       "(omitted: on exactly when the join order is ues)")
+    # Per-call defaults for requests that name none.
+    MiningOptions.add_arguments(serve, (
+        "--strategy", "--backend", "--jobs", "--join-order",
+        "--runtime-filters", "--checkpoint",
+    ))
     serve.add_argument("--timeout", type=_nonnegative_float, default=None,
                        metavar="SECONDS",
                        help="per-request wall-clock cap (tenant budget; "
@@ -650,20 +587,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-rows", type=_nonnegative_int, default=None,
                        metavar="N",
                        help="per-request intermediate-row cap")
-    serve.add_argument("--max-queued", type=_positive_int, default=16,
+    serve.add_argument("--max-queued", type=positive_int, default=16,
                        metavar="N",
                        help="per-tenant bound on queued+running requests "
                        "(beyond it: HTTP 429)")
-    serve.add_argument("--cache-entries", type=_positive_int, default=256,
+    serve.add_argument("--cache-entries", type=positive_int, default=256,
                        metavar="N",
                        help="result-cache entry cap")
     serve.add_argument("--cache-rows", type=_nonnegative_int,
                        default=500_000, metavar="N",
                        help="result-cache total-row cap")
-    serve.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="SQLite file enabling checkpointed runs "
-                       "({\"checkpoint\": true} requests and "
-                       "/v1/runs progress reporting)")
     serve.set_defaults(fn=cmd_serve)
 
     query = sub.add_parser(
@@ -677,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tenant name for admission control")
     query.add_argument("--threshold", type=_nonnegative_float, default=None,
                        help="override the flock's support threshold")
-    query.add_argument("--strategy", choices=STRATEGIES, default=None)
+    MiningOptions.add_arguments(query, ("--strategy",))
     query.add_argument("--timeout", type=_nonnegative_float, default=None,
                        metavar="SECONDS",
                        help="request wall-clock budget")

@@ -42,7 +42,8 @@ from .filters import (
 )
 from .flock import QueryFlock, parse_flock
 from .lint import LintCode, LintWarning, lint_diagnostics, lint_flock
-from .mining import BACKENDS, Downgrade, MiningReport, STRATEGIES, mine
+from .mining import Downgrade, MiningReport, mine
+from .options import BACKENDS, JOIN_ORDERS, STRATEGIES, MiningOptions
 from .paper import (
     fig2_flock,
     fig3_flock,
@@ -103,8 +104,10 @@ __all__ = [
     "FlockOptimizer",
     "FlockResult",
     "FlockSequence",
+    "JOIN_ORDERS",
     "LintCode",
     "LintWarning",
+    "MiningOptions",
     "MiningReport",
     "QueryFlock",
     "QueryPlan",

@@ -5,16 +5,14 @@ default: lint the flock, pick an evaluation strategy appropriate to its
 shape, execute, and return the result together with a human-readable
 report of what was done.
 
-Strategy selection (``strategy="auto"``):
+*How* a call evaluates — strategy, backend, join order, parallelism,
+retry, checkpointing — is one :class:`MiningOptions`; every field is
+documented there.  Strategy selection (``strategy="auto"``):
 
 * non-monotone filter → naive evaluation (nothing else is sound);
 * union flock → the Section 3.4 union optimizer;
 * single-rule monotone flock → the dynamic evaluator (Section 4.4),
   which needs no cost model and adapts to the data's statistics.
-
-Explicit strategies: ``"naive"``, ``"optimized"`` (static plan search),
-``"stats"`` (static search with Section 4.4 statistics gathering),
-``"dynamic"``.
 
 Resilience (this module is the policy layer over :mod:`repro.guard`):
 
@@ -32,24 +30,21 @@ Resilience (this module is the policy layer over :mod:`repro.guard`):
   exhausted during *execution* is not downgraded: re-running a cheaper
   strategy cannot un-spend the budget, and silently retrying would turn
   a hard limit into a soft one;
-* **backend degradation**: ``backend="sqlite"`` evaluates on the SQLite
-  backend; if SQLite fails (after the backend's own transient-error
-  retries) the call falls back to the in-memory engine, again recording
-  the downgrade;
-* **retry** (``retry=RetryPolicy(...)``): the first rung *below* all of
-  the above — a transient fault (see
-  :meth:`repro.recovery.RetryPolicy.classify`) re-runs the failing
-  step/strategy after a guard-clamped backoff before any downgrade is
-  considered, recorded as a ``kind="retry"`` downgrade with its attempt
-  count;
+* **backend degradation**: if the SQLite backend fails (after its own
+  transient-error retries) the call falls back to the in-memory engine,
+  again recording the downgrade;
+* **retry**: the first rung *below* all of the above — a transient
+  fault (see :meth:`repro.recovery.RetryPolicy.classify`) re-runs the
+  failing step/strategy after a guard-clamped backoff before any
+  downgrade is considered, recorded as a ``kind="retry"`` downgrade
+  with its attempt count;
 * **hung-worker watchdog**: under a wall-clock budget, the parallel
   executor bounds how long a step's morsels may straggle; overdue
   morsels are cancelled and re-run serially, recorded as a
   ``kind="watchdog"`` downgrade;
-* **checkpoint–resume** (``checkpoint=path``): plan-based strategies
-  persist each completed FILTER step's survivors plus a run manifest
-  to a SQLite file; ``resume=run_id`` validates the manifest and
-  re-executes only the unfinished steps (see :mod:`repro.recovery`).
+* **checkpoint–resume**: the ``checkpoint``/``resume`` options make
+  completed FILTER steps durable and re-run only the unfinished ones
+  (see :mod:`repro.recovery`).
 
 The full escalation ladder, cheapest rung first::
 
@@ -62,7 +57,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..analysis.verification import plan_verification, plan_verification_enabled
 from ..engine.ir import StageObservation
@@ -75,12 +70,7 @@ from ..errors import (
     PlanError,
 )
 from ..guard import CancellationToken, ExecutionGuard, GuardLike, ResourceBudget, as_guard
-from ..recovery import (
-    CheckpointRecorder,
-    CheckpointStore,
-    RetryPolicy,
-    RetrySupervisor,
-)
+from ..recovery import CheckpointRecorder, CheckpointStore, RetrySupervisor
 from ..relational.catalog import Database
 from ..relational.relation import Relation
 from .dynamic import evaluate_flock_dynamic
@@ -88,6 +78,10 @@ from .executor import execute_plan
 from .flock import QueryFlock
 from .lint import LintWarning, lint_flock
 from .optimizer import FlockOptimizer, optimize_union
+from .options import BACKENDS as BACKENDS  # re-exported for importers
+from .options import JOIN_ORDERS as JOIN_ORDERS
+from .options import STRATEGIES as STRATEGIES
+from .options import MiningOptions
 from .plans import single_step_plan
 from .result import FlockResult
 from .sqlbackend import SQLiteBackend
@@ -95,12 +89,6 @@ from .sqlbackend import SQLiteBackend
 if TYPE_CHECKING:
     from ..analysis.certify import BranchCertificate, LegalityCertificate
 
-
-STRATEGIES = ("auto", "naive", "optimized", "stats", "dynamic")
-
-BACKENDS = ("memory", "sqlite")
-
-JOIN_ORDERS = ("greedy", "selinger", "ues")
 
 #: Most- to least-sophisticated machinery; degradation walks rightward.
 _STRATEGY_COST_ORDER = ("stats", "optimized", "dynamic", "naive")
@@ -463,17 +451,13 @@ def _run_strategy(
     db: Database,
     flock: QueryFlock,
     strategy: str,
+    options: MiningOptions,
     guard: ExecutionGuard | None,
-    backend: str,
     attempt: _Attempt,
-    sink=None,
-    join_order: str = "greedy",
-    parallel=None,
-    supervisor: RetrySupervisor | None = None,
-    checkpoint_store: CheckpointStore | None = None,
-    run_id: str | None = None,
-    resume: str | None = None,
-    runtime_filters: bool = False,
+    sink,
+    parallel,
+    supervisor: RetrySupervisor,
+    checkpoint_store: CheckpointStore | None,
 ) -> None:
     """Execute one strategy, filling ``attempt``: pick the plan
     producer, then hand the plan to :func:`_run_plan` (which picks the
@@ -486,28 +470,22 @@ def _run_strategy(
     plan, optimized/stats the searched plan.  Dynamic keeps its own
     stage-granular driver (it interleaves planning and execution).
 
-    ``sink`` is the session's cache side-channel, ``parallel`` the
-    call's shared :class:`~repro.engine.parallel.ParallelExecutor` (or
-    None), ``supervisor`` the retry rung — per FILTER step inside the
+    ``strategy`` is the one actually run (``options.strategy`` after
+    auto-selection and any degradation).  ``sink`` is the session's
+    cache side-channel, ``parallel`` the call's shared
+    :class:`~repro.engine.parallel.ParallelExecutor` (or None),
+    ``supervisor`` the retry rung — per FILTER step inside the
     executor loop, around the whole body for dynamic (its evaluation is
     deterministic, so a re-run after a transient fault is sound) and
-    around plan *search*.
-
-    ``checkpoint_store``/``run_id``/``resume`` arm step checkpointing
-    for the searched plans (validated upstream in :func:`mine`): the
-    recorder built here lands on ``attempt.recorder`` for the report's
-    accounting.
+    around plan *search*.  ``checkpoint_store`` arms step checkpointing
+    for the searched plans: the recorder built here lands on
+    ``attempt.recorder`` for the report's accounting.
     """
-
-    def supervised(fn, site: str):
-        if supervisor is None:
-            return fn()
-        return supervisor.run(fn, site=site)
 
     if strategy == "dynamic":
         # The dynamic evaluator interleaves planning and execution in
         # the in-memory engine; SQLite cannot host it.
-        if backend == "sqlite":
+        if options.backend == "sqlite":
             attempt.downgrades.append(
                 Downgrade(
                     "backend", "sqlite", "memory",
@@ -515,12 +493,12 @@ def _run_strategy(
                 )
             )
             attempt.backend_used = "memory"
-        result, trace = supervised(
+        result, trace = supervisor.run(
             lambda: evaluate_flock_dynamic(
-                db, flock, guard=guard, sink=sink, order_strategy=join_order,
-                parallel=parallel,
+                db, flock, guard=guard, sink=sink,
+                order_strategy=options.join_order, parallel=parallel,
             ),
-            "strategy:dynamic",
+            site="strategy:dynamic",
         )
         attempt.decision_text = str(trace)
         attempt.decision_certificates = trace.certificates
@@ -531,24 +509,25 @@ def _run_strategy(
         else:
             # Plan search.  PlanError/FilterError *and* budget
             # exhaustion here degrade: no answer work has been lost yet.
-            plan, attempt.certificate = supervised(
+            plan, attempt.certificate = supervisor.run(
                 lambda: _build_plan(db, flock, strategy, guard, sink=sink),
-                "plan-search",
+                site="plan-search",
             )
             attempt.plan_text = plan.render(flock)
             if checkpoint_store is not None:
                 recorder = checkpoint_store.recorder(
-                    flock, plan, db, join_order=join_order,
-                    run_id=run_id, resume=resume,
+                    flock, plan, db, join_order=options.join_order,
+                    run_id=options.run_id, resume=options.resume,
                 )
                 attempt.recorder = recorder
         # Execution.  Only backend failures degrade from here;
         # budget/cancellation aborts propagate with their partial trace.
         result = _run_plan(
-            db, flock, plan, backend, attempt,
+            db, flock, plan, options.backend, attempt,
             shared=dict(
-                guard=guard, order_strategy=join_order, parallel=parallel,
-                runtime_filters=runtime_filters,
+                guard=guard, order_strategy=options.join_order,
+                parallel=parallel,
+                runtime_filters=options.runtime_filters_enabled,
             ),
             memory_only=dict(
                 sink=sink, supervisor=supervisor, recorder=recorder
@@ -598,34 +577,24 @@ def _run_plan(
 def mine(
     db: Database,
     flock: QueryFlock,
-    strategy: str = "auto",
-    lint: bool = True,
+    strategy: str | None = None,
+    *,
     budget: ResourceBudget | None = None,
     cancel: CancellationToken | None = None,
     guard: GuardLike = None,
-    backend: str = "memory",
     session=None,
-    join_order: str = "greedy",
-    runtime_filters: bool | None = None,
-    verify_plans: bool | None = None,
-    parallelism: int | None = None,
-    retry: RetryPolicy | None = None,
-    checkpoint: "CheckpointStore | str | None" = None,
-    run_id: str | None = None,
-    resume: str | None = None,
+    options: MiningOptions | None = None,
+    **overrides: Any,
 ) -> tuple[Relation, MiningReport]:
     """Evaluate a flock end to end; returns (result relation, report).
 
+    *How* the flock is evaluated is a :class:`MiningOptions`: pass one
+    as ``options=``, and/or any of its fields (``strategy=``,
+    ``backend=``, ``join_order=``, ``parallelism=``, ``checkpoint=``,
+    ...) as keyword arguments, which override it.  The remaining
+    arguments are per-call resources:
+
     Args:
-        strategy: one of :data:`STRATEGIES`; ``"auto"`` picks by flock
-            shape.
-        verify_plans: run the :mod:`repro.analysis` verifiers on every
-            plan this call uses — the IR schema checker on every lowered
-            physical plan (including the dynamic strategy's re-planned
-            suffixes), and certificate re-validation on every FILTER-step
-            plan.  ``None`` (default) inherits the ambient switch, which
-            the test suite turns on globally; pass ``True``/``False`` to
-            force it for this call.
         budget: optional :class:`~repro.guard.ResourceBudget`; the clock
             starts when :func:`mine` is entered and spans every fallback
             attempt — degradation never extends the budget.
@@ -633,30 +602,6 @@ def mine(
         guard: a pre-started :class:`~repro.guard.ExecutionGuard` to
             share with other work; mutually exclusive with
             ``budget``/``cancel``.
-        backend: ``"memory"`` (default) or ``"sqlite"``.
-        join_order: the join-ordering strategy plans are lowered with —
-            ``"greedy"`` (default), ``"selinger"`` (the System-R style
-            dynamic-programming orderer), or ``"ues"`` (the pessimistic
-            orderer: stages are ranked by *guaranteed* output upper
-            bounds built from exact distinct counts and max per-value
-            frequencies, never by independence estimates — the robust
-            choice on skewed, correlated data).
-        runtime_filters: inject semi-join filters from materialized
-            pre-filter steps into later scans (sideways information
-            passing) on the plan-based strategies.  ``None`` (default)
-            enables them exactly when ``join_order="ues"`` — the
-            pessimistic mode both consumes the survivor-key counts in
-            its bounds and profits most from the pruning; pass
-            ``True``/``False`` to force either way.  Survivor counts
-            and identical results are guaranteed regardless: a filter
-            only pre-applies a join the plan performs anyway.
-        parallelism: worker count for partitioned step execution
-            (``--jobs`` on the CLI).  ``None`` reads the ``REPRO_JOBS``
-            environment variable (default 1 = serial).  Results are
-            bit-identical to serial execution for any value; worker
-            failures degrade back to serial with a recorded
-            ``parallelism`` downgrade.  See
-            :mod:`repro.engine.parallel`.
         session: optional :class:`repro.session.MiningSession` whose
             result cache participates: an exact hit (alpha-equivalent
             flock, stricter-or-equal thresholds) returns the cached
@@ -665,51 +610,20 @@ def mine(
             through the evaluation so the result (and intermediate
             materializations) warm the cache.  ``session.db`` must be
             the ``db`` passed here.
-        retry: a :class:`~repro.recovery.RetryPolicy` governing the
-            transient-fault retry rung.  ``None`` uses the default
-            policy (3 attempts, 50 ms base backoff); pass
-            ``RetryPolicy(max_attempts=1)`` to disable retries.
-        checkpoint: a :class:`~repro.recovery.CheckpointStore` (or a
-            path to one) that makes every completed FILTER step
-            durable.  Requires a plan-based strategy — ``"auto"`` is
-            coerced to ``"optimized"`` for a monotone flock — and the
-            in-memory backend.  The report's ``run_id`` identifies the
-            run for a later resume.
-        run_id: explicit run id for a fresh checkpointed run (default:
-            generated).
-        resume: the run id of a previously checkpointed run to resume.
-            The stored manifest is validated (same flock, same plan,
-            same base-relation cardinalities —
-            :class:`~repro.errors.ResumeError` otherwise) and only the
-            steps it has not completed re-execute.  Strategy
-            degradation is disabled: a different strategy could not
-            honour the manifest's plan.
 
-    Raises :class:`FilterError` for an unknown strategy, or when a
-    pruning strategy is requested for a non-monotone filter and no
-    sound fallback exists; :class:`~repro.errors.BudgetExceededError` /
+    Raises what :class:`MiningOptions` raises for an invalid option or
+    combination (``TypeError`` for a keyword that is not an option);
+    :class:`FilterError` when a pruning strategy is requested for a
+    non-monotone filter and no sound fallback exists;
+    :class:`~repro.errors.BudgetExceededError` /
     :class:`~repro.errors.ExecutionCancelled` when the guard trips
     during execution.
     """
-    if strategy not in STRATEGIES:
-        raise FilterError(
-            f"unknown strategy {strategy!r}; choose one of {STRATEGIES}"
-        )
-    if backend not in BACKENDS:
-        raise EvaluationError(
-            f"unknown backend {backend!r}; choose one of {BACKENDS}"
-        )
-    if join_order not in JOIN_ORDERS:
-        raise ValueError(
-            f"unknown order strategy {join_order!r}; "
-            "use 'greedy', 'selinger' or 'ues'"
-        )
+    options = (options or MiningOptions()).over(strategy=strategy, **overrides)
     if guard is not None and (budget is not None or cancel is not None):
         raise ValueError("pass either guard= or budget=/cancel=, not both")
     if session is not None and session.db is not db:
         raise ValueError("session.db and db must be the same Database")
-    if resume is not None and checkpoint is None:
-        raise ValueError("resume= requires checkpoint=")
     if guard is not None:
         live_guard = as_guard(guard)
     elif budget is not None or cancel is not None:
@@ -717,30 +631,19 @@ def mine(
     else:
         live_guard = None
 
-    requested_jobs = resolve_jobs(parallelism)
+    requested_jobs = resolve_jobs(options.parallelism)
     jobs = requested_jobs
     clamp_reason: str | None = None
-    if parallelism is None:
+    if options.parallelism is None:
         # Only the env/default path is clamped; an explicit
         # parallelism= argument is honored as given.
         jobs, clamp_reason = clamp_default_jobs(requested_jobs)
-    rf = (join_order == "ues") if runtime_filters is None else bool(
-        runtime_filters
-    )
-    warnings = tuple(lint_flock(flock)) if lint else ()
-    used = _choose_strategy(flock) if strategy == "auto" else strategy
-
-    if checkpoint is not None:
-        # Checkpointing needs a *plan* whose steps can be replayed:
-        # only the plan-based strategies have one, and only the
-        # in-memory executor threads the recorder through.
-        if backend == "sqlite":
-            raise ValueError(
-                "checkpoint= requires the in-memory backend; the SQLite "
-                "path runs as one SQL script with no step boundary to "
-                "checkpoint at"
-            )
-        if strategy == "auto":
+    warnings = tuple(lint_flock(flock)) if options.lint else ()
+    used = options.strategy
+    if used == "auto":
+        used = _choose_strategy(flock)
+        if options.checkpoint is not None:
+            # Checkpointing needs a plan whose steps can be replayed.
             if not flock.filter.is_monotone:
                 raise FilterError(
                     "checkpoint= requires a plan-based strategy "
@@ -748,11 +651,6 @@ def mine(
                     "only be evaluated naively"
                 )
             used = "optimized"
-        elif used not in ("optimized", "stats"):
-            raise ValueError(
-                f"checkpoint= requires a plan-based strategy "
-                f"(optimized/stats), not {used!r}"
-            )
 
     started = time.perf_counter()
 
@@ -769,11 +667,11 @@ def mine(
                 live_guard.checkpoint(rows=len(relation), node="cache hit")
                 live_guard.check_answer(len(relation))
             report = MiningReport(
-                strategy_requested=strategy,
+                strategy_requested=options.strategy,
                 strategy_used="cache",
                 seconds=time.perf_counter() - started,
                 warnings=warnings,
-                backend_requested=backend,
+                backend_requested=options.backend,
                 backend_used="memory",
                 parallelism_requested=requested_jobs,
                 cache_hits=1,
@@ -783,7 +681,7 @@ def mine(
         cache_misses = 1
         sink = session.sink(flock)
 
-    attempt = _Attempt(backend_used=backend)
+    attempt = _Attempt(backend_used=options.backend)
     if clamp_reason is not None:
         attempt.downgrades.append(
             Downgrade(
@@ -796,29 +694,25 @@ def mine(
     parallel = (
         ParallelExecutor(jobs, db, guard=live_guard) if jobs > 1 else None
     )
-    supervisor = RetrySupervisor(
-        policy=retry if retry is not None else RetryPolicy(),
-        guard=live_guard,
-    )
-    own_store = isinstance(checkpoint, str)
+    supervisor = RetrySupervisor(policy=options.retry, guard=live_guard)
+    own_store = isinstance(options.checkpoint, str)
     store: CheckpointStore | None = (
-        CheckpointStore(checkpoint) if isinstance(checkpoint, str)
-        else checkpoint
+        CheckpointStore(options.checkpoint)
+        if isinstance(options.checkpoint, str) else options.checkpoint
     )
 
     scope = (
-        nullcontext() if verify_plans is None
-        else plan_verification(verify_plans)
+        nullcontext() if options.verify_plans is None
+        else plan_verification(options.verify_plans)
     )
     try:
         with scope:
             while True:
                 try:
                     _run_strategy(
-                        db, flock, used, live_guard, backend, attempt,
-                        sink=sink, join_order=join_order, parallel=parallel,
+                        db, flock, used, options, live_guard, attempt,
+                        sink=sink, parallel=parallel,
                         supervisor=supervisor, checkpoint_store=store,
-                        run_id=run_id, resume=resume, runtime_filters=rf,
                     )
                     break
                 except (PlanError, FilterError, BudgetExceededError) as error:
@@ -830,7 +724,7 @@ def mine(
                         # plan-search — a cheaper strategy cannot recover
                         # spent budget.
                         raise
-                    if resume is not None:
+                    if options.resume is not None:
                         # A cheaper strategy would not execute the
                         # manifest's plan; resuming onto it would splice
                         # checkpoints into a different evaluation.
@@ -885,16 +779,16 @@ def mine(
 
     seconds = time.perf_counter() - started
     report = MiningReport(
-        strategy_requested=strategy,
+        strategy_requested=options.strategy,
         strategy_used=used,
         seconds=seconds,
         warnings=warnings,
         plan_text=attempt.plan_text,
         decision_text=attempt.decision_text,
-        backend_requested=backend,
+        backend_requested=options.backend,
         backend_used=attempt.backend_used,
-        join_order=join_order,
-        runtime_filters=rf,
+        join_order=options.join_order,
+        runtime_filters=options.runtime_filters_enabled,
         runtime_filter_rows_pruned=result.runtime_filter_rows_pruned,
         stage_rows=tuple(result.stage_rows),
         parallelism_requested=requested_jobs,

@@ -1,0 +1,287 @@
+"""The one home of every ``mine()`` knob.
+
+Every option is a *how* — it picks a route to the flock's one survivor
+set (Section 2), never the set.  :class:`MiningOptions` is the only
+place one is declared, defaulted, validated, serialised for ``POST
+/v1/mine`` and bound to a CLI flag; ``mine()``, ``MiningSession``, the
+serve layer and the CLI build or override one and pass it inward.
+"""
+
+from __future__ import annotations
+
+import argparse
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+
+from ..errors import EvaluationError, FilterError
+
+if TYPE_CHECKING:
+    from ..recovery import CheckpointStore, RetryPolicy
+
+STRATEGIES = ("auto", "naive", "optimized", "stats", "dynamic")
+
+BACKENDS = ("memory", "sqlite")
+
+JOIN_ORDERS = ("greedy", "selinger", "ues")
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for a count that must be at least 1 (argparse
+    turns ``int``'s ``ValueError`` into ``invalid positive_int value``)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _option(
+    default: Any, wire: type | None = None, flag: str | None = None, **cli: Any
+) -> Any:
+    """One option field: its default, its JSON type if it is a ``/v1/mine``
+    key, and its CLI flag with the ``add_argument`` keywords if it has one."""
+    return field(
+        default=default, metadata={"wire": wire, "flag": flag, "cli": cli}
+    )
+
+
+@dataclass(frozen=True)
+class MiningOptions:
+    """How one :func:`~repro.flocks.mining.mine` call evaluates a flock.
+
+    Construction validates everything that does not need the flock:
+    :class:`~repro.errors.FilterError` for an unknown ``strategy``,
+    :class:`~repro.errors.EvaluationError` for an unknown ``backend``,
+    ``ValueError`` for an unknown ``join_order``, for ``resume``
+    without ``checkpoint``, and for ``checkpoint`` with the SQLite
+    backend or a strategy that has no plan.
+
+    Attributes:
+        strategy: ``"naive"``, ``"optimized"`` (static plan search),
+            ``"stats"`` (the same with Section 4.4 statistics gathering),
+            ``"dynamic"``, or ``"auto"``, which picks by flock shape
+            (see :mod:`repro.flocks.mining`).
+        lint: run :func:`~repro.flocks.lint.lint_flock` and attach its
+            warnings to the report.
+        backend: ``"memory"`` or ``"sqlite"`` (which falls back to
+            memory on backend failure, with a recorded downgrade).
+        join_order: how lowered plans order their joins — ``"greedy"``,
+            ``"selinger"`` (System-R style dynamic programming), or
+            ``"ues"`` (stages ranked by *guaranteed* output upper
+            bounds from exact distinct counts and max per-value
+            frequencies, never by independence estimates — the robust
+            choice on skewed, correlated data).
+        runtime_filters: inject semi-join filters from materialized
+            pre-filter steps into later scans (sideways information
+            passing) on the plan-based strategies.  ``None`` means
+            exactly when ``join_order="ues"``, which both consumes the
+            survivor-key counts in its bounds and profits most from the
+            pruning (:attr:`runtime_filters_enabled`).  Results are
+            identical either way: a filter only pre-applies a join the
+            plan performs anyway.
+        verify_plans: run the :mod:`repro.analysis` verifiers on every
+            plan the call uses — the IR schema checker on each lowered
+            physical plan (dynamic re-plans included) and certificate
+            re-validation on each FILTER-step plan.  ``None`` inherits
+            the ambient switch, which the test suite turns on.
+        parallelism: worker count for partitioned step execution.
+            ``None`` reads the ``REPRO_JOBS`` environment variable
+            (default 1 = serial), clamped to the CPU count.  Results
+            are bit-identical to serial for any value; worker failures
+            degrade to serial with a recorded ``parallelism`` downgrade
+            (:mod:`repro.engine.parallel`).
+        retry: the :class:`~repro.recovery.RetryPolicy` of the
+            transient-fault retry rung.  ``None`` is the default policy
+            (3 attempts, 50 ms base backoff);
+            ``RetryPolicy(max_attempts=1)`` disables retries.
+        checkpoint: a :class:`~repro.recovery.CheckpointStore` (or a
+            path to one) that makes every completed FILTER step
+            durable.  Needs a plan-based strategy (``"auto"`` becomes
+            ``"optimized"`` for a monotone flock) and the in-memory
+            backend.  The report's ``run_id`` names the run.
+        run_id: explicit id for a fresh checkpointed run (default:
+            generated).
+        resume: id of a checkpointed run to resume.  Its manifest is
+            validated (same flock, plan and base-relation cardinalities,
+            else :class:`~repro.errors.ResumeError`) and only unfinished
+            steps re-execute.  Disables strategy degradation: another
+            strategy could not honour the manifest's plan.
+
+    Per-call *resources* (``budget``, ``cancel``, ``guard``,
+    ``session``) are not options; they stay keyword arguments of
+    :func:`~repro.flocks.mining.mine`.
+    """
+
+    strategy: str = _option(
+        "auto", str, "--strategy", choices=STRATEGIES,
+        help="evaluation strategy (default: auto, picked by flock shape)",
+    )
+    lint: bool = _option(True)
+    backend: str = _option(
+        "memory", str, "--backend", choices=BACKENDS,
+        help="execution backend (sqlite falls back to memory on failure)",
+    )
+    join_order: str = _option(
+        "greedy", str, "--join-order", choices=JOIN_ORDERS,
+        help="join ordering of lowered plans (ues: robust on skewed data)",
+    )
+    runtime_filters: Optional[bool] = _option(
+        None, bool, "--runtime-filters", action="store_true",
+        help="inject semi-join filters from materialized pre-filter steps "
+        "into later scans (default: on exactly when the join order is ues)",
+    )
+    verify_plans: Optional[bool] = _option(None)
+    parallelism: Optional[int] = _option(
+        None, int, "--jobs", type=positive_int, metavar="N",
+        help="workers for partitioned execution (default: REPRO_JOBS, else 1)",
+    )
+    retry: Optional["RetryPolicy"] = _option(None)
+    checkpoint: "CheckpointStore | str | None" = _option(
+        None, bool, "--checkpoint", metavar="PATH",
+        help="SQLite file that makes each completed FILTER step durable, so "
+        "an interrupted run can be resumed (needs a plan-based strategy)",
+    )
+    run_id: Optional[str] = _option(
+        None, None, "--run-id", metavar="ID",
+        help="explicit run id for --checkpoint (default: generated)",
+    )
+    resume: Optional[str] = _option(
+        None, str, "--resume", metavar="RUN_ID",
+        help="resume run RUN_ID from --checkpoint (unfinished steps only)",
+    )
+
+    def __post_init__(self) -> None:
+        for what, value, allowed, error in (
+            ("strategy", self.strategy, STRATEGIES, FilterError),
+            ("backend", self.backend, BACKENDS, EvaluationError),
+            ("order strategy", self.join_order, JOIN_ORDERS, ValueError),
+        ):
+            if value not in allowed:
+                raise error(
+                    f"unknown {what} {value!r}; choose one of {allowed}"
+                )
+        if self.checkpoint is None:
+            if self.resume is not None:
+                raise ValueError(
+                    "resume= (--resume) requires checkpoint= (--checkpoint)"
+                )
+        # Checkpointing needs a *plan* whose steps can be replayed: only
+        # the plan-based strategies have one, and only the in-memory
+        # executor threads the recorder through.
+        elif self.backend == "sqlite":
+            raise ValueError(
+                "checkpoint= requires the in-memory backend; the SQLite "
+                "path has no recorder at its step boundaries"
+            )
+        elif self.strategy in ("naive", "dynamic"):
+            raise ValueError(
+                "checkpoint= requires a plan-based strategy "
+                f"(auto/optimized/stats), not {self.strategy!r}"
+            )
+
+    @property
+    def runtime_filters_enabled(self) -> bool:
+        """Whether runtime filters are on: the explicit flag, else
+        exactly when the join order is ``"ues"``."""
+        if self.runtime_filters is None:
+            return self.join_order == "ues"
+        return self.runtime_filters
+
+    def over(self, **overrides: Any) -> "MiningOptions":
+        """These options with every non-``None`` override applied
+        (``None`` inherits).  A name that is not an option is passed on
+        even when ``None``, so ``replace`` raises its usual ``TypeError``."""
+        given = {
+            k: v for k, v in overrides.items()
+            if v is not None or k not in _NAMES
+        }
+        return replace(self, **given) if given else self
+
+    # -- wire form (POST /v1/mine) ---------------------------------------
+
+    def to_json(self) -> dict[str, Any]:
+        """The ``/v1/mine`` option keys these options put on the wire.
+        ``checkpoint`` travels as a switch: the server owns the store."""
+        payload = {name: getattr(self, name) for name in WIRE_FIELDS}
+        payload["checkpoint"] = self.checkpoint is not None
+        return {k: v for k, v in payload.items() if v is not None}
+
+    @classmethod
+    def from_json(
+        cls,
+        payload: Mapping[str, Any],
+        defaults: "MiningOptions",
+        checkpoint_store: "CheckpointStore | str | None" = None,
+    ) -> "MiningOptions":
+        """``defaults`` overridden by the option keys of a ``/v1/mine``
+        payload (other keys are the caller's; ``null`` inherits), where
+        ``{"checkpoint": true}``, implied by ``resume``, selects
+        ``checkpoint_store``.  ``ValueError`` for a wrong JSON type, a
+        library-only option, or a checkpoint request without a store."""
+        given: dict[str, Any] = {}
+        for name, value in payload.items():
+            if name not in _NAMES or value is None:
+                continue
+            kind = WIRE_FIELDS.get(name)
+            if kind is None:
+                raise ValueError(
+                    f"{name!r} is a library-only option, not a /v1/mine key"
+                )
+            if type(value) is not kind or (kind is int and value < 1):
+                raise ValueError(f"{name!r} must be {_JSON_WORDS[kind]}")
+            given[name] = value
+        if given.pop("checkpoint", False) or "resume" in given:
+            if checkpoint_store is None:
+                raise ValueError(
+                    "this server has no checkpoint store configured "
+                    "(start it with --checkpoint PATH)"
+                )
+            given["checkpoint"] = checkpoint_store
+        return replace(defaults, **given) if given else defaults
+
+    # -- argparse binding ------------------------------------------------
+
+    @classmethod
+    def add_arguments(
+        cls, parser: argparse.ArgumentParser, flags: Iterable[str]
+    ) -> None:
+        """Declare the option ``flags`` a subcommand exposes (e.g.
+        ``"--strategy", "--jobs"``); every one defaults to unset."""
+        for flag in flags:
+            option = _BY_FLAG[flag]
+            parser.add_argument(
+                flag, dest=option.name, default=None, **option.metadata["cli"]
+            )
+
+    @staticmethod
+    def given(namespace: object) -> dict[str, Any]:
+        """The option values a parsed namespace carries — or any object
+        with option-named attributes; unset (``None``) ones omitted."""
+        return {
+            name: value for name in _NAMES
+            if (value := getattr(namespace, name, None)) is not None
+        }
+
+    @classmethod
+    def from_args(cls, namespace: object) -> "MiningOptions":
+        """The options :meth:`given` by ``namespace``, over the defaults."""
+        return cls(**cls.given(namespace))
+
+
+_NAMES = frozenset(f.name for f in fields(MiningOptions))
+
+#: Fields that name one run, not a way of running: never a session-wide
+#: default.
+PER_CALL_FIELDS = frozenset({"strategy", "verify_plans", "run_id", "resume"})
+
+_BY_FLAG = {
+    f.metadata["flag"]: f for f in fields(MiningOptions) if f.metadata["flag"]
+}
+
+#: The ``/v1/mine`` option keys, each with its JSON type.
+WIRE_FIELDS: dict[str, type] = {
+    f.name: f.metadata["wire"]
+    for f in fields(MiningOptions)
+    if f.metadata["wire"]
+}
+
+_JSON_WORDS = {str: "a string", bool: "a boolean", int: "a positive integer"}

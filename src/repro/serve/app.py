@@ -54,7 +54,7 @@ from ..errors import (
     ReproError,
 )
 from ..flocks.flock import QueryFlock, parse_flock
-from ..flocks.mining import BACKENDS, JOIN_ORDERS, STRATEGIES, MiningReport
+from ..flocks.options import MiningOptions
 from ..guard import CancellationToken, ResourceBudget
 from ..recovery import CheckpointStore, new_run_id
 from ..relational.catalog import Database
@@ -100,10 +100,9 @@ class ServerConfig:
             admission fails with HTTP 429.
         cache_entries / cache_rows: shared result-cache LRU bounds.
         backend / strategy / parallelism / join_order / runtime_filters:
-            per-call defaults forwarded to
-            :func:`repro.flocks.mining.mine` (``runtime_filters=None``
-            means on exactly when the effective join order is
-            ``"ues"``).
+            per-call defaults a request's payload overrides — the
+            :class:`~repro.flocks.options.MiningOptions` fields of those
+            names, collected (and validated) as :attr:`defaults`.
         checkpoint_path: arm ``POST /v1/mine`` ``{"checkpoint": true}``
             durability — each such run writes its step checkpoints and
             manifest to this SQLite file, and ``GET /v1/runs/{id}``
@@ -119,21 +118,17 @@ class ServerConfig:
     max_queued_per_tenant: int = 16
     cache_entries: Optional[int] = 256
     cache_rows: Optional[int] = 500_000
-    backend: str = "memory"
-    strategy: str = "auto"
-    parallelism: Optional[int] = None
-    join_order: str = "greedy"
-    runtime_filters: Optional[bool] = None
+    backend: str = MiningOptions.backend
+    strategy: str = MiningOptions.strategy
+    parallelism: Optional[int] = MiningOptions.parallelism
+    join_order: str = MiningOptions.join_order
+    runtime_filters: Optional[bool] = MiningOptions.runtime_filters
     checkpoint_path: Optional[str] = None
     max_response_rows: int = 10_000
+    defaults: MiningOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.join_order not in JOIN_ORDERS:
-            raise ValueError(f"unknown join order {self.join_order!r}")
+        object.__setattr__(self, "defaults", MiningOptions.from_args(self))
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -272,16 +267,10 @@ class _MineRequest:
     """A validated ``POST /v1/mine`` payload, ready to execute."""
 
     flock: QueryFlock
-    strategy: str
-    backend: str
-    budget: Optional[ResourceBudget]
+    options: MiningOptions
+    budget: ResourceBudget
     limit: int
-    checkpoint: bool
-    resume: Optional[str]
     run_id: str
-    parallelism: Optional[int]
-    join_order: str
-    runtime_filters: Optional[bool]
 
 
 class MiningService:
@@ -309,8 +298,6 @@ class MiningService:
             db,
             max_cache_entries=self.config.cache_entries,
             max_cache_rows=self.config.cache_rows,
-            backend=self.config.backend,
-            parallelism=self.config.parallelism,
         )
         self.dispatcher = FairDispatcher(
             workers=self.config.workers,
@@ -395,96 +382,31 @@ class MiningService:
         if not isinstance(text, str) or not text.strip():
             raise HttpError(400, "missing required field 'flock' (text)")
         flock = parse_flock(text)
-        threshold = payload.get("threshold")
+        threshold = _json_number(payload, "threshold")
         if threshold is not None:
-            if not isinstance(threshold, (int, float)):
-                raise HttpError(400, "'threshold' must be a number")
             flock = with_support_threshold(flock, threshold)
-        strategy = payload.get("strategy", self.config.strategy)
-        if strategy not in STRATEGIES:
-            raise HttpError(
-                400, f"unknown strategy {strategy!r}; choose {STRATEGIES}"
-            )
-        backend = payload.get("backend", self.config.backend)
-        if backend not in BACKENDS:
-            raise HttpError(
-                400, f"unknown backend {backend!r}; choose {BACKENDS}"
-            )
-        budget = None
-        timeout = payload.get("timeout")
-        max_rows = payload.get("max_rows")
-        max_answer = payload.get("max_answer_rows")
-        if timeout is not None or max_rows is not None or max_answer is not None:
-            try:
-                budget = ResourceBudget(
-                    seconds=None if timeout is None else float(timeout),
-                    max_intermediate_rows=(
-                        None if max_rows is None else int(max_rows)
-                    ),
-                    max_answer_rows=(
-                        None if max_answer is None else int(max_answer)
-                    ),
-                )
-            except (TypeError, ValueError) as error:
-                raise HttpError(400, f"bad budget: {error}") from None
-        limit = payload.get("limit", self.config.max_response_rows)
-        if not isinstance(limit, int) or limit < 0:
-            raise HttpError(400, "'limit' must be a non-negative integer")
-        limit = min(limit, self.config.max_response_rows)
-        checkpoint = bool(payload.get("checkpoint", False))
-        resume = payload.get("resume")
-        if resume is not None and not isinstance(resume, str):
-            raise HttpError(400, "'resume' must be a run id string")
-        if (checkpoint or resume) and self.config.checkpoint_path is None:
-            raise HttpError(
-                400,
-                "this server has no checkpoint store configured "
-                "(start it with --checkpoint PATH)",
-            )
-        if resume is not None:
-            checkpoint = True
-        if checkpoint:
-            if backend == "sqlite":
-                raise HttpError(
-                    400, "checkpointed runs require the memory backend"
-                )
-            if strategy not in ("auto", "optimized", "stats"):
-                raise HttpError(
-                    400,
-                    "checkpointed runs need a plan-based strategy "
-                    "(auto, optimized, or stats)",
-                )
-        parallelism = payload.get("parallelism")
-        if parallelism is not None and (
-            not isinstance(parallelism, int) or parallelism < 1
-        ):
-            raise HttpError(400, "'parallelism' must be a positive integer")
-        join_order = payload.get("join_order", self.config.join_order)
-        if join_order not in JOIN_ORDERS:
-            raise HttpError(
-                400,
-                f"unknown join_order {join_order!r}; choose {JOIN_ORDERS}",
-            )
-        runtime_filters = payload.get(
-            "runtime_filters", self.config.runtime_filters
+        options = MiningOptions.from_json(
+            payload, self.config.defaults, self.config.checkpoint_path
         )
-        if runtime_filters is not None and not isinstance(
-            runtime_filters, bool
-        ):
-            raise HttpError(400, "'runtime_filters' must be a boolean")
-        run_id = resume if resume is not None else new_run_id()
+        budget = ResourceBudget(
+            seconds=_json_number(payload, "timeout"),
+            max_intermediate_rows=_json_integer(payload, "max_rows"),
+            max_answer_rows=_json_integer(payload, "max_answer_rows"),
+        )
+        limit = _json_integer(payload, "limit")
+        if limit is None:
+            limit = self.config.max_response_rows
+        elif limit < 0:
+            raise HttpError(400, "'limit' must be a non-negative integer")
+        run_id = options.resume or new_run_id()
+        if options.checkpoint is not None:
+            options = options.over(run_id=run_id)
         return _MineRequest(
             flock=flock,
-            strategy=strategy,
-            backend=backend,
+            options=options,
             budget=budget,
-            limit=limit,
-            checkpoint=checkpoint,
-            resume=resume,
+            limit=min(limit, self.config.max_response_rows),
             run_id=run_id,
-            parallelism=parallelism,
-            join_order=join_order,
-            runtime_filters=runtime_filters,
         )
 
     def submit_mine(
@@ -504,13 +426,14 @@ class MiningService:
         """
         try:
             request = self._parse_mine(payload)
-        except ReproError as error:
+        except (ReproError, ValueError) as error:
+            # ValueError: an invalid option combination or budget.
             self.m_mine.inc(tenant=tenant, outcome="invalid")
             if isinstance(error, HttpError):
                 raise
             raise HttpError(400, str(error)) from error
         self.runs.create(run_id=request.run_id, tenant=tenant,
-                         checkpointed=request.checkpoint)
+                         checkpointed=request.options.checkpoint is not None)
 
         def job() -> dict:
             self.runs.mark_running(request.run_id)
@@ -544,19 +467,8 @@ class MiningService:
         budget = policy.effective_budget(request.budget)
         started = time.perf_counter()
         relation, report = self.session.mine(
-            request.flock,
-            strategy=request.strategy,
-            budget=budget,
-            cancel=cancel,
-            backend=request.backend,
-            parallelism=request.parallelism,
-            join_order=request.join_order,
-            runtime_filters=request.runtime_filters,
-            checkpoint=(
-                self.config.checkpoint_path if request.checkpoint else None
-            ),
-            run_id=request.run_id if request.checkpoint else None,
-            resume=request.resume,
+            request.flock, budget=budget, cancel=cancel,
+            options=request.options,
         )
         seconds = time.perf_counter() - started
         rows = sorted(relation.tuples, key=repr)
@@ -753,6 +665,25 @@ class MiningService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _json_number(payload: dict, key: str) -> int | float | None:
+    """``payload[key]`` when it is a JSON number (``true`` is not one),
+    ``None`` when absent; 400 otherwise."""
+    value = payload.get(key)
+    if value is not None and type(value) not in (int, float):
+        raise HttpError(400, f"{key!r} must be a number")
+    return value
+
+
+def _json_integer(payload: dict, key: str) -> int | None:
+    """:func:`_json_number` for an integral key (``2.0`` is 2; ``2.7`` is 400)."""
+    value = _json_number(payload, key)
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise HttpError(400, f"{key!r} must be an integer")
+        return int(value)
+    return value
 
 
 def _one_line(error: BaseException) -> str:

@@ -23,6 +23,7 @@ from urllib.parse import urlsplit
 
 from ..errors import ReproError
 from ..flocks.mining import MiningReport
+from ..flocks.options import WIRE_FIELDS
 
 
 class ServeError(ReproError):
@@ -118,45 +119,30 @@ class MiningClient:
         flock: str,
         *,
         threshold: Optional[float] = None,
-        strategy: Optional[str] = None,
-        backend: Optional[str] = None,
         timeout: Optional[float] = None,
         max_rows: Optional[int] = None,
         limit: Optional[int] = None,
-        checkpoint: bool = False,
-        resume: Optional[str] = None,
-        parallelism: Optional[int] = None,
-        join_order: Optional[str] = None,
-        runtime_filters: Optional[bool] = None,
+        **options: Any,
     ) -> dict:
         """``POST /v1/mine``: evaluate one flock; returns the response
-        dict (``columns``/``rows``/``row_count``/``report``/...)."""
-        payload: dict[str, Any] = {"flock": flock}
-        if threshold is not None:
-            payload["threshold"] = threshold
-        if strategy is not None:
-            payload["strategy"] = strategy
-        if backend is not None:
-            payload["backend"] = backend
-        if timeout is not None:
-            payload["timeout"] = timeout
-        if max_rows is not None:
-            payload["max_rows"] = max_rows
-        if limit is not None:
-            payload["limit"] = limit
-        if checkpoint:
-            payload["checkpoint"] = True
-        if resume is not None:
-            payload["resume"] = resume
-        if parallelism is not None:
-            payload["parallelism"] = parallelism
-        if join_order is not None:
-            payload["join_order"] = join_order
-        if runtime_filters is not None:
-            payload["runtime_filters"] = runtime_filters
-        if self.tenant is not None:
-            payload["tenant"] = self.tenant
-        return self._request("POST", "/v1/mine", payload)
+        dict (``columns``/``rows``/``row_count``/``report``/...).
+        ``options`` are the wire fields of
+        :class:`~repro.flocks.options.MiningOptions` (``strategy``,
+        ``backend``, ``parallelism``, ...; ``checkpoint`` is a bool —
+        the server owns the store); unset ones take the server's
+        defaults."""
+        unknown = options.keys() - WIRE_FIELDS.keys()
+        if unknown:
+            raise TypeError(f"{min(unknown)!r} is not a /v1/mine option")
+        payload = {
+            "flock": flock, "threshold": threshold, "timeout": timeout,
+            "max_rows": max_rows, "limit": limit, "tenant": self.tenant,
+            **options,
+        }
+        return self._request(
+            "POST", "/v1/mine",
+            {k: v for k, v in payload.items() if v is not None},
+        )
 
     def mine_report(self, flock: str, **options: Any) -> MiningReport:
         """Like :meth:`mine`, but returns the parsed

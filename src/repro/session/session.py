@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..concurrency import locked
 from ..errors import FilterError
@@ -47,13 +47,13 @@ from ..flocks.filters import (
     parse_filter,
 )
 from ..flocks.flock import QueryFlock
+from ..flocks.options import PER_CALL_FIELDS, MiningOptions
 from ..guard import CancellationToken, GuardLike, ResourceBudget
 from ..relational.catalog import Database
 from ..relational.relation import Relation
 
 if TYPE_CHECKING:
     from ..flocks.mining import MiningReport
-    from ..recovery import CheckpointStore, RetryPolicy
     from ..datalog.query import FlockQuery
 from .cache import (
     KIND_AGGREGATES,
@@ -237,19 +237,15 @@ class MiningSession:
         cache: share a pre-built :class:`ResultCache` across sessions.
         budget / cancel: session-wide defaults applied to every
             :meth:`mine` call that does not pass its own.
-        backend: default execution backend per call (``"memory"`` /
-            ``"sqlite"``).
-        parallelism: default worker count per call (``None`` defers to
-            the per-call argument / ``REPRO_JOBS`` environment
-            variable); see :func:`repro.flocks.mining.mine`.
         persist_path: SQLite file that exact cache entries are written
             through to and restored from, surviving the process.
-        lint: default lint flag per call.
-        join_order: default join-ordering mode per call (``"greedy"`` /
-            ``"selinger"`` / ``"ues"``).
-        runtime_filters: default runtime-filter injection flag per call
-            (``None`` = on exactly when the call's join order is
-            ``"ues"``).
+        **defaults: session-wide
+            :class:`~repro.flocks.options.MiningOptions` fields every
+            :meth:`mine` call inherits unless it passes its own —
+            ``backend``, ``parallelism``, ``join_order``,
+            ``runtime_filters``, ``lint``, ``retry``, ``checkpoint``
+            (a per-call field such as ``strategy`` or ``resume`` is a
+            ``TypeError`` here).  Kept as :attr:`defaults`.
     """
 
     #: Lock discipline, proven by ``repro.analysis.conlint``: the serve
@@ -269,36 +265,22 @@ class MiningSession:
         max_cache_entries: int | None = 64,
         budget: ResourceBudget | None = None,
         cancel: CancellationToken | None = None,
-        backend: str = "memory",
         persist_path: str | None = None,
-        lint: bool = True,
-        parallelism: int | None = None,
-        join_order: str = "greedy",
-        runtime_filters: bool | None = None,
-        retry: "RetryPolicy | None" = None,
-        checkpoint: "CheckpointStore | str | None" = None,
+        **defaults: Any,
     ) -> None:
+        per_call = defaults.keys() & PER_CALL_FIELDS
+        if per_call:
+            raise TypeError(
+                f"{min(per_call)!r} is a per-call option, not a session "
+                "default; pass it to mine()"
+            )
         self.db = db
         self.cache = cache if cache is not None else ResultCache(
             max_rows=max_cache_rows, max_entries=max_cache_entries
         )
         self.budget = budget
         self.cancel = cancel
-        self.backend = backend
-        self.lint = lint
-        self.parallelism = parallelism
-        #: Session-wide optimizer defaults: the join-ordering mode and
-        #: runtime-filter injection flag every ``mine()`` call inherits
-        #: unless it passes its own (see
-        #: :func:`repro.flocks.mining.mine`).
-        self.join_order = join_order
-        self.runtime_filters = runtime_filters
-        #: Session-wide recovery defaults: a
-        #: :class:`~repro.recovery.RetryPolicy` every ``mine()`` call
-        #: inherits, and a :class:`~repro.recovery.CheckpointStore` (or
-        #: path) checkpointed calls write through.
-        self.retry = retry
-        self.checkpoint = checkpoint
+        self.defaults = MiningOptions(**defaults)
         self.queries = 0
         # The serve layer drives one session from many worker threads;
         # the cache locks itself, this lock covers the session's own
@@ -319,27 +301,20 @@ class MiningSession:
     def mine(
         self,
         flock: QueryFlock,
-        strategy: str = "auto",
+        strategy: str | None = None,
         *,
-        lint: bool | None = None,
         budget: ResourceBudget | None = None,
         cancel: CancellationToken | None = None,
         guard: GuardLike = None,
-        backend: str | None = None,
-        parallelism: int | None = None,
-        join_order: str | None = None,
-        runtime_filters: bool | None = None,
-        retry: "RetryPolicy | None" = None,
-        checkpoint: "CheckpointStore | str | None" = None,
-        run_id: str | None = None,
-        resume: str | None = None,
+        options: MiningOptions | None = None,
+        **overrides: Any,
     ) -> "tuple[Relation, MiningReport]":
         """Evaluate a flock with full cache participation; returns
         ``(relation, MiningReport)`` exactly like
         :func:`repro.flocks.mining.mine` (which this delegates to,
-        passing ``session=self``).  ``retry``/``checkpoint`` default to
-        the session-wide settings; ``run_id``/``resume`` are per call
-        (see :mod:`repro.recovery`)."""
+        passing ``session=self``).  ``options`` replaces the session's
+        :attr:`defaults` for this call; ``strategy`` and any other
+        option field passed by keyword override either."""
         from ..flocks.mining import mine
 
         with self._counter_lock:
@@ -349,26 +324,13 @@ class MiningSession:
         return mine(
             self.db,
             flock,
-            strategy=strategy,
-            lint=self.lint if lint is None else lint,
             budget=budget,
             cancel=cancel,
             guard=guard,
-            backend=self.backend if backend is None else backend,
             session=self,
-            parallelism=(
-                self.parallelism if parallelism is None else parallelism
+            options=(options or self.defaults).over(
+                strategy=strategy, **overrides
             ),
-            join_order=self.join_order if join_order is None else join_order,
-            runtime_filters=(
-                self.runtime_filters
-                if runtime_filters is None
-                else runtime_filters
-            ),
-            retry=self.retry if retry is None else retry,
-            checkpoint=self.checkpoint if checkpoint is None else checkpoint,
-            run_id=run_id,
-            resume=resume,
         )
 
     # ------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.errors import (
 from repro.flocks import QueryFlock, parse_filter
 from repro.flocks.executor import lower_filter_step
 from repro.flocks.mining import mine
+from repro.flocks.options import BACKENDS, STRATEGIES
 from repro.flocks.plans import single_step_plan
 from repro.guard import CancellationToken, ResourceBudget
 from repro.datalog import atom, comparison, rule
@@ -575,7 +576,8 @@ class TestWatchdog:
 # ----------------------------------------------------------------------
 
 
-STRATEGIES = ["naive", "optimized", "dynamic", "stats"]
+#: Every explicit strategy ("auto" only picks one of them).
+EXPLICIT_STRATEGIES = [s for s in STRATEGIES if s != "auto"]
 
 
 class TestMineParallel:
@@ -586,8 +588,8 @@ class TestMineParallel:
         )
         return relation
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("strategy", EXPLICIT_STRATEGIES)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_serial(
         self, word_db, pair_flock, expected, strategy, backend
     ):

@@ -133,9 +133,10 @@ class TestRoundTrip:
         assert restored.stage_rows[1].bound is None
 
     def test_real_ues_run_round_trips_observability(self, db):
+        # stage_rows are recorded by the serial in-memory engine only.
         _, report = mine(
             db, parse_flock(FLOCK_TEXT),
-            strategy="optimized", join_order="ues",
+            strategy="optimized", join_order="ues", parallelism=1,
         )
         assert report.runtime_filters is True
         assert report.stage_rows

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.datalog import atom, comparison, rule
 from repro.flocks import QueryFlock, parse_filter
 from repro.flocks.mining import mine
+from repro.flocks.options import JOIN_ORDERS
 from repro.relational import (
     chain_upper_bounds,
     database_from_dict,
@@ -30,8 +31,6 @@ values = st.integers(min_value=0, max_value=4)
 r_rows = st.sets(st.tuples(values, values), min_size=1, max_size=20)
 s_rows = st.sets(st.tuples(values, values), max_size=12)
 thresholds = st.integers(min_value=1, max_value=3)
-
-JOIN_ORDERS = ("greedy", "selinger", "ues")
 
 
 def make_db(r, s):

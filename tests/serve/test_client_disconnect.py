@@ -68,8 +68,16 @@ def make_slow_db():
 def abandon_mine(host: str, port: int, flock: str,
                  hold_seconds: float) -> None:
     """Send a well-formed POST /v1/mine, then hang up without reading
-    the response — the impatient client."""
-    body = json.dumps({"flock": flock, "strategy": "naive"}).encode()
+    the response — the impatient client.
+
+    The request pins the serial engine: this client shares a process
+    with the server, so a forked pool worker (``REPRO_JOBS`` > 1) would
+    inherit this socket and keep it open past the ``close()`` below —
+    the server would see no EOF until the workers exit.  A real client
+    is another process."""
+    body = json.dumps(
+        {"flock": flock, "strategy": "naive", "parallelism": 1}
+    ).encode()
     head = (
         "POST /v1/mine HTTP/1.1\r\n"
         "Host: test\r\n"

@@ -141,6 +141,28 @@ class TestValidation:
             )
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("key, bad", [
+        # JSON true is not a number (bool is an int in Python) ...
+        ("parallelism", True), ("limit", True), ("threshold", True),
+        ("timeout", True), ("max_rows", True), ("max_answer_rows", True),
+        # ... a fraction is not an integer (it used to be truncated) ...
+        ("max_rows", 2.7), ("limit", 1.5), ("parallelism", 2.0),
+        # ... and the other JSON types stay rejected.
+        ("parallelism", 0), ("limit", -1), ("timeout", "5"),
+        ("checkpoint", "yes"), ("resume", 7), ("strategy", 3),
+    ])
+    def test_wrongly_typed_value_is_400(self, client, key, bad):
+        with pytest.raises(ServeError) as excinfo:
+            client._request("POST", "/v1/mine", {"flock": FLOCK, key: bad})
+        assert excinfo.value.status == 400
+        assert key in str(excinfo.value)
+
+    def test_integral_float_is_an_integer(self, client):
+        result = client._request(
+            "POST", "/v1/mine", {"flock": FLOCK, "limit": 2.0}
+        )
+        assert len(result["rows"]) == 2
+
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServeError) as excinfo:
             client._request("GET", "/v1/nothing")

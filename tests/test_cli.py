@@ -100,6 +100,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert "parallelism: 2 jobs" in err
 
+    def test_jobs_unset_defers_to_repro_jobs(
+        self, workspace, capsys, monkeypatch
+    ):
+        """--jobs left out reaches mine() as parallelism=None, so the
+        REPRO_JOBS default applies; an explicit --jobs 1 still wins."""
+        import repro.cli
+
+        flock_file, data_dir = workspace
+        seen = []
+
+        def spy(db, flock, **kwargs):
+            seen.append(kwargs["options"].parallelism)
+            return real_mine(db, flock, **kwargs)
+
+        real_mine = repro.cli.mine
+        monkeypatch.setattr(repro.cli, "mine", spy)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        run = ["run", str(flock_file), str(data_dir), "--strategy", "naive",
+               "--verbose"]
+        assert main(run) == 0
+        assert "(requested 2)" in capsys.readouterr().err
+        assert main(run + ["--jobs", "1"]) == 0
+        assert "parallelism:" not in capsys.readouterr().err
+        assert seen == [None, 1]
+
     def test_jobs_rejects_zero(self, workspace, capsys):
         flock_file, data_dir = workspace
         with pytest.raises(SystemExit):

@@ -23,10 +23,12 @@ from repro import (
 )
 from repro.errors import ExecutionAborted, ReproError
 from repro.flocks import SQLiteBackend, evaluate_flock_sqlite, execute_plan_sqlite
+from repro.flocks.options import STRATEGIES
 from repro.guard import as_guard
 
 
-ALL_STRATEGIES = ("naive", "optimized", "stats", "dynamic")
+#: Every explicit strategy ("auto" only picks one of them).
+ALL_STRATEGIES = tuple(s for s in STRATEGIES if s != "auto")
 
 
 class TestResourceBudget:

@@ -213,10 +213,11 @@ class TestMineRetry:
 
     def test_transient_naive_fault_recovers(self, small_basket_db, basket_flock):
         baseline, _ = mine(small_basket_db, basket_flock, strategy="naive")
+        # relational.join is a fault site of the serial join kernel.
         with faults.inject("relational.join", TransientFault, times=1):
             relation, report = mine(
                 small_basket_db, basket_flock, strategy="naive",
-                retry=RetryPolicy(base_delay=0.0, jitter=0.0),
+                retry=RetryPolicy(base_delay=0.0, jitter=0.0), parallelism=1,
             )
         assert relation.tuples == baseline.tuples
         assert any(d.kind == "retry" for d in report.downgrades)
@@ -228,7 +229,7 @@ class TestMineRetry:
             with pytest.raises(TransientFault):
                 mine(
                     small_basket_db, basket_flock, strategy="naive",
-                    retry=RetryPolicy(max_attempts=1),
+                    retry=RetryPolicy(max_attempts=1), parallelism=1,
                 )
 
     def test_exhausted_retries_escalate_to_strategy_downgrade(
