@@ -27,10 +27,11 @@ stress:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Machine-readable sweeps: writes BENCH_parallel.json (workload x jobs
-# x wall-ms x survivors), BENCH_recovery.json (checkpoint overhead and
-# warm-resume vs cold re-mine), and BENCH_optimizer.json (join-order
-# mode x runtime-filter sweep with the UES-vs-greedy headline).
+# Machine-readable sweeps: writes BENCH_parallel.json ((strategy,
+# backend) x jobs: median/quartile ms over >=5 runs, survivors),
+# BENCH_recovery.json (checkpoint overhead and warm-resume vs cold
+# re-mine), and BENCH_optimizer.json (join-order mode x runtime-filter
+# sweep with the UES-vs-greedy headline).
 bench-json:
 	$(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py \
 		benchmarks/bench_recovery_overhead.py \

@@ -14,8 +14,8 @@ construction the plan we run.
 Parallel execution rides the same IR: :mod:`repro.engine.partition`
 wraps a step plan in :class:`~repro.engine.ir.Partition` /
 :class:`~repro.engine.ir.Merge` operators, and
-:mod:`repro.engine.parallel` fans the partitions out on a worker pool —
-bit-identical to serial execution for any worker count.
+:mod:`repro.engine.parallel` fans the partitions of large steps out on
+a process pool — bit-identical to serial execution for any worker count.
 """
 
 from .ir import (
@@ -36,7 +36,7 @@ from .ir import (
     UnionOp,
 )
 from .memory import MemoryEngine, StepResult
-from .parallel import ParallelExecutor, ParallelStepResult, resolve_jobs
+from .parallel import ParallelExecutor, resolve_jobs
 from .partition import (
     choose_partition_column,
     partition_step,
@@ -56,7 +56,6 @@ __all__ = [
     "MemoryEngine",
     "Merge",
     "ParallelExecutor",
-    "ParallelStepResult",
     "Partition",
     "PartitionedStepPlan",
     "PhysicalPlan",

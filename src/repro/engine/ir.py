@@ -345,8 +345,7 @@ class PartitionedStepPlan:
     restricted by the :class:`Partition` predicate; the :class:`Merge`
     operator recombines the per-partition survivors.  Built by
     :func:`repro.engine.partition.partition_step` and executed by
-    :class:`repro.engine.parallel.ParallelExecutor` (or rendered as
-    per-partition SQL by the SQLite backend).
+    :class:`repro.engine.parallel.ParallelExecutor`.
     """
 
     step: StepPlan

@@ -62,7 +62,7 @@ class StepResult:
     result: Relation
     passed: Optional[Relation]
     answer_tuples: int
-    mode: str = "serial"  # "process" | "thread" | "serial"
+    mode: str = "serial"  # "process" | "serial"
     partition_sizes: tuple[int, ...] = ()
 
 
@@ -599,3 +599,24 @@ class MemoryEngine:
             return StepResult(self.run_survivors(answer, step), None, len(answer))
         passed = self.run_group_filter(answer, step)
         return StepResult(self.finalize_step(passed, step), passed, len(answer))
+
+
+class MemoryRunner:
+    """The serial in-memory step runner: a fresh :class:`MemoryEngine`
+    interprets each step.  Accumulates the engines' observability data
+    over the run: join-stage observations and scan rows pruned by
+    runtime filters."""
+
+    def __init__(self, guard: ExecutionGuard | None = None) -> None:
+        self.guard = guard
+        self.observations: list[StageObservation] = []
+        self.rows_pruned: int = 0
+
+    def run_step(
+        self, step_plan: StepPlan, db: Database, need_aggregates: bool = False
+    ) -> StepResult:
+        engine = MemoryEngine(db, guard=self.guard)
+        outcome = engine.run_step(step_plan, need_aggregates=need_aggregates)
+        self.observations.extend(engine.stage_log)
+        self.rows_pruned += engine.rows_pruned
+        return outcome

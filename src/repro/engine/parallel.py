@@ -4,32 +4,35 @@ One :class:`~repro.engine.ir.StepPlan` fans out into N independent
 partition tasks (see :mod:`repro.engine.partition` for the partitioning
 scheme and its correctness argument).  Tasks are *morsels*: the
 executor cuts each step into more partitions than workers
-(``jobs * morsels_per_worker``) and lets the pool's queue balance them,
+(``jobs * MORSELS_PER_WORKER``) and lets the pool's queue balance them,
 so a skewed partition does not serialize the run.
 
-Two pools, chosen by the planner's System-R cardinality estimates:
+One pool, one selection rule the executor observes itself: a step whose
+planner (System-R) answer-size estimate clears
+:data:`PROCESS_ESTIMATE_THRESHOLD` *and* has a partition column goes to
+a ``concurrent.futures`` **process pool** — real parallelism for the
+join/aggregate work that dominates large steps.  Every other step runs
+on the serial step runner (:attr:`ParallelExecutor.serial`; the
+executor loop installs its own, so observability accumulates in one
+place): below the threshold, fork startup, seeding and the merge cost
+more than the work itself, and every fan-out measured there was slower
+than serial (see docs/ARCHITECTURE.md).
 
-* a ``concurrent.futures`` **process pool** when the step's estimated
-  answer size clears :data:`PROCESS_ESTIMATE_THRESHOLD` — real
-  parallelism for the join/aggregate work that dominates large steps;
-  the pool is created lazily and reused across steps.  Workers are
-  seeded through **shared memory** (:mod:`repro.engine.shm`): the
-  parent publishes the encoded catalog's flat ``int64`` code columns
-  into one segment and ships only a descriptor (segment name, value
-  dictionary snapshot, per-relation offsets); each worker attaches and
-  slices its columns out of the mapping — no row pickling in either
-  direction.  Survivors travel back the same way: a partition whose
-  codes stay inside the seeded dictionary prefix returns flat code
-  buffers the parent decodes against its own dictionary.  When shared
-  memory is unavailable the seeding degrades to the pickled catalog.
-* a **thread pool** for small steps, where pickling and fork startup
-  would cost more than the work itself.
+The pool is created lazily and reused across steps.  Workers are seeded
+through **shared memory** (:mod:`repro.engine.shm`): the parent
+publishes the encoded catalog's flat ``int64`` code columns into one
+segment and ships only a descriptor (segment name, value dictionary
+snapshot, per-relation offsets); each worker attaches and slices its
+columns out of the mapping — no row pickling in either direction.
+Survivors travel back the same way: a partition whose codes stay inside
+the seeded dictionary prefix returns flat code buffers the parent
+decodes against its own dictionary.  When shared memory is unavailable
+the seeding degrades to the pickled catalog.
 
-Guard propagation: thread workers share the parent's guard (deadline,
-row caps and cancellation all enforce directly).  Process workers get a
-fresh guard built from :meth:`~repro.guard.ExecutionGuard.child_budget`
-— the *remaining* wall-clock plus the row caps — while the parent polls
-its own guard (including cancellation) between future completions.
+Guard propagation: workers get a fresh guard built from
+:meth:`~repro.guard.ExecutionGuard.child_budget` — the *remaining*
+wall-clock plus the row caps — while the parent polls its own guard
+(including cancellation) between future completions.
 
 Failure policy (the parallel rungs of the recovery ladder): a worker
 abort on budget/cancellation re-raises in the parent as the matching
@@ -38,7 +41,7 @@ failure degrades gracefully, *narrowly first*: when only some morsels
 of a step failed, just those partitions re-run serially in the parent
 (the survivors' outputs are kept); when every morsel failed — or the
 pool itself broke (``BrokenProcessPool``) — the whole step re-runs
-serially.  Either way the downgrade is recorded for the
+on the serial runner.  Either way the downgrade is recorded for the
 :class:`~repro.flocks.mining.MiningReport`.
 
 Hung workers: when the parent guard has a wall-clock deadline (or an
@@ -46,11 +49,11 @@ explicit ``watchdog`` interval is configured), a **watchdog** bounds
 how long the parent waits on a step's morsels — the allowance is a
 fraction of the guard's *remaining* budget, so a stalled worker can
 never silently eat the whole deadline.  Overdue morsels are cancelled
-(abandoned, for tasks already running — neither pool kind can preempt
-them) and re-executed serially in the parent, recorded both as a
-watchdog event and a downgrade.  The ``parallel.hang`` fault site (an
-injected sleep via :func:`~repro.testing.faults.maybe_hang`) makes the
-stall deterministic in tests.
+(abandoned, for tasks already running — the pool cannot preempt them)
+and re-executed serially in the parent, recorded both as a watchdog
+event and a downgrade.  The ``parallel.hang`` fault site (an injected
+sleep via :func:`~repro.testing.faults.maybe_hang`) makes the stall
+deterministic in tests.
 
 Determinism: partition hashing is process-independent
 (:func:`~repro.engine.partition.stable_hash`) and merges are
@@ -71,7 +74,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -85,24 +87,16 @@ from ..relational.relation import CODE_BYTES, Relation
 from ..testing.faults import WorkerKill, maybe_hang, trip
 from . import shm
 from .ir import PartitionedStepPlan, StepPlan
-from .memory import MemoryEngine, StepResult
-from .partition import (
-    partition_restrictor,
-    partition_rows,
-    partition_step,
-    step_cost_estimate,
-)
+from .memory import MemoryEngine, MemoryRunner, StepResult
+from .partition import partition_restrictor, partition_step, step_cost_estimate
 
-#: Estimated answer tuples above which a step is worth a process pool.
+#: Estimated answer tuples at or above which a step goes to the process
+#: pool; anything smaller runs serially.
 PROCESS_ESTIMATE_THRESHOLD = 100_000.0
 
 #: Morsels per worker: finer than the worker count so the pool queue
 #: can rebalance skewed partitions.
 MORSELS_PER_WORKER = 2
-
-#: Relations smaller than this are not worth partitioned group-filtering
-#: (the dynamic strategy's in-flight filters).
-MIN_PARTITION_ROWS = 2048
 
 #: Fraction of the guard's *remaining* wall-clock one step's morsels may
 #: consume before the watchdog declares them hung.  Half: a stalled step
@@ -153,10 +147,6 @@ def clamp_default_jobs(jobs: int) -> tuple[int, Optional[str]]:
         f"defaulted parallelism {jobs} exceeds the {cores} available "
         f"CPU core(s); clamped to {cores}"
     )
-
-
-#: The partitioned runner returns the same record as the serial one.
-ParallelStepResult = StepResult
 
 
 def merged_relation(
@@ -294,25 +284,6 @@ def _process_partition(args: tuple) -> tuple:
         os._exit(17)
 
 
-def _thread_partition(
-    db: Database,
-    step: StepPlan,
-    column: str,
-    parts: int,
-    index: int,
-    need_aggregates: bool,
-    guard: Optional[ExecutionGuard],
-) -> tuple[int, Relation]:
-    """One partition task on the thread pool (shares the parent guard
-    and address space; the survivor relation is returned as-is and
-    aborts and injected kills propagate as exceptions)."""
-    trip("parallel.worker")
-    maybe_hang("parallel.hang")
-    return _run_partition(
-        db, step, column, parts, index, need_aggregates, guard
-    )
-
-
 # ----------------------------------------------------------------------
 # The executor
 # ----------------------------------------------------------------------
@@ -327,8 +298,6 @@ class ParallelExecutor:
         db: the base catalog (what the process pool is seeded with;
             per-step scratch overlays ship only their extra relations).
         guard: the parent evaluation's guard.
-        mode: ``"auto"`` (estimate-driven), ``"process"`` or
-            ``"thread"`` to force a pool kind.
         watchdog: explicit per-step watchdog allowance in seconds.
             ``None`` (the default) derives the allowance from the
             guard's remaining wall-clock (``WATCHDOG_FRACTION`` of it,
@@ -342,25 +311,16 @@ class ParallelExecutor:
         jobs: int,
         db: Database,
         guard: GuardLike = None,
-        mode: str = "auto",
-        morsels_per_worker: int = MORSELS_PER_WORKER,
-        process_threshold: float = PROCESS_ESTIMATE_THRESHOLD,
-        min_partition_rows: int = MIN_PARTITION_ROWS,
         watchdog: Optional[float] = None,
     ):
-        if mode not in ("auto", "process", "thread"):
-            raise ValueError(
-                f"unknown parallel mode {mode!r}; "
-                "use 'auto', 'process' or 'thread'"
-            )
         self.jobs = max(1, int(jobs))
         self.db = db
         self.guard = as_guard(guard)
-        self.mode = mode
-        self.morsels_per_worker = max(1, morsels_per_worker)
-        self.process_threshold = process_threshold
-        self.min_partition_rows = min_partition_rows
         self.watchdog = watchdog
+        #: The step runner for every step this executor leaves serial.
+        #: The executor loop replaces it with its own runner, so a run's
+        #: stage observations accumulate in one place.
+        self.serial = MemoryRunner(self.guard)
         #: Reasons this executor fell back to serial execution (worker
         #: crashes); ``mine()`` turns them into MiningReport downgrades.
         self.downgrades: list[str] = []
@@ -395,7 +355,7 @@ class ParallelExecutor:
     @property
     def parts(self) -> int:
         """Morsel count per step."""
-        return self.jobs * self.morsels_per_worker
+        return self.jobs * MORSELS_PER_WORKER
 
     def note_downgrade(self, reason: str) -> None:
         self.downgrades.append(reason)
@@ -408,28 +368,26 @@ class ParallelExecutor:
         db: Optional[Database] = None,
         need_aggregates: bool = False,
     ) -> StepResult:
-        """Execute one step plan, partitioned when possible.
+        """Execute one step plan: on the process pool when it is large
+        enough and has a partition column, else on :attr:`serial`.
 
-        Falls back to serial execution (same engine code, same guard)
-        when the step has no partition column, when ``jobs < 2``, or
-        when every morsel of the step failed or hung — the last cases
-        are recorded as downgrades.  When only *some* morsels fail or
-        hang, just those partitions re-run serially in the parent and
-        the healthy outputs are kept.
+        A step whose every morsel failed or hung also re-runs on
+        :attr:`serial`, recorded as a downgrade.  When only *some*
+        morsels fail or hang, just those partitions re-run serially in
+        the parent and the healthy outputs are kept.
         """
         db = db if db is not None else self.db
-        plan = partition_step(step, self.parts, db=db)
-        serial = MemoryEngine(db, guard=self.guard)
-        if plan is None or self.jobs < 2:
-            return serial.run_step(step, need_aggregates=need_aggregates)
+        plan = (
+            partition_step(step, self.parts, db)
+            if self.jobs > 1
+            and step_cost_estimate(step) >= PROCESS_ESTIMATE_THRESHOLD
+            else None
+        )
+        if plan is None:
+            return self.serial.run_step(step, db, need_aggregates)
         started = time.perf_counter()
-        use_process = self._pick_process(step)
         try:
-            outcomes = (
-                self._run_process(plan, db, need_aggregates)
-                if use_process
-                else self._run_threads(plan, db, need_aggregates)
-            )
+            outcomes = self._run_process(plan, db, need_aggregates)
             outputs = self._resolve(plan, db, need_aggregates, outcomes)
         except ExecutionAborted:
             raise
@@ -437,27 +395,18 @@ class ParallelExecutor:
             if isinstance(error, (BrokenProcessPool, HungWorkerError)):
                 # A broken pool is dead; a pool with every worker hung
                 # is as good as dead — abandon it, later steps rebuild.
-                if use_process:
-                    self.close()
+                self.close()
             detail = f"{type(error).__name__}: {error}".rstrip(": ")
             self.note_downgrade(
                 f"worker failure ({detail}); step "
                 f"{step.result_name!r} re-ran serially"
             )
-            return serial.run_step(step, need_aggregates=need_aggregates)
+            return self.serial.run_step(step, db, need_aggregates)
         self.ran_parallel = True
-        self.last_mode = "process" if use_process else "thread"
+        self.last_mode = "process"
         return self._merge(
-            plan, outputs, need_aggregates, self.last_mode,
-            time.perf_counter() - started,
+            plan, outputs, need_aggregates, time.perf_counter() - started
         )
-
-    def _pick_process(self, step: StepPlan) -> bool:
-        if self.mode == "process":
-            return True
-        if self.mode == "thread":
-            return False
-        return step_cost_estimate(step) >= self.process_threshold
 
     def _run_process(
         self, plan: PartitionedStepPlan, db: Database, need_aggregates: bool
@@ -483,27 +432,6 @@ class ParallelExecutor:
             # remaining steps get their full worker count back.
             self.close()
         return outcomes
-
-    def _run_threads(
-        self, plan: PartitionedStepPlan, db: Database, need_aggregates: bool
-    ) -> list[tuple[str, Any]]:
-        parts = plan.partition.parts
-        # Not a ``with`` block: the context manager's shutdown waits for
-        # every task, which would stall the parent behind the very hung
-        # worker the watchdog just abandoned.
-        pool = ThreadPoolExecutor(max_workers=self.jobs)
-        try:
-            futures = [
-                pool.submit(
-                    _thread_partition,
-                    db, plan.step, plan.partition.column, parts, index,
-                    need_aggregates, self.guard,
-                )
-                for index in range(parts)
-            ]
-            return self._collect(futures)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
 
     def _morsel_deadline(self) -> Optional[float]:
         """How long this step's morsels may run before the watchdog
@@ -593,19 +521,15 @@ class ParallelExecutor:
         for index, (status, payload) in enumerate(outcomes):
             if status == "ok":
                 count, survivors = payload
-                if isinstance(survivors, Relation):  # thread worker
-                    columns, rows = survivors.columns, list(survivors.tuples)
-                else:  # process worker: wire-packed
-                    columns, rows = _unpack_survivors(survivors, dictionary)
+                columns, rows = _unpack_survivors(survivors, dictionary)
                 outputs[index] = (count, columns, rows)
             else:
                 if status == "failed" and isinstance(
                     payload, ExecutionAborted
                 ):
                     # An abort is the *evaluation's* abort, not a worker
-                    # fault.  Thread workers share the parent guard;
-                    # process workers now raise across the pool boundary
-                    # (their trace was dropped in transit — attach ours).
+                    # fault; it crossed the pool boundary with its trace
+                    # dropped in transit — attach ours.
                     if payload.trace is None:
                         payload.trace = self._trace()
                     raise payload
@@ -668,7 +592,6 @@ class ParallelExecutor:
         plan: PartitionedStepPlan,
         outputs: list[tuple],
         need_aggregates: bool,
-        mode: str,
         seconds: float,
     ) -> StepResult:
         step = plan.step
@@ -701,7 +624,7 @@ class ParallelExecutor:
             self.guard.note_step(
                 name=f"parallel:{step.result_name}",
                 description=(
-                    f"{mode} pool, {plan.partition.parts} partitions "
+                    f"process pool, {plan.partition.parts} partitions "
                     f"on {plan.partition.column}"
                 ),
                 input_tuples=answer_tuples,
@@ -716,88 +639,9 @@ class ParallelExecutor:
             result=result,
             passed=passed,
             answer_tuples=answer_tuples,
-            mode=mode,
+            mode="process",
             partition_sizes=sizes,
         )
-
-    # -- in-flight group filtering (the dynamic strategy) ---------------
-
-    def group_filter_parallel(
-        self,
-        relation: Relation,
-        group_by: Sequence[str],
-        aggregates: Sequence,
-        conditions: Sequence[tuple],
-        name: str = "ok",
-    ) -> Optional[tuple[Relation, tuple[int, ...]]]:
-        """Partition an already-materialized relation on its first group
-        key and group-filter the partitions concurrently.
-
-        Returns ``(passed, partition sizes)`` — the sizes are what the
-        dynamic re-planner observes — or ``None`` when partitioning is
-        not worthwhile (small input, no usable key, or ``jobs < 2``);
-        a worker failure also returns ``None`` (the caller's serial
-        path is the degradation) after recording the downgrade.
-        """
-        if self.jobs < 2 or not group_by:
-            return None
-        if len(relation) < self.min_partition_rows:
-            return None
-        column = group_by[0]
-        if column not in relation.columns:
-            return None
-        slices = partition_rows(relation, column, self.parts)
-        self.peak_partition_bytes = max(
-            self.peak_partition_bytes,
-            max(len(part) for part in slices)
-            * CODE_BYTES
-            * max(1, relation.arity),
-        )
-
-        def task(part: Relation) -> Relation:
-            trip("parallel.worker")
-            maybe_hang("parallel.hang")
-            engine = MemoryEngine(self.db, guard=self.guard)
-            return engine.group_filter(
-                part, list(group_by), aggregates, conditions, name=name
-            )
-
-        pool = ThreadPoolExecutor(max_workers=self.jobs)
-        try:
-            futures = [pool.submit(task, part) for part in slices]
-            outcomes = self._collect(futures)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        results: list[Relation] = []
-        hung = 0
-        for status, payload in outcomes:
-            if status == "ok":
-                results.append(payload)
-                continue
-            if status == "failed" and isinstance(payload, ExecutionAborted):
-                raise payload
-            if status == "hung":
-                hung += 1
-                detail = "hung worker"
-            else:
-                detail = f"{type(payload).__name__}: {payload}".rstrip(": ")
-            if hung:
-                self.watchdog_events.append(
-                    f"watchdog: in-flight filter at {name!r} had {hung} "
-                    "overdue morsel(s); cancelled"
-                )
-            self.note_downgrade(
-                f"worker failure ({detail}); in-flight filter at "
-                f"{name!r} re-ran serially"
-            )
-            return None
-        rows: list[tuple] = []
-        for part_passed in results:
-            rows.extend(part_passed.tuples)
-        passed = merged_relation(name, results[0].columns, rows)
-        self.ran_parallel = True
-        self.last_mode = "thread"
-        return passed, tuple(len(part) for part in slices)
 
     # -- plumbing -------------------------------------------------------
 
@@ -835,12 +679,10 @@ class ParallelExecutor:
 
 __all__ = [
     "MORSELS_PER_WORKER",
-    "MIN_PARTITION_ROWS",
     "PROCESS_ESTIMATE_THRESHOLD",
     "WATCHDOG_FLOOR",
     "WATCHDOG_FRACTION",
     "ParallelExecutor",
-    "ParallelStepResult",
     "BrokenProcessPool",
     "clamp_default_jobs",
     "merged_relation",

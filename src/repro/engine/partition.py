@@ -43,12 +43,10 @@ __all__ = [
     "choose_partition_column",
     "partition_index",
     "partition_restrictor",
-    "partition_rows",
     "partition_step",
     "restrict_to_partition",
     "stable_hash",
     "step_cost_estimate",
-    "step_cost_bytes",
 ]
 
 #: A hook restricting a freshly built binding relation to one partition
@@ -77,10 +75,11 @@ def choose_partition_column(step: StepPlan) -> Optional[str]:
 def partition_step(
     step: StepPlan,
     parts: int,
+    db: Database,
     column: Optional[str] = None,
-    db: Optional[Database] = None,
 ) -> Optional[PartitionedStepPlan]:
-    """Wrap a step plan for ``parts``-way partitioned execution.
+    """Wrap a step plan for ``parts``-way partitioned execution over
+    ``db``.
 
     Returns ``None`` when partitioning is impossible (fewer than two
     parts, or no suitable column).  The wrapped plan is schema-checked
@@ -97,19 +96,13 @@ def partition_step(
         partition=Partition(column=column, parts=parts),
         merge=Merge(columns=step.root.columns),
     )
-    _verify_partitioned(plan, db)
-    return plan
-
-
-def _verify_partitioned(
-    plan: PartitionedStepPlan, db: Optional[Database]
-) -> None:
     from ..analysis.verification import plan_verification_enabled
 
     if plan_verification_enabled():
         from ..analysis.schema import assert_physical_plan
 
         assert_physical_plan(plan, db=db)
+    return plan
 
 
 def restrict_to_partition(
@@ -140,28 +133,6 @@ def restrict_to_partition(
     return relation.take(keep)
 
 
-def partition_rows(
-    relation: Relation, column: str, parts: int
-) -> list[Relation]:
-    """Split a materialized relation into ``parts`` slices by the hash
-    of ``column`` — every row lands in exactly one slice, and all rows
-    of one group (keyed on ``column``) land in the same slice.  Used by
-    the parallel executor to group-filter an in-flight relation (the
-    dynamic strategy) partition by partition."""
-    position = relation.column_position(column)
-    buckets: list[list[int]] = [[] for _ in range(parts)]
-    if relation.is_encoded and relation.dictionary is not None:
-        table = relation.dictionary.partition_table(parts)
-        codes = relation.code_columns()[position]
-        for i, c in enumerate(codes):
-            buckets[table[c]].append(i)
-    else:
-        values = relation.columns_data()[position]
-        for i, v in enumerate(values):
-            buckets[stable_hash(v) % parts].append(i)
-    return [relation.take(bucket) for bucket in buckets]
-
-
 def partition_restrictor(column: str, parts: int, index: int) -> ScanRestrictor:
     """A :data:`ScanRestrictor` for one partition task."""
 
@@ -173,21 +144,10 @@ def partition_restrictor(column: str, parts: int, index: int) -> ScanRestrictor:
 
 def step_cost_estimate(step: StepPlan) -> float:
     """The planner's System-R estimate of a step's answer size — the
-    signal the parallel executor uses to pick process- vs thread-pool
-    execution (forking and pickling only pay off above a threshold)."""
+    signal the parallel executor compares with its threshold (forking
+    and the merge only pay off on large steps)."""
     total = 0.0
     for branch in step.branches:
         if branch.stages:
             total += float(branch.stages[-1].estimate)
     return total
-
-
-def step_cost_bytes(step: StepPlan) -> float:
-    """Estimated flat-buffer size of a step's answer relation in the
-    encoded-column layout: the planner's cardinality estimate times the
-    encoded row width (8 bytes per column).  The parallel executor sizes
-    its process-vs-thread decision and its shared-memory budget from
-    this number."""
-    from ..relational.relation import CODE_BYTES
-
-    return step_cost_estimate(step) * CODE_BYTES * len(step.answer_columns)

@@ -149,29 +149,6 @@ class _BranchRenderer:
                 "the rule is unsafe"
             ) from None
 
-    def add_partition_predicate(
-        self, column: str, parts: int, index: int
-    ) -> None:
-        """Restrict this branch to one hash partition of ``column``.
-
-        The predicate goes on the *first binding* of the column's term —
-        the earliest scan in join order — so the engine prunes rows
-        before any join runs.  ``repro_partition`` is the backend's UDF
-        over :func:`repro.engine.partition.stable_hash`; the built-in
-        hash is not used because partition assignment must agree across
-        worker connections and with the in-memory engine's plans.
-        """
-        for term, ref in self.bindings.items():
-            if term_column(term) == column:
-                self.where.append(
-                    f"repro_partition({ref}) % {parts} = {index}"
-                )
-                return
-        raise PlanError(
-            f"partition column {column!r} is not bound by any positive "
-            "subgoal of this branch; the step cannot be partitioned"
-        )
-
     def select_sql(self) -> str:
         root = self.plan.root
         select_items = [
@@ -219,7 +196,6 @@ def render_step(
     step: StepPlan,
     columns_of: ColumnSource,
     include_aggregates: bool = False,
-    partition: tuple[str, int, int] | None = None,
 ) -> str:
     """Render one FILTER step plan as a single SELECT statement
     (no trailing semicolon).
@@ -229,13 +205,6 @@ def render_step(
     :class:`~repro.engine.ir.AggregateSpec`), mirroring the in-memory
     engine's ``group_filter`` output — what the session cache stores and
     what the differential tests compare.
-
-    ``partition=(column, parts, index)`` renders one partition of the
-    step: every branch gains a ``repro_partition(...) % parts = index``
-    conjunct on the column's first binding.  Groups are keyed on the
-    partition column, so the rendered statement returns exactly the
-    survivors whose key hashes into ``index`` (see
-    :mod:`repro.engine.partition` for the argument).
     """
     from ..analysis.verification import plan_verification_enabled
 
@@ -247,13 +216,10 @@ def render_step(
         from ..analysis.schema import assert_physical_plan
 
         assert_physical_plan(step)
-    branches = []
-    for branch in step.branches:
-        renderer = _BranchRenderer(branch, columns_of)
-        if partition is not None:
-            renderer.add_partition_predicate(*partition)
-        branches.append(renderer.select_sql())
-    inner = "\nUNION\n".join(branches)
+    inner = "\nUNION\n".join(
+        _BranchRenderer(branch, columns_of).select_sql()
+        for branch in step.branches
+    )
     group_names = [safe_column(c) for c in step.root.columns]
     select_items = list(group_names)
     if include_aggregates:

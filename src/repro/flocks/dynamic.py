@@ -136,7 +136,6 @@ class DynamicEvaluator:
         improvement_factor: float = 0.5,
         guard: GuardLike = None,
         sink=None,
-        parallel=None,
     ):
         if flock.is_union:
             raise PlanError("dynamic evaluation handles single-rule flocks")
@@ -152,12 +151,6 @@ class DynamicEvaluator:
         #: subquery absorbed so far — instead of discarding it, publish
         #: it so later sessions can reuse it as a pruning bound.
         self.sink = sink
-        #: Optional :class:`~repro.engine.parallel.ParallelExecutor`:
-        #: in-flight FILTER decisions group-filter their relation in
-        #: hash partitions, and the observed partition sizes are logged
-        #: on the trace (the same observations the re-planner consumes).
-        self.parallel = parallel
-        self._last_partition_sizes: tuple[int, ...] | None = None
         self.rule: ConjunctiveQuery = flock.rules[0]
         assert_safe(self.rule)
         self.decision_factor = decision_factor
@@ -395,11 +388,6 @@ class DynamicEvaluator:
             self._certify_decision(node, subquery_indices, trace)
         filter_started = time.perf_counter()
         filtered, ok = self._filter_relation(relation, params, targets)
-        if self._last_partition_sizes is not None:
-            trace.plan_lines.append(
-                f"partitioned filter at {node}: observed partition sizes "
-                f"{list(self._last_partition_sizes)}"
-            )
         if self.sink is not None and subquery_indices:
             # The survivors are exact for the safe subquery made of the
             # subgoals absorbed so far (earlier in-flight filters only
@@ -465,31 +453,11 @@ class DynamicEvaluator:
         aggregates, conditions = plan_aggregate_specs(
             self.flock.filter, lambda condition: targets[condition]
         )
-        passed = self._grouped_survivors(
-            relation, list(params), aggregates, conditions, "ok"
+        passed = self._engine.group_filter(
+            relation, list(params), aggregates, conditions, name="ok"
         )
         ok = self._engine.project_unique(passed, list(params), "ok")
         return semi_join(relation, ok, name=relation.name), ok
-
-    def _grouped_survivors(
-        self, relation, params, aggregates, conditions, name
-    ):
-        """Group-filter one in-flight relation, partitioned when the
-        parallel executor finds it worthwhile (large input, usable key);
-        serial otherwise.  The partition sizes observed — the evaluator's
-        re-planning signal at this node — are kept for the trace."""
-        self._last_partition_sizes = None
-        if self.parallel is not None:
-            partitioned = self.parallel.group_filter_parallel(
-                relation, params, aggregates, conditions, name=name
-            )
-            if partitioned is not None:
-                passed, sizes = partitioned
-                self._last_partition_sizes = sizes
-                return passed
-        return self._engine.group_filter(
-            relation, params, aggregates, conditions, name=name
-        )
 
     def _final_filter(self, current: Relation, trace: DynamicTrace) -> Relation:
         params = list(self.flock.parameter_columns)
@@ -506,14 +474,9 @@ class DynamicEvaluator:
         aggregates, conditions = plan_aggregate_specs(
             self.flock.filter, lambda condition: targets[condition]
         )
-        passed = self._grouped_survivors(
-            current, params, aggregates, conditions, "flock"
+        passed = self._engine.group_filter(
+            current, params, aggregates, conditions, name="flock"
         )
-        if self._last_partition_sizes is not None:
-            trace.plan_lines.append(
-                f"partitioned filter at root: observed partition sizes "
-                f"{list(self._last_partition_sizes)}"
-            )
         if self.sink is not None:
             self.sink.publish_final(passed, len(current))
         result = self._engine.project_unique(passed, params, "flock")
@@ -544,13 +507,11 @@ def evaluate_flock_dynamic(
     guard: GuardLike = None,
     sink=None,
     order_strategy: str = "greedy",
-    parallel=None,
 ) -> tuple[FlockResult, DynamicTrace]:
     """One-call dynamic evaluation; returns (result, trace)."""
     evaluator = DynamicEvaluator(
         db, flock, decision_factor=decision_factor,
         improvement_factor=improvement_factor, guard=guard, sink=sink,
-        parallel=parallel,
     )
     result = evaluator.evaluate(
         join_order=join_order, order_strategy=order_strategy

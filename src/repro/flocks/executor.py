@@ -17,8 +17,10 @@ A step runner is any object with one method::
 survivors with their aggregate columns when ``need_aggregates`` else
 ``None``, and the answer-tuple count).  There are three: the serial
 in-memory :class:`MemoryRunner` (the default), the partitioning
-:class:`~repro.engine.parallel.ParallelExecutor`, and
-:class:`~repro.flocks.sqlbackend.SQLiteBackend`.  Everything else —
+:class:`~repro.engine.parallel.ParallelExecutor` (a wrapper over the
+serial runner: large steps fan out on its process pool, the rest pass
+through), and :class:`~repro.flocks.sqlbackend.SQLiteBackend`.
+Everything else —
 cache serving and publication, retry supervision, checkpoint recording,
 runtime-filter sources, guard recording and the step trace — is
 attached here, once, whatever the runner and whichever strategy
@@ -39,8 +41,7 @@ from typing import Collection
 
 from ..datalog.query import as_union
 from ..datalog.safety import assert_safe
-from ..engine.ir import StageObservation, StepPlan
-from ..engine.memory import MemoryEngine, StepResult
+from ..engine.memory import MemoryRunner, StepResult
 from ..engine.planner import lower_step
 from ..guard import ExecutionGuard, GuardLike, as_guard
 from ..relational.catalog import Database
@@ -50,27 +51,6 @@ from .filters import STAR, plan_aggregate_specs
 from .flock import QueryFlock
 from .plans import FilterStep, QueryPlan, validate_plan
 from .result import ExecutionTrace, FlockResult, StepTrace
-
-
-class MemoryRunner:
-    """The serial in-memory step runner: a fresh
-    :class:`~repro.engine.memory.MemoryEngine` interprets each step.
-    Accumulates the engines' observability data over the run:
-    join-stage observations and scan rows pruned by runtime filters."""
-
-    def __init__(self, guard: ExecutionGuard | None = None) -> None:
-        self.guard = guard
-        self.observations: list[StageObservation] = []
-        self.rows_pruned: int = 0
-
-    def run_step(
-        self, step_plan: StepPlan, db: Database, need_aggregates: bool = False
-    ) -> StepResult:
-        engine = MemoryEngine(db, guard=self.guard)
-        outcome = engine.run_step(step_plan, need_aggregates=need_aggregates)
-        self.observations.extend(engine.stage_log)
-        self.rows_pruned += engine.rows_pruned
-        return outcome
 
 
 def lower_filter_step(
@@ -239,8 +219,10 @@ def execute_plan(
     exactly the steps that completed.
 
     ``parallel`` (a :class:`~repro.engine.parallel.ParallelExecutor`)
-    is the partitioning runner; results stay bit-identical to serial
-    execution (see :mod:`repro.engine.partition`).
+    is the partitioning runner: steps large enough for its process pool
+    fan out, every other step runs on this loop's serial runner;
+    results stay bit-identical to serial execution (see
+    :mod:`repro.engine.partition`).
 
     ``supervisor`` threads the retry rung through every step (see
     :func:`execute_step`).
@@ -259,10 +241,11 @@ def execute_plan(
     trace = ExecutionTrace()
     serial = MemoryRunner(guard)
     if runner is None:
-        runner = (
-            parallel if parallel is not None and parallel.jobs > 1
-            else serial
-        )
+        runner = serial
+        if parallel is not None and parallel.jobs > 1:
+            # Steps the pool leaves serial run on this loop's runner.
+            parallel.serial = serial
+            runner = parallel
     rf_sources: set[str] = set()
     result: Relation | None = None
     final_step = plan.final_step

@@ -138,9 +138,11 @@ class MiningReport:
     stage_rows: tuple = ()
     #: Worker count the call asked for (``parallelism=`` argument or the
     #: ``REPRO_JOBS`` environment default) and what actually ran: the
-    #: requested count when at least one step executed partitioned, 1
-    #: when everything ran serially (small inputs, no partition column,
-    #: or a recorded parallelism downgrade).
+    #: requested count when at least one step went to the process pool,
+    #: 1 when everything ran serially (every step below the pool's
+    #: estimate threshold or without a partition column, the SQLite
+    #: backend, the dynamic strategy, or a recorded parallelism
+    #: downgrade).
     parallelism_requested: int = 1
     parallelism_used: int = 1
     #: Largest single-partition footprint the parallel executor saw —
@@ -473,7 +475,8 @@ def _run_strategy(
     ``strategy`` is the one actually run (``options.strategy`` after
     auto-selection and any degradation).  ``sink`` is the session's
     cache side-channel, ``parallel`` the call's shared
-    :class:`~repro.engine.parallel.ParallelExecutor` (or None),
+    :class:`~repro.engine.parallel.ParallelExecutor` (or None; only the
+    in-memory plan runners use it — dynamic and SQLite runs are serial),
     ``supervisor`` the retry rung — per FILTER step inside the
     executor loop, around the whole body for dynamic (its evaluation is
     deterministic, so a re-run after a transient fault is sound) and
@@ -496,7 +499,7 @@ def _run_strategy(
         result, trace = supervisor.run(
             lambda: evaluate_flock_dynamic(
                 db, flock, guard=guard, sink=sink,
-                order_strategy=options.join_order, parallel=parallel,
+                order_strategy=options.join_order,
             ),
             site="strategy:dynamic",
         )
@@ -526,11 +529,11 @@ def _run_strategy(
             db, flock, plan, options.backend, attempt,
             shared=dict(
                 guard=guard, order_strategy=options.join_order,
-                parallel=parallel,
                 runtime_filters=options.runtime_filters_enabled,
             ),
             memory_only=dict(
-                sink=sink, supervisor=supervisor, recorder=recorder
+                sink=sink, supervisor=supervisor, recorder=recorder,
+                parallel=parallel,
             ),
         )
     attempt.result = result
@@ -548,8 +551,9 @@ def _run_plan(
     """Pick the step runner for ``backend`` and run the executor loop.
 
     On SQLite the backend is the runner and the loop gets only the
-    ``shared`` arguments — no session sink, retry supervisor or
-    checkpoint recorder (the backend retries its own statements).  A
+    ``shared`` arguments — no session sink, retry supervisor,
+    checkpoint recorder (the backend retries its own statements) or
+    process pool (its SQL runs serially whatever ``--jobs`` says).  A
     (post-retry) backend failure degrades to the in-memory runners,
     which get ``memory_only`` too.  Guard aborts (budget/cancellation)
     are *not* degraded — they are user-requested limits, not backend

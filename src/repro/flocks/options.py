@@ -83,12 +83,14 @@ class MiningOptions:
             physical plan (dynamic re-plans included) and certificate
             re-validation on each FILTER-step plan.  ``None`` inherits
             the ambient switch, which the test suite turns on.
-        parallelism: worker count for partitioned step execution.
-            ``None`` reads the ``REPRO_JOBS`` environment variable
-            (default 1 = serial), clamped to the CPU count.  Results
-            are bit-identical to serial for any value; worker failures
-            degrade to serial with a recorded ``parallelism`` downgrade
-            (:mod:`repro.engine.parallel`).
+        parallelism: worker count of the process pool that large
+            in-memory FILTER steps are partitioned over; small steps,
+            the dynamic strategy and the SQLite backend run serially
+            whatever the value.  ``None`` reads the ``REPRO_JOBS``
+            environment variable (default 1 = serial), clamped to the
+            CPU count.  Results are bit-identical to serial for any
+            value; worker failures degrade to serial with a recorded
+            ``parallelism`` downgrade (:mod:`repro.engine.parallel`).
         retry: the :class:`~repro.recovery.RetryPolicy` of the
             transient-fault retry rung.  ``None`` is the default policy
             (3 attempts, 50 ms base backoff);

@@ -37,26 +37,17 @@ from __future__ import annotations
 
 import sqlite3
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from ..engine.ir import StepPlan
 from ..engine.memory import StepResult
-from ..engine.parallel import ParallelExecutor
-from ..engine.partition import partition_step, stable_hash
-from ..engine.sqlgen import (
-    ColumnSource,
-    column_source,
-    materialize_step,
-    render_step,
-    safe_column,
-)
+from ..engine.sqlgen import column_source, materialize_step, safe_column
 from ..errors import EvaluationError, ExecutionAborted
 from ..guard import ExecutionGuard, GuardLike, as_guard
 from ..recovery import RetryPolicy
 from ..relational.catalog import Database
 from ..relational.relation import Relation
-from ..testing.faults import WorkerKill, trip
+from ..testing.faults import trip
 from .executor import execute_plan
 from .flock import QueryFlock
 from .plans import QueryPlan, single_step_plan
@@ -84,11 +75,6 @@ class SQLiteBackend:
             wrapped and raised.
         retry_backoff: initial sleep between retries; doubles per
             attempt, capped at :attr:`MAX_BACKOFF_SECONDS`.
-        check_same_thread: forwarded to :func:`sqlite3.connect`; the
-            parallel path creates worker backends with ``False`` so a
-            pool thread may drive a connection built on the main thread
-            (each worker connection is still used by one thread at a
-            time).
     """
 
     MAX_BACKOFF_SECONDS = 0.25
@@ -99,18 +85,8 @@ class SQLiteBackend:
         path: str = ":memory:",
         max_retries: int = 3,
         retry_backoff: float = 0.05,
-        check_same_thread: bool = True,
     ):
-        self.connection = sqlite3.connect(
-            path, check_same_thread=check_same_thread
-        )
-        # The partition UDF backing parallel execution: partitioned
-        # SELECTs restrict each branch with repro_partition(col) % N = i.
-        # Same hash as the in-memory engine (CRC-32 of repr) so plans
-        # mean the same thing on every backend and in every process.
-        self.connection.create_function(
-            "repro_partition", 1, stable_hash, deterministic=True
-        )
+        self.connection = sqlite3.connect(path)
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         #: The shared recovery-layer policy behind the statement retry:
@@ -128,10 +104,6 @@ class SQLiteBackend:
         #: The guard of the plan currently running (polled from inside
         #: the VM; retry sleeps are clamped to its remaining wall-clock).
         self._active_guard: ExecutionGuard | None = None
-        #: The ParallelExecutor of the plan currently running, if its
-        #: steps fan out, and the per-worker backends they fan out over.
-        self._parallel: ParallelExecutor | None = None
-        self._workers: list["SQLiteBackend"] = []
         #: Step tables materialized so far: name -> SQL-safe columns.
         self._step_tables: dict[str, list[str]] = {}
         self._loaded: Database | None = None
@@ -186,13 +158,12 @@ class SQLiteBackend:
         flock: QueryFlock,
         guard: GuardLike = None,
         order_strategy: str = "greedy",
-        parallel=None,
     ) -> Relation:
         """The naive one-statement evaluation (the Fig. 1 path): the
         single-step plan through :meth:`execute_plan`."""
         return self.execute_plan(
             flock, single_step_plan(flock), guard=guard,
-            order_strategy=order_strategy, parallel=parallel,
+            order_strategy=order_strategy,
         )
 
     def execute_plan(
@@ -201,7 +172,6 @@ class SQLiteBackend:
         plan: QueryPlan,
         guard: GuardLike = None,
         order_strategy: str = "greedy",
-        parallel=None,
         runtime_filters: bool = False,
     ) -> Relation:
         """The rewritten evaluation: the executor loop with this backend
@@ -209,19 +179,11 @@ class SQLiteBackend:
         Section 1.3 path).  Step tables are dropped afterwards — also
         on an abort or a failure — so the backend can be reused.
 
-        With ``parallel`` (a
-        :class:`~repro.engine.parallel.ParallelExecutor`), each step's
-        SELECT runs partitioned across per-worker connections; a worker
-        failure degrades the rest of the plan to the main connection
-        and records the downgrade.
-
         ``runtime_filters`` injects semi-join ``IN`` conjuncts over
         already-materialized step tables into later steps' scans.
         """
         db = self._require_loaded()
         self._active_guard = as_guard(guard)
-        if parallel is not None and parallel.jobs > 1:
-            self._parallel = parallel
         try:
             return execute_plan(
                 db, flock, plan, validate=False, guard=self._active_guard,
@@ -230,7 +192,6 @@ class SQLiteBackend:
             ).relation
         finally:
             self._active_guard = None
-            self._parallel = None
             self.drop_step_tables()
 
     def run_step(
@@ -260,29 +221,17 @@ class SQLiteBackend:
             step_plan.group.columns if need_aggregates
             else step_plan.root.columns
         )
-        columns = [safe_column(c) for c in out_columns]
         columns_of = column_source(base, self._step_tables)
-        rows = None
-        if self._parallel is not None:
-            rows = self._parallel_step_rows(
-                self._parallel, step_plan, columns_of, need_aggregates
-            )
         # Registered before it exists: cleanup must cover a table whose
         # creation was interrupted.
-        self._step_tables[name] = columns
-        if rows is not None:
-            self._create_step_table(
-                name, columns, rows, [self] + self._workers
-            )
-        else:
-            self._run(
-                materialize_step(
-                    step_plan, columns_of, include_aggregates=need_aggregates
-                ),
-                name,
-            )
-            rows = self._run(f"SELECT * FROM {name}", name)
-            self._create_step_table(name, columns, rows, self._workers)
+        self._step_tables[name] = [safe_column(c) for c in out_columns]
+        self._run(
+            materialize_step(
+                step_plan, columns_of, include_aggregates=need_aggregates
+            ),
+            name,
+        )
+        rows = self._run(f"SELECT * FROM {name}", name)
         passed = Relation(name, out_columns, rows)
         if not need_aggregates:
             return StepResult(passed, None, len(passed))
@@ -290,9 +239,7 @@ class SQLiteBackend:
         return StepResult(result, passed, len(passed))
 
     def drop_step_tables(self) -> None:
-        """Drop every step table :meth:`run_step` materialized (and
-        retire the worker connections that mirrored them)."""
-        self._close_workers()
+        """Drop every step table :meth:`run_step` materialized."""
         cursor = self.connection.cursor()
         for name in self._step_tables:
             try:
@@ -301,125 +248,6 @@ class SQLiteBackend:
                 pass
         self.connection.commit()
         self._step_tables = {}
-
-    # ------------------------------------------------------------------
-    # Parallel execution
-    # ------------------------------------------------------------------
-    #
-    # SQLite in-memory databases are per-connection, so parallelism
-    # means per-worker *backends*: each worker thread drives its own
-    # connection (the sqlite3 VM releases the GIL, so threads give real
-    # parallelism here) and runs the same step SQL restricted to one
-    # hash partition via the repro_partition UDF.  Partitioned results
-    # are exact for the same reason as in the memory engine — see
-    # repro.engine.partition — so the union of worker rows equals the
-    # serial statement's rows.  Merged step tables are created on the
-    # main connection *and* every worker, keeping all catalogs in step.
-
-    def _spawn_workers(self, count: int) -> list["SQLiteBackend"]:
-        db = self._require_loaded()
-        workers = [
-            SQLiteBackend(
-                db,
-                max_retries=self.max_retries,
-                retry_backoff=self.retry_backoff,
-                check_same_thread=False,
-            )
-            for _ in range(count)
-        ]
-        for worker in workers:
-            # The shared guard is enforced inside every worker's VM, so
-            # budgets and cancellation propagate.
-            worker._active_guard = self._active_guard
-        return workers
-
-    def _close_workers(self) -> None:
-        for worker in self._workers:
-            worker.close()
-        self._workers = []
-
-    def _parallel_step_rows(
-        self,
-        parallel: ParallelExecutor,
-        step_plan: StepPlan,
-        columns_of: ColumnSource,
-        need_aggregates: bool,
-    ) -> list[tuple] | None:
-        """Run one step plan partitioned across the worker connections.
-
-        Returns the merged rows, or ``None`` when the step has no
-        partition column or a worker failed.  A failure is recorded as
-        a downgrade on the plan's executor and retires the workers: the
-        caller — and every later step — runs on the main connection.
-        Workers are spawned on the plan's first step, so they never
-        miss a step table.
-        """
-
-        def run_partition(worker: "SQLiteBackend", sql: str) -> list[tuple]:
-            trip("parallel.worker")
-            return worker._run(sql, step_plan.result_name)
-
-        try:
-            if not self._workers:
-                self._workers = self._spawn_workers(parallel.jobs)
-            plan = partition_step(step_plan, parallel.jobs, db=None)
-            if plan is None:
-                return None
-            parts = plan.partition.parts
-            statements = [
-                render_step(
-                    step_plan,
-                    columns_of,
-                    include_aggregates=need_aggregates,
-                    partition=(plan.partition.column, parts, index),
-                )
-                for index in range(parts)
-            ]
-            with ThreadPoolExecutor(max_workers=parallel.jobs) as pool:
-                futures = [
-                    pool.submit(run_partition, worker, sql)
-                    for worker, sql in zip(self._workers, statements)
-                ]
-                rows: set[tuple] = set()
-                for future in futures:
-                    rows.update(future.result())
-        except ExecutionAborted:
-            raise
-        except (Exception, WorkerKill) as error:
-            detail = f"{type(error).__name__}: {error}".rstrip(": ")
-            parallel.note_downgrade(
-                f"SQL worker failure ({detail}); step "
-                f"{step_plan.result_name!r} onwards re-ran serially"
-            )
-            self._close_workers()
-            self._parallel = None
-            return None
-        parallel.ran_parallel = True
-        parallel.last_mode = "thread"
-        return sorted(rows, key=repr)
-
-    @staticmethod
-    def _create_step_table(
-        name: str,
-        columns: list[str],
-        rows: Sequence[tuple],
-        backends: Sequence["SQLiteBackend"],
-    ) -> None:
-        """Materialize one step result as a table on each of
-        ``backends``."""
-        placeholders = ", ".join("?" for _ in columns)
-        for backend in backends:
-            cursor = backend.connection.cursor()
-            backend._execute(
-                cursor, f"CREATE TABLE {name} ({', '.join(columns)})"
-            )
-            backend._execute(
-                cursor,
-                f"INSERT INTO {name} VALUES ({placeholders})",
-                parameters=rows,
-                many=True,
-            )
-            backend.connection.commit()
 
     # ------------------------------------------------------------------
     # Cached-result persistence (for repro.session)

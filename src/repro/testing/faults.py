@@ -21,10 +21,11 @@ Sites currently instrumented:
 ========================  ====================================================
 
 Arming ``parallel.worker`` with :class:`WorkerKill` simulates a hard
-worker death: a process-pool worker exits immediately (the parent sees
-``BrokenProcessPool``), a thread worker raises it straight through —
-either way the parallel executor must degrade to serial execution and
-record the downgrade.
+worker death: the pool worker exits immediately, the parent sees
+``BrokenProcessPool``, and the parallel executor must degrade to serial
+execution and record the downgrade.  Pool workers are forked, so they
+inherit whatever is armed when the pool starts and count ``skip`` /
+``times`` per process.
 
 Usage::
 
@@ -36,9 +37,9 @@ Usage::
 The harness is deliberately global (module-level registry) so the site
 checks cost one dict lookup on an *empty* dict when nothing is armed —
 cheap enough to leave in hot paths permanently.  Arming is done from
-the test thread, but *tripping* happens concurrently (the thread-pool
-parallel path drives many workers through one site), so the per-fault
-``hits``/``failures`` counters are updated under a lock.
+the test thread, but *tripping* happens concurrently (the serve
+dispatcher's worker threads mine through the same sites), so the
+per-fault ``hits``/``failures`` counters are updated under a lock.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def trip(site: str) -> None:
     No-op (one failed dict lookup, no lock) when nothing is armed.
     Thread-safe: the hit/failure accounting for one call is atomic, so
     a schedule like ``skip=1, times=2`` fails exactly the 2nd and 3rd
-    hits even when the hits come from concurrent pool workers.
+    hits even when the hits come from concurrent threads.
     """
     if not _ACTIVE:
         return

@@ -33,6 +33,16 @@ def _clean_faults():
 
 
 @pytest.fixture
+def force_pool(monkeypatch):
+    """Send every partitionable step to the process pool, however small
+    its estimate — how the suite exercises the pool on small fixtures
+    (the executor has no knob for it)."""
+    monkeypatch.setattr(
+        "repro.engine.parallel.PROCESS_ESTIMATE_THRESHOLD", 0.0
+    )
+
+
+@pytest.fixture
 def basket_query():
     """Fig. 2 / Example 2.1: pairs of items in the same basket."""
     return rule(

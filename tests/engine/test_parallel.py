@@ -1,13 +1,18 @@
 """The morsel-driven parallel executor and its partitioning scheme.
 
 Covers the partitioning primitives (stable hashing, column choice, scan
-restriction), the Partition/Merge IR checks, the SQL rendering of
-partition predicates, bit-identical thread/process execution, guard
-propagation into workers, and the graceful degradation paths (worker
-death -> serial re-run, recorded as a mining downgrade).
+restriction), the Partition/Merge IR checks, the selection rule (large
+steps to the process pool, small ones serial), bit-identical pool
+execution, guard propagation into workers, and the graceful degradation
+paths (worker death -> serial re-run, recorded as a mining downgrade).
+
+The fixtures are far below ``PROCESS_ESTIMATE_THRESHOLD``; tests of the
+pool take the ``force_pool`` fixture (tests/conftest.py), which lowers
+the threshold to zero.
 """
 
 import dataclasses
+import glob
 
 import pytest
 
@@ -22,13 +27,12 @@ from repro.engine import (
 )
 from repro.engine.memory import MemoryEngine
 from repro.engine.parallel import clamp_default_jobs, merged_relation
+from repro.engine.parallel import PROCESS_ESTIMATE_THRESHOLD
 from repro.engine.partition import (
     partition_index,
-    partition_rows,
     restrict_to_partition,
     step_cost_estimate,
 )
-from repro.engine.sqlgen import column_source, render_step
 from repro.analysis.schema import check_physical_plan
 from repro.errors import (
     BudgetExceededError,
@@ -111,7 +115,7 @@ class TestChoosePartitionColumn:
         column = choose_partition_column(pair_plan)
         assert column in pair_plan.group.group_by
 
-    def test_none_when_no_group_key_is_bound(self, pair_plan):
+    def test_none_when_no_group_key_is_bound(self, word_db, pair_plan):
         """A step whose group keys appear in no branch scan cannot be
         partitioned (nothing guarantees complete, disjoint groups)."""
         group = dataclasses.replace(
@@ -119,10 +123,10 @@ class TestChoosePartitionColumn:
         )
         broken = dataclasses.replace(pair_plan, group=group)
         assert choose_partition_column(broken) is None
-        assert partition_step(broken, 4) is None
+        assert partition_step(broken, 4, word_db) is None
 
-    def test_fewer_than_two_parts_refuses(self, pair_plan):
-        assert partition_step(pair_plan, 1) is None
+    def test_fewer_than_two_parts_refuses(self, word_db, pair_plan):
+        assert partition_step(pair_plan, 1, word_db) is None
 
 
 class TestRestriction:
@@ -153,20 +157,6 @@ class TestRestriction:
     def test_missing_column_is_identity(self):
         relation = Relation("r", ("X",), {(1,), (2,)})
         assert restrict_to_partition(relation, "B", 4, 0) is relation
-
-    def test_partition_rows_groups_stay_whole(self):
-        relation = Relation(
-            "r", ("B", "I"),
-            {(f"b{i % 10}", i) for i in range(100)},
-        )
-        slices = partition_rows(relation, "B", 4)
-        assert sum(len(s) for s in slices) == len(relation)
-        for value in {row[0] for row in relation.tuples}:
-            homes = [
-                i for i, s in enumerate(slices)
-                if any(row[0] == value for row in s.tuples)
-            ]
-            assert len(homes) == 1  # one group, one slice
 
 
 class TestMergedRelation:
@@ -263,132 +253,109 @@ class TestClampDefaultJobs:
 
 class TestSchemaChecker:
     def test_accepts_every_partitioned_plan(self, word_db, pair_plan):
-        plan = partition_step(pair_plan, 4, db=word_db)
+        plan = partition_step(pair_plan, 4, word_db)
         assert plan is not None
         report = check_physical_plan(plan, db=word_db)
         assert report.ok, [str(d) for d in report.errors]
 
-    def test_rejects_nonpositive_parts(self, pair_plan):
-        plan = partition_step(pair_plan, 4)
+    def test_rejects_nonpositive_parts(self, word_db, pair_plan):
+        plan = partition_step(pair_plan, 4, word_db)
         bad = dataclasses.replace(
             plan, partition=Partition(column=plan.partition.column, parts=0)
         )
         report = check_physical_plan(bad)
         assert "ir-partition-parts" in {d.code for d in report.errors}
 
-    def test_rejects_non_group_key_column(self, pair_plan):
-        plan = partition_step(pair_plan, 4)
+    def test_rejects_non_group_key_column(self, word_db, pair_plan):
+        plan = partition_step(pair_plan, 4, word_db)
         bad = dataclasses.replace(
             plan, partition=Partition(column="NotAKey", parts=4)
         )
         report = check_physical_plan(bad)
         assert "ir-partition-column" in {d.code for d in report.errors}
 
-    def test_rejects_merge_schema_mismatch(self, pair_plan):
-        plan = partition_step(pair_plan, 4)
+    def test_rejects_merge_schema_mismatch(self, word_db, pair_plan):
+        plan = partition_step(pair_plan, 4, word_db)
         bad = dataclasses.replace(plan, merge=Merge(columns=("wrong",)))
         report = check_physical_plan(bad)
         assert "ir-merge-columns" in {d.code for d in report.errors}
 
-    def test_partition_step_verifies_under_ambient_switch(self, pair_plan):
+    def test_partition_step_verifies_under_ambient_switch(
+        self, word_db, pair_plan
+    ):
         """partition_step itself schema-checks when verification is on
         (the autouse fixture arms it), so a malformed wrap cannot even
         be built."""
         group = dataclasses.replace(pair_plan.group, group_by=())
         headless = dataclasses.replace(pair_plan, group=group)
         with pytest.raises(PlanError):
-            partition_step(headless, 4, column="$1")
+            partition_step(headless, 4, word_db, column="$1")
 
 
 # ----------------------------------------------------------------------
-# SQL rendering of the partition predicate
-# ----------------------------------------------------------------------
-
-
-class TestPartitionSQL:
-    def test_predicate_in_where(self, word_db, pair_plan):
-        sql = render_step(
-            pair_plan, column_source(word_db, {}),
-            partition=("B", 8, 3),
-        )
-        assert "repro_partition(" in sql
-        assert "% 8 = 3" in sql
-
-    def test_unbound_column_is_a_plan_error(self, word_db, pair_plan):
-        with pytest.raises(PlanError):
-            render_step(
-                pair_plan, column_source(word_db, {}),
-                partition=("Nowhere", 8, 3),
-            )
-
-    def test_sqlite_partitions_union_to_serial(self, word_db, pair_flock):
-        from repro.flocks.sqlbackend import SQLiteBackend
-
-        with SQLiteBackend(word_db) as backend:
-            serial = backend.evaluate_flock(pair_flock)
-            parallel = ParallelExecutor(4, word_db)
-            merged = backend.evaluate_flock(pair_flock, parallel=parallel)
-        assert merged.tuples == serial.tuples
-        assert parallel.ran_parallel
-
-
-# ----------------------------------------------------------------------
-# The executor: modes, determinism, guards
+# The executor: selection rule, determinism, guards
 # ----------------------------------------------------------------------
 
 
 class TestParallelExecutor:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_bit_identical_to_serial(self, word_db, pair_plan, mode):
+    def test_bit_identical_to_serial(self, force_pool, word_db, pair_plan):
         expected, expected_answer = serial_result(word_db, pair_plan)
-        with ParallelExecutor(2, word_db, mode=mode) as executor:
+        with ParallelExecutor(2, word_db) as executor:
             outcome = executor.run_step(pair_plan)
-        assert outcome.mode == mode
+        assert outcome.mode == "process"
         assert outcome.answer_tuples == expected_answer
         assert outcome.result.tuples == expected.tuples
         # canonical merge: the column *arrays* match too
         assert outcome.result.columns_data() == expected.columns_data()
         assert sum(outcome.partition_sizes) == expected_answer
 
-    def test_aggregate_path_matches_group_filter(self, word_db, pair_plan):
+    def test_aggregate_path_matches_group_filter(
+        self, force_pool, word_db, pair_plan
+    ):
         engine = MemoryEngine(word_db)
         answer = engine.run_answer(pair_plan)
         expected = engine.run_group_filter(answer, pair_plan)
-        with ParallelExecutor(2, word_db, mode="thread") as executor:
+        with ParallelExecutor(2, word_db) as executor:
             outcome = executor.run_step(pair_plan, need_aggregates=True)
         assert outcome.passed is not None
         assert outcome.passed.columns == expected.columns
         assert outcome.passed.tuples == expected.tuples
 
-    def test_jobs_one_runs_serial(self, word_db, pair_plan):
+    def test_jobs_one_runs_serial(self, force_pool, word_db, pair_plan):
         with ParallelExecutor(1, word_db) as executor:
             outcome = executor.run_step(pair_plan)
         assert outcome.mode == "serial"
         assert not executor.ran_parallel
 
-    def test_auto_picks_thread_for_small_estimates(self, word_db, pair_plan):
-        assert step_cost_estimate(pair_plan) < 10**12
-        with ParallelExecutor(
-            2, word_db, mode="auto", process_threshold=10**12
-        ) as executor:
+    def test_small_step_opens_no_pool(self, word_db, pair_plan):
+        """Below the estimate threshold the step is left to the serial
+        runner: no worker process, no shared-memory segment."""
+        assert step_cost_estimate(pair_plan) < PROCESS_ESTIMATE_THRESHOLD
+        expected, _ = serial_result(word_db, pair_plan)
+        segments = set(glob.glob("/dev/shm/*"))
+        with ParallelExecutor(2, word_db) as executor:
             outcome = executor.run_step(pair_plan)
-        assert outcome.mode == "thread"
+            assert executor._pool is None and executor._shared is None
+            assert set(glob.glob("/dev/shm/*")) <= segments
+        assert outcome.mode == executor.last_mode == "serial"
+        assert not executor.ran_parallel
+        assert outcome.result.tuples == expected.tuples
 
-    def test_cancellation_aborts_the_wait_loop(self, word_db, pair_plan):
+    def test_cancellation_aborts_the_wait_loop(
+        self, force_pool, word_db, pair_plan
+    ):
         token = CancellationToken()
         token.cancel()
         guard = ResourceBudget(seconds=None).start(cancel=token)
-        with ParallelExecutor(
-            2, word_db, guard=guard, mode="thread"
-        ) as executor:
+        with ParallelExecutor(2, word_db, guard=guard) as executor:
             with pytest.raises(ExecutionCancelled):
                 executor.run_step(pair_plan)
 
-    def test_budget_propagates_into_process_workers(self, word_db, pair_plan):
+    def test_budget_propagates_into_process_workers(
+        self, force_pool, word_db, pair_plan
+    ):
         guard = ResourceBudget(max_intermediate_rows=5).start()
-        with ParallelExecutor(
-            2, word_db, guard=guard, mode="process"
-        ) as executor:
+        with ParallelExecutor(2, word_db, guard=guard) as executor:
             with pytest.raises(BudgetExceededError) as exc:
                 executor.run_step(pair_plan)
         assert exc.value.limit == "intermediate_rows"
@@ -408,29 +375,30 @@ def clean_faults():
 
 @pytest.mark.faults
 class TestWorkerDeath:
-    def test_thread_worker_kill_salvages_failed_partition(
-        self, clean_faults, word_db, pair_plan
+    def test_worker_fault_salvages_failed_partitions(
+        self, clean_faults, force_pool, word_db, pair_plan
     ):
-        """One killed morsel out of four: the healthy outputs are kept
-        and only the failed partition re-runs serially in the parent."""
+        """Some morsels fail (each forked worker trips the fault once):
+        the healthy outputs are kept and only the failed partitions
+        re-run serially in the parent."""
         expected, _ = serial_result(word_db, pair_plan)
-        with ParallelExecutor(2, word_db, mode="thread") as executor:
-            with faults.inject("parallel.worker", WorkerKill, times=1):
+        with ParallelExecutor(2, word_db) as executor:
+            with faults.inject("parallel.worker", RuntimeError, times=1):
                 outcome = executor.run_step(pair_plan)
-        assert outcome.mode == "thread"
+        assert outcome.mode == "process"
         assert outcome.result.tuples == expected.tuples
         assert executor.downgrades
         assert "re-ran serially" in executor.downgrades[0]
-        assert "1 of" in executor.downgrades[0]
+        assert "of 4 partition(s)" in executor.downgrades[0]
 
-    def test_thread_worker_kill_all_degrades_to_serial(
-        self, clean_faults, word_db, pair_plan
+    def test_every_morsel_failing_degrades_to_serial(
+        self, clean_faults, force_pool, word_db, pair_plan
     ):
-        """Every morsel killed: nothing to salvage around, so the whole
+        """Every morsel fails: nothing to salvage around, so the whole
         step takes the full-serial rung."""
         expected, _ = serial_result(word_db, pair_plan)
-        with ParallelExecutor(2, word_db, mode="thread") as executor:
-            with faults.inject("parallel.worker", WorkerKill):
+        with ParallelExecutor(2, word_db) as executor:
+            with faults.inject("parallel.worker", RuntimeError):
                 outcome = executor.run_step(pair_plan)
         assert outcome.mode == "serial"
         assert outcome.result.tuples == expected.tuples
@@ -438,13 +406,13 @@ class TestWorkerDeath:
         assert "re-ran serially" in executor.downgrades[0]
 
     def test_process_worker_death_breaks_pool_then_degrades(
-        self, clean_faults, word_db, pair_plan
+        self, clean_faults, force_pool, word_db, pair_plan
     ):
         """WorkerKill in a pool process is a real ``os._exit`` — the
         parent sees BrokenProcessPool, rebuilds later, and the step
         re-runs serially with the downgrade recorded."""
         expected, _ = serial_result(word_db, pair_plan)
-        with ParallelExecutor(2, word_db, mode="process") as executor:
+        with ParallelExecutor(2, word_db) as executor:
             with faults.inject("parallel.worker", WorkerKill):
                 outcome = executor.run_step(pair_plan)
             assert outcome.mode == "serial"
@@ -460,7 +428,7 @@ class TestWorkerDeath:
         assert healed.result.tuples == expected.tuples
 
     def test_mine_records_parallelism_downgrade(
-        self, clean_faults, word_db, pair_flock
+        self, clean_faults, force_pool, word_db, pair_flock
     ):
         serial, _ = mine(
             word_db, pair_flock, strategy="naive", parallelism=1
@@ -474,22 +442,6 @@ class TestWorkerDeath:
         assert "parallelism" in kinds
         assert report.parallelism_requested == 2
 
-    def test_sqlite_worker_failure_degrades(
-        self, clean_faults, word_db, pair_flock
-    ):
-        from repro.flocks.sqlbackend import SQLiteBackend
-
-        with SQLiteBackend(word_db) as backend:
-            serial = backend.evaluate_flock(pair_flock)
-            parallel = ParallelExecutor(2, word_db)
-            with faults.inject("parallel.worker", WorkerKill, times=1):
-                merged = backend.evaluate_flock(
-                    pair_flock, parallel=parallel
-                )
-        assert merged.tuples == serial.tuples
-        assert parallel.downgrades
-        assert "SQL worker failure" in parallel.downgrades[0]
-
 
 # ----------------------------------------------------------------------
 # The hung-worker watchdog: overdue morsels are cancelled, not waited on
@@ -499,34 +451,31 @@ class TestWorkerDeath:
 @pytest.mark.faults
 class TestWatchdog:
     def test_hung_morsel_is_cancelled_and_salvaged(
-        self, clean_faults, word_db, pair_plan
+        self, clean_faults, force_pool, word_db, pair_plan
     ):
-        """One morsel stalls far past the allowance: the watchdog
-        cancels it, the healthy outputs are kept, and the stalled
-        partition re-runs serially in the parent — bit-identical."""
+        """Each forked worker finishes its first morsel and stalls far
+        past the allowance on its second: the watchdog cancels the
+        stalled ones, the healthy outputs are kept, and the stalled
+        partitions re-run serially in the parent — bit-identical."""
         expected, _ = serial_result(word_db, pair_plan)
-        with ParallelExecutor(
-            2, word_db, mode="thread", watchdog=0.3
-        ) as executor:
+        with ParallelExecutor(2, word_db, watchdog=0.5) as executor:
             with faults.inject(
-                "parallel.hang", lambda: faults.Hang(2.0), times=1
+                "parallel.hang", lambda: faults.Hang(2.0), skip=1, times=1
             ):
                 outcome = executor.run_step(pair_plan)
-        assert outcome.mode == "thread"
+        assert outcome.mode == "process"
         assert outcome.result.tuples == expected.tuples
         assert executor.watchdog_events
         assert "overdue" in executor.watchdog_events[0]
         assert "re-run serially" in executor.watchdog_events[0]
 
     def test_all_morsels_hung_degrades_to_serial(
-        self, clean_faults, word_db, pair_plan
+        self, clean_faults, force_pool, word_db, pair_plan
     ):
         """Every morsel stalled: nothing to salvage around, so the
         whole step re-runs serially (the full-serial rung)."""
         expected, _ = serial_result(word_db, pair_plan)
-        with ParallelExecutor(
-            2, word_db, mode="thread", watchdog=0.2
-        ) as executor:
+        with ParallelExecutor(2, word_db, watchdog=0.2) as executor:
             with faults.inject("parallel.hang", lambda: faults.Hang(2.0)):
                 outcome = executor.run_step(pair_plan)
         assert outcome.mode == "serial"
@@ -536,20 +485,18 @@ class TestWatchdog:
     def test_no_watchdog_without_deadline(self, word_db, pair_plan):
         """No guard deadline and no explicit allowance: morsels may run
         arbitrarily long; the collection loop must not impose one."""
-        with ParallelExecutor(2, word_db, mode="thread") as executor:
+        with ParallelExecutor(2, word_db) as executor:
             assert executor._morsel_deadline() is None
 
     def test_guard_budget_derives_allowance(self, word_db, pair_plan):
         guard = ResourceBudget(seconds=10.0).start()
-        with ParallelExecutor(
-            2, word_db, mode="thread", guard=guard
-        ) as executor:
+        with ParallelExecutor(2, word_db, guard=guard) as executor:
             allowance = executor._morsel_deadline()
         assert allowance is not None
         assert 0 < allowance <= 5.0  # half the remaining budget
 
     def test_mine_surfaces_watchdog_downgrade(
-        self, clean_faults, word_db, pair_flock
+        self, clean_faults, force_pool, word_db, pair_flock
     ):
         """End to end: a stalled morsel inside mine() is detected from
         the guard-derived allowance, salvaged serially, and reported as
@@ -558,7 +505,7 @@ class TestWatchdog:
             word_db, pair_flock, strategy="naive", parallelism=1
         )
         with faults.inject(
-            "parallel.hang", lambda: faults.Hang(4.0), times=1
+            "parallel.hang", lambda: faults.Hang(4.0), skip=1, times=1
         ):
             relation, report = mine(
                 word_db, pair_flock, strategy="naive", parallelism=2,
@@ -600,7 +547,35 @@ class TestMineParallel:
         assert relation.tuples == expected.tuples
         assert report.parallelism_requested == 3
 
-    def test_report_mentions_parallelism(self, word_db, pair_flock):
+    @pytest.mark.parametrize("strategy", EXPLICIT_STRATEGIES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_only_in_memory_plan_steps_use_the_pool(
+        self, force_pool, word_db, pair_flock, strategy, backend
+    ):
+        """With the pool forced onto every partitionable step, the
+        static in-memory plans use it; the dynamic strategy and the
+        SQLite backend honour ``parallelism=`` the way a small step
+        does — the run is serial and nothing is downgraded."""
+        serial, _ = mine(
+            word_db, pair_flock, strategy=strategy, backend=backend,
+            parallelism=1,
+        )
+        relation, report = mine(
+            word_db, pair_flock, strategy=strategy, backend=backend,
+            parallelism=2,
+        )
+        assert relation == serial
+        assert report.parallelism_requested == 2
+        pooled = backend == "memory" and strategy != "dynamic"
+        assert report.parallelism_used == (2 if pooled else 1)
+        assert not [
+            d for d in report.downgrades
+            if d.kind in ("parallelism", "watchdog")
+        ]
+
+    def test_report_mentions_parallelism(
+        self, force_pool, word_db, pair_flock
+    ):
         _, report = mine(
             word_db, pair_flock, strategy="naive", parallelism=2
         )

@@ -20,7 +20,6 @@ from repro import (
 )
 from repro.datalog import Parameter, atom, comparison, rule
 from repro.datalog.subqueries import safe_subqueries_with_parameters
-from repro.engine.parallel import ParallelExecutor
 from repro.flocks import (
     QueryFlock,
     SQLiteBackend,
@@ -120,9 +119,9 @@ class TestPartialTrace:
 
 
 class TestSQLiteLeavesNoStepTables:
-    """After a guard abort or a backend fault mid-plan — serial or
-    partitioned — the catalog holds the base tables only, and the same
-    backend object answers the next plan correctly."""
+    """After a guard abort or a backend fault mid-plan the catalog holds
+    the base tables only, and the same backend object answers the next
+    plan correctly."""
 
     @staticmethod
     def leaked(backend, db):
@@ -133,12 +132,7 @@ class TestSQLiteLeavesNoStepTables:
         }
         return tables - set(db.names())
 
-    @staticmethod
-    def executor(jobs, db):
-        return ParallelExecutor(jobs, db) if jobs > 1 else None
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_after_budget_abort(self, wide_db, pair_flock, jobs):
+    def test_after_budget_abort(self, wide_db, pair_flock):
         plan = two_step_plan(pair_flock)
         expected = execute_plan(wide_db, pair_flock, plan).relation
         with SQLiteBackend(wide_db) as backend:
@@ -146,40 +140,29 @@ class TestSQLiteLeavesNoStepTables:
                 backend.execute_plan(
                     pair_flock, plan,
                     guard=ResourceBudget(max_intermediate_rows=50),
-                    parallel=self.executor(jobs, wide_db),
                 )
             assert [s.name for s in exc.value.trace.steps if s.filtered] == [
                 "ok0", "ok1",
             ]
             assert self.leaked(backend, wide_db) == set()
-            again = backend.execute_plan(
-                pair_flock, plan, parallel=self.executor(jobs, wide_db)
-            )
+            again = backend.execute_plan(pair_flock, plan)
         assert again == expected
 
     @pytest.mark.faults
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_after_fault_mid_plan(self, wide_db, pair_flock, jobs):
+    def test_after_fault_mid_plan(self, wide_db, pair_flock):
         plan = two_step_plan(pair_flock)
         expected = execute_plan(wide_db, pair_flock, plan).relation
         broken = sqlite3.OperationalError("disk I/O error")
         with SQLiteBackend(wide_db) as backend:
             # Count the plan's statements, then fail from the last step on.
             with inject("sqlite.execute", broken, skip=10**9) as counted:
-                backend.execute_plan(
-                    pair_flock, plan, parallel=self.executor(jobs, wide_db)
-                )
+                backend.execute_plan(pair_flock, plan)
             assert self.leaked(backend, wide_db) == set()
             with inject("sqlite.execute", broken, skip=counted.hits - 2):
                 with pytest.raises(EvaluationError, match="disk I/O"):
-                    backend.execute_plan(
-                        pair_flock, plan,
-                        parallel=self.executor(jobs, wide_db),
-                    )
+                    backend.execute_plan(pair_flock, plan)
             assert self.leaked(backend, wide_db) == set()
-            again = backend.execute_plan(
-                pair_flock, plan, parallel=self.executor(jobs, wide_db)
-            )
+            again = backend.execute_plan(pair_flock, plan)
         assert again == expected
 
 

@@ -152,6 +152,25 @@ class TestOptimizerKnobs:
             if obs.bound is not None:
                 assert obs.bound >= obs.actual
 
+    def test_observability_survives_jobs(self, pruning_db, pruning_flock):
+        """Steps ``--jobs`` leaves serial run on the executor loop's own
+        runner: when nothing was partitioned, the report carries the
+        serial run's stage rows and pruned-row count."""
+        _, serial = mine(
+            pruning_db, pruning_flock,
+            strategy="stats", join_order="ues", parallelism=1,
+        )
+        _, jobs = mine(
+            pruning_db, pruning_flock,
+            strategy="stats", join_order="ues", parallelism=2,
+        )
+        assert jobs.parallelism_used == 1
+        assert jobs.stage_rows == serial.stage_rows != ()
+        assert (
+            jobs.runtime_filter_rows_pruned
+            == serial.runtime_filter_rows_pruned > 0
+        )
+
     def test_report_str_mentions_pruning(self, pruning_db, pruning_flock):
         _, report = mine(
             pruning_db, pruning_flock,

@@ -31,7 +31,7 @@ from repro.testing.chaos import (
 N_SEEDS = int(os.environ.get("REPRO_CHAOS_SEEDS", "25"))
 
 #: Sites exercised by a serial in-memory mine() call.  The worker/hang
-#: sites only fire under parallelism and are covered separately below —
+#: sites only fire inside pool workers and are covered separately below —
 #: arming them here would silently test nothing.
 SERIAL_SITES = [
     "relational.join",
@@ -111,10 +111,11 @@ class TestChaosProperty:
 
     @pytest.mark.parametrize("seed", range(0, N_SEEDS, 5))
     def test_never_silent_partial_parallel(
-        self, chaos_db, chaos_flock, baseline, seed
+        self, force_pool, chaos_db, chaos_flock, baseline, seed
     ):
-        """Two-job parallel execution under worker kills and transient
-        faults — the salvage and full-serial rungs."""
+        """Two-job process-pool execution (forced onto this tiny input)
+        under worker kills and transient faults — the salvage and
+        full-serial rungs."""
         schedule = chaos_schedule(seed, sites=PARALLEL_SITES, max_sites=2)
         verdict = run_under_chaos(
             chaos_db, chaos_flock, schedule, baseline,

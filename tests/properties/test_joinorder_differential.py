@@ -112,7 +112,7 @@ def test_ues_defaults_runtime_filters_on(r, threshold):
 
 @pytest.mark.parametrize("join_order", JOIN_ORDERS)
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_parallel_workers_agree(join_order, jobs):
+def test_parallel_workers_agree(force_pool, join_order, jobs):
     """The process-parallel path (explicit ``parallelism=2``) with
     runtime filters matches the serial greedy baseline exactly."""
     db = make_db(

@@ -8,11 +8,14 @@ pipeline at jobs in {1, 2, 4} and compares against the serial run.
 
 Partitioning on tiny inputs exercises the edge cases that a benchmark
 workload never hits: empty partitions, single-group relations, steps
-whose partition column disappears after projection.
+whose partition column disappears after projection.  The executor
+leaves inputs this small serial, so every test takes ``force_pool``
+(tests/conftest.py) to push them through the process pool; on the
+SQLite backend jobs is a no-op and the equality must hold trivially.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datalog import atom, comparison, negated, rule
 from repro.engine import ParallelExecutor
@@ -29,6 +32,10 @@ r_rows = st.sets(st.tuples(values, values), max_size=20)
 s_rows = st.sets(st.tuples(values, values), max_size=12)
 bad_rows = st.sets(st.tuples(values), max_size=4)
 thresholds = st.integers(min_value=1, max_value=4)
+
+#: ``force_pool`` is function-scoped but sets the same constant for
+#: every example, so sharing it across examples is harmless.
+SHARED_FIXTURE = [HealthCheck.function_scoped_fixture]
 
 
 def make_db(r, s, bad):
@@ -72,9 +79,9 @@ FLOCK_MAKERS = [pair_flock, join_flock, negation_flock]
 @pytest.mark.parametrize("join_order", ["greedy", "selinger"])
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @given(r=r_rows, s=s_rows, bad=bad_rows, threshold=thresholds)
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, suppress_health_check=SHARED_FIXTURE)
 def test_mine_identical_across_worker_counts(
-    jobs, join_order, backend, r, s, bad, threshold
+    force_pool, jobs, join_order, backend, r, s, bad, threshold
 ):
     db = make_db(r, s, bad)
     flock = pair_flock(threshold)
@@ -94,8 +101,10 @@ def test_mine_identical_across_worker_counts(
 
 @pytest.mark.parametrize("make_flock", FLOCK_MAKERS)
 @given(r=r_rows, s=s_rows, bad=bad_rows, threshold=thresholds)
-@settings(max_examples=15, deadline=None)
-def test_step_output_bit_identical(make_flock, r, s, bad, threshold):
+@settings(max_examples=15, deadline=None, suppress_health_check=SHARED_FIXTURE)
+def test_step_output_bit_identical(
+    force_pool, make_flock, r, s, bad, threshold
+):
     """The executor level: merged survivor *arrays* equal serial ones
     (not just the row sets) — the canonical-merge contract."""
     db = make_db(r, s, bad)
@@ -108,10 +117,11 @@ def test_step_output_bit_identical(make_flock, r, s, bad, threshold):
     expected = engine.run_survivors(answer, plan)
     expected_passed = engine.run_group_filter(answer, plan)
 
-    with ParallelExecutor(2, db, mode="thread") as executor:
+    with ParallelExecutor(2, db) as executor:
         outcome = executor.run_step(plan)
         with_aggs = executor.run_step(plan, need_aggregates=True)
 
+    assert outcome.mode == "process"
     assert outcome.result.columns == expected.columns
     assert outcome.result.columns_data() == expected.columns_data()
     assert outcome.answer_tuples == len(answer)
@@ -120,8 +130,10 @@ def test_step_output_bit_identical(make_flock, r, s, bad, threshold):
 
 @pytest.mark.parametrize("strategy", ["optimized", "dynamic", "stats"])
 @given(r=r_rows, threshold=thresholds)
-@settings(max_examples=8, deadline=None)
-def test_strategies_agree_under_parallelism(strategy, r, threshold):
+@settings(max_examples=8, deadline=None, suppress_health_check=SHARED_FIXTURE)
+def test_strategies_agree_under_parallelism(
+    force_pool, strategy, r, threshold
+):
     db = make_db(r, set(), set())
     flock = pair_flock(threshold)
     serial, _ = mine(db, flock, strategy=strategy, parallelism=1)

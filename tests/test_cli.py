@@ -76,7 +76,7 @@ class TestRun:
         main(["run", str(flock_file), str(data_dir), "--strategy", "naive"])
         assert capsys.readouterr().err == ""
 
-    def test_jobs_matches_serial(self, workspace, capsys):
+    def test_jobs_matches_serial(self, force_pool, workspace, capsys):
         flock_file, data_dir = workspace
         outputs = []
         for jobs in ("1", "2"):
@@ -92,7 +92,7 @@ class TestRun:
             outputs.append(rows)
         assert outputs[0] == outputs[1]
 
-    def test_jobs_reported_in_trace(self, workspace, capsys):
+    def test_jobs_reported_in_trace(self, force_pool, workspace, capsys):
         flock_file, data_dir = workspace
         code = main(["run", str(flock_file), str(data_dir),
                      "--strategy", "naive", "--jobs", "2", "--verbose"])
