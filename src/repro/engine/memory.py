@@ -2,9 +2,10 @@
 
 Executes a :class:`~repro.engine.ir.PhysicalPlan` stage by stage —
 batch-at-a-time columnar hash joins, comparison filters and anti-joins —
-with the guard checkpoint, trace row and fault-injection trip point for
-each stage emitted in exactly one place.  Binding relations are cached
-per engine instance, so a union's branches (or a dynamic re-plan) never
+with one trace row and observation per stage; the last stage of a
+support step is counted per group, never materialised
+(:meth:`MemoryEngine.count_join`).  Binding relations are cached per
+engine instance, so a union's branches (or a dynamic re-plan) never
 rebuild the same scan twice.
 """
 
@@ -14,17 +15,21 @@ rebuild the same scan twice.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from itertools import compress, repeat
+from operator import not_
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..datalog.atoms import RelationalAtom
-from ..datalog.terms import is_bindable
+from ..datalog.terms import Constant, Term, is_bindable
 from ..guard import ExecutionGuard, GuardLike, as_guard
-from ..relational.aggregates import group_aggregate
+from ..relational.aggregates import (
+    count_groups,
+    group_aggregate,
+    survivor_relations,
+)
 from ..relational.binding import (
     apply_comparison,
     atom_binding_relation,
@@ -32,7 +37,14 @@ from ..relational.binding import (
     unit_relation,
 )
 from ..relational.catalog import Database
-from ..relational.operators import anti_join, natural_join
+from ..relational.dictionary import ValueDictionary
+from ..relational.operators import (
+    anti_join,
+    join_indexes,
+    key_reader,
+    natural_join,
+    shared_dictionary,
+)
 from ..relational.relation import Relation
 from ..testing.faults import trip
 from .ir import (
@@ -53,10 +65,10 @@ class StepResult:
 
     ``result`` is the materialized survivor relation; ``passed`` keeps
     the surviving groups *with* their aggregate columns (what the
-    session cache stores) and is only computed when the caller asked
-    for aggregates — otherwise survivorship is early-exit-counted;
-    ``answer_tuples`` is the size of the unioned rule result.  ``mode``
-    and ``partition_sizes`` say how a partitioned runner executed it.
+    session cache stores) and is ``None`` unless the caller asked for
+    aggregates; ``answer_tuples`` is the size of the unioned rule result
+    (counted, not materialised, for a support step).  ``mode`` and
+    ``partition_sizes`` say how a partitioned runner executed it.
     """
 
     result: Relation
@@ -239,12 +251,135 @@ class MemoryEngine:
             current = self.apply_filter(current, op)
             if self.guard is not None:
                 self.guard.checkpoint(rows=len(current), node=stage.node)
+        self._observe(stage, before, len(current), started)
+        return current
+
+    def count_join(
+        self,
+        current: Relation | None,
+        stage: JoinStage,
+        leaf: Relation | None,
+        group_by: Sequence[str],
+        target: Sequence[str],
+        semi_joins: Sequence[JoinStage] = (),
+    ) -> tuple[Counter, int, ValueDictionary | None]:
+        """:meth:`run_stage` for the last stage of a support step,
+        counted instead of materialised: ``(COUNT of distinct target
+        sub-tuples per group key, output rows, dictionary)``.
+
+        The hash join yields its index pairs only; each attached
+        comparison decodes its columns once per side into a keep-mask,
+        each anti-join is a key-membership mask, and the surviving
+        rows' group keys go straight into one Counter (see
+        :func:`~repro.relational.aggregates.count_groups`) — no joined
+        relation is built.  ``semi_joins`` are trailing stages that
+        bind no new column (a static plan's ok-atoms): each is one more
+        membership mask.  Keys are codes under the returned shared
+        dictionary, else values.  Trace rows, observations (``actual``
+        = output rows) and checkpoints are :meth:`run_stage`'s.
+        """
+        trip(self.trip_site)
+        started = time.perf_counter()
+        before = len(current) if current is not None else 0
+        left = current if current is not None else unit_relation()
+        right = self._filtered_scan(stage, leaf)
+        # A columnless left side (the unit relation) has no codes to
+        # disagree with: read the scan in place, in its code space.
+        dictionary = (
+            shared_dictionary(left, right) if left.columns else right.dictionary
+        )
+        left_idx, right_idx = join_indexes(left, right, dictionary is not None)
+
+        def gathered(column: str, decode: bool = False) -> Iterator:
+            """One output column, read through the surviving pairs."""
+            rel, idx = (
+                (left, left_idx) if column in left.columns
+                else (right, right_idx)
+            )
+            data = (
+                rel.code_columns() if dictionary is not None
+                else rel.columns_data()
+            )[rel.column_position(column)]
+            if decode and dictionary is not None:
+                data = dictionary.decode_column(data)
+            if isinstance(idx, range):
+                return iter(data)
+            return map(data.__getitem__, idx)
+
+        def keep(mask: Iterable[bool]) -> None:
+            nonlocal left_idx, right_idx
+            selected = list(mask)
+            left_idx = list(compress(left_idx, selected))
+            right_idx = list(compress(right_idx, selected))
+
+        for op in stage.filters:
+            keep(self._filter_mask(op, gathered, len(left_idx), dictionary))
+            if self.guard is not None:
+                self.guard.checkpoint(rows=len(left_idx), node=stage.node)
+        self._observe(stage, before, len(left_idx), started)
+        for semi in semi_joins:
+            trip(self.trip_site)
+            started, before = time.perf_counter(), len(left_idx)
+            scan = self._filtered_scan(semi, None)
+            keep(self._members(scan, gathered, dictionary))
+            self._observe(semi, before, len(left_idx), started)
+        rows = len(left_idx)
+        counts = count_groups(
+            gathered, group_by, target, left.columns + right.columns, rows
+        )
+        return counts, rows, dictionary
+
+    def _filter_mask(
+        self,
+        op: CompareFilter | AntiJoin,
+        gathered: Callable[..., Iterator],
+        rows: int,
+        dictionary: ValueDictionary | None,
+    ) -> Iterator[bool]:
+        """One attached filter as a keep-mask over :meth:`count_join`'s
+        output rows (``gathered(column, decode)`` reads one column)."""
+        if isinstance(op, CompareFilter):
+            comp = op.comparison
+
+            def operand(term: Term) -> Iterator:
+                # Ordered comparisons need real values: codes are
+                # equality-faithful, not order-faithful.
+                if isinstance(term, Constant):
+                    return repeat(term.value, rows)
+                return gathered(term_column(term), True)
+
+            return map(comp.op.fn, operand(comp.left), operand(comp.right))
+        neg_rel = self.scan_atom(op.atom.with_positive_polarity())
+        if not op.atom.bindable_terms():
+            # Ground negation: NOT p(c1,...,ck) keeps nothing iff the
+            # selected relation is nonempty.
+            return repeat(not len(neg_rel), rows)
+        return map(not_, self._members(neg_rel, gathered, dictionary))
+
+    @staticmethod
+    def _members(
+        rel: Relation,
+        gathered: Callable[..., Iterator],
+        dictionary: ValueDictionary | None,
+    ) -> Iterator[bool]:
+        """Whether each output row, read on ``rel``'s columns, is a row
+        of ``rel`` (in code space when both share ``dictionary``)."""
+        in_codes = dictionary is not None and rel.dictionary is dictionary
+        rows = set(key_reader(rel, rel.columns, in_codes))
+        cols = [gathered(c, not in_codes) for c in rel.columns]
+        return map(rows.__contains__, cols[0] if len(cols) == 1 else zip(*cols))
+
+    def _observe(
+        self, stage: JoinStage, before: int, actual: int, started: float
+    ) -> None:
+        """A finished stage's duties: its estimate/bound/actual
+        observation, the guard's trace row, and a checkpoint."""
         self.stage_log.append(
             StageObservation(
                 node=stage.node,
                 estimated=stage.estimate,
                 bound=stage.bound,
-                actual=len(current),
+                actual=actual,
             )
         )
         if self.guard is not None:
@@ -252,12 +387,11 @@ class MemoryEngine:
                 name=stage.node,
                 description=str(stage.scan.atom),
                 input_tuples=before,
-                output_assignments=len(current),
+                output_assignments=actual,
                 seconds=time.perf_counter() - started,
                 filtered=False,
             )
-            self.guard.checkpoint(rows=len(current), node=stage.node)
-        return current
+            self.guard.checkpoint(rows=actual, node=stage.node)
 
     def run_plan(self, plan: PhysicalPlan) -> Relation:
         """Execute one rule plan end to end, including materialization."""
@@ -395,163 +529,26 @@ class MemoryEngine:
 
     @staticmethod
     def _threshold_keep(grouped: Relation, conditions) -> list[int]:
-        """Row indexes of ``grouped`` passing every threshold conjunct.
-
-        Vectorized: on an encoded relation each condition is evaluated
-        once per *distinct* aggregate code (the passing-code set), then
-        rows are kept by integer set membership; on a plain relation the
-        condition's batch evaluator scans the value column directly.
-        Either way no per-row ``passes()`` method call remains.
-        """
-        keep: list[int] | None = None
-        dictionary = grouped.dictionary if grouped.is_encoded else None
+        """Row indexes of ``grouped`` passing every threshold conjunct:
+        each condition's batch evaluator scans its aggregate column
+        (only that column of an encoded relation is decoded), so no
+        per-row ``passes()`` method call remains."""
+        keep = list(range(len(grouped)))
         for cond, column in conditions:
             pos = grouped.column_position(column)
-            if dictionary is not None:
-                col = grouped.code_columns()[pos]
-                values = dictionary.values
-                passes = cond.passes
-                passing = {c for c in set(col) if passes(values[c])}
-                if keep is None:
-                    keep = [i for i, c in enumerate(col) if c in passing]
-                else:
-                    keep = [i for i in keep if col[i] in passing]
+            values: Sequence
+            if grouped.dictionary is not None:
+                values = grouped.dictionary.decode_column(
+                    grouped.code_columns()[pos]
+                )
             else:
-                col = grouped.columns_data()[pos]
-                if keep is None:
-                    keep = cond.passing_indexes(col)
-                else:
-                    passes = cond.passes
-                    keep = [i for i in keep if passes(col[i])]
-        if keep is None:
-            keep = list(range(len(grouped)))
+                values = grouped.columns_data()[pos]
+            passing = set(cond.passing_indexes(values))
+            keep = [i for i in keep if i in passing]
         return keep
 
     def run_group_filter(self, answer: Relation, step: StepPlan) -> Relation:
         return self.group_filter(
-            answer,
-            step.group.group_by,
-            step.group.aggregates,
-            step.threshold.conditions,
-            name=step.root.name,
-        )
-
-    @staticmethod
-    def _early_exit_cap(conditions: Sequence[tuple]) -> int | None:
-        """The distinct-count bound at which a group's survival is
-        decided, when early-exit counting applies: exactly one
-        threshold conjunct, of support shape (``COUNT >= k`` /
-        ``COUNT > k``).  ``None`` means exact aggregates are needed."""
-        if len(conditions) != 1:
-            return None
-        condition, _column = conditions[0]
-        if not getattr(condition, "is_support_condition", False):
-            return None
-        cap = max(1, math.floor(float(condition.threshold)))
-        while not condition.passes(cap):
-            cap += 1
-        return cap
-
-    def survivor_filter(
-        self,
-        answer: Relation,
-        group_by: Sequence[str],
-        aggregates: Sequence,
-        conditions: Sequence[tuple],
-        name: str = "ok",
-    ) -> Relation:
-        """The surviving group keys only — no aggregate value columns.
-
-        For the common support filter (a single ``COUNT >= k``
-        conjunct) this counts with early exit: a group stops counting —
-        and stops accumulating its distinct-target set — the moment it
-        reaches the bound, since only survivorship is needed.  Other
-        filters fall back to :meth:`group_filter` plus a projection.
-
-        Rows come out canonically sorted, like :meth:`project_unique`.
-        """
-        cap = self._early_exit_cap(conditions)
-        if cap is None:
-            passed = self.group_filter(
-                answer, group_by, aggregates, conditions, name=name
-            )
-            return self.project_unique(passed, list(group_by), name)
-        spec = aggregates[0]
-        dictionary = answer.dictionary if answer.is_encoded else None
-        cols: Sequence[Sequence] = (
-            answer.code_columns() if dictionary is not None
-            else answer.columns_data()
-        )
-        key_positions = [answer.column_position(c) for c in group_by]
-        target_positions = [answer.column_position(c) for c in spec.target]
-        key_arrays = [cols[p] for p in key_positions]
-        group_set = set(group_by)
-        covers_members = set(spec.target) == {
-            c for c in answer.columns if c not in group_set
-        }
-
-        # Counting runs entirely in C: rows are distinct (set
-        # semantics), so when the COUNT target covers every non-group
-        # column the distinct-target count per group is simply the
-        # group's row count — one Counter over the key columns.  For a
-        # strict subset target, distinct (key, target) pairs collapse
-        # through a set first, then the keys are counted.
-        nk = len(key_positions)
-        counts: Counter
-        if nk == 0:
-            # No parameters: the whole answer is one group.
-            if covers_members:
-                total = len(answer)
-            else:
-                total = len(set(zip(*(cols[p] for p in target_positions))))
-            counts = Counter({(): total} if total else {})
-        elif covers_members:
-            if nk == 1:
-                counts = Counter(key_arrays[0])
-            else:
-                counts = Counter(zip(*key_arrays))
-        else:
-            target_arrays = [cols[p] for p in target_positions]
-            pairs = set(zip(*key_arrays, *target_arrays))
-            picker = (
-                itemgetter(0) if nk == 1 else itemgetter(slice(0, nk))
-            )
-            counts = Counter(map(picker, pairs))
-
-        survivor_keys = [key for key, c in counts.items() if c >= cap]
-        coded_rows = (
-            [(key,) for key in survivor_keys] if nk == 1 else survivor_keys
-        )
-        if dictionary is not None:
-            # Canonical order sorts by the *decoded* repr (identical to
-            # the legacy path); only survivors pay the decode.
-            values = dictionary.values
-            coded_rows.sort(
-                key=lambda row: repr(tuple(values[c] for c in row))
-            )
-            arrays = (
-                [list(column) for column in zip(*coded_rows)]
-                if coded_rows
-                else [[] for _ in group_by]
-            )
-            return Relation.from_encoded(
-                name, tuple(group_by), arrays, dictionary,
-                count=len(coded_rows),
-            )
-        rows = sorted(coded_rows, key=repr)
-        arrays = (
-            [list(column) for column in zip(*rows)]
-            if rows
-            else [[] for _ in group_by]
-        )
-        return Relation.from_columns(
-            name, tuple(group_by), arrays, count=len(rows)
-        )
-
-    def run_survivors(self, answer: Relation, step: StepPlan) -> Relation:
-        """Survivors of one step when only the ok-relation is needed
-        (no session sink wants the aggregate values)."""
-        return self.survivor_filter(
             answer,
             step.group.group_by,
             step.group.aggregates,
@@ -588,17 +585,99 @@ class MemoryEngine:
         self, step: StepPlan, need_aggregates: bool = False
     ) -> StepResult:
         """Execute one FILTER step end to end — the serial step body
-        every in-memory path shares."""
+        every in-memory path shares.
+
+        A support step (:func:`support_shape`) runs its join stages but
+        counts the last one (:meth:`count_join`): its answer is never
+        materialised.  Any other step materialises the answer and groups
+        it.  ``passed`` (survivors with their ``_agg`` column) is built
+        only when ``need_aggregates``.
+        """
         self._verify_before_execution(step)
-        answer = self.run_answer(step)
+        shape = support_shape(step)
+        if shape is None:
+            answer = self.run_answer(step)
+            self._step_checkpoint(step, len(answer))
+            passed = self.run_group_filter(answer, step)
+            return StepResult(
+                self.finalize_step(passed, step),
+                passed if need_aggregates else None,
+                len(answer),
+            )
+        group_by, target, cap = shape
+        stages = step.branches[0].stages
+        counted = len(stages) - 1 - _semi_join_tail(stages)
+        current = unit_relation()
+        for stage in stages[:counted]:
+            current = self.run_stage(current, stage)
+        counts, _rows, dictionary = self.count_join(
+            current, stages[counted], None, group_by, target,
+            stages[counted + 1:],
+        )
+        answer_tuples = sum(counts.values())  # one per (key, target) pair
+        self._step_checkpoint(step, answer_tuples)
+        result, passed = survivor_relations(
+            counts, cap, step.root.columns, step.root.name, dictionary,
+            step.group.aggregates[0].column if need_aggregates else None,
+        )
+        return StepResult(result, passed, answer_tuples)
+
+    def _step_checkpoint(self, step: StepPlan, answer_tuples: int) -> None:
         if self.guard is not None:
             self.guard.checkpoint(
-                rows=len(answer), node=f"step:{step.result_name}"
+                rows=answer_tuples, node=f"step:{step.result_name}"
             )
-        if not need_aggregates:
-            return StepResult(self.run_survivors(answer, step), None, len(answer))
-        passed = self.run_group_filter(answer, step)
-        return StepResult(self.finalize_step(passed, step), passed, len(answer))
+
+
+def _semi_join_tail(stages: Sequence[JoinStage]) -> int:
+    """How many trailing stages bind no new column (a static plan's
+    ok-atoms): semi-joins the counting join applies as masks."""
+    n = 0
+    while n + 1 < len(stages):
+        stage, before = stages[-1 - n], stages[-2 - n]
+        columns = set(stage.scan.columns)
+        if not columns or stage.filters or not columns <= set(before.columns):
+            break
+        n += 1
+    return n
+
+
+def support_shape(
+    step: StepPlan,
+) -> tuple[list[str], list[str], int] | None:
+    """``(group columns, COUNT target columns, support cap)`` in the
+    last join stage's column names when the step is counted, else
+    ``None`` — a property of the lowered plan.
+
+    Counted: one rule branch with join stages, a threshold of one
+    support conjunct (``COUNT >= k`` / ``COUNT > k``), and a COUNT
+    target that is the whole answer tuple beyond the group key, so each
+    distinct (key, target) pair is one answer tuple.  Unions, other
+    filters and narrower targets materialise the answer.
+    """
+    conditions = step.threshold.conditions
+    if len(conditions) != 1 or len(step.branches) != 1:
+        return None
+    cap = getattr(conditions[0][0], "support_cap", None)
+    (branch,) = step.branches
+    column_of = {
+        label: term_column(term)
+        for label, term in zip(branch.root.columns, branch.root.output_terms)
+        if is_bindable(term)
+    }
+    if cap is None or not branch.stages or not all(
+        c in column_of for c in step.group.group_by
+    ):
+        return None
+    group_by = [column_of[c] for c in step.group.group_by]
+
+    def underlying(labels: Sequence[str]) -> set[str]:
+        return {column_of[c] for c in labels if c in column_of} - set(group_by)
+
+    target = underlying(step.group.aggregates[0].target)
+    if target != underlying(step.answer_columns):
+        return None
+    return group_by, sorted(target), cap
 
 
 class MemoryRunner:

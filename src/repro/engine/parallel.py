@@ -12,11 +12,11 @@ planner (System-R) answer-size estimate clears
 :data:`PROCESS_ESTIMATE_THRESHOLD` *and* has a partition column goes to
 a ``concurrent.futures`` **process pool** — real parallelism for the
 join/aggregate work that dominates large steps.  Every other step runs
-on the serial step runner (:attr:`ParallelExecutor.serial`; the
-executor loop installs its own, so observability accumulates in one
-place): below the threshold, fork startup, seeding and the merge cost
-more than the work itself, and every fan-out measured there was slower
-than serial (see docs/ARCHITECTURE.md).
+on the caller's serial step runner (the executor loop passes its own
+to :meth:`ParallelExecutor.run_step`, so observability accumulates in
+one place): below the threshold, fork startup, seeding and the merge
+cost more than the work itself, and every fan-out measured there was
+slower than serial (see docs/ARCHITECTURE.md).
 
 The pool is created lazily and reused across steps.  Workers are seeded
 through **shared memory** (:mod:`repro.engine.shm`): the parent
@@ -317,10 +317,6 @@ class ParallelExecutor:
         self.db = db
         self.guard = as_guard(guard)
         self.watchdog = watchdog
-        #: The step runner for every step this executor leaves serial.
-        #: The executor loop replaces it with its own runner, so a run's
-        #: stage observations accumulate in one place.
-        self.serial = MemoryRunner(self.guard)
         #: Reasons this executor fell back to serial execution (worker
         #: crashes); ``mine()`` turns them into MiningReport downgrades.
         self.downgrades: list[str] = []
@@ -367,16 +363,20 @@ class ParallelExecutor:
         step: StepPlan,
         db: Optional[Database] = None,
         need_aggregates: bool = False,
+        serial: Optional[MemoryRunner] = None,
     ) -> StepResult:
         """Execute one step plan: on the process pool when it is large
-        enough and has a partition column, else on :attr:`serial`.
+        enough and has a partition column, else on ``serial`` — the
+        caller's serial runner (a fresh one when not given).
 
         A step whose every morsel failed or hung also re-runs on
-        :attr:`serial`, recorded as a downgrade.  When only *some*
-        morsels fail or hang, just those partitions re-run serially in
-        the parent and the healthy outputs are kept.
+        ``serial``, recorded as a downgrade.  When only *some* morsels
+        fail or hang, just those partitions re-run serially in the
+        parent and the healthy outputs are kept.
         """
         db = db if db is not None else self.db
+        if serial is None:
+            serial = MemoryRunner(self.guard)
         plan = (
             partition_step(step, self.parts, db)
             if self.jobs > 1
@@ -384,7 +384,7 @@ class ParallelExecutor:
             else None
         )
         if plan is None:
-            return self.serial.run_step(step, db, need_aggregates)
+            return serial.run_step(step, db, need_aggregates)
         started = time.perf_counter()
         try:
             outcomes = self._run_process(plan, db, need_aggregates)
@@ -401,7 +401,7 @@ class ParallelExecutor:
                 f"worker failure ({detail}); step "
                 f"{step.result_name!r} re-ran serially"
             )
-            return self.serial.run_step(step, db, need_aggregates)
+            return serial.run_step(step, db, need_aggregates)
         self.ran_parallel = True
         self.last_mode = "process"
         return self._merge(

@@ -37,8 +37,9 @@ plan in the Fig. 9 style showing which joins and FILTERs actually ran.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..analysis.verification import plan_verification_enabled
 from ..errors import FilterError, PlanError
@@ -49,6 +50,7 @@ from ..engine.ir import CompareFilter, JoinStage, PhysicalPlan
 from ..engine.memory import MemoryEngine
 from ..engine.planner import complete_order, lower_rule
 from ..guard import GuardLike, as_guard
+from ..relational.aggregates import relation_group_counts, survivor_relations
 from ..relational.catalog import Database
 from ..relational.operators import semi_join
 from ..relational.relation import Relation
@@ -158,6 +160,9 @@ class DynamicEvaluator:
         self._param_cols = set(flock.parameter_columns)
         self._conditions = iter_conditions(flock.filter)
         self._decision_threshold = self._pick_decision_threshold()
+        #: Set for a one-conjunct support filter: then every FILTER
+        #: counts groups and the root is a counted join.
+        self._cap = flock.filter.support_cap
         self._engine = MemoryEngine(db, guard=guard, trip_site="dynamic.join")
 
     def _pick_decision_threshold(self) -> float:
@@ -169,9 +174,9 @@ class DynamicEvaluator:
                 return float(condition.threshold)
         return float(self._conditions[0].threshold)
 
-    def _condition_targets(self, relation: Relation):
-        """Per-condition target columns within ``relation``, or None
-        when some condition's target is not yet bound."""
+    def _condition_targets(self, columns: Sequence[str]):
+        """Per-condition target columns among ``columns``, or None when
+        some condition's target is not yet bound."""
         head_cols = [str(t) for t in self.rule.head_terms]
         resolved: dict = {}
         for condition in self._conditions:
@@ -179,7 +184,7 @@ class DynamicEvaluator:
                 targets = head_cols
             else:
                 targets = [condition.target]
-            if not all(c in relation.columns for c in targets):
+            if not all(c in columns for c in targets):
                 return None
             resolved[condition] = targets
         return resolved
@@ -228,7 +233,7 @@ class DynamicEvaluator:
         current: Relation | None = None
         temp_counter = 0
         position = 0
-        while position < len(plan.stages):
+        while True:
             stage = plan.stages[position]
             atom = stage.scan.atom
             leaf = self._engine.scan_atom(atom)
@@ -239,24 +244,25 @@ class DynamicEvaluator:
                 leaf, leaf_name, trace, best_ratio_per_set, force=False,
                 subquery_indices=(positive_body_idx[atom_idx],),
             )
-            was_joined = current is not None
             join_name = f"temp{temp_counter}"
+            if current is not None:
+                trace.plan_lines.append(
+                    f"{join_name}({', '.join(stage.columns)}) := "
+                    f"JOIN with {leaf_name}"
+                )
+            if position == len(plan.stages) - 1:
+                break
+            if current is not None:
+                temp_counter += 1
             current = self._engine.run_stage(
                 current, stage, leaf=leaf, join_name=join_name
             )
-            if was_joined:
-                temp_counter += 1
-                trace.plan_lines.append(
-                    f"{join_name}({', '.join(stage.join.columns)}) := "
-                    f"JOIN with {leaf_name}"
-                )
             absorbed.add(positive_body_idx[atom_idx])
             for op in stage.filters:
                 body_index = self._filter_body_index(op)
                 if body_index is not None:
                     absorbed.add(body_index)
-            is_root = position == len(plan.stages) - 1
-            if not is_root and current.name.startswith("temp"):
+            if current.name.startswith("temp"):
                 current = self._maybe_filter(
                     current,
                     current.name,
@@ -265,19 +271,17 @@ class DynamicEvaluator:
                     force=False,
                     subquery_indices=tuple(sorted(absorbed)),
                 )
-            if join_order is None and not is_root:
+            if join_order is None:
                 plan = self._maybe_replan(
                     plan, position, stage, current, trace
                 )
             position += 1
 
-        assert current is not None
-        for op in plan.unit_filters:
-            current = self._engine.apply_filter(current, op)
-
         # The root: "We must filter at the root, simply because that
         # filtering is necessary to find the answer to the query flock."
-        result = self._final_filter(current, trace)
+        # It joins the last stage itself (no unit filters remain: every
+        # subgoal attaches to the stage that binds it).
+        result = self._final_filter(current, stage, leaf, trace)
         trace.seconds = time.perf_counter() - started
         self.last_trace = trace
         if self.guard is not None:
@@ -352,11 +356,19 @@ class DynamicEvaluator:
         subquery_indices: tuple[int, ...] = (),
     ) -> Relation:
         params = tuple(c for c in relation.columns if c in self._param_cols)
-        targets = self._condition_targets(relation)
+        targets = self._condition_targets(relation.columns)
         if not params or targets is None:
             return relation
 
-        assignments = len(relation.project(list(params)))
+        # A support filter counts each assignment's tuples once: the
+        # Counter's size is the assignment count, its values decide.
+        counts: Counter | None = None
+        if self._cap is not None:
+            (target,) = targets.values()
+            counts = relation_group_counts(relation, params, target)
+            assignments = len(counts)
+        else:
+            assignments = len(relation.project(list(params)))
         ratio = len(relation) / assignments if assignments else 0.0
         key = frozenset(params)
         threshold = self._decision_threshold
@@ -387,7 +399,7 @@ class DynamicEvaluator:
         if subquery_indices:
             self._certify_decision(node, subquery_indices, trace)
         filter_started = time.perf_counter()
-        filtered, ok = self._filter_relation(relation, params, targets)
+        filtered, ok = self._filter_relation(relation, params, targets, counts)
         if self.sink is not None and subquery_indices:
             # The survivors are exact for the safe subquery made of the
             # subgoals absorbed so far (earlier in-flight filters only
@@ -447,39 +459,67 @@ class DynamicEvaluator:
         relation: Relation,
         params: tuple[str, ...],
         targets: dict,
+        counts: Counter | None,
     ) -> tuple[Relation, Relation]:
         """Group by ``params``, apply the flock filter (all conjuncts),
-        keep surviving rows.  Returns (filtered relation, ok-relation)."""
-        aggregates, conditions = plan_aggregate_specs(
-            self.flock.filter, lambda condition: targets[condition]
-        )
-        passed = self._engine.group_filter(
-            relation, list(params), aggregates, conditions, name="ok"
-        )
-        ok = self._engine.project_unique(passed, list(params), "ok")
+        keep surviving rows.  Returns (filtered relation, ok-relation).
+        A support filter reads survivorship off ``counts``."""
+        if counts is not None and self._cap is not None:
+            dictionary = relation.dictionary if relation.is_encoded else None
+            ok, _ = survivor_relations(
+                counts, self._cap, params, "ok", dictionary
+            )
+        else:
+            aggregates, conditions = plan_aggregate_specs(
+                self.flock.filter, lambda condition: targets[condition]
+            )
+            passed = self._engine.group_filter(
+                relation, list(params), aggregates, conditions, name="ok"
+            )
+            ok = self._engine.project_unique(passed, list(params), "ok")
         return semi_join(relation, ok, name=relation.name), ok
 
-    def _final_filter(self, current: Relation, trace: DynamicTrace) -> Relation:
+    def _final_filter(
+        self,
+        current: Relation | None,
+        stage: JoinStage,
+        leaf: Relation,
+        trace: DynamicTrace,
+    ) -> Relation:
+        """Join the root stage and filter it: counted for a support
+        flock, else grouped from the joined relation."""
         params = list(self.flock.parameter_columns)
-        targets = self._condition_targets(current)
+        targets = self._condition_targets(stage.columns)
         if targets is None:
             raise PlanError(
                 "filter target column never became bound; cannot finish"
             )
+        aggregates, conditions = plan_aggregate_specs(
+            self.flock.filter, lambda condition: targets[condition]
+        )
+        passed: Relation | None
+        if self._cap is not None:
+            counts, size, dictionary = self._engine.count_join(
+                current, stage, leaf, params, aggregates[0].target
+            )
+            result, passed = survivor_relations(
+                counts, self._cap, params, "flock", dictionary,
+                aggregates[0].column if self.sink is not None else None,
+            )
+        else:
+            current = self._engine.run_stage(current, stage, leaf=leaf)
+            passed = self._engine.group_filter(
+                current, params, aggregates, conditions, name="flock"
+            )
+            result = self._engine.project_unique(passed, params, "flock")
+            size = len(current)
         # The root filter is over the whole rule — its certificate is
         # the identity containment (Section 4.2 rule 4 in plan form).
         self._certify_decision(
             "root", tuple(range(len(self.rule.body))), trace
         )
-        aggregates, conditions = plan_aggregate_specs(
-            self.flock.filter, lambda condition: targets[condition]
-        )
-        passed = self._engine.group_filter(
-            current, params, aggregates, conditions, name="flock"
-        )
         if self.sink is not None:
-            self.sink.publish_final(passed, len(current))
-        result = self._engine.project_unique(passed, params, "flock")
+            self.sink.publish_final(passed, size)
         trace.plan_lines.append(
             f"flock({', '.join(params)}) := FILTER(({', '.join(params)}), "
             f"{self.flock.filter})"
@@ -491,7 +531,7 @@ class DynamicEvaluator:
                 0.0,
                 True,
                 "root filter is the flock answer",
-                len(current),
+                size,
                 len(result),
             )
         )

@@ -37,11 +37,14 @@ and okM($m) can be joined with other subgoals relatively quickly".
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Collection
 
 from ..datalog.query import as_union
 from ..datalog.safety import assert_safe
+from ..engine.ir import StepPlan
 from ..engine.memory import MemoryRunner, StepResult
+from ..engine.parallel import ParallelExecutor
 from ..engine.planner import lower_step
 from ..guard import ExecutionGuard, GuardLike, as_guard
 from ..relational.catalog import Database
@@ -51,6 +54,21 @@ from .filters import STAR, plan_aggregate_specs
 from .flock import QueryFlock
 from .plans import FilterStep, QueryPlan, validate_plan
 from .result import ExecutionTrace, FlockResult, StepTrace
+
+
+@dataclass(frozen=True)
+class _PoolRunner:
+    """The partitioning runner over this loop's serial runner: large
+    steps fan out on ``pool``, the rest (and failed fan-outs) run on
+    ``serial``, so a run's observations accumulate in one place."""
+
+    pool: ParallelExecutor
+    serial: MemoryRunner
+
+    def run_step(
+        self, step_plan: StepPlan, db: Database, need_aggregates: bool
+    ) -> StepResult:
+        return self.pool.run_step(step_plan, db, need_aggregates, self.serial)
 
 
 def lower_filter_step(
@@ -139,9 +157,8 @@ def execute_step(
 
     ``runner`` is the step runner the lowered plan is handed to (see the
     module docstring); ``None`` runs it on a serial
-    :class:`MemoryRunner`.  Aggregate values are only computed when a
-    ``final_sink`` wants them — otherwise the runner early-exit-counts
-    survivorship.
+    :class:`MemoryRunner`.  Aggregate values are only kept when a
+    ``final_sink`` wants them.
 
     ``supervisor`` (a :class:`~repro.recovery.RetrySupervisor`) wraps
     the runner call in the retry rung of the recovery ladder: a
@@ -243,9 +260,7 @@ def execute_plan(
     if runner is None:
         runner = serial
         if parallel is not None and parallel.jobs > 1:
-            # Steps the pool leaves serial run on this loop's runner.
-            parallel.serial = serial
-            runner = parallel
+            runner = _PoolRunner(parallel, serial)
     rf_sources: set[str] = set()
     result: Relation | None = None
     final_step = plan.final_step

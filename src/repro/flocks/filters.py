@@ -17,6 +17,7 @@ pruning plans for non-monotone filters.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -156,6 +157,18 @@ class FilterCondition:
             ComparisonOp.GT,
         )
 
+    @property
+    def support_cap(self) -> Union[int, None]:
+        """The support threshold's integer cap: the least count that
+        passes a support condition (a group survives iff its count
+        reaches it); ``None`` for any other condition."""
+        if not self.is_support_condition:
+            return None
+        cap = max(0, math.floor(float(self.threshold)))
+        while not self.passes(cap):
+            cap += 1
+        return cap
+
     # ------------------------------------------------------------------
     # Display
     # ------------------------------------------------------------------
@@ -229,6 +242,10 @@ class CompositeFilter:
     def is_monotone(self) -> bool:
         """Monotone iff every conjunct is."""
         return all(c.is_monotone for c in self.conditions)
+
+    #: A conjunction is never one support conjunct (see
+    #: :attr:`FilterCondition.support_cap`).
+    support_cap = None
 
     @property
     def is_support_condition(self) -> bool:

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from enum import Enum
-from typing import Callable, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from ..errors import FilterError
+from .dictionary import ValueDictionary
 from .relation import Relation
 
 
@@ -94,30 +97,25 @@ def group_aggregate(
         else relation.columns_data()
     )
     single_key = len(group_positions) == 1
-    if single_key:
-        keys: Sequence = columns[group_positions[0]]
-    elif group_positions:
-        keys = list(zip(*(columns[p] for p in group_positions)))
-    else:
-        keys = [()] * len(relation)  # whole relation is one group
-
-    def target_values(position: int) -> Sequence:
-        # SUM/MIN/MAX need real values (codes are not order- or
-        # arithmetic-faithful); decode only the one target column.
-        if dictionary is not None:
-            return dictionary.decode_column(columns[position])
-        return columns[position]
-
-    # Fast paths.  Set semantics guarantees rows are distinct, hence the
-    # member sub-tuples *within a group* are distinct too (key + member
-    # = the whole row).  So:
-    #   * COUNT over all member columns = plain row count per group;
-    #   * SUM/MIN/MAX over one column can stream row values directly.
     per_group: dict
-    if fn is AggregateFunction.COUNT and set(target) == set(member_columns):
-        per_group = Counter(keys)
-    elif fn is not AggregateFunction.COUNT:
-        values = target_values(relation.column_position(target[0]))
+    if fn is AggregateFunction.COUNT:
+        per_group = relation_group_counts(relation, group_by, target)
+    else:
+        # SUM/MIN/MAX need real values (codes are not order- or
+        # arithmetic-faithful): decode only the one target column, and
+        # stream it — set semantics makes the member sub-tuples within a
+        # group distinct (key + member = the whole row).
+        position = relation.column_position(target[0])
+        values = (
+            dictionary.decode_column(columns[position])
+            if dictionary is not None else columns[position]
+        )
+        keys: Sequence = (
+            columns[group_positions[0]] if single_key
+            else list(zip(*(columns[p] for p in group_positions)))
+            if group_positions
+            else [()] * len(relation)  # whole relation is one group
+        )
         if fn is AggregateFunction.SUM:
             per_group = defaultdict(int)
             for key, value in zip(keys, values):
@@ -130,18 +128,6 @@ def group_aggregate(
                 per_group[key] = (
                     value if current is None else pick(current, value)
                 )
-    else:
-        # COUNT over a strict subset of the member columns: distinct
-        # target sub-tuples must be materialized per group.
-        target_positions = [relation.column_position(c) for c in target]
-        if len(target_positions) == 1:
-            members_iter: Sequence = columns[target_positions[0]]
-        else:
-            members_iter = list(zip(*(columns[p] for p in target_positions)))
-        groups: dict = defaultdict(set)
-        for key, member in zip(keys, members_iter):
-            groups[key].add(member)
-        per_group = {key: len(members) for key, members in groups.items()}
 
     if not group_by and not per_group and fn is AggregateFunction.COUNT:
         per_group = {(): 0}
@@ -170,6 +156,92 @@ def group_aggregate(
         key_columns + [aggregate_column],
         count=len(aggregate_column),
     )
+
+
+def count_groups(
+    column: Callable[[str], Iterable],
+    group_by: Sequence[str],
+    target: Sequence[str],
+    columns: Sequence[str],
+    rows: int,
+) -> Counter:
+    """COUNT of distinct ``target`` sub-tuples per group key, over
+    ``rows`` distinct rows whose ``columns`` are read by ``column``.
+
+    Keys are scalars for one group column, tuples for several, ``()``
+    for none.  Rows are distinct (set semantics), so when the target
+    covers every non-group column a group's count is its row count: one
+    Counter over the keys.  Otherwise distinct (key, target) pairs
+    collapse through a set first.  Either way the counting runs in C.
+    """
+    keys = [column(c) for c in group_by] or [repeat((), rows)]
+    nk = len(keys)
+    if set(group_by) | set(target) >= set(columns):
+        return Counter(keys[0] if nk == 1 else zip(*keys))
+    pairs = set(zip(*keys, *(column(c) for c in target)))
+    picker = itemgetter(0) if nk == 1 else itemgetter(slice(0, nk))
+    return Counter(map(picker, pairs))
+
+
+def relation_group_counts(
+    relation: Relation, group_by: Sequence[str], target: Sequence[str]
+) -> Counter:
+    """:func:`count_groups` over a relation (keys are codes when it is
+    encoded)."""
+    columns = (
+        relation.code_columns() if relation.is_encoded
+        else relation.columns_data()
+    )
+    return count_groups(
+        lambda c: columns[relation.column_position(c)],
+        group_by, target, relation.columns, len(relation),
+    )
+
+
+def survivor_relations(
+    counts: Counter,
+    cap: int,
+    columns: Sequence[str],
+    name: str,
+    dictionary: ValueDictionary | None,
+    agg_column: str | None = None,
+) -> tuple[Relation, Relation | None]:
+    """The groups whose count reaches ``cap``: (survivor keys, the same
+    with their counts as ``agg_column`` — or ``None`` without one).
+
+    Rows are canonically sorted by the decoded ``repr`` (like
+    :meth:`~repro.engine.memory.MemoryEngine.project_unique`); only
+    survivors pay the decode, and encoded keys stay encoded.
+    """
+    if not columns and not counts:
+        counts = Counter({(): 0})  # SQL's scalar COUNT of no rows
+    single = len(columns) == 1
+    rows = [
+        ((key,) if single else key) + (count,)
+        for key, count in counts.items()
+        if count >= cap
+    ]
+    values = dictionary.values if dictionary is not None else None
+    rows.sort(key=lambda row: repr(
+        row[:-1] if values is None else tuple(values[c] for c in row[:-1])
+    ))
+    *keys, totals = [list(col) for col in zip(*rows)] or [
+        [] for _ in range(len(columns) + 1)
+    ]
+
+    def build(labels: tuple[str, ...], data: list[list]) -> Relation:
+        if dictionary is None:
+            return Relation.from_columns(name, labels, data, count=len(rows))
+        return Relation.from_encoded(
+            name, labels, data, dictionary, count=len(rows)
+        )
+
+    result = build(tuple(columns), keys)
+    if agg_column is None:
+        return result, None
+    if dictionary is not None:
+        totals = dictionary.encode_column(totals)
+    return result, build(tuple(columns) + (agg_column,), keys + [totals])
 
 
 def grouped_counts(

@@ -25,6 +25,7 @@ to the value arrays.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 from ..errors import SchemaError
@@ -38,7 +39,7 @@ def shared_columns(left: Relation, right: Relation) -> tuple[str, ...]:
     return tuple(c for c in left.columns if c in right_set)
 
 
-def _shared_dictionary(left: Relation, right: Relation) -> ValueDictionary | None:
+def shared_dictionary(left: Relation, right: Relation) -> ValueDictionary | None:
     """The common dictionary when both sides are encoded against one."""
     d = left.dictionary
     if d is not None and right.dictionary is d and left.is_encoded and right.is_encoded:
@@ -46,7 +47,7 @@ def _shared_dictionary(left: Relation, right: Relation) -> ValueDictionary | Non
     return None
 
 
-def _key_reader(
+def key_reader(
     rel: Relation, keys: Sequence[str], encoded: bool = False
 ) -> Iterator[object]:
     """An iterator of per-row key values for ``rel`` over ``keys``.
@@ -65,35 +66,38 @@ def _key_reader(
     return zip(*arrays)
 
 
-def _gather(arrays: Sequence[list], indexes: list) -> list[list]:
+def _gather(arrays: Sequence[list], indexes: Sequence[int]) -> list[list]:
     """Materialize selected rows of row-aligned arrays, column by column."""
     return [list(map(arr.__getitem__, indexes)) for arr in arrays]
 
 
-def natural_join(left: Relation, right: Relation, name: str = "join") -> Relation:
-    """Natural (hash) join on all shared columns.
+def join_indexes(
+    left: Relation, right: Relation, encoded: bool = False
+) -> tuple[list[int], Sequence[int]]:
+    """The matching ``(left, right)`` row-index pairs of the natural join,
+    as two aligned sequences — the join without its gather.
 
-    With no shared columns this degrades to a cartesian product, which
-    the evaluator's join ordering tries to avoid but must support (the
-    paper's queries can have disconnected subgoal sets after deletion).
+    A hash join on all shared columns that builds on the smaller side
+    and probes with the larger; with no shared columns every pair
+    matches (a cartesian product, which the evaluator's join ordering
+    tries to avoid but must support — the paper's queries can have
+    disconnected subgoal sets after deletion).  ``encoded`` hashes the
+    code columns instead of the values.  Against a one-row left side
+    (the unit relation) the right indexes are the identity ``range``.
     """
     keys = shared_columns(left, right)
-    left_cols = set(left.columns)
-    right_only = [c for c in right.columns if c not in left_cols]
-    out_columns = left.columns + tuple(right_only)
-    dictionary = _shared_dictionary(left, right)
-    encoded = dictionary is not None
-
+    n, m = len(left), len(right)
     if not keys:
-        return _cartesian(left, right, out_columns, right_only, name)
+        left_idx = list(chain.from_iterable(repeat(i, m) for i in range(n)))
+        return left_idx, range(m) if n == 1 else list(range(m)) * n
 
     # Build on the smaller side, probe with the larger.
     build, probe, build_is_left = (
-        (left, right, True) if len(left) <= len(right) else (right, left, False)
+        (left, right, True) if n <= m else (right, left, False)
     )
 
     table: dict[object, list[int]] = {}
-    for i, key in enumerate(_key_reader(build, keys, encoded)):
+    for i, key in enumerate(key_reader(build, keys, encoded)):
         bucket = table.get(key)
         if bucket is None:
             table[key] = [i]
@@ -102,16 +106,26 @@ def natural_join(left: Relation, right: Relation, name: str = "join") -> Relatio
 
     build_idx: list[int] = []
     probe_idx: list[int] = []
-    for i, key in enumerate(_key_reader(probe, keys, encoded)):
+    for i, key in enumerate(key_reader(probe, keys, encoded)):
         bucket = table.get(key)
         if bucket is not None:
             probe_idx.extend([i] * len(bucket))
             build_idx.extend(bucket)
 
-    left_idx, right_idx = (
-        (build_idx, probe_idx) if build_is_left else (probe_idx, build_idx)
-    )
-    if encoded:
+    if build_is_left:
+        return build_idx, probe_idx
+    return probe_idx, build_idx
+
+
+def natural_join(left: Relation, right: Relation, name: str = "join") -> Relation:
+    """Natural (hash) join on all shared columns (see :func:`join_indexes`;
+    no shared columns is a cartesian product)."""
+    left_cols = set(left.columns)
+    right_only = [c for c in right.columns if c not in left_cols]
+    out_columns = left.columns + tuple(right_only)
+    dictionary = shared_dictionary(left, right)
+    left_idx, right_idx = join_indexes(left, right, dictionary is not None)
+    if dictionary is not None:
         right_codes = right.code_columns()
         right_only_codes = [
             right_codes[right.column_position(c)] for c in right_only
@@ -126,33 +140,7 @@ def natural_join(left: Relation, right: Relation, name: str = "join") -> Relatio
     data = _gather(left.columns_data(), left_idx) + _gather(
         right_only_arrays, right_idx
     )
-    count = len(left_idx) if not out_columns else None
-    return Relation.from_columns(name, out_columns, data, count=count)
-
-
-def _cartesian(
-    left: Relation,
-    right: Relation,
-    out_columns: tuple[str, ...],
-    right_only: Sequence[str],
-    name: str,
-) -> Relation:
-    n, m = len(left), len(right)
-    dictionary = _shared_dictionary(left, right)
-    if dictionary is not None:
-        right_codes = right.code_columns()
-        codes = [
-            [v for v in col for _ in range(m)] for col in left.code_columns()
-        ] + [
-            right_codes[right.column_position(c)] * n for c in right_only
-        ]
-        return Relation.from_encoded(
-            name, out_columns, codes, dictionary, count=n * m
-        )
-    data = [
-        [v for v in arr for _ in range(m)] for arr in left.columns_data()
-    ] + [right.column_array(c) * n for c in right_only]
-    return Relation.from_columns(name, out_columns, data, count=n * m)
+    return Relation.from_columns(name, out_columns, data, count=len(left_idx))
 
 
 def semi_join(left: Relation, right: Relation, name: str = "semijoin") -> Relation:
@@ -178,11 +166,11 @@ def _filter_by_membership(
         if bool(len(right)) == keep_matches:
             return left.with_name(name)
         return Relation(name, left.columns)
-    encoded = _shared_dictionary(left, right) is not None
-    right_keys = set(_key_reader(right, keys, encoded))
+    encoded = shared_dictionary(left, right) is not None
+    right_keys = set(key_reader(right, keys, encoded))
     keep = [
         i
-        for i, key in enumerate(_key_reader(left, keys, encoded))
+        for i, key in enumerate(key_reader(left, keys, encoded))
         if (key in right_keys) == keep_matches
     ]
     return left.take(keep, name=name)
@@ -194,8 +182,7 @@ def cartesian_product(left: Relation, right: Relation, name: str = "product") ->
         raise SchemaError(
             "cartesian_product requires disjoint columns; use natural_join"
         )
-    return _cartesian(left, right, left.columns + right.columns,
-                      right.columns, name)
+    return natural_join(left, right, name)
 
 
 def union_all(relations: Sequence[Relation], name: str = "union") -> Relation:

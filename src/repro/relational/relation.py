@@ -388,18 +388,29 @@ class Relation:
         """Projection with duplicate elimination.
 
         A projection that is a pure permutation of all columns cannot
-        create duplicates and skips the dedup pass.
+        create duplicates and skips the dedup pass.  An encoded relation
+        deduplicates in code space (codes are equality-faithful) and
+        stays encoded — nothing is decoded.
         """
         positions = [self.column_position(c) for c in columns]
-        if len(set(positions)) == len(self.columns):
-            if self._codes is not None and self._dict is not None:
-                return Relation.from_encoded(
-                    name or self.name,
-                    tuple(columns),
-                    [self._codes[p] for p in positions],
-                    self._dict,
-                    count=self._count,
-                )
+        permutation = len(set(positions)) == len(self.columns)
+        if self._codes is not None and self._dict is not None:
+            codes = [self._codes[p] for p in positions]
+            count = self._count
+            if not permutation:
+                if len(codes) == 1:
+                    codes = [list(set(codes[0]))]
+                elif codes:
+                    codes = [
+                        list(col) for col in zip(*set(zip(*codes)))
+                    ] or [[] for _ in codes]
+                else:
+                    count = min(count, 1)
+            return Relation.from_encoded(
+                name or self.name, tuple(columns), codes, self._dict,
+                count=count,
+            )
+        if permutation:
             data = self.columns_data()
             return Relation.from_columns(
                 name or self.name,

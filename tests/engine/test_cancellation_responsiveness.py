@@ -13,12 +13,12 @@ from __future__ import annotations
 import pytest
 
 import repro.engine.memory as memory_module
-from repro.datalog import atom, rule
+from repro.datalog import atom, comparison, rule
 from repro.engine.memory import MemoryEngine
-from repro.errors import ExecutionCancelled
+from repro.errors import BudgetExceededError, ExecutionCancelled
 from repro.flocks import QueryFlock, parse_filter, single_step_plan
 from repro.flocks.executor import lower_filter_step
-from repro.guard import CancellationToken, ExecutionGuard
+from repro.guard import CancellationToken, ExecutionGuard, ResourceBudget
 from repro.relational import database_from_dict
 
 
@@ -71,3 +71,56 @@ def test_group_filter_unguarded_engine_still_completes(db):
         composite_step_plan(db), need_aggregates=True
     )
     assert len(outcome.passed) > 0
+
+
+def pair_step_plan(db):
+    """A support step whose counted last stage carries two filters."""
+    query = rule(
+        "answer", ["B"],
+        [atom("r", "B", "$1"), atom("r", "B", "$2"),
+         comparison("$1", "!=", "$2"), comparison("$2", "!=", 5)],
+    )
+    flock = QueryFlock(query, parse_filter("COUNT(answer.B) >= 1"))
+    step_plan = lower_filter_step(db, flock, single_step_plan(flock).final_step)
+    assert len(step_plan.branches[0].stages[-1].filters) == 2
+    return step_plan
+
+
+def test_counting_pass_aborts_between_filter_masks(db, monkeypatch):
+    """Cancel lands while the first mask of the counted stage is being
+    built: the second mask and the counting must never run."""
+    cancel = CancellationToken()
+    masks, counted = [], []
+    real_mask = MemoryEngine._filter_mask
+
+    def cancelling_mask(self, *args):
+        masks.append(1)
+        cancel.cancel()
+        return real_mask(self, *args)
+
+    monkeypatch.setattr(MemoryEngine, "_filter_mask", cancelling_mask)
+    monkeypatch.setattr(
+        memory_module, "count_groups", lambda *a: counted.append(1)
+    )
+    engine = MemoryEngine(db, guard=ExecutionGuard(cancel=cancel))
+    with pytest.raises(ExecutionCancelled):
+        engine.run_step(pair_step_plan(db))
+    assert masks == [1] and counted == []
+
+
+def test_counting_pass_trips_row_budget(db, monkeypatch):
+    """The counted stage's surviving rows are checked against the budget
+    after each mask, before anything is counted: the first stage scans
+    12 rows, the counted one keeps 4 baskets x 6 ordered pairs = 24."""
+    counted = []
+    monkeypatch.setattr(
+        memory_module, "count_groups", lambda *a: counted.append(1)
+    )
+    engine = MemoryEngine(
+        db, guard=ResourceBudget(max_intermediate_rows=20).start()
+    )
+    with pytest.raises(BudgetExceededError) as info:
+        engine.run_step(pair_step_plan(db))
+    assert [o.actual for o in engine.stage_log] == [12]  # first stage ran
+    assert counted == []
+    assert info.value.trace is not None

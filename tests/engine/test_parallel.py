@@ -83,9 +83,8 @@ def pair_plan(word_db, pair_flock):
 
 
 def serial_result(db, plan):
-    engine = MemoryEngine(db)
-    answer = engine.run_answer(plan)
-    return engine.run_survivors(answer, plan), len(answer)
+    outcome = MemoryEngine(db).run_step(plan)
+    return outcome.result, outcome.answer_tuples
 
 
 # ----------------------------------------------------------------------

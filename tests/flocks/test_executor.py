@@ -284,21 +284,23 @@ class TestStepRunnerSeam:
 
 class TestSerialEarlyExit:
     """The serial runner honours ``need_aggregates`` like the partitioned
-    one: without a sink, survivorship is early-exit-counted and no
-    ``_agg*`` column is ever built (``--jobs 1`` used to compute full
-    aggregates where ``--jobs 2`` did not)."""
+    one: without a sink no step returns ``passed`` (no ``_agg*`` column
+    is built), and with one only the final step does (``--jobs 1`` used
+    to compute full aggregates where ``--jobs 2`` did not)."""
 
     @pytest.fixture
     def group_filter_calls(self, monkeypatch):
+        """The ``passed`` columns of every step the serial engine ran."""
         calls = []
-        real = MemoryEngine.group_filter
+        real = MemoryEngine.run_step
 
-        def recording(self, answer, *args, **kwargs):
-            passed = real(self, answer, *args, **kwargs)
-            calls.append(passed.columns)
-            return passed
+        def recording(self, step_plan, need_aggregates=False):
+            outcome = real(self, step_plan, need_aggregates)
+            if outcome.passed is not None:
+                calls.append(outcome.passed.columns)
+            return outcome
 
-        monkeypatch.setattr(MemoryEngine, "group_filter", recording)
+        monkeypatch.setattr(MemoryEngine, "run_step", recording)
         return calls
 
     def test_no_sink_no_aggregate_columns(

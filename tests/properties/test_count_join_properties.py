@@ -1,0 +1,169 @@
+"""Differential property: the counting join against the materialised
+answer.
+
+``MemoryEngine.run_step`` counts the last join stage of a support step
+instead of building its answer (``count_join``); the reference here
+builds the answer (``run_answer``) and groups it (``run_group_filter``
+/ ``finalize_step``) — the path every other step still takes.  Random
+single-rule flocks cover what the kernel evaluates as masks and keys:
+2–3 positive subgoals, comparisons between columns and against
+constants, a negated subgoal, existential variables the COUNT target
+does not cover, 1–3 parameters and support thresholds.  The dynamic
+strategy's counted root and in-flight counters are checked against the
+same evaluator with counting turned off, and against ``naive``.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.datalog import atom, comparison, negated, rule
+from repro.engine import ParallelExecutor
+from repro.engine.memory import MemoryEngine
+from repro.flocks import QueryFlock, parse_filter
+from repro.flocks.dynamic import DynamicEvaluator
+from repro.flocks.executor import lower_filter_step
+from repro.flocks.mining import mine
+from repro.flocks.optimizer import FlockOptimizer
+from repro.flocks.plans import single_step_plan
+from repro.relational import database_from_dict
+
+values = st.integers(min_value=0, max_value=4)
+pairs = st.sets(st.tuples(values, values), max_size=24)
+
+#: ``force_pool`` sets the same constant for every example.
+SHARED_FIXTURE = [HealthCheck.function_scoped_fixture]
+
+
+@st.composite
+def databases(draw):
+    return database_from_dict(
+        {
+            "r": (("B", "I"), draw(pairs)),
+            "s": (("I", "C"), draw(pairs)),
+            "bad": (("B",), draw(st.sets(st.tuples(values), max_size=3))),
+        }
+    )
+
+
+@st.composite
+def flocks(draw, wide_heads=True):
+    params = [f"${i + 1}" for i in range(draw(st.integers(1, 3)))]
+    body = [atom("r", "B", p) for p in params]
+    extras = [atom("s", params[0], "C"), atom("s", "E", params[-1]),
+              atom("r", "E", params[0]), atom("s", "B", "C")]
+    while len(body) < 2 or (len(body) < 3 and draw(st.booleans())):
+        body.append(draw(st.sampled_from(extras)))
+    bound = {str(t) for a in body for t in a.terms}
+    variables = sorted(v for v in bound if not v.startswith("$"))
+    if len(params) > 1 and draw(st.booleans()):
+        body.append(comparison(params[0], draw(st.sampled_from(["<", "!="])),
+                               params[1]))
+    if draw(st.booleans()):
+        body.append(comparison(
+            draw(st.sampled_from(params + variables)),
+            draw(st.sampled_from([">", "<=", "!="])),
+            draw(values),
+        ))
+    if draw(st.booleans()):
+        body.append(negated("bad", draw(st.sampled_from(["B"] + params))))
+    # Head variables; the rest (I, C or E when bound) stay existential.
+    head = ["B"] + [
+        v for v in variables if v != "B" and wide_heads and draw(st.booleans())
+    ]
+    target = draw(st.sampled_from(["(*)"] + [f".{v}" for v in head]))
+    op = draw(st.sampled_from([">=", ">"]))
+    least = 1 if op == ">=" else 0  # an empty answer must fail the filter
+    condition = f"COUNT(answer{target}) {op} {draw(st.integers(least, 3))}"
+    return QueryFlock(rule("answer", head, body), parse_filter(condition))
+
+
+def lowered(db, flock):
+    return lower_filter_step(db, flock, single_step_plan(flock).final_step)
+
+
+def reference(db, plan, encode_scans=True):
+    engine = MemoryEngine(db, encode_scans=encode_scans)
+    answer = engine.run_answer(plan)
+    passed = engine.run_group_filter(answer, plan)
+    return engine.finalize_step(passed, plan), passed, len(answer), engine
+
+
+@given(db=databases(), flock=flocks(), encode=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_run_step_matches_materialised_answer(db, flock, encode):
+    plan = lowered(db, flock)
+    result, passed, answer_tuples, ref = reference(db, plan, encode)
+    for need_aggregates in (False, True):
+        engine = MemoryEngine(db, encode_scans=encode)
+        outcome = engine.run_step(plan, need_aggregates=need_aggregates)
+        assert outcome.result == result
+        assert outcome.result.name == result.name
+        assert outcome.answer_tuples == answer_tuples
+        assert outcome.passed == (passed if need_aggregates else None)
+        assert [o.actual for o in engine.stage_log] == [
+            o.actual for o in ref.stage_log
+        ]
+
+
+@given(db=databases(), flock=flocks())
+@settings(max_examples=60, deadline=None)
+def test_plan_steps_match_materialised_answer(db, flock):
+    """Every step of the a-priori plans, pre-filters and the final step
+    whose ok-atoms may trail as semi-joins (counted as masks)."""
+    for plan in FlockOptimizer(db, flock).enumerate_plans()[:4]:
+        scratch = db.scratch()
+        for step in plan.steps:
+            physical = lower_filter_step(scratch, flock, step)
+            result, _, answer_tuples, ref = reference(scratch, physical)
+            engine = MemoryEngine(scratch)
+            outcome = engine.run_step(physical)
+            assert outcome.result == result
+            assert outcome.answer_tuples == answer_tuples
+            assert [o.actual for o in engine.stage_log] == [
+                o.actual for o in ref.stage_log
+            ]
+            scratch.add(result)
+
+
+# One head variable: the dynamic strategy cannot certify an in-flight
+# FILTER whose subquery leaves a second head variable unbound (a
+# PlanError under plan verification, with or without counting).
+@given(db=databases(), flock=flocks(wide_heads=False))
+@settings(max_examples=100, deadline=None)
+def test_dynamic_counting_matches_grouping_and_naive(db, flock):
+    counted = DynamicEvaluator(db, flock)
+    grouped = DynamicEvaluator(db, flock)
+    grouped._cap = None  # the group_filter path every other filter takes
+    got, want = counted.evaluate(), grouped.evaluate()
+    assert got.relation == want.relation
+    assert got.stage_rows == want.stage_rows
+    assert counted.last_trace.plan_lines == grouped.last_trace.plan_lines
+    assert [
+        (d.node, d.filtered, d.tuples_per_assignment, d.size_before,
+         d.size_after)
+        for d in counted.last_trace.decisions
+    ] == [
+        (d.node, d.filtered, d.tuples_per_assignment, d.size_before,
+         d.size_after)
+        for d in grouped.last_trace.decisions
+    ]
+    naive, _ = mine(db, flock, strategy="naive", parallelism=1)
+    assert got.relation.tuples == naive.tuples
+
+
+@given(db=databases(), flock=flocks())
+@settings(
+    max_examples=12, deadline=None, suppress_health_check=SHARED_FIXTURE
+)
+def test_pooled_partitions_count_like_the_reference(force_pool, db, flock):
+    """Under ``force_pool`` every partition counts its own share of the
+    groups; the merge must equal the materialised reference."""
+    plan = lowered(db, flock)
+    result, passed, answer_tuples, _ = reference(db, plan)
+    with ParallelExecutor(2, db) as executor:
+        outcome = executor.run_step(plan, need_aggregates=True)
+    assert outcome.mode == "process"
+    assert outcome.result.tuples == result.tuples
+    assert outcome.passed.tuples == passed.tuples
+    assert outcome.answer_tuples == answer_tuples

@@ -178,12 +178,12 @@ def test_engine_kernels_encoded_vs_legacy(r, bad, threshold):
 
         legacy = MemoryEngine(db.scratch(), encode_scans=False)
         answer_legacy = legacy.run_answer(plan)
-        survivors_legacy = legacy.run_survivors(answer_legacy, plan)
+        survivors_legacy = legacy.run_step(plan).result
         passed_legacy = legacy.run_group_filter(answer_legacy, plan)
 
         encoded = MemoryEngine(db.scratch(), encode_scans=True)
         answer_encoded = encoded.run_answer(plan)
-        survivors_encoded = encoded.run_survivors(answer_encoded, plan)
+        survivors_encoded = encoded.run_step(plan).result
         passed_encoded = encoded.run_group_filter(answer_encoded, plan)
 
         assert set(answer_encoded.tuples) == set(answer_legacy.tuples)

@@ -114,7 +114,7 @@ def test_step_output_bit_identical(
 
     engine = MemoryEngine(db)
     answer = engine.run_answer(plan)
-    expected = engine.run_survivors(answer, plan)
+    expected = engine.run_step(plan).result
     expected_passed = engine.run_group_filter(answer, plan)
 
     with ParallelExecutor(2, db) as executor:

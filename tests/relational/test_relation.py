@@ -93,6 +93,29 @@ class TestOperations:
         flipped = baskets.project(["Item", "BID"])
         assert ("beer", 1) in flipped
 
+    @pytest.mark.parametrize(
+        "columns", [["Item"], ["BID"], ["Item", "BID"], ["BID", "Item"], []]
+    )
+    def test_project_encoded_stays_encoded(self, baskets, columns):
+        """An encoded relation dedups in code space: encoded in, encoded
+        out, same rows as the decoded projection, nothing decoded."""
+        from repro.relational.dictionary import ValueDictionary
+
+        decoded = Relation("b", baskets.columns, baskets.tuples)
+        dictionary = ValueDictionary()
+        encoded = Relation.from_encoded(
+            "b",
+            baskets.columns,
+            [dictionary.encode_column(c) for c in decoded.columns_data()],
+            dictionary,
+        )
+        projected = encoded.project(columns)
+        assert projected.is_encoded
+        assert projected.dictionary is encoded.dictionary
+        assert encoded._data is None  # the source was never decoded
+        assert projected.tuples == decoded.project(columns).tuples
+        assert len(projected) == len(decoded.project(columns))
+
     def test_select(self, baskets):
         beer = baskets.select(lambda row: row["Item"] == "beer")
         assert len(beer) == 3
