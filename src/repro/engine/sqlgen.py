@@ -1,22 +1,26 @@
-"""SQL rendering of physical step plans — the SQLite backend's interpreter.
+"""SQL rendering of physical step plans — the one SQL renderer.
 
-The same :class:`~repro.engine.ir.StepPlan` the in-memory engine
-executes is rendered here as one SQL statement: each rule branch becomes
-a ``SELECT DISTINCT`` whose ``FROM`` clause lists the scans *in the
-plan's join-stage order*, comparisons and constant/repeated-term checks
-become ``WHERE`` conjuncts, anti-joins become ``NOT EXISTS``, the union
-operator becomes ``UNION``, and the group-aggregate/threshold pair
-becomes ``GROUP BY``/``HAVING``.  Neither ordering nor filter placement
-is re-derived: the planner decided both, once, for every backend.
+The SQLite backend executes what this module renders, and
+:mod:`repro.flocks.sql` prints the same text for the Fig. 1 / Section
+1.3 artifacts.  The same :class:`~repro.engine.ir.StepPlan` the
+in-memory engine executes is rendered as one SQL statement: each rule
+branch becomes a ``SELECT DISTINCT`` whose ``FROM`` clause lists the
+scans *in the plan's join-stage order*, comparisons and
+constant/repeated-term checks become ``WHERE`` conjuncts, anti-joins
+become ``NOT EXISTS``, the union operator becomes ``UNION``, and the
+group-aggregate/threshold pair becomes ``GROUP BY``/``HAVING``.  Neither
+ordering nor filter placement is re-derived: the planner decided both,
+once, for every backend.
 
 Column naming: answer columns ``$p`` and ``_h{i}`` are not valid bare
 SQL identifiers, so they are mapped to ``p_{p}`` and ``a_{i}``; anything
-else (aggregate columns like ``_agg0``) passes through unchanged.
+else (aggregate columns like ``_agg0``) passes through unchanged.  Step
+tables carry those mapped names (:func:`column_source`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from ..datalog.terms import Constant, Term
 from ..errors import PlanError
@@ -25,7 +29,7 @@ from ..relational.binding import term_column
 from .ir import AntiJoin, CompareFilter, PhysicalPlan, StepPlan
 
 #: Resolves a predicate to its table's column names.
-ColumnSource = Callable[[str, int], Sequence[str]]
+ColumnSource = Callable[[str], Sequence[str]]
 
 
 def sql_literal(value: object) -> str:
@@ -67,7 +71,7 @@ class _BranchRenderer:
             atom = stage.scan.atom
             alias = f"t{i}"
             self.aliases.append((alias, atom.predicate))
-            columns = self.columns_of(atom.predicate, atom.arity)
+            columns = self.columns_of(atom.predicate)
             for position, term in enumerate(atom.terms):
                 ref = f"{alias}.{columns[position]}"
                 if isinstance(term, Constant):
@@ -123,7 +127,7 @@ class _BranchRenderer:
             )
             return
         atom = op.atom
-        columns = self.columns_of(atom.predicate, atom.arity)
+        columns = self.columns_of(atom.predicate)
         alias = "n"
         conditions = []
         for position, term in enumerate(atom.terms):
@@ -166,26 +170,12 @@ class _BranchRenderer:
         return sql
 
 
-def _having_sql(step: StepPlan) -> str:
-    """The HAVING clause: one conjunct per threshold condition.
-
-    COUNT counts distinct answer tuples (``COUNT(DISTINCT ...)``);
-    SUM/MIN/MAX aggregate per answer row — the branch ``SELECT
-    DISTINCT`` already made answer rows unique, and DISTINCT inside the
-    aggregate would wrongly collapse equal values from different
-    answers.
-    """
-    spec_by_column = {spec.column: spec for spec in step.group.aggregates}
-    clauses: list[str] = []
-    for condition, column in step.threshold.conditions:
-        clauses.append(
-            f"{_aggregate_sql(spec_by_column[column])} "
-            f"{condition.op.value} {condition.threshold}"
-        )
-    return " AND ".join(clauses)
-
-
 def _aggregate_sql(spec) -> str:
+    """One aggregate over the answer.  COUNT counts distinct answer
+    tuples (``COUNT(DISTINCT ...)``); SUM/MIN/MAX aggregate per answer
+    row — the branch ``SELECT DISTINCT`` already made answer rows
+    unique, and DISTINCT inside the aggregate would wrongly collapse
+    equal values from different answers."""
     inner = ", ".join(safe_column(c) for c in spec.target)
     if spec.fn is AggregateFunction.COUNT:
         return f"COUNT(DISTINCT {inner})"
@@ -227,11 +217,17 @@ def render_step(
             f"{_aggregate_sql(spec)} AS {spec.column}"
             for spec in step.group.aggregates
         ]
+    spec_by_column = {spec.column: spec for spec in step.group.aggregates}
+    having = " AND ".join(  # one conjunct per threshold condition
+        f"{_aggregate_sql(spec_by_column[column])} "
+        f"{condition.op.value} {condition.threshold}"
+        for condition, column in step.threshold.conditions
+    )
     return (
         f"SELECT {', '.join(select_items)}\n"
         f"FROM (\n{_indent(inner)}\n) answer\n"
         f"GROUP BY {', '.join(group_names)}\n"
-        f"HAVING {_having_sql(step)}"
+        f"HAVING {having}"
     )
 
 
@@ -248,14 +244,17 @@ def materialize_step(
     return f"CREATE TABLE {step.root.name} AS\n{_indent(body)}"
 
 
-def column_source(db, schemas: dict[str, Sequence[str]]) -> ColumnSource:
-    """A :data:`ColumnSource` over a catalog plus step-table schemas."""
+def column_source(db, step_tables: Collection[str]) -> ColumnSource:
+    """A :data:`ColumnSource` over a catalog: a base relation keeps its
+    own column names, a step table named in ``step_tables`` has the
+    :func:`safe_column` names of its catalog columns (``$p`` labels are
+    not bare SQL identifiers).  The one naming rule for every step table
+    — rendered, materialized or mirrored."""
 
-    def columns_of(predicate: str, arity: int) -> Sequence[str]:
-        if predicate in schemas:
-            return list(schemas[predicate])
-        if db is not None and predicate in db:
-            return list(db.get(predicate).columns)
-        return [f"c{i}" for i in range(arity)]
+    def columns_of(predicate: str) -> Sequence[str]:
+        columns = db.get(predicate).columns
+        if predicate in step_tables:
+            return [safe_column(c) for c in columns]
+        return list(columns)
 
     return columns_of

@@ -527,14 +527,10 @@ def _run_strategy(
         # budget/cancellation aborts propagate with their partial trace.
         result = _run_plan(
             db, flock, plan, options.backend, attempt,
-            shared=dict(
-                guard=guard, order_strategy=options.join_order,
-                runtime_filters=options.runtime_filters_enabled,
-            ),
-            memory_only=dict(
-                sink=sink, supervisor=supervisor, recorder=recorder,
-                parallel=parallel,
-            ),
+            guard=guard, order_strategy=options.join_order,
+            runtime_filters=options.runtime_filters_enabled,
+            sink=sink, supervisor=supervisor, recorder=recorder,
+            parallel=parallel,
         )
     attempt.result = result
 
@@ -545,25 +541,21 @@ def _run_plan(
     plan,
     backend: str,
     attempt: _Attempt,
-    shared: dict,
-    memory_only: dict,
+    **loop: Any,
 ) -> FlockResult:
-    """Pick the step runner for ``backend`` and run the executor loop.
+    """Run the executor loop with ``loop``'s hooks on ``backend``'s
+    step runner — the same arguments whichever runner it is (the
+    SQLite runner ignores ``parallel``: its SQL runs serially).
 
-    On SQLite the backend is the runner and the loop gets only the
-    ``shared`` arguments — no session sink, retry supervisor,
-    checkpoint recorder (the backend retries its own statements) or
-    process pool (its SQL runs serially whatever ``--jobs`` says).  A
-    (post-retry) backend failure degrades to the in-memory runners,
-    which get ``memory_only`` too.  Guard aborts (budget/cancellation)
-    are *not* degraded — they are user-requested limits, not backend
-    faults.
+    A (post-retry) SQLite failure degrades to the in-memory runners.
+    Guard aborts (budget/cancellation) are *not* degraded — they are
+    user-requested limits, not backend faults.
     """
     if backend == "sqlite":
         try:
             with SQLiteBackend(db) as sqlite:
                 attempt.backend_used = "sqlite"
-                return FlockResult(sqlite.execute_plan(flock, plan, **shared))
+                return FlockResult(sqlite.execute_plan(flock, plan, **loop))
         except ExecutionAborted:
             raise
         except EvaluationError as error:
@@ -573,9 +565,7 @@ def _run_plan(
                 )
             )
             attempt.backend_used = "memory"
-    return execute_plan(
-        db, flock, plan, validate=False, **shared, **memory_only
-    )
+    return execute_plan(db, flock, plan, validate=False, **loop)
 
 
 def mine(

@@ -52,8 +52,8 @@ class MiningOptions:
     :class:`~repro.errors.FilterError` for an unknown ``strategy``,
     :class:`~repro.errors.EvaluationError` for an unknown ``backend``,
     ``ValueError`` for an unknown ``join_order``, for ``resume``
-    without ``checkpoint``, and for ``checkpoint`` with the SQLite
-    backend or a strategy that has no plan.
+    without ``checkpoint``, and for ``checkpoint`` with a strategy that
+    has no plan.
 
     Attributes:
         strategy: ``"naive"``, ``"optimized"`` (static plan search),
@@ -97,9 +97,9 @@ class MiningOptions:
             ``RetryPolicy(max_attempts=1)`` disables retries.
         checkpoint: a :class:`~repro.recovery.CheckpointStore` (or a
             path to one) that makes every completed FILTER step
-            durable.  Needs a plan-based strategy (``"auto"`` becomes
-            ``"optimized"`` for a monotone flock) and the in-memory
-            backend.  The report's ``run_id`` names the run.
+            durable, on either backend.  Needs a plan-based strategy
+            (``"auto"`` becomes ``"optimized"`` for a monotone flock).
+            The report's ``run_id`` names the run.
         run_id: explicit id for a fresh checkpointed run (default:
             generated).
         resume: id of a checkpointed run to resume.  Its manifest is
@@ -167,13 +167,7 @@ class MiningOptions:
                     "resume= (--resume) requires checkpoint= (--checkpoint)"
                 )
         # Checkpointing needs a *plan* whose steps can be replayed: only
-        # the plan-based strategies have one, and only the in-memory
-        # executor threads the recorder through.
-        elif self.backend == "sqlite":
-            raise ValueError(
-                "checkpoint= requires the in-memory backend; the SQLite "
-                "path has no recorder at its step boundaries"
-            )
+        # the plan-based strategies have one.
         elif self.strategy in ("naive", "dynamic"):
             raise ValueError(
                 "checkpoint= requires a plan-based strategy "

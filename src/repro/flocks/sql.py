@@ -1,262 +1,74 @@
-"""Translation of query flocks and plans to SQL text (Section 1.3, Fig. 1).
+"""Query flocks and plans as SQL text (Section 1.3, Fig. 1).
 
 The paper argues flocks *can* be written in SQL — Fig. 1 is the pair
 query as a self-join with GROUP BY/HAVING — but that conventional
-optimizers won't discover the a-priori rewrite.  This module produces
-both artifacts:
+optimizers won't discover the a-priori rewrite.  This module prints
+both artifacts through the one renderer the SQLite backend executes
+(:mod:`repro.engine.sqlgen`), from the same lowered step plans:
 
-* :func:`flock_to_sql` — the naive one-statement translation (the thing
-  a conventional DBMS would be handed);
-* :func:`plan_to_sql` — the rewritten script with one materialized view
-  per FILTER step (the rewrite the paper reports gave a 20-fold speedup
-  on word-occurrence data).
-
-Generated SQL targets the generic SQL-92 subset (``CREATE VIEW``,
-``SELECT``-``FROM``-``WHERE``-``GROUP BY``-``HAVING``, ``NOT EXISTS``
-for negated subgoals).
+* :func:`plan_to_sql` — the rewritten script, one ``CREATE TABLE ... AS``
+  per pre-filter step and a final ``SELECT`` (the rewrite the paper
+  reports gave a 20-fold speedup on word-occurrence data);
+* :func:`flock_to_sql` — the naive one-statement translation, which is
+  the script of the single-step plan (the thing a conventional DBMS
+  would be handed).
 """
 
 from __future__ import annotations
 
-from ..errors import PlanError
-from ..datalog.atoms import Comparison, RelationalAtom
-from ..datalog.query import ConjunctiveQuery, as_union
-from ..datalog.terms import Constant, Term
-from ..relational.aggregates import AggregateFunction
+from ..engine.sqlgen import column_source, materialize_step, render_step
 from ..relational.catalog import Database
-from .filters import STAR
+from ..relational.relation import Relation
+from .executor import lower_filter_step
 from .flock import QueryFlock
-from .plans import QueryPlan
+from .plans import QueryPlan, single_step_plan
 
 
-def _sql_literal(value: object) -> str:
-    if isinstance(value, str):
-        escaped = value.replace("'", "''")
-        return f"'{escaped}'"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    return str(value)
-
-
-class _RuleTranslator:
-    """Translates one extended CQ into a SELECT (plus NOT EXISTS)."""
-
-    def __init__(
-        self,
-        db: Database | None,
-        rule: ConjunctiveQuery,
-        extra_schemas: dict[str, list[str]] | None = None,
-    ):
-        self.db = db
-        self.rule = rule
-        self.extra_schemas = extra_schemas or {}
-        self.aliases: list[tuple[str, RelationalAtom]] = []
-        # term -> first "alias.column" that binds it
-        self.bindings: dict[Term, str] = {}
-        self.where: list[str] = []
-        self._build()
-
-    def _columns_of(self, atom: RelationalAtom) -> list[str]:
-        if atom.predicate in self.extra_schemas:
-            return self.extra_schemas[atom.predicate]
-        if self.db is not None and atom.predicate in self.db:
-            return list(self.db.get(atom.predicate).columns)
-        return [f"c{i}" for i in range(atom.arity)]
-
-    def _build(self) -> None:
-        positives = [
-            sg for sg in self.rule.body
-            if isinstance(sg, RelationalAtom) and not sg.negated
-        ]
-        for i, atom in enumerate(positives):
-            alias = f"t{i}"
-            self.aliases.append((alias, atom))
-            columns = self._columns_of(atom)
-            for position, term in enumerate(atom.terms):
-                ref = f"{alias}.{columns[position]}"
-                if isinstance(term, Constant):
-                    self.where.append(f"{ref} = {_sql_literal(term.value)}")
-                elif term in self.bindings:
-                    self.where.append(f"{self.bindings[term]} = {ref}")
-                else:
-                    self.bindings[term] = ref
-
-        for sg in self.rule.body:
-            if isinstance(sg, Comparison):
-                self.where.append(
-                    f"{self._term_sql(sg.left)} {sg.op.value} "
-                    f"{self._term_sql(sg.right)}"
-                )
-            elif isinstance(sg, RelationalAtom) and sg.negated:
-                self.where.append(self._not_exists(sg))
-
-    def _term_sql(self, term: Term) -> str:
-        if isinstance(term, Constant):
-            return _sql_literal(term.value)
-        try:
-            return self.bindings[term]
-        except KeyError:
-            raise PlanError(
-                f"term {term} of an arithmetic/negated subgoal is unbound; "
-                "the rule is unsafe"
-            ) from None
-
-    def _not_exists(self, atom: RelationalAtom) -> str:
-        columns = self._columns_of(atom)
-        alias = "n"
-        conditions = []
-        for position, term in enumerate(atom.terms):
-            ref = f"{alias}.{columns[position]}"
-            if isinstance(term, Constant):
-                conditions.append(f"{ref} = {_sql_literal(term.value)}")
-            else:
-                conditions.append(f"{ref} = {self._term_sql(term)}")
-        condition_sql = " AND ".join(conditions) or "TRUE"
-        return (
-            f"NOT EXISTS (SELECT 1 FROM {atom.predicate} {alias} "
-            f"WHERE {condition_sql})"
-        )
-
-    def select_sql(
-        self,
-        output_terms: list[Term],
-        output_names: list[str],
-        distinct: bool = True,
-    ) -> str:
-        select_items = []
-        for term, name in zip(output_terms, output_names):
-            select_items.append(f"{self._term_sql(term)} AS {name}")
-        from_items = ", ".join(
-            f"{atom.predicate} {alias}" for alias, atom in self.aliases
-        )
-        keyword = "SELECT DISTINCT" if distinct else "SELECT"
-        sql = f"{keyword} {', '.join(select_items)}\nFROM {from_items}"
-        if self.where:
-            sql += "\nWHERE " + "\n  AND ".join(self.where)
-        return sql
-
-
-def flock_to_sql(flock: QueryFlock, db: Database | None = None) -> str:
-    """The naive single-statement translation (Fig. 1 generalized).
-
-    Parameters become the SELECT/GROUP BY columns; the filter becomes
-    HAVING.  Union flocks translate each branch and UNION them inside a
-    derived table before grouping.
-    """
-    params = list(flock.parameters)
-    param_names = [f"p_{p.name}" for p in params]
-
-    branches: list[str] = []
-    for rule in flock.rules:
-        translator = _RuleTranslator(db, rule)
-        head_names = [f"a_{i}" for i in range(len(rule.head_terms))]
-        branch = translator.select_sql(
-            params + list(rule.head_terms), param_names + head_names
-        )
-        branches.append(branch)
-
-    if len(branches) == 1:
-        rule = flock.rules[0]
-        translator = _RuleTranslator(db, rule)
-        head_names = [f"a_{i}" for i in range(len(rule.head_terms))]
-        inner = translator.select_sql(
-            params + list(rule.head_terms), param_names + head_names
-        )
-        group = ", ".join(param_names)
-        having_sql = _having_sql(flock, rule, head_names)
-        return (
-            f"SELECT {group}\nFROM (\n{_indent(inner)}\n) answer\n"
-            f"GROUP BY {group}\n"
-            f"HAVING {having_sql};"
-        )
-
-    union_sql = "\nUNION\n".join(branches)
-    group = ", ".join(param_names)
-    width = as_union(flock.query).head_arity
-    head_names = [f"a_{i}" for i in range(width)]
-    having_sql = _having_sql(flock, flock.rules[0], head_names, star_only=True)
-    return (
-        f"SELECT {group}\nFROM (\n{_indent(union_sql)}\n) answer\n"
-        f"GROUP BY {group}\n"
-        f"HAVING {having_sql};"
+def _schema_catalog(flock: QueryFlock) -> Database:
+    """Empty relations with ``c{i}`` columns for every predicate the
+    flock reads — what a script is lowered against without data."""
+    arities = {
+        atom.predicate: atom.arity
+        for rule in flock.rules
+        for atom in rule.positive_atoms() + rule.negated_atoms()
+    }
+    return Database(
+        Relation(name, [f"c{i}" for i in range(arity)], ())
+        for name, arity in arities.items()
     )
 
 
-def _having_sql(
-    flock: QueryFlock,
-    rule: ConjunctiveQuery,
-    head_names: list[str],
-    star_only: bool = False,
+def plan_to_sql(
+    flock: QueryFlock, plan: QueryPlan, db: Database | None = None
 ) -> str:
-    """The HAVING clause for the flock's filter — conjuncts joined with
-    AND.
-
-    COUNT counts distinct answer tuples (``COUNT(DISTINCT ...)``);
-    SUM/MIN/MAX aggregate the target column *per answer row* — the inner
-    ``SELECT DISTINCT`` already made answer rows unique, and applying
-    DISTINCT inside the aggregate would wrongly collapse equal values
-    from different answers (two baskets with the same weight both count
-    toward ``SUM(answer.W)``).
-    """
-    from .filters import iter_conditions
-
-    clauses: list[str] = []
-    name_map = {str(t): n for t, n in zip(rule.head_terms, head_names)}
-    for condition in iter_conditions(flock.filter):
-        if condition.target == STAR or star_only:
-            agg_inner = ", ".join(head_names)
-        else:
-            agg_inner = name_map[condition.target]
-        if condition.aggregate is AggregateFunction.COUNT:
-            agg = f"COUNT(DISTINCT {agg_inner})"
-        else:
-            agg = f"{condition.aggregate.value}({agg_inner})"
-        clauses.append(f"{agg} {condition.op.value} {condition.threshold}")
-    return " AND ".join(clauses)
-
-
-def _indent(text: str, prefix: str = "  ") -> str:
-    return "\n".join(prefix + line for line in text.splitlines())
-
-
-def plan_to_sql(flock: QueryFlock, plan: QueryPlan, db: Database | None = None) -> str:
     """The rewritten script: one materialized table per FILTER step.
 
     This is the Section 1.3 rewrite — e.g. for market baskets, a first
     relation of frequent items joined back into the pair query —
-    expressed mechanically for any legal plan.  Steps are materialized
-    with ``CREATE TABLE ... AS`` (a view would be re-expanded by most
-    engines, losing the whole point of computing the filter once).
+    expressed mechanically for any legal plan, union steps included.
+    Each step is lowered like the executor loop lowers it, later steps
+    against an empty placeholder for every earlier step table; ``db``
+    supplies column names and the statistics the join order follows
+    (``None``: a schema-only catalog, see :func:`_schema_catalog`).
     """
+    scratch = (db if db is not None else _schema_catalog(flock)).scratch()
+    columns_of = column_source(scratch, {s.result_name for s in plan.steps})
     statements: list[str] = []
-    view_schemas: dict[str, list[str]] = {}
-    for index, step in enumerate(plan.steps):
-        is_final = index == len(plan.steps) - 1
-        params = list(step.parameters)
-        param_names = [f"p_{p.name}" for p in params]
-        rule = as_union(step.query).rules[0]
-        if len(as_union(step.query).rules) > 1:
-            raise PlanError("plan_to_sql currently renders single-rule steps")
-        translator = _RuleTranslator(db, rule, extra_schemas=view_schemas)
-        view_schemas[step.result_name] = param_names
-        head_names = [f"a_{i}" for i in range(len(rule.head_terms))]
-        inner = translator.select_sql(
-            params + list(rule.head_terms), param_names + head_names
-        )
-        group = ", ".join(param_names)
-        having_sql = _having_sql(flock, rule, head_names)
-        body = (
-            f"SELECT {group}\nFROM (\n{_indent(inner)}\n) answer\n"
-            f"GROUP BY {group}\n"
-            f"HAVING {having_sql}"
-        )
-        if is_final:
-            statements.append(body + ";")
+    for step in plan.steps:
+        step_plan = lower_filter_step(scratch, flock, step)
+        if step is plan.final_step:
+            statements.append(render_step(step_plan, columns_of) + ";")
         else:
-            statements.append(
-                f"CREATE TABLE {step.result_name} AS\n{_indent(body)};"
-            )
+            statements.append(materialize_step(step_plan, columns_of) + ";")
+            scratch.add(Relation(step.result_name, step_plan.root.columns, ()))
     return "\n\n".join(statements)
+
+
+def flock_to_sql(flock: QueryFlock, db: Database | None = None) -> str:
+    """The naive single-statement translation (Fig. 1 generalized): the
+    script of the single-step plan.  Parameters become the GROUP BY
+    columns, the filter becomes HAVING, union branches are UNIONed."""
+    return plan_to_sql(flock, single_step_plan(flock), db)
 
 
 def fig1_sql() -> str:

@@ -3,13 +3,18 @@
 Section 1.4: "we assume that the data is stored in a conventional
 relational system and that mining occurs by issuing a sequence of SQL
 queries to the database."  This backend does exactly that: it loads a
-:class:`~repro.relational.catalog.Database` into SQLite, lowers each
-FILTER step's physical :class:`~repro.engine.ir.StepPlan` (lowered once
-by the one executor loop, :func:`~repro.flocks.executor.execute_plan`)
-and, as that loop's *step runner*, issues the SQL
-:mod:`repro.engine.sqlgen` renders from it — the naive Fig. 1 statement
-for a whole flock (the single-step plan), or the Section 1.3 rewrite
-for a searched plan, one materialized table per step.
+:class:`~repro.relational.catalog.Database` into SQLite and is a *step
+runner* of the one executor loop
+(:func:`~repro.flocks.executor.execute_plan`): each FILTER step's
+physical :class:`~repro.engine.ir.StepPlan`, lowered once by the loop,
+becomes the SQL :mod:`repro.engine.sqlgen` renders from it — the naive
+Fig. 1 statement for a whole flock (the single-step plan), or the
+Section 1.3 rewrite for a searched plan, one materialized table per
+step.  The loop's hooks (session sink, retry supervisor, checkpoint
+recorder, runtime filters) attach exactly as for the in-memory runners;
+an ok-relation the loop obtained without this runner — served by a
+session cache, resumed from a checkpoint — is mirrored into a table
+before a step reads it.
 
 The backend is the "DBMS-based setting" of the paper's argument; the
 in-memory engine is the "file-based" one.  Both must agree on every
@@ -21,9 +26,12 @@ Robustness contract:
   as :class:`~repro.errors.EvaluationError` with the offending SQL
   attached;
 * *transient* operational errors ("database is locked"/"busy") are
-  retried with capped exponential backoff before giving up — the
-  :func:`~repro.flocks.mining.mine` front door falls back to the
-  in-memory engine when the retries are exhausted;
+  retried per statement with capped exponential backoff before giving
+  up (loading and the session's persistence run outside the loop's
+  retry rung) — the :func:`~repro.flocks.mining.mine` front door falls
+  back to the in-memory engine when the retries are exhausted;
+* a step re-run by the loop's retry rung first drops the table its
+  failed attempt may have left;
 * an :class:`~repro.guard.ExecutionGuard` is enforced from inside the
   SQLite VM via a progress handler (wall-clock deadline and
   cancellation) and, by the executor loop, per materialized step
@@ -37,11 +45,11 @@ from __future__ import annotations
 
 import sqlite3
 import time
-from typing import Sequence
+from typing import Any, Iterable, Sequence
 
 from ..engine.ir import StepPlan
 from ..engine.memory import StepResult
-from ..engine.sqlgen import column_source, materialize_step, safe_column
+from ..engine.sqlgen import column_source, materialize_step
 from ..errors import EvaluationError, ExecutionAborted
 from ..guard import ExecutionGuard, GuardLike, as_guard
 from ..recovery import RetryPolicy
@@ -104,8 +112,8 @@ class SQLiteBackend:
         #: The guard of the plan currently running (polled from inside
         #: the VM; retry sleeps are clamped to its remaining wall-clock).
         self._active_guard: ExecutionGuard | None = None
-        #: Step tables materialized so far: name -> SQL-safe columns.
-        self._step_tables: dict[str, list[str]] = {}
+        #: Step tables materialized or mirrored so far.
+        self._step_tables: set[str] = set()
         self._loaded: Database | None = None
         #: Guard abort raised from inside the progress handler, if any.
         self._guard_abort: list[ExecutionAborted] = []
@@ -118,21 +126,26 @@ class SQLiteBackend:
 
     def load(self, db: Database) -> None:
         """(Re)load every relation of ``db`` as a SQLite table."""
-        cursor = self.connection.cursor()
         for name in db.names():
             relation = db.get(name)
-            self._execute(cursor, f"DROP TABLE IF EXISTS {name}")
-            columns = ", ".join(relation.columns)
-            self._execute(cursor, f"CREATE TABLE {name} ({columns})")
-            placeholders = ", ".join("?" for _ in relation.columns)
-            self._execute(
-                cursor,
-                f"INSERT INTO {name} VALUES ({placeholders})",
-                parameters=sorted(relation.tuples, key=repr),
-                many=True,
-            )
+            self._put_table(name, relation.columns, relation.tuples)
         self.connection.commit()
         self._loaded = db
+
+    def _put_table(
+        self, name: str, columns: Sequence[str], rows: Iterable[tuple]
+    ) -> None:
+        """(Re)create table ``name`` over ``columns`` holding ``rows``."""
+        cursor = self.connection.cursor()
+        self._execute(cursor, f"DROP TABLE IF EXISTS {name}")
+        self._execute(cursor, f"CREATE TABLE {name} ({', '.join(columns)})")
+        placeholders = ", ".join("?" for _ in columns)
+        self._execute(
+            cursor,
+            f"INSERT INTO {name} VALUES ({placeholders})",
+            parameters=sorted(rows, key=repr),
+            many=True,
+        )
 
     def close(self) -> None:
         """Close the underlying SQLite connection."""
@@ -171,24 +184,24 @@ class SQLiteBackend:
         flock: QueryFlock,
         plan: QueryPlan,
         guard: GuardLike = None,
-        order_strategy: str = "greedy",
-        runtime_filters: bool = False,
+        **loop: Any,
     ) -> Relation:
         """The rewritten evaluation: the executor loop with this backend
         as its step runner, one materialized table per FILTER step (the
         Section 1.3 path).  Step tables are dropped afterwards — also
         on an abort or a failure — so the backend can be reused.
 
-        ``runtime_filters`` injects semi-join ``IN`` conjuncts over
-        already-materialized step tables into later steps' scans.
+        ``loop`` is passed to :func:`~repro.flocks.executor.execute_plan`
+        unchanged: ``order_strategy``, ``runtime_filters`` (semi-join
+        ``IN`` conjuncts over earlier step tables), ``sink``,
+        ``supervisor``, ``recorder`` — the hooks every runner gets.
         """
         db = self._require_loaded()
         self._active_guard = as_guard(guard)
         try:
             return execute_plan(
                 db, flock, plan, validate=False, guard=self._active_guard,
-                order_strategy=order_strategy,
-                runtime_filters=runtime_filters, runner=self,
+                runner=self, **loop,
             ).relation
         finally:
             self._active_guard = None
@@ -204,14 +217,21 @@ class SQLiteBackend:
         as its step table (``CREATE TABLE ok AS ...``) and read the
         small ok-relation back.
 
-        ``db`` (the loop's scratch catalog) is not consulted: step
-        tables resolve against this backend's own schema.  With
-        ``need_aggregates`` the table and ``passed`` also carry one
-        ``_agg{i}`` column per filter conjunct — the SQL rendering of
-        the in-memory engine's ``group_filter`` output.  The table stays
-        until :meth:`drop_step_tables`, so later steps can join it.
+        ``db`` is the loop's scratch catalog (default: the loaded
+        database).  A relation the step reads that is there but not yet
+        a table here — an ok-relation the loop served from a session
+        cache or a checkpoint, which no :meth:`run_step` materialized —
+        is mirrored first.  Step tables, materialized or mirrored, carry
+        :func:`~repro.engine.sqlgen.column_source` names.  The step's
+        own table is dropped before it is created, so a re-run by the
+        loop's retry rung is safe.  With ``need_aggregates`` the table
+        and ``passed`` also carry one ``_agg{i}`` column per filter
+        conjunct — the SQL rendering of the in-memory engine's
+        ``group_filter`` output.  The table stays until
+        :meth:`drop_step_tables`, so later steps can join it.
         """
         base = self._require_loaded()
+        db = base if db is None else db
         name = step_plan.result_name
         if name in base:
             raise EvaluationError(
@@ -221,10 +241,16 @@ class SQLiteBackend:
             step_plan.group.columns if need_aggregates
             else step_plan.root.columns
         )
-        columns_of = column_source(base, self._step_tables)
         # Registered before it exists: cleanup must cover a table whose
         # creation was interrupted.
-        self._step_tables[name] = [safe_column(c) for c in out_columns]
+        self._step_tables.add(name)
+        columns_of = column_source(db, self._step_tables)
+        for branch in step_plan.branches:
+            for read in branch.query.predicates():
+                if read not in base and read not in self._step_tables:
+                    self._step_tables.add(read)
+                    self._put_table(read, columns_of(read), db.get(read).tuples)
+        self._run(f"DROP TABLE IF EXISTS {name}", name)
         self._run(
             materialize_step(
                 step_plan, columns_of, include_aggregates=need_aggregates
@@ -239,7 +265,8 @@ class SQLiteBackend:
         return StepResult(result, passed, len(passed))
 
     def drop_step_tables(self) -> None:
-        """Drop every step table :meth:`run_step` materialized."""
+        """Drop every step table :meth:`run_step` materialized or
+        mirrored."""
         cursor = self.connection.cursor()
         for name in self._step_tables:
             try:
@@ -247,7 +274,7 @@ class SQLiteBackend:
             except sqlite3.Error:  # cleanup must not mask the error
                 pass
         self.connection.commit()
-        self._step_tables = {}
+        self._step_tables = set()
 
     # ------------------------------------------------------------------
     # Cached-result persistence (for repro.session)

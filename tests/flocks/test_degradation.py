@@ -28,8 +28,10 @@ from repro.flocks import (
     execute_plan,
     execute_plan_sqlite,
     plan_from_subqueries,
+    single_step_plan,
     support_filter,
 )
+from repro.recovery import RetryPolicy, RetrySupervisor, TransientFault
 from repro.relational import database_from_dict
 from repro.testing import inject
 
@@ -316,6 +318,69 @@ class TestBackendDegradation:
         assert fault.failures == 1, "non-transient errors are not retried"
         assert exc.value.sql
         assert "while executing:" in str(exc.value)
+
+    @pytest.mark.faults
+    def test_transient_fault_after_create_table_reruns_the_step(
+        self, small_basket_db, basket_flock, monkeypatch
+    ):
+        """The loop's retry rung re-runs a SQLite step whose read-back
+        failed after its table was created: the re-run replaces the
+        table, the run stays on SQLite, and cleanup still drops it."""
+        statements, leaked = [], []
+        execute, close = SQLiteBackend._execute, SQLiteBackend.close
+
+        def spy(self, cursor, statement, *args, **kwargs):
+            statements.append(statement)
+            return execute(self, cursor, statement, *args, **kwargs)
+
+        def audit(self):
+            leaked.append(TestSQLiteLeavesNoStepTables.leaked(
+                self, small_basket_db
+            ))
+            close(self)
+
+        monkeypatch.setattr(SQLiteBackend, "_execute", spy)
+        monkeypatch.setattr(SQLiteBackend, "close", audit)
+        expected = evaluate_flock(small_basket_db, basket_flock)
+        mine(small_basket_db, basket_flock, strategy="optimized",
+             backend="sqlite")
+        readback = next(
+            i for i, s in enumerate(statements) if s.startswith("SELECT *")
+        )
+        assert statements[readback - 1].startswith("CREATE TABLE")
+        with inject("sqlite.execute", TransientFault, skip=readback,
+                    times=1) as fault:
+            relation, report = mine(
+                small_basket_db, basket_flock, strategy="optimized",
+                backend="sqlite",
+                retry=RetryPolicy(base_delay=0.0, jitter=0.0),
+            )
+        assert fault.failures == 1
+        assert relation == expected
+        assert report.backend_used == "sqlite"
+        (retry,) = [d for d in report.downgrades if d.kind == "retry"]
+        assert retry.to_name == "recovered"
+        assert leaked == [set(), set()]
+
+    @pytest.mark.faults
+    def test_exhausted_statement_retry_is_not_retried_again(
+        self, small_basket_db, basket_flock
+    ):
+        """Statement retries end in an EvaluationError, which the loop's
+        retry rung classifies fatal: the attempts do not multiply."""
+        supervisor = RetrySupervisor(RetryPolicy(base_delay=0.0, jitter=0.0))
+        with SQLiteBackend(small_basket_db) as backend:
+            backend._sleep = lambda seconds: None
+            locked = sqlite3.OperationalError("database is locked")
+            with inject("sqlite.execute", locked) as fault:
+                with pytest.raises(EvaluationError, match="locked") as exc:
+                    backend.execute_plan(
+                        basket_flock, single_step_plan(basket_flock),
+                        supervisor=supervisor,
+                    )
+        assert supervisor.policy.classify(exc.value) == "fatal"
+        assert fault.failures == backend.retry_policy.max_attempts
+        assert supervisor.events == []
 
     def test_dynamic_on_sqlite_records_backend_downgrade(
         self, small_basket_db, basket_flock

@@ -175,7 +175,6 @@ INVALID = [
     (EvaluationError, {"backend": "duckdb"}),
     (ValueError, {"join_order": "alphabetical"}),
     (ValueError, {"resume": "r0"}),
-    (ValueError, {"checkpoint": "ckpt.sqlite", "backend": "sqlite"}),
     (ValueError, {"checkpoint": "ckpt.sqlite", "strategy": "naive"}),
     (ValueError, {"checkpoint": "ckpt.sqlite", "strategy": "dynamic"}),
 ]
@@ -204,6 +203,18 @@ def test_invalid_combination_raises_and_is_400(
     with pytest.raises(ServeError) as excinfo:
         MiningClient(server.address).mine(FLOCK_TEXT, **wire)
     assert excinfo.value.status == 400
+
+
+def test_checkpoint_on_sqlite_is_a_valid_combination(server):
+    """Both backends run the one executor loop, recorder included."""
+    MiningOptions(checkpoint="ckpt.sqlite", backend="sqlite")  # no raise
+    result = MiningClient(server.address).mine(
+        FLOCK_TEXT, backend="sqlite", checkpoint=True
+    )
+    report = result["report"]
+    assert report["backend_used"] == "sqlite"
+    assert report["run_id"] is not None
+    assert report["steps_checkpointed"] >= 1
 
 
 @pytest.mark.parametrize("name", sorted(set(FIELDS) - WIRE_FIELDS.keys()))

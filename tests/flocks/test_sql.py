@@ -2,9 +2,10 @@
 
 import sqlite3
 
+import pytest
 
 from repro.datalog.subqueries import SubqueryCandidate
-from repro.flocks import evaluate_flock, fig1_sql, flock_to_sql, itemset_flock, itemset_plan, parse_flock, plan_to_sql, plan_from_subqueries
+from repro.flocks import FlockOptimizer, SQLiteBackend, evaluate_flock, execute_plan, fig1_sql, flock_to_sql, itemset_flock, itemset_plan, optimize_union, parse_flock, plan_to_sql, plan_from_subqueries, single_step_plan
 
 
 def _run_sqlite(db, script_or_query: str) -> set[tuple]:
@@ -115,6 +116,36 @@ class TestPlanToSql:
         sqlite_rows = _run_sqlite(small_medical_db, sql)
         ours = evaluate_flock(small_medical_db, medical_flock)
         assert sqlite_rows == set(ours.tuples)
+
+    def test_union_plan_sql(self, web_flock, small_web_db):
+        plan = optimize_union(small_web_db, web_flock)
+        sql = plan_to_sql(web_flock, plan, small_web_db)
+        assert "UNION" in sql
+        sqlite_rows = _run_sqlite(small_web_db, sql)
+        assert sqlite_rows == set(evaluate_flock(small_web_db, web_flock).tuples)
+
+    def test_naive_is_the_single_step_script(self, web_flock, small_web_db):
+        assert flock_to_sql(web_flock, small_web_db) == plan_to_sql(
+            web_flock, single_step_plan(web_flock), small_web_db
+        )
+
+    @pytest.mark.parametrize("fixture", ["basket", "medical"])
+    def test_every_enumerated_plan_agrees_with_both_runners(
+        self, request, fixture
+    ):
+        """The printed script, the SQLite runner and the in-memory
+        runner give one survivor set for every plan the optimizer
+        enumerates."""
+        flock = request.getfixturevalue(f"{fixture}_flock")
+        db = request.getfixturevalue(f"small_{fixture}_db")
+        plans = FlockOptimizer(db, flock).enumerate_plans()
+        assert len(plans) > 1
+        with SQLiteBackend(db) as backend:
+            for plan in plans:
+                script = _run_sqlite(db, plan_to_sql(flock, plan, db))
+                memory = execute_plan(db, flock, plan).relation.tuples
+                assert script == backend.execute_plan(flock, plan).tuples
+                assert script == memory, plan.render(flock)
 
 
 class TestFig1:

@@ -236,6 +236,59 @@ class TestStats:
         assert report.strategy_used == "cache"
 
 
+class TestSQLiteBackend:
+    """The SQLite runner sits under the same session sink as the
+    in-memory runners: its answers warm the cache, and cached bounds
+    are served into its plans."""
+
+    def test_sqlite_session_caches(self, small_basket_db, basket_flock):
+        session = MiningSession(small_basket_db, backend="sqlite")
+        reports = [
+            session.mine(basket_flock, strategy="optimized")[1]
+            for _ in range(3)
+        ]
+        miss, *hits = reports
+        assert miss.backend_used == "sqlite"
+        assert miss.cache_misses == 1
+        assert [r.strategy_used for r in hits] == ["cache", "cache"]
+        assert session.stats().cache_hits == 2
+        cached, _ = session.mine(basket_flock, strategy="optimized")
+        memory, _ = MiningSession(small_basket_db).mine(
+            basket_flock, strategy="optimized"
+        )
+        assert cached == memory
+
+    def test_cached_bound_is_served_into_a_sqlite_plan(self):
+        """A two-step plan whose pre-filter step is answered by an
+        earlier flock's cached survivors: the SQLite runner mirrors the
+        served ok-relation into a table before the final step joins it."""
+        import random
+
+        from repro.flocks import parse_flock
+        from repro.relational import database_from_dict
+
+        rng = random.Random(0)
+        rows = []
+        for b in range(40):  # three frequent items, many rare ones
+            rows += [(b, i) for i in ("beer", "diapers", "chips")
+                     if rng.random() < 0.5]
+            rows += [(b, f"rare{b}"), (b, f"odd{b}")]
+        db = database_from_dict({"baskets": (("BID", "Item"), rows)})
+        single = parse_flock(
+            "QUERY: answer(B) :- baskets(B,$1) FILTER: COUNT(answer.B) >= 5"
+        )
+        pairs = parse_flock(
+            "QUERY: answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2"
+            " FILTER: COUNT(answer.B) >= 5"
+        )
+        session = MiningSession(db, backend="sqlite")
+        session.mine(single, strategy="optimized")
+        relation, report = session.mine(pairs, strategy="optimized")
+        assert report.cache_step_hits >= 1
+        assert report.backend_used == "sqlite"  # no fallback to memory
+        assert relation == evaluate_flock(db, pairs)
+
+
 class TestUnionFlocks:
     def test_union_flock_round_trips(self, small_web_db, web_flock):
         session = MiningSession(small_web_db)

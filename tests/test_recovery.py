@@ -486,7 +486,7 @@ class TestMineCheckpointResume:
         assert report.strategy_requested == "auto"
         assert report.strategy_used == "optimized"
 
-    def test_checkpoint_rejects_naive_and_sqlite(
+    def test_checkpoint_rejects_naive(
         self, tmp_path, small_basket_db, basket_flock
     ):
         path = str(tmp_path / "ckpt.db")
@@ -495,13 +495,31 @@ class TestMineCheckpointResume:
                 small_basket_db, basket_flock, strategy="naive",
                 checkpoint=path,
             )
-        with pytest.raises(ValueError, match="in-memory backend"):
-            mine(
-                small_basket_db, basket_flock, backend="sqlite",
-                checkpoint=path,
-            )
         with pytest.raises(ValueError, match="requires checkpoint"):
             mine(small_basket_db, basket_flock, resume="r1")
+
+    def test_sqlite_kill_and_resume_serves_the_completed_step(
+        self, tmp_path, wide_basket_db, pair_flock
+    ):
+        """The resumed step never ran on this backend: the SQLite runner
+        mirrors it into a table before the next step joins it."""
+        path = str(tmp_path / "ckpt.db")
+        baseline, _ = mine(wide_basket_db, pair_flock, strategy="optimized")
+        with faults.inject("executor.step", RuntimeError, skip=1):
+            with pytest.raises(RuntimeError):
+                mine(
+                    wide_basket_db, pair_flock, strategy="optimized",
+                    backend="sqlite", checkpoint=path, run_id="runS",
+                    retry=RetryPolicy(max_attempts=1),
+                )
+        relation, report = mine(
+            wide_basket_db, pair_flock, strategy="optimized",
+            backend="sqlite", checkpoint=path, resume="runS",
+        )
+        assert relation.tuples == baseline.tuples
+        assert report.backend_used == "sqlite"
+        assert report.steps_resumed == 1
+        assert report.steps_checkpointed >= 1
 
     def test_resume_disables_strategy_degradation(
         self, tmp_path, small_basket_db, basket_flock
