@@ -7,6 +7,11 @@ support step is counted per group, never materialised
 (:meth:`MemoryEngine.count_join`).  Binding relations are cached per
 engine instance, so a union's branches (or a dynamic re-plan) never
 rebuild the same scan twice.
+
+The Section 4.4 dynamic strategy is a decision object handed to
+:meth:`MemoryEngine.run_step`: the one stage loop asks it for each
+stage's leaf, each intermediate join result and the remaining stages —
+the engine itself never decides to filter.
 """
 
 # conlint: hot-module — loops here are engine kernels; the
@@ -85,9 +90,6 @@ class MemoryEngine:
         db: the database plans were lowered against.
         guard: optional execution guard; each join stage notes a trace
             row and checkpoints through it.
-        trip_site: the fault-injection site tripped once per join stage
-            (``"relational.join"`` for the shared evaluator,
-            ``"dynamic.join"`` when the dynamic strategy drives stages).
         scan_restrict: optional hook applied to every freshly built
             binding relation — the parallel executor installs a
             partition predicate here
@@ -104,7 +106,6 @@ class MemoryEngine:
         self,
         db: Database,
         guard: GuardLike = None,
-        trip_site: str = "relational.join",
         scan_restrict: Optional[
             Callable[[RelationalAtom, Relation], Relation]
         ] = None,
@@ -112,7 +113,6 @@ class MemoryEngine:
     ):
         self.db = db
         self.guard: ExecutionGuard | None = as_guard(guard)
-        self.trip_site = trip_site
         self.scan_restrict = scan_restrict
         self.encode_scans = encode_scans
         self._bindings: dict[RelationalAtom, Relation] = {}
@@ -225,28 +225,25 @@ class MemoryEngine:
 
     def run_stage(
         self,
-        current: Relation | None,
+        current: Relation,
         stage: JoinStage,
         leaf: Relation | None = None,
-        join_name: str = "join",
     ) -> Relation:
         """One join stage: trip, join, attached filters, guard note.
 
-        ``current=None`` makes the stage's scan the running result (the
-        dynamic strategy's first stage; the shared evaluator passes the
-        unit relation instead so the trace reports 1 input tuple).
         ``leaf`` overrides the scan with an already-reduced binding
-        relation (a dynamically filtered leaf); ``join_name`` names the
-        join result (``temp{n}`` under the dynamic strategy).
+        relation (a dynamically filtered leaf).  Against the unit
+        relation (no columns, one row: the join's identity) the stage
+        starts from the scan in place, in its code space.
         """
-        trip(self.trip_site)
+        trip("relational.join")
         started = time.perf_counter()
-        before = len(current) if current is not None else 0
+        before = len(current)
         scan_rel = self._filtered_scan(stage, leaf)
-        if current is None:
-            current = scan_rel
+        if current.columns or before != 1:
+            current = natural_join(current, scan_rel)
         else:
-            current = natural_join(current, scan_rel, name=join_name)
+            current = scan_rel
         for op in stage.filters:
             current = self.apply_filter(current, op)
             if self.guard is not None:
@@ -256,7 +253,7 @@ class MemoryEngine:
 
     def count_join(
         self,
-        current: Relation | None,
+        current: Relation,
         stage: JoinStage,
         leaf: Relation | None,
         group_by: Sequence[str],
@@ -278,10 +275,9 @@ class MemoryEngine:
         dictionary, else values.  Trace rows, observations (``actual``
         = output rows) and checkpoints are :meth:`run_stage`'s.
         """
-        trip(self.trip_site)
+        trip("relational.join")
         started = time.perf_counter()
-        before = len(current) if current is not None else 0
-        left = current if current is not None else unit_relation()
+        left, before = current, len(current)
         right = self._filtered_scan(stage, leaf)
         # A columnless left side (the unit relation) has no codes to
         # disagree with: read the scan in place, in its code space.
@@ -318,7 +314,7 @@ class MemoryEngine:
                 self.guard.checkpoint(rows=len(left_idx), node=stage.node)
         self._observe(stage, before, len(left_idx), started)
         for semi in semi_joins:
-            trip(self.trip_site)
+            trip("relational.join")
             started, before = time.perf_counter(), len(left_idx)
             scan = self._filtered_scan(semi, None)
             keep(self._members(scan, gathered, dictionary))
@@ -393,12 +389,35 @@ class MemoryEngine:
             )
             self.guard.checkpoint(rows=actual, node=stage.node)
 
-    def run_plan(self, plan: PhysicalPlan) -> Relation:
-        """Execute one rule plan end to end, including materialization."""
-        self._verify_before_execution(plan)
+    def _run_stages(
+        self, branch: PhysicalPlan, stop: int, dynamic=None
+    ) -> tuple[Relation, PhysicalPlan]:
+        """The one loop over join stages: ``branch``'s stages before
+        position ``stop``, from the unit relation.
+
+        A ``dynamic`` decision object (see :meth:`run_step`) supplies
+        each stage's leaf, may FILTER each join result, and may swap in
+        a re-lowered branch that keeps the executed prefix; the branch
+        the loop ended on is returned.
+        """
         current = unit_relation()
-        for stage in plan.stages:
-            current = self.run_stage(current, stage)
+        for position in range(stop):
+            stage = branch.stages[position]
+            current = self.run_stage(
+                current, stage, self._leaf(branch, position, dynamic)
+            )
+            if dynamic is not None:
+                current, branch = dynamic.joined(self, branch, position, current)
+        return current, branch
+
+    def _leaf(self, branch: PhysicalPlan, position: int, dynamic):
+        return None if dynamic is None else dynamic.leaf(self, branch, position)
+
+    def run_plan(self, plan: PhysicalPlan, dynamic=None) -> Relation:
+        """Execute one rule plan end to end, including materialization
+        (under ``dynamic``'s decisions when given, see :meth:`run_step`)."""
+        self._verify_before_execution(plan)
+        current, plan = self._run_stages(plan, len(plan.stages), dynamic)
         for op in plan.unit_filters:
             current = self.apply_filter(current, op)
             if self.guard is not None:
@@ -582,7 +601,7 @@ class MemoryEngine:
         return self.project_unique(passed, step.root.columns, step.root.name)
 
     def run_step(
-        self, step: StepPlan, need_aggregates: bool = False
+        self, step: StepPlan, need_aggregates: bool = False, dynamic=None
     ) -> StepResult:
         """Execute one FILTER step end to end — the serial step body
         every in-memory path shares.
@@ -592,35 +611,57 @@ class MemoryEngine:
         materialised.  Any other step materialises the answer and groups
         it.  ``passed`` (survivors with their ``_agg`` column) is built
         only when ``need_aggregates``.
+
+        ``dynamic`` is the Section 4.4 decision policy
+        (:class:`~repro.flocks.dynamic.DynamicEvaluator`) for a
+        single-rule step: ``begin(step)`` starts it and may re-lower the
+        branch; the stage loop asks ``leaf(engine, branch, position)``
+        for each stage's (possibly FILTERed) binding relation and
+        ``joined(engine, branch, position, current)`` for the (possibly
+        FILTERed) join result and the (possibly re-lowered) remaining
+        stages; ``root(rows, survivors)`` closes it.  A re-plan may
+        reorder the suffix, so only the last stage is counted then (no
+        semi-join tail).
         """
         self._verify_before_execution(step)
+        if dynamic is not None:
+            step = dynamic.begin(step)
         shape = support_shape(step)
         if shape is None:
-            answer = self.run_answer(step)
-            self._step_checkpoint(step, len(answer))
+            answer = (
+                self.run_answer(step) if dynamic is None
+                else self.run_plan(step.branches[0], dynamic)
+            )
+            rows = len(answer)
+            self._step_checkpoint(step, rows)
             passed = self.run_group_filter(answer, step)
-            return StepResult(
+            outcome = StepResult(
                 self.finalize_step(passed, step),
                 passed if need_aggregates else None,
-                len(answer),
+                rows,
             )
-        group_by, target, cap = shape
-        stages = step.branches[0].stages
-        counted = len(stages) - 1 - _semi_join_tail(stages)
-        current = unit_relation()
-        for stage in stages[:counted]:
-            current = self.run_stage(current, stage)
-        counts, _rows, dictionary = self.count_join(
-            current, stages[counted], None, group_by, target,
-            stages[counted + 1:],
-        )
-        answer_tuples = sum(counts.values())  # one per (key, target) pair
-        self._step_checkpoint(step, answer_tuples)
-        result, passed = survivor_relations(
-            counts, cap, step.root.columns, step.root.name, dictionary,
-            step.group.aggregates[0].column if need_aggregates else None,
-        )
-        return StepResult(result, passed, answer_tuples)
+        else:
+            group_by, target, cap = shape
+            branch = step.branches[0]
+            counted = len(branch.stages) - 1
+            if dynamic is None:
+                counted -= _semi_join_tail(branch.stages)
+            current, branch = self._run_stages(branch, counted, dynamic)
+            counts, rows, dictionary = self.count_join(
+                current, branch.stages[counted],
+                self._leaf(branch, counted, dynamic), group_by, target,
+                branch.stages[counted + 1:],
+            )
+            answer_tuples = sum(counts.values())  # one per (key, target)
+            self._step_checkpoint(step, answer_tuples)
+            result, passed = survivor_relations(
+                counts, cap, step.root.columns, step.root.name, dictionary,
+                step.group.aggregates[0].column if need_aggregates else None,
+            )
+            outcome = StepResult(result, passed, answer_tuples)
+        if dynamic is not None:
+            dynamic.root(rows, len(outcome.result))
+        return outcome
 
     def _step_checkpoint(self, step: StepPlan, answer_tuples: int) -> None:
         if self.guard is not None:
@@ -682,12 +723,14 @@ def support_shape(
 
 class MemoryRunner:
     """The serial in-memory step runner: a fresh :class:`MemoryEngine`
-    interprets each step.  Accumulates the engines' observability data
-    over the run: join-stage observations and scan rows pruned by
-    runtime filters."""
+    interprets each step (under ``dynamic``'s decisions when given, see
+    :meth:`MemoryEngine.run_step`).  Accumulates the engines'
+    observability data over the run: join-stage observations and scan
+    rows pruned by runtime filters."""
 
-    def __init__(self, guard: ExecutionGuard | None = None) -> None:
+    def __init__(self, guard: ExecutionGuard | None = None, dynamic=None) -> None:
         self.guard = guard
+        self.dynamic = dynamic
         self.observations: list[StageObservation] = []
         self.rows_pruned: int = 0
 
@@ -695,7 +738,7 @@ class MemoryRunner:
         self, step_plan: StepPlan, db: Database, need_aggregates: bool = False
     ) -> StepResult:
         engine = MemoryEngine(db, guard=self.guard)
-        outcome = engine.run_step(step_plan, need_aggregates=need_aggregates)
+        outcome = engine.run_step(step_plan, need_aggregates, self.dynamic)
         self.observations.extend(engine.stage_log)
         self.rows_pruned += engine.rows_pruned
         return outcome

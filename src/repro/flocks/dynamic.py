@@ -1,9 +1,11 @@
 """Dynamic selection of filter steps (Section 4.4).
 
 Instead of fixing the FILTER steps in advance, the dynamic strategy
-lowers the flock's rule to the same physical plan every other strategy
-runs (:func:`repro.engine.planner.lower_rule`), then *watches the sizes
-of intermediate relations* while interpreting its stages and decides
+runs the flock as its single-step plan through the one executor loop
+(:func:`repro.flocks.executor.execute_plan`), and the in-memory step
+body (:meth:`repro.engine.memory.MemoryEngine.run_step`) consults a
+:class:`DynamicEvaluator` as it interprets the lowered rule's stages:
+the evaluator *watches the sizes of intermediate relations* and decides
 after each join whether inserting a FILTER step would pay:
 
 * when a set of parameters appears for the first time (including the
@@ -15,7 +17,7 @@ after each join whether inserting a FILTER step would pay:
   tuples-per-assignment ratio dropped significantly since the last
   filter opportunity for that set;
 * the root must always be filtered — that final FILTER *is* the flock's
-  answer.
+  answer, and it is the step's own (counted for a support flock).
 
 Watching sizes enables one more dynamic move the static strategies
 cannot make: when the observed size of an intermediate relation
@@ -26,8 +28,9 @@ in the re-lowered plan suffix — same IR, new operator order.
 
 A filter step is sound here for the same reason as in the static case:
 the subgoals joined so far form a safe subquery of the flock query (the
-evaluator only offers the decision when the filter's count target is
-bound), so its per-assignment answer set is a superset of the full
+evaluator only offers the decision when they bind every head variable,
+the rule :func:`repro.datalog.subqueries.safe_subqueries` candidates
+obey), so its per-assignment answer set is a superset of the full
 query's and a monotone filter that fails on it fails on the whole flock.
 
 The evaluator returns the flock result, a decision log, and a rendered
@@ -38,24 +41,27 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from ..analysis.verification import plan_verification_enabled
-from ..errors import FilterError, PlanError
-from ..datalog.atoms import RelationalAtom
 from ..datalog.query import ConjunctiveQuery
 from ..datalog.safety import assert_safe
-from ..engine.ir import CompareFilter, JoinStage, PhysicalPlan
-from ..engine.memory import MemoryEngine
+from ..datalog.terms import is_bindable
+from ..engine.ir import CompareFilter, PhysicalPlan, StepPlan
+from ..engine.memory import MemoryEngine, MemoryRunner
 from ..engine.planner import complete_order, lower_rule
+from ..errors import FilterError, PlanError
 from ..guard import GuardLike, as_guard
 from ..relational.aggregates import relation_group_counts, survivor_relations
 from ..relational.catalog import Database
 from ..relational.operators import semi_join
 from ..relational.relation import Relation
+from ..testing.faults import trip
+from .executor import execute_plan
 from .filters import STAR, iter_conditions, plan_aggregate_specs
 from .flock import QueryFlock
+from .plans import single_step_plan
 from .result import FlockResult
 
 if TYPE_CHECKING:
@@ -112,7 +118,13 @@ class DynamicTrace:
 
 
 class DynamicEvaluator:
-    """Evaluates a single-rule flock with size-driven FILTER insertion.
+    """The size-driven FILTER policy for a single-rule flock.
+
+    :meth:`evaluate` runs the flock; the other public methods are the
+    decision hooks :meth:`MemoryEngine.run_step
+    <repro.engine.memory.MemoryEngine.run_step>` calls (``begin``,
+    ``leaf``, ``joined``, ``root``).  :attr:`last_trace` is
+    the decision log of the last step run.
 
     Args:
         decision_factor: filter a *new* parameter set when its
@@ -155,39 +167,35 @@ class DynamicEvaluator:
         self.sink = sink
         self.rule: ConjunctiveQuery = flock.rules[0]
         assert_safe(self.rule)
+        # The loop lowers every run on a scratch overlay, which copies
+        # only the statistics the catalog has cached: compute them on
+        # the catalog, so later runs (and re-plans) reuse them.
+        for atom in self.rule.positive_atoms():
+            db.stats(atom.predicate)
         self.decision_factor = decision_factor
         self.improvement_factor = improvement_factor
         self._param_cols = set(flock.parameter_columns)
-        self._conditions = iter_conditions(flock.filter)
-        self._decision_threshold = self._pick_decision_threshold()
-        #: Set for a one-conjunct support filter: then every FILTER
-        #: counts groups and the root is a counted join.
+        conditions = iter_conditions(flock.filter)
+        head = [str(t) for t in self.rule.head_terms]
+        #: Each condition's target columns, and every column an
+        #: in-flight FILTER needs bound: the targets and each head
+        #: variable — only then is the subquery joined so far safe.
+        self._targets = {
+            c: head if c.target == STAR else [c.target] for c in conditions
+        }
+        self._needed = {str(t) for t in self.rule.head_terms if is_bindable(t)}
+        self._needed.update(c for cols in self._targets.values() for c in cols)
+        #: The ratio compares with the support (COUNT lower-bound)
+        #: conjunct when present, else with the first conjunct.
+        self._decision_threshold = float(next(
+            (c for c in conditions if c.is_support_condition), conditions[0]
+        ).threshold)
+        #: Set for a one-conjunct support filter: then every in-flight
+        #: FILTER counts groups (the root is the step body's counted join).
         self._cap = flock.filter.support_cap
-        self._engine = MemoryEngine(db, guard=guard, trip_site="dynamic.join")
-
-    def _pick_decision_threshold(self) -> float:
-        """The threshold the tuples-per-assignment ratio compares with:
-        the support (COUNT lower-bound) conjunct when present, else the
-        first conjunct's threshold."""
-        for condition in self._conditions:
-            if condition.is_support_condition:
-                return float(condition.threshold)
-        return float(self._conditions[0].threshold)
-
-    def _condition_targets(self, columns: Sequence[str]):
-        """Per-condition target columns among ``columns``, or None when
-        some condition's target is not yet bound."""
-        head_cols = [str(t) for t in self.rule.head_terms]
-        resolved: dict = {}
-        for condition in self._conditions:
-            if condition.target == STAR:
-                targets = head_cols
-            else:
-                targets = [condition.target]
-            if not all(c in columns for c in targets):
-                return None
-            resolved[condition] = targets
-        return resolved
+        self._join_order: list[int] | None = None
+        self._best_ratio: dict[frozenset[str], float] = {}
+        self.last_trace = DynamicTrace()
 
     # ------------------------------------------------------------------
 
@@ -196,123 +204,89 @@ class DynamicEvaluator:
         join_order: list[int] | None = None,
         order_strategy: str = "greedy",
     ) -> FlockResult:
-        """Run the dynamic strategy; returns result + :class:`DynamicTrace`
-        (exposed as ``result.trace`` is the static type, so the dynamic
-        trace is returned via :attr:`last_trace`).
+        """Run the dynamic strategy; returns the flock result (the
+        :class:`DynamicTrace` is :attr:`last_trace`).
 
-        ``order_strategy`` selects the join order when ``join_order`` is
-        not given: ``"greedy"`` (default), ``"selinger"`` (the [G*79]
-        DP orderer — the paper: "Any of a number of models and
-        approaches to selecting this join order may be used, our idea is
-        independent of how the join order is actually chosen"), or
-        ``"ues"`` (the pessimistic bound-minimal order).  With no
-        explicit ``join_order``, the remaining stages may be re-planned
-        mid-flight when observed sizes diverge from the estimates (or
-        from the guaranteed bounds, whichever is tighter).
+        The flock runs as its single-step plan through the executor
+        loop, on a serial :class:`MemoryRunner` that hands this policy
+        to the step body.  ``order_strategy`` selects the join order
+        when ``join_order`` is not given: ``"greedy"`` (default),
+        ``"selinger"`` (the [G*79] DP orderer — the paper: "Any of a
+        number of models and approaches to selecting this join order may
+        be used, our idea is independent of how the join order is
+        actually chosen"), or ``"ues"`` (the pessimistic bound-minimal
+        order).  With no explicit ``join_order``, the remaining stages
+        may be re-planned mid-flight when observed sizes diverge from
+        the estimates (or from the guaranteed bounds, whichever is
+        tighter).
         """
-        started = time.perf_counter()
-        trace = DynamicTrace()
-        positives = self.rule.positive_atoms()
-        if not positives:
-            raise PlanError("flock query has no positive subgoals")
-        plan = lower_rule(
-            self.db,
-            self.rule,
-            join_order=join_order,
+        self._join_order = join_order
+        result = execute_plan(
+            self.db, self.flock, single_step_plan(self.flock),
+            validate=False, guard=self.guard, sink=self.sink,
             order_strategy=order_strategy,
+            runner=MemoryRunner(self.guard, dynamic=self),
         )
-        # Body indices per subgoal, so each FILTER decision knows the
-        # exact safe subquery it materialized (for the session cache).
-        positive_body_idx = [
-            i for i, sg in enumerate(self.rule.body)
-            if isinstance(sg, RelationalAtom) and not sg.negated
-        ]
-        absorbed: set[int] = set()
-        best_ratio_per_set: dict[frozenset[str], float] = {}
+        self.last_trace.seconds = result.trace.total_seconds
+        return result
 
-        current: Relation | None = None
-        temp_counter = 0
-        position = 0
-        while True:
-            stage = plan.stages[position]
-            atom = stage.scan.atom
-            leaf = self._engine.scan_atom(atom)
-            leaf_name = str(atom)
-            atom_idx = plan.order[position]
-            # Leaf-level decision (the Fig. 8 leaves: okS on exhibits).
-            leaf = self._maybe_filter(
-                leaf, leaf_name, trace, best_ratio_per_set, force=False,
-                subquery_indices=(positive_body_idx[atom_idx],),
-            )
-            join_name = f"temp{temp_counter}"
-            if current is not None:
-                trace.plan_lines.append(
-                    f"{join_name}({', '.join(stage.columns)}) := "
-                    f"JOIN with {leaf_name}"
-                )
-            if position == len(plan.stages) - 1:
-                break
-            if current is not None:
-                temp_counter += 1
-            current = self._engine.run_stage(
-                current, stage, leaf=leaf, join_name=join_name
-            )
-            absorbed.add(positive_body_idx[atom_idx])
-            for op in stage.filters:
-                body_index = self._filter_body_index(op)
-                if body_index is not None:
-                    absorbed.add(body_index)
-            if current.name.startswith("temp"):
-                current = self._maybe_filter(
-                    current,
-                    current.name,
-                    trace,
-                    best_ratio_per_set,
-                    force=False,
-                    subquery_indices=tuple(sorted(absorbed)),
-                )
-            if join_order is None:
-                plan = self._maybe_replan(
-                    plan, position, stage, current, trace
-                )
-            position += 1
+    # -- decision hooks (called by MemoryEngine.run_step) ---------------
 
-        # The root: "We must filter at the root, simply because that
-        # filtering is necessary to find the answer to the query flock."
-        # It joins the last stage itself (no unit filters remain: every
-        # subgoal attaches to the stage that binds it).
-        result = self._final_filter(current, stage, leaf, trace)
-        trace.seconds = time.perf_counter() - started
-        self.last_trace = trace
-        if self.guard is not None:
-            self.guard.check_answer(len(result))
-        return FlockResult(
-            result,
-            stage_rows=tuple(self._engine.stage_log),
-            runtime_filter_rows_pruned=self._engine.rows_pruned,
+    def begin(self, step: StepPlan) -> StepPlan:
+        """A step starts (again, after a retry): a fresh trace, and an
+        explicit join order applied through the re-plan's re-lowering."""
+        self.last_trace = DynamicTrace()
+        self._best_ratio = {}
+        if self._join_order is None:
+            return step
+        branch = self._relower(step.branches[0], self._join_order)
+        return replace(step, branches=(branch,))
+
+    def leaf(
+        self, engine: MemoryEngine, branch: PhysicalPlan, position: int
+    ) -> Relation:
+        """Stage ``position``'s binding relation, FILTERed when that
+        pays (the Fig. 8 leaves: okS on exhibits)."""
+        trip("dynamic.join")
+        stage = branch.stages[position]
+        atom = stage.scan.atom
+        leaf = self._maybe_filter(
+            engine, engine.scan_atom(atom), str(atom),
+            self._body_indices(branch, [atom]),
         )
+        if position:
+            self.last_trace.plan_lines.append(
+                f"temp{position - 1}({', '.join(stage.columns)}) := "
+                f"JOIN with {atom}"
+            )
+        return leaf
 
-    # ------------------------------------------------------------------
-
-    def _filter_body_index(self, op) -> int | None:
-        """The body index of a stage filter's subgoal (comparison or
-        negated atom), for safe-subquery bookkeeping."""
-        subgoal = op.comparison if isinstance(op, CompareFilter) else op.atom
-        for i, sg in enumerate(self.rule.body):
-            if sg is subgoal:
-                return i
-        for i, sg in enumerate(self.rule.body):
-            if sg == subgoal:
-                return i
-        return None
+    def joined(
+        self,
+        engine: MemoryEngine,
+        branch: PhysicalPlan,
+        position: int,
+        current: Relation,
+    ) -> tuple[Relation, PhysicalPlan]:
+        """After stage ``position``: its join result, FILTERed when that
+        pays (not after the first stage, whose leaf was offered, nor the
+        last, whose result the step's own root FILTER takes), and the
+        branch, re-lowered when the size-divergence rule fires."""
+        if 0 < position < len(branch.stages) - 1:
+            stages = branch.stages[: position + 1]
+            absorbed = [s.scan.atom for s in stages] + [
+                op.comparison if isinstance(op, CompareFilter) else op.atom
+                for s in stages
+                for op in s.filters
+            ]
+            current = self._maybe_filter(
+                engine, current, f"temp{position - 1}",
+                self._body_indices(branch, absorbed),
+            )
+        return current, self._maybe_replan(branch, position, current)
 
     def _maybe_replan(
-        self,
-        plan: PhysicalPlan,
-        position: int,
-        stage: JoinStage,
-        current: Relation,
-        trace: DynamicTrace,
+        self, branch: PhysicalPlan, position: int, current: Relation
     ) -> PhysicalPlan:
         """Swap in a re-lowered plan suffix when the observed size of
         the running result diverges from the stage's estimate.
@@ -322,8 +296,9 @@ class DynamicEvaluator:
         agrees with what already ran); only the remaining join order
         changes, re-ordered greedily from the *observed* size.
         """
-        if len(plan.stages) - position - 1 < 2:
-            return plan
+        if self._join_order is not None or len(branch.stages) - position < 3:
+            return branch
+        stage = branch.stages[position]
         # Compare the observation against the tighter of the System-R
         # estimate and the guaranteed UES bound: an in-flight filter (or
         # a runtime scan filter) that proved far more selective than the
@@ -334,103 +309,127 @@ class DynamicEvaluator:
         estimate = max(reference, 1.0)
         observed = float(max(len(current), 1))
         if max(observed / estimate, estimate / observed) < self.REPLAN_FACTOR:
-            return plan
-        positives = self.rule.positive_atoms()
-        prefix = list(plan.order[: position + 1])
-        new_order = complete_order(self.db, positives, prefix, len(current))
-        if new_order == list(plan.order):
-            return plan
-        trace.plan_lines.append(
-            f"replan: join order {list(plan.order)} -> {new_order} "
+            return branch
+        prefix = list(branch.order[: position + 1])
+        new_order = complete_order(
+            self.db, branch.query.positive_atoms(), prefix, len(current)
+        )
+        if new_order == list(branch.order):
+            return branch
+        self.last_trace.plan_lines.append(
+            f"replan: join order {list(branch.order)} -> {new_order} "
             f"(observed {len(current)} vs ~{estimate:.0f} tuples)"
         )
-        return lower_rule(self.db, self.rule, join_order=new_order)
+        return self._relower(branch, new_order)
+
+    def root(self, rows: int, survivors: int) -> None:
+        """Log the root FILTER ("We must filter at the root, simply
+        because that filtering is necessary to find the answer to the
+        query flock") and certify it: the identity containment, Section
+        4.2 rule 4 in plan form."""
+        self._certify_decision("root", tuple(range(len(self.rule.body))))
+        params = tuple(self.flock.parameter_columns)
+        self.last_trace.plan_lines.append(
+            f"flock({', '.join(params)}) := FILTER(({', '.join(params)}), "
+            f"{self.flock.filter})"
+        )
+        self.last_trace.decisions.append(
+            DynamicDecision(
+                "root", params, 0.0, True,
+                "root filter is the flock answer", rows, survivors,
+            )
+        )
+
+    # ------------------------------------------------------------------
+
+    def _relower(self, branch: PhysicalPlan, order: list[int]) -> PhysicalPlan:
+        """``branch`` lowered again in join order ``order``, under its
+        own Materialize root."""
+        return lower_rule(
+            self.db, branch.query, branch.root.output_terms,
+            branch.root.columns, join_order=order,
+        )
+
+    @staticmethod
+    def _body_indices(branch: PhysicalPlan, subgoals) -> tuple[int, ...]:
+        """Body positions of ``subgoals`` (the plan carries the rule's
+        own subgoal objects), for safe-subquery bookkeeping."""
+        return tuple(
+            i for i, sg in enumerate(branch.query.body)
+            if any(sg is s for s in subgoals)
+        )
 
     def _maybe_filter(
         self,
+        engine: MemoryEngine,
         relation: Relation,
         node: str,
-        trace: DynamicTrace,
-        best_ratio_per_set: dict[frozenset[str], float],
-        force: bool,
-        subquery_indices: tuple[int, ...] = (),
+        subquery_indices: tuple[int, ...],
     ) -> Relation:
         params = tuple(c for c in relation.columns if c in self._param_cols)
-        targets = self._condition_targets(relation.columns)
-        if not params or targets is None:
+        if not params or not self._needed.issubset(relation.columns):
             return relation
 
         # A support filter counts each assignment's tuples once: the
         # Counter's size is the assignment count, its values decide.
         counts: Counter | None = None
         if self._cap is not None:
-            (target,) = targets.values()
+            (target,) = self._targets.values()
             counts = relation_group_counts(relation, params, target)
             assignments = len(counts)
         else:
             assignments = len(relation.project(list(params)))
         ratio = len(relation) / assignments if assignments else 0.0
         key = frozenset(params)
-        threshold = self._decision_threshold
 
-        seen_before = key in best_ratio_per_set
-        if not seen_before:
-            should = force or ratio < threshold * self.decision_factor
+        previous = self._best_ratio.get(key)
+        if previous is None:
+            limit = self._decision_threshold * self.decision_factor
+            should = ratio < limit
             reason = (
                 f"new parameter set; ratio {ratio:.2f} "
-                f"{'<' if should else '>='} {threshold * self.decision_factor:.2f}"
+                f"{'<' if should else '>='} {limit:.2f}"
             )
         else:
-            previous = best_ratio_per_set[key]
-            should = force or ratio < previous * self.improvement_factor
+            should = ratio < previous * self.improvement_factor
             reason = (
                 f"seen before (best ratio {previous:.2f}); ratio {ratio:.2f} "
                 f"{'dropped enough' if should else 'not significantly lower'}"
             )
-        best_ratio_per_set[key] = min(ratio, best_ratio_per_set.get(key, ratio))
+        self._best_ratio[key] = min(ratio, ratio if previous is None else previous)
 
-        if not should:
-            trace.decisions.append(
-                DynamicDecision(node, params, ratio, False, reason,
-                                len(relation), len(relation))
+        filtered = relation
+        if should:
+            self._certify_decision(node, subquery_indices)
+            started = time.perf_counter()
+            filtered, ok = self._filter_relation(engine, relation, params, counts)
+            if self.sink is not None:
+                # The survivors are exact for the safe subquery made of
+                # the subgoals absorbed so far (earlier in-flight filters
+                # only removed assignments that provably fail here too,
+                # by monotonicity) — publish them for cross-query reuse.
+                subquery = self.rule.with_body_subset(subquery_indices)
+                self.sink.publish_step(subquery, list(params), ok, len(relation))
+            self.last_trace.plan_lines.append(
+                f"{node} := FILTER(({', '.join(params)}), {self.flock.filter})"
             )
-            return relation
-
-        if subquery_indices:
-            self._certify_decision(node, subquery_indices, trace)
-        filter_started = time.perf_counter()
-        filtered, ok = self._filter_relation(relation, params, targets, counts)
-        if self.sink is not None and subquery_indices:
-            # The survivors are exact for the safe subquery made of the
-            # subgoals absorbed so far (earlier in-flight filters only
-            # removed assignments that provably fail here too, by
-            # monotonicity) — publish them for cross-query reuse.
-            subquery = self.rule.with_body_subset(sorted(subquery_indices))
-            self.sink.publish_step(subquery, list(params), ok, len(relation))
-        trace.decisions.append(
-            DynamicDecision(node, params, ratio, True, reason,
+            if self.guard is not None:
+                self.guard.note_step(
+                    name=f"filter:{node}",
+                    description=f"FILTER({self.flock.filter})",
+                    input_tuples=len(relation),
+                    output_assignments=len(filtered),
+                    seconds=time.perf_counter() - started,
+                    filtered=True,
+                )
+        self.last_trace.decisions.append(
+            DynamicDecision(node, params, ratio, should, reason,
                             len(relation), len(filtered))
         )
-        trace.plan_lines.append(
-            f"{node} := FILTER(({', '.join(params)}), "
-            f"{self.flock.filter})"
-        )
-        if self.guard is not None:
-            self.guard.note_step(
-                name=f"filter:{node}",
-                description=f"FILTER({self.flock.filter})",
-                input_tuples=len(relation),
-                output_assignments=len(filtered),
-                seconds=time.perf_counter() - filter_started,
-                filtered=True,
-            )
         return filtered
 
     def _certify_decision(
-        self,
-        node: str,
-        subquery_indices: tuple[int, ...],
-        trace: DynamicTrace,
+        self, node: str, subquery_indices: tuple[int, ...]
     ) -> None:
         """Certify one in-flight FILTER when plan verification is on.
 
@@ -443,99 +442,39 @@ class DynamicEvaluator:
             return
         from ..analysis.certify import certify_step_bound
 
-        certificate = certify_step_bound(
-            self.rule, subquery_indices, node
-        )
+        certificate = certify_step_bound(self.rule, subquery_indices, node)
         report = certificate.verify()
         if not report.ok:
             details = "; ".join(str(d) for d in report.errors)
             raise PlanError(
                 f"dynamic FILTER at {node} is not certified legal: {details}"
             )
-        trace.certificates = trace.certificates + (certificate,)
+        self.last_trace.certificates += (certificate,)
 
     def _filter_relation(
         self,
+        engine: MemoryEngine,
         relation: Relation,
         params: tuple[str, ...],
-        targets: dict,
         counts: Counter | None,
     ) -> tuple[Relation, Relation]:
         """Group by ``params``, apply the flock filter (all conjuncts),
         keep surviving rows.  Returns (filtered relation, ok-relation).
         A support filter reads survivorship off ``counts``."""
-        if counts is not None and self._cap is not None:
+        if counts is not None:
             dictionary = relation.dictionary if relation.is_encoded else None
             ok, _ = survivor_relations(
                 counts, self._cap, params, "ok", dictionary
             )
         else:
             aggregates, conditions = plan_aggregate_specs(
-                self.flock.filter, lambda condition: targets[condition]
+                self.flock.filter, self._targets.__getitem__
             )
-            passed = self._engine.group_filter(
+            passed = engine.group_filter(
                 relation, list(params), aggregates, conditions, name="ok"
             )
-            ok = self._engine.project_unique(passed, list(params), "ok")
+            ok = engine.project_unique(passed, list(params), "ok")
         return semi_join(relation, ok, name=relation.name), ok
-
-    def _final_filter(
-        self,
-        current: Relation | None,
-        stage: JoinStage,
-        leaf: Relation,
-        trace: DynamicTrace,
-    ) -> Relation:
-        """Join the root stage and filter it: counted for a support
-        flock, else grouped from the joined relation."""
-        params = list(self.flock.parameter_columns)
-        targets = self._condition_targets(stage.columns)
-        if targets is None:
-            raise PlanError(
-                "filter target column never became bound; cannot finish"
-            )
-        aggregates, conditions = plan_aggregate_specs(
-            self.flock.filter, lambda condition: targets[condition]
-        )
-        passed: Relation | None
-        if self._cap is not None:
-            counts, size, dictionary = self._engine.count_join(
-                current, stage, leaf, params, aggregates[0].target
-            )
-            result, passed = survivor_relations(
-                counts, self._cap, params, "flock", dictionary,
-                aggregates[0].column if self.sink is not None else None,
-            )
-        else:
-            current = self._engine.run_stage(current, stage, leaf=leaf)
-            passed = self._engine.group_filter(
-                current, params, aggregates, conditions, name="flock"
-            )
-            result = self._engine.project_unique(passed, params, "flock")
-            size = len(current)
-        # The root filter is over the whole rule — its certificate is
-        # the identity containment (Section 4.2 rule 4 in plan form).
-        self._certify_decision(
-            "root", tuple(range(len(self.rule.body))), trace
-        )
-        if self.sink is not None:
-            self.sink.publish_final(passed, size)
-        trace.plan_lines.append(
-            f"flock({', '.join(params)}) := FILTER(({', '.join(params)}), "
-            f"{self.flock.filter})"
-        )
-        trace.decisions.append(
-            DynamicDecision(
-                "root",
-                tuple(params),
-                0.0,
-                True,
-                "root filter is the flock answer",
-                size,
-                len(result),
-            )
-        )
-        return result
 
 
 def evaluate_flock_dynamic(

@@ -213,7 +213,9 @@ def execute_plan(
 
     ``runner`` is the step runner every lowered step is handed to (see
     the module docstring).  ``None`` picks ``parallel`` when it has
-    more than one job, else a serial :class:`MemoryRunner`.
+    more than one job, else a serial :class:`MemoryRunner`; a given
+    :class:`MemoryRunner` (the dynamic strategy's) reports the run's
+    stage observations.
 
     ``runtime_filters=True`` enables sideways information passing: once
     a pre-filter step's ok-relation materializes, its name joins the set
@@ -256,7 +258,7 @@ def execute_plan(
         validate_plan(flock, plan)
     scratch = db.scratch()
     trace = ExecutionTrace()
-    serial = MemoryRunner(guard)
+    serial = runner if isinstance(runner, MemoryRunner) else MemoryRunner(guard)
     if runner is None:
         runner = serial
         if parallel is not None and parallel.jobs > 1:

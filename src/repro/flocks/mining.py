@@ -61,6 +61,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..analysis.verification import plan_verification, plan_verification_enabled
 from ..engine.ir import StageObservation
+from ..engine.memory import MemoryRunner
 from ..engine.parallel import ParallelExecutor, clamp_default_jobs, resolve_jobs
 from ..errors import (
     BudgetExceededError,
@@ -73,7 +74,7 @@ from ..guard import CancellationToken, ExecutionGuard, GuardLike, ResourceBudget
 from ..recovery import CheckpointRecorder, CheckpointStore, RetrySupervisor
 from ..relational.catalog import Database
 from ..relational.relation import Relation
-from .dynamic import evaluate_flock_dynamic
+from .dynamic import DynamicEvaluator
 from .executor import execute_plan
 from .flock import QueryFlock
 from .lint import LintWarning, lint_flock
@@ -468,9 +469,10 @@ def _run_strategy(
     Raises whatever the strategy raises; the caller decides whether a
     failure degrades or propagates.
 
-    The plan-shaped strategies are producers: naive is the single-step
-    plan, optimized/stats the searched plan.  Dynamic keeps its own
-    stage-granular driver (it interleaves planning and execution).
+    The strategies are plan producers: naive and dynamic run the
+    single-step plan (dynamic on a serial :class:`MemoryRunner` whose
+    step body consults the Section 4.4 :class:`DynamicEvaluator`),
+    optimized/stats the searched plan.
 
     ``strategy`` is the one actually run (``options.strategy`` after
     auto-selection and any degradation).  ``sink`` is the session's
@@ -478,61 +480,52 @@ def _run_strategy(
     :class:`~repro.engine.parallel.ParallelExecutor` (or None; only the
     in-memory plan runners use it — dynamic and SQLite runs are serial),
     ``supervisor`` the retry rung — per FILTER step inside the
-    executor loop, around the whole body for dynamic (its evaluation is
-    deterministic, so a re-run after a transient fault is sound) and
+    executor loop (a dynamic step restarts its decision log) and
     around plan *search*.  ``checkpoint_store`` arms step checkpointing
     for the searched plans: the recorder built here lands on
     ``attempt.recorder`` for the report's accounting.
     """
-
+    backend = options.backend
+    evaluator = None
+    loop: dict[str, Any] = dict(
+        guard=guard, order_strategy=options.join_order,
+        runtime_filters=options.runtime_filters_enabled,
+        sink=sink, supervisor=supervisor, parallel=parallel,
+    )
     if strategy == "dynamic":
-        # The dynamic evaluator interleaves planning and execution in
-        # the in-memory engine; SQLite cannot host it.
-        if options.backend == "sqlite":
+        # The decision policy runs inside the in-memory step body;
+        # SQLite cannot host it.
+        if backend == "sqlite":
             attempt.downgrades.append(
                 Downgrade(
                     "backend", "sqlite", "memory",
                     "dynamic strategy runs in the in-memory engine",
                 )
             )
-            attempt.backend_used = "memory"
-        result, trace = supervisor.run(
-            lambda: evaluate_flock_dynamic(
-                db, flock, guard=guard, sink=sink,
-                order_strategy=options.join_order,
-            ),
-            site="strategy:dynamic",
-        )
-        attempt.decision_text = str(trace)
-        attempt.decision_certificates = trace.certificates
+            attempt.backend_used = backend = "memory"
+        evaluator = DynamicEvaluator(db, flock, guard=guard, sink=sink)
+        loop["runner"] = MemoryRunner(guard, dynamic=evaluator)
+    if strategy in ("naive", "dynamic"):
+        plan = single_step_plan(flock)
     else:
-        recorder = None
-        if strategy == "naive":
-            plan = single_step_plan(flock)
-        else:
-            # Plan search.  PlanError/FilterError *and* budget
-            # exhaustion here degrade: no answer work has been lost yet.
-            plan, attempt.certificate = supervisor.run(
-                lambda: _build_plan(db, flock, strategy, guard, sink=sink),
-                site="plan-search",
-            )
-            attempt.plan_text = plan.render(flock)
-            if checkpoint_store is not None:
-                recorder = checkpoint_store.recorder(
-                    flock, plan, db, join_order=options.join_order,
-                    run_id=options.run_id, resume=options.resume,
-                )
-                attempt.recorder = recorder
-        # Execution.  Only backend failures degrade from here;
-        # budget/cancellation aborts propagate with their partial trace.
-        result = _run_plan(
-            db, flock, plan, options.backend, attempt,
-            guard=guard, order_strategy=options.join_order,
-            runtime_filters=options.runtime_filters_enabled,
-            sink=sink, supervisor=supervisor, recorder=recorder,
-            parallel=parallel,
+        # Plan search.  PlanError/FilterError *and* budget
+        # exhaustion here degrade: no answer work has been lost yet.
+        plan, attempt.certificate = supervisor.run(
+            lambda: _build_plan(db, flock, strategy, guard, sink=sink),
+            site="plan-search",
         )
-    attempt.result = result
+        attempt.plan_text = plan.render(flock)
+        if checkpoint_store is not None:
+            attempt.recorder = loop["recorder"] = checkpoint_store.recorder(
+                flock, plan, db, join_order=options.join_order,
+                run_id=options.run_id, resume=options.resume,
+            )
+    # Execution.  Only backend failures degrade from here;
+    # budget/cancellation aborts propagate with their partial trace.
+    attempt.result = _run_plan(db, flock, plan, backend, attempt, **loop)
+    if evaluator is not None:
+        attempt.decision_text = str(evaluator.last_trace)
+        attempt.decision_certificates = evaluator.last_trace.certificates
 
 
 def _run_plan(
@@ -545,7 +538,8 @@ def _run_plan(
 ) -> FlockResult:
     """Run the executor loop with ``loop``'s hooks on ``backend``'s
     step runner — the same arguments whichever runner it is (the
-    SQLite runner ignores ``parallel``: its SQL runs serially).
+    SQLite runner ignores ``parallel``: its SQL runs serially; a
+    ``runner`` in ``loop`` is the dynamic strategy's, memory only).
 
     A (post-retry) SQLite failure degrades to the in-memory runners.
     Guard aborts (budget/cancellation) are *not* degraded — they are

@@ -9,10 +9,10 @@ next call(s) through that site raise it, deterministically.
 Sites currently instrumented:
 
 ========================  ====================================================
-``relational.join``       after each join step in ``evaluate_conjunctive``
+``relational.join``       per join stage the in-memory engine runs
 ``executor.step``         before each FILTER step in ``execute_plan``
 ``optimizer.search``      per candidate plan scored in ``best_plan``
-``dynamic.join``          per join in the dynamic evaluator
+``dynamic.join``          per stage the dynamic policy is consulted on
 ``sqlite.execute``        before every statement the SQLite backend executes
 ``parallel.worker``       at the start of every parallel partition task
 ``parallel.hang``         same place, but an armed :class:`Hang` makes the

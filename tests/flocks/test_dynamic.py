@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro import mine
+from repro.analysis import plan_verification
+from repro.datalog.safety import assert_safe
 from repro.errors import FilterError, PlanError
 from repro.flocks import (
     DynamicEvaluator,
@@ -9,9 +12,12 @@ from repro.flocks import (
     evaluate_flock,
     evaluate_flock_dynamic,
     parse_filter,
+    parse_flock,
     support_filter,
 )
-from repro.workloads import generate_medical
+from repro.recovery import RetryPolicy, TransientFault
+from repro.testing.faults import inject
+from repro.workloads import basket_database, generate_medical
 
 
 class TestCorrectness:
@@ -127,3 +133,75 @@ class TestValidation:
         flock = QueryFlock(medical_query, parse_filter("COUNT(answer.P) = 3"))
         with pytest.raises(FilterError):
             DynamicEvaluator(small_medical_db, flock)
+
+
+WIDE_HEAD = """QUERY:
+answer(B, C) :- baskets(B,$1) AND baskets(B,$2) AND baskets(B,C) AND $1 < $2
+FILTER:
+COUNT(answer.B) >= 60
+"""
+
+
+class PublishingSink:
+    """Session-sink double keeping every in-flight FILTER's subquery."""
+
+    def __init__(self):
+        self.subqueries = []
+
+    def publish_step(self, query, param_columns, ok, source_rows):
+        self.subqueries.append(query)
+
+    def publish_final(self, with_aggregates, source_rows):
+        pass
+
+
+class TestWideHeads:
+    """An in-flight FILTER is offered only once the absorbed subgoals
+    bind every head variable (here C, bound by the last subgoal)."""
+
+    @pytest.fixture
+    def db(self):
+        return basket_database(300, 30, seed=1)
+
+    def test_verified_run_stays_dynamic(self, db):
+        flock = parse_flock(WIDE_HEAD)
+        relation, report = mine(db, flock, verify_plans=True, parallelism=1)
+        assert report.strategy_used == "dynamic"
+        assert not report.downgrades
+        naive, _ = mine(db, flock, strategy="naive")
+        assert relation == naive
+
+    def test_unverified_run_publishes_only_safe_subqueries(self, db):
+        """Verification off (the library default) certifies nothing, so
+        the head-variable rule alone keeps the session cache sound."""
+        sink = PublishingSink()
+        with plan_verification(False):
+            evaluate_flock_dynamic(
+                db, parse_flock(WIDE_HEAD), decision_factor=1000.0, sink=sink
+            )
+        for subquery in sink.subqueries:
+            assert_safe(subquery)
+
+
+class TestRetry:
+    @pytest.mark.faults
+    def test_transient_fault_retries_the_step(
+        self, small_basket_db, basket_flock
+    ):
+        """A transient fault at the second stage's leaf (after the first
+        leaf's decision was logged) re-runs the step: the decision log
+        restarts, so it reads exactly like a fault-free run's."""
+        options = dict(
+            strategy="dynamic", parallelism=1,
+            retry=RetryPolicy(base_delay=0.0, jitter=0.0),
+        )
+        clean, clean_report = mine(small_basket_db, basket_flock, **options)
+        with inject("dynamic.join", TransientFault, skip=1, times=1):
+            relation, report = mine(small_basket_db, basket_flock, **options)
+        assert relation == clean
+        retries = [d for d in report.downgrades if d.kind == "retry"]
+        assert [(d.from_name, d.to_name) for d in retries] == [
+            ("step:ok", "recovered")
+        ]
+        assert len(clean_report.decision_text.splitlines()) > 1
+        assert report.decision_text == clean_report.decision_text

@@ -294,8 +294,8 @@ class TestSerialEarlyExit:
         calls = []
         real = MemoryEngine.run_step
 
-        def recording(self, step_plan, need_aggregates=False):
-            outcome = real(self, step_plan, need_aggregates)
+        def recording(self, step_plan, need_aggregates=False, dynamic=None):
+            outcome = real(self, step_plan, need_aggregates, dynamic)
             if outcome.passed is not None:
                 calls.append(outcome.passed.columns)
             return outcome

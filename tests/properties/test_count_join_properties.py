@@ -9,14 +9,17 @@ single-rule flocks cover what the kernel evaluates as masks and keys:
 2–3 positive subgoals, comparisons between columns and against
 constants, a negated subgoal, existential variables the COUNT target
 does not cover, 1–3 parameters and support thresholds.  The dynamic
-strategy's counted root and in-flight counters are checked against the
-same evaluator with counting turned off, and against ``naive``.
+strategy's in-flight counters are checked against the same evaluator
+with counting turned off, and against ``naive``, with plan verification
+on and off.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis import plan_verification
 from repro.datalog import atom, comparison, negated, rule
 from repro.engine import ParallelExecutor
 from repro.engine.memory import MemoryEngine
@@ -47,7 +50,7 @@ def databases(draw):
 
 
 @st.composite
-def flocks(draw, wide_heads=True):
+def flocks(draw):
     params = [f"${i + 1}" for i in range(draw(st.integers(1, 3)))]
     body = [atom("r", "B", p) for p in params]
     extras = [atom("s", params[0], "C"), atom("s", "E", params[-1]),
@@ -69,7 +72,7 @@ def flocks(draw, wide_heads=True):
         body.append(negated("bad", draw(st.sampled_from(["B"] + params))))
     # Head variables; the rest (I, C or E when bound) stay existential.
     head = ["B"] + [
-        v for v in variables if v != "B" and wide_heads and draw(st.booleans())
+        v for v in variables if v != "B" and draw(st.booleans())
     ]
     target = draw(st.sampled_from(["(*)"] + [f".{v}" for v in head]))
     op = draw(st.sampled_from([">=", ">"]))
@@ -126,16 +129,19 @@ def test_plan_steps_match_materialised_answer(db, flock):
             scratch.add(result)
 
 
-# One head variable: the dynamic strategy cannot certify an in-flight
-# FILTER whose subquery leaves a second head variable unbound (a
-# PlanError under plan verification, with or without counting).
-@given(db=databases(), flock=flocks(wide_heads=False))
+# Verification off is the library default (and what the e2e workloads
+# run); the suite's autouse fixture turns it on everywhere else.
+@pytest.mark.parametrize("verify", [True, False])
+@given(db=databases(), flock=flocks())
 @settings(max_examples=100, deadline=None)
-def test_dynamic_counting_matches_grouping_and_naive(db, flock):
+def test_dynamic_counting_matches_grouping_and_naive(verify, db, flock):
     counted = DynamicEvaluator(db, flock)
     grouped = DynamicEvaluator(db, flock)
-    grouped._cap = None  # the group_filter path every other filter takes
-    got, want = counted.evaluate(), grouped.evaluate()
+    # In-flight FILTERs take the group_filter path every other filter
+    # takes; the root is the step body's either way.
+    grouped._cap = None
+    with plan_verification(verify):
+        got, want = counted.evaluate(), grouped.evaluate()
     assert got.relation == want.relation
     assert got.stage_rows == want.stage_rows
     assert counted.last_trace.plan_lines == grouped.last_trace.plan_lines
