@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test stress bench bench-json bench-e2e loc examples lint lint-flocks conlint clean outputs
+.PHONY: install test stress golden bench bench-json bench-e2e loc examples lint lint-flocks conlint clean outputs
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -23,6 +23,11 @@ conlint:
 # Failure-path suite: fault injection, retries, graceful degradation.
 stress:
 	$(PYTHON) -m pytest -m faults tests/
+
+# Rewrite tests/golden/step_survivors.json — only for a change meant to
+# alter FILTER-step output (tests/golden/test_step_survivors.py pins it).
+golden:
+	PYTHONPATH=src $(PYTHON) -m tests.golden.step_survivors
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

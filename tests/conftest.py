@@ -156,8 +156,7 @@ def web_flock(web_union_query):
     return QueryFlock(web_union_query, support_filter(2))
 
 
-@pytest.fixture
-def small_basket_db():
+def basket_db():
     """Seven baskets; {beer, diapers} appears in 3, {beer, chips} in 2,
     all other pairs at most once."""
     return database_from_dict(
@@ -178,8 +177,7 @@ def small_basket_db():
     )
 
 
-@pytest.fixture
-def small_medical_db():
+def medical_db():
     """Five patients; (rash, aspirin) is an unexplained pair for
     patients 1 and 2; every other (symptom, medicine) pair has at most
     one unexplained patient."""
@@ -214,8 +212,7 @@ def small_medical_db():
     )
 
 
-@pytest.fixture
-def small_web_db():
+def web_db():
     """A corpus where (alpha, beta) is supported by >= 2 answers."""
     return database_from_dict(
         {
@@ -237,3 +234,18 @@ def small_web_db():
             ),
         }
     )
+
+
+@pytest.fixture
+def small_basket_db():
+    return basket_db()
+
+
+@pytest.fixture
+def small_medical_db():
+    return medical_db()
+
+
+@pytest.fixture
+def small_web_db():
+    return web_db()
