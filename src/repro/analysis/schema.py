@@ -22,8 +22,8 @@ way the engines consume them:
   only aggregate columns the group stage actually produces;
 * the columnar engine's duplicate-free invariant is tracked per
   operator: the final Materialize must keep every group key, because
-  ``project_unique`` skips the dedup pass on the strength of that
-  invariant;
+  the survivor kernel builds the step result from the group keys with
+  no dedup pass on the strength of that invariant;
 * a :class:`~repro.engine.ir.PartitionedStepPlan` additionally requires
   its Partition column to be a group key bound by every branch (so
   per-partition groups are disjoint and complete) and its Merge schema
@@ -434,9 +434,10 @@ def _check_step_plan(
                     location=f"Materialize {root.name}",
                 )
             )
-    # Duplicate-free invariant: the survivor relation is projected
-    # without a dedup pass (MemoryEngine.project_unique), which is sound
-    # only when every group key survives the projection.
+    # Duplicate-free invariant: the survivor relation is built from the
+    # group keys without a dedup pass
+    # (relational.aggregates.survivor_relations), which is sound only
+    # when every group key survives the projection.
     missing_keys = [c for c in group.group_by if c not in set(root.columns)]
     if missing_keys:
         out.append(

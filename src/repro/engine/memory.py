@@ -32,7 +32,7 @@ from ..datalog.terms import Constant, Term, is_bindable
 from ..guard import ExecutionGuard, GuardLike, as_guard
 from ..relational.aggregates import (
     count_groups,
-    group_aggregate,
+    relation_group_values,
     survivor_relations,
 )
 from ..relational.binding import (
@@ -519,87 +519,6 @@ class MemoryEngine:
             "answer", step.answer_columns, rows
         )
 
-    def group_filter(
-        self,
-        answer: Relation,
-        group_by,
-        aggregates,
-        conditions,
-        name: str = "ok",
-    ) -> Relation:
-        """GroupAggregate + ThresholdFilter: the surviving groups with
-        their aggregate value columns (one ``_agg{i}`` per conjunct)."""
-        grouped: Relation | None = None
-        for spec in aggregates:
-            agg = group_aggregate(
-                answer,
-                list(group_by),
-                spec.fn,
-                target=list(spec.target),
-                result_column=spec.column,
-            )
-            grouped = (
-                agg if grouped is None else natural_join(grouped, agg, name="agg")
-            )
-            if self.guard is not None:
-                self.guard.checkpoint(rows=len(grouped), node=spec.column)
-        assert grouped is not None
-        return grouped.take(self._threshold_keep(grouped, conditions), name=name)
-
-    @staticmethod
-    def _threshold_keep(grouped: Relation, conditions) -> list[int]:
-        """Row indexes of ``grouped`` passing every threshold conjunct:
-        each condition's batch evaluator scans its aggregate column
-        (only that column of an encoded relation is decoded), so no
-        per-row ``passes()`` method call remains."""
-        keep = list(range(len(grouped)))
-        for cond, column in conditions:
-            pos = grouped.column_position(column)
-            values: Sequence
-            if grouped.dictionary is not None:
-                values = grouped.dictionary.decode_column(
-                    grouped.code_columns()[pos]
-                )
-            else:
-                values = grouped.columns_data()[pos]
-            passing = set(cond.passing_indexes(values))
-            keep = [i for i in keep if i in passing]
-        return keep
-
-    def run_group_filter(self, answer: Relation, step: StepPlan) -> Relation:
-        return self.group_filter(
-            answer,
-            step.group.group_by,
-            step.group.aggregates,
-            step.threshold.conditions,
-            name=step.root.name,
-        )
-
-    def project_unique(self, rel: Relation, columns, name: str) -> Relation:
-        """Project onto ``columns`` when they are known to stay unique
-        (e.g. group keys after aggregation) — no dedup pass.
-
-        Rows come out canonically sorted (by ``repr``), never in dict or
-        set iteration order: serial and parallel runs, and memory and
-        SQLite backends, must produce identical column arrays so result
-        diffs are stable.
-        """
-        data = rel.columns_data()
-        arrays = [data[rel.column_position(c)] for c in columns]
-        n = len(rel)
-        if n > 1 and arrays:
-            rows = sorted(zip(*arrays), key=repr)
-            arrays = [list(column) for column in zip(*rows)]
-        return Relation.from_columns(name, tuple(columns), arrays, count=n)
-
-    def finalize_step(self, passed: Relation, step: StepPlan) -> Relation:
-        """Materialize the survivor relation (group columns only).
-
-        Group keys are unique in the aggregated relation, so dropping
-        the aggregate columns preserves distinctness.
-        """
-        return self.project_unique(passed, step.root.columns, step.root.name)
-
     def run_step(
         self, step: StepPlan, need_aggregates: bool = False, dynamic=None
     ) -> StepResult:
@@ -608,9 +527,11 @@ class MemoryEngine:
 
         A support step (:func:`support_shape`) runs its join stages but
         counts the last one (:meth:`count_join`): its answer is never
-        materialised.  Any other step materialises the answer and groups
-        it.  ``passed`` (survivors with their ``_agg`` column) is built
-        only when ``need_aggregates``.
+        materialised.  Any other step materialises the answer and
+        aggregates it once per conjunct.  Either way
+        :func:`~repro.relational.aggregates.survivor_relations` picks the
+        surviving groups; ``passed`` (survivors with their ``_agg``
+        columns) is built only when ``need_aggregates``.
 
         ``dynamic`` is the Section 4.4 decision policy
         (:class:`~repro.flocks.dynamic.DynamicEvaluator`) for a
@@ -627,21 +548,26 @@ class MemoryEngine:
         if dynamic is not None:
             step = dynamic.begin(step)
         shape = support_shape(step)
+        conditions = step.threshold.conditions
         if shape is None:
             answer = (
                 self.run_answer(step) if dynamic is None
                 else self.run_plan(step.branches[0], dynamic)
             )
-            rows = len(answer)
+            rows = answer_tuples = len(answer)
             self._step_checkpoint(step, rows)
-            passed = self.run_group_filter(answer, step)
-            outcome = StepResult(
-                self.finalize_step(passed, step),
-                passed if need_aggregates else None,
-                rows,
-            )
+            spec = {s.column: s for s in step.group.aggregates}
+            values = []
+            for _, column in conditions:
+                values.append(relation_group_values(
+                    answer, step.group.group_by, spec[column].fn,
+                    spec[column].target,
+                ))
+                if self.guard is not None:
+                    self.guard.checkpoint(rows=len(values[-1]), node=column)
+            dictionary = answer.dictionary if answer.is_encoded else None
         else:
-            group_by, target, cap = shape
+            group_by, target = shape
             branch = step.branches[0]
             counted = len(branch.stages) - 1
             if dynamic is None:
@@ -654,11 +580,13 @@ class MemoryEngine:
             )
             answer_tuples = sum(counts.values())  # one per (key, target)
             self._step_checkpoint(step, answer_tuples)
-            result, passed = survivor_relations(
-                counts, cap, step.root.columns, step.root.name, dictionary,
-                step.group.aggregates[0].column if need_aggregates else None,
-            )
-            outcome = StepResult(result, passed, answer_tuples)
+            values = [counts]
+        result, passed = survivor_relations(
+            values, [condition for condition, _ in conditions],
+            step.root.columns, step.root.name, dictionary,
+            [column for _, column in conditions] if need_aggregates else None,
+        )
+        outcome = StepResult(result, passed, answer_tuples)
         if dynamic is not None:
             dynamic.root(rows, len(outcome.result))
         return outcome
@@ -683,12 +611,10 @@ def _semi_join_tail(stages: Sequence[JoinStage]) -> int:
     return n
 
 
-def support_shape(
-    step: StepPlan,
-) -> tuple[list[str], list[str], int] | None:
-    """``(group columns, COUNT target columns, support cap)`` in the
-    last join stage's column names when the step is counted, else
-    ``None`` — a property of the lowered plan.
+def support_shape(step: StepPlan) -> tuple[list[str], list[str]] | None:
+    """``(group columns, COUNT target columns)`` in the last join
+    stage's column names when the step is counted, else ``None`` — a
+    property of the lowered plan.
 
     Counted: one rule branch with join stages, a threshold of one
     support conjunct (``COUNT >= k`` / ``COUNT > k``), and a COUNT
@@ -699,14 +625,14 @@ def support_shape(
     conditions = step.threshold.conditions
     if len(conditions) != 1 or len(step.branches) != 1:
         return None
-    cap = getattr(conditions[0][0], "support_cap", None)
+    support = getattr(conditions[0][0], "is_support_condition", False)
     (branch,) = step.branches
     column_of = {
         label: term_column(term)
         for label, term in zip(branch.root.columns, branch.root.output_terms)
         if is_bindable(term)
     }
-    if cap is None or not branch.stages or not all(
+    if not support or not branch.stages or not all(
         c in column_of for c in step.group.group_by
     ):
         return None
@@ -718,7 +644,7 @@ def support_shape(
     target = underlying(step.group.aggregates[0].target)
     if target != underlying(step.answer_columns):
         return None
-    return group_by, sorted(target), cap
+    return group_by, sorted(target)
 
 
 class MemoryRunner:

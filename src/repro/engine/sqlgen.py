@@ -193,7 +193,7 @@ def render_step(
     ``include_aggregates=True`` appends the aggregate value of every
     threshold conjunct to the SELECT list (column per
     :class:`~repro.engine.ir.AggregateSpec`), mirroring the in-memory
-    engine's ``group_filter`` output — what the session cache stores and
+    engine's ``passed`` relation — what the session cache stores and
     what the differential tests compare.
     """
     from ..analysis.verification import plan_verification_enabled

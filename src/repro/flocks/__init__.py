@@ -37,8 +37,6 @@ from .filters import (
     filter_signature,
     refilter_aggregates,
     support_filter,
-    surviving_assignments,
-    surviving_with_aggregates,
 )
 from .flock import QueryFlock, parse_flock
 from .lint import LintCode, LintWarning, lint_diagnostics, lint_flock
@@ -164,7 +162,5 @@ __all__ = [
     "rules_for_consequent",
     "single_step_plan",
     "support_filter",
-    "surviving_assignments",
-    "surviving_with_aggregates",
     "validate_plan",
 ]

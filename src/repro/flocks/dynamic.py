@@ -40,7 +40,6 @@ plan in the Fig. 9 style showing which joins and FILTERs actually ran.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -53,13 +52,13 @@ from ..engine.memory import MemoryEngine, MemoryRunner
 from ..engine.planner import complete_order, lower_rule
 from ..errors import FilterError, PlanError
 from ..guard import GuardLike, as_guard
-from ..relational.aggregates import relation_group_counts, survivor_relations
+from ..relational.aggregates import relation_group_values, survivor_relations
 from ..relational.catalog import Database
 from ..relational.operators import semi_join
 from ..relational.relation import Relation
 from ..testing.faults import trip
 from .executor import execute_plan
-from .filters import STAR, iter_conditions, plan_aggregate_specs
+from .filters import STAR, iter_conditions
 from .flock import QueryFlock
 from .plans import single_step_plan
 from .result import FlockResult
@@ -190,9 +189,7 @@ class DynamicEvaluator:
         self._decision_threshold = float(next(
             (c for c in conditions if c.is_support_condition), conditions[0]
         ).threshold)
-        #: Set for a one-conjunct support filter: then every in-flight
-        #: FILTER counts groups (the root is the step body's counted join).
-        self._cap = flock.filter.support_cap
+        self._conditions = conditions
         self._join_order: list[int] | None = None
         self._best_ratio: dict[frozenset[str], float] = {}
         self.last_trace = DynamicTrace()
@@ -251,7 +248,7 @@ class DynamicEvaluator:
         stage = branch.stages[position]
         atom = stage.scan.atom
         leaf = self._maybe_filter(
-            engine, engine.scan_atom(atom), str(atom),
+            engine.scan_atom(atom), str(atom),
             self._body_indices(branch, [atom]),
         )
         if position:
@@ -280,7 +277,7 @@ class DynamicEvaluator:
                 for op in s.filters
             ]
             current = self._maybe_filter(
-                engine, current, f"temp{position - 1}",
+                current, f"temp{position - 1}",
                 self._body_indices(branch, absorbed),
             )
         return current, self._maybe_replan(branch, position, current)
@@ -361,7 +358,6 @@ class DynamicEvaluator:
 
     def _maybe_filter(
         self,
-        engine: MemoryEngine,
         relation: Relation,
         node: str,
         subquery_indices: tuple[int, ...],
@@ -370,15 +366,13 @@ class DynamicEvaluator:
         if not params or not self._needed.issubset(relation.columns):
             return relation
 
-        # A support filter counts each assignment's tuples once: the
-        # Counter's size is the assignment count, its values decide.
-        counts: Counter | None = None
-        if self._cap is not None:
-            (target,) = self._targets.values()
-            counts = relation_group_counts(relation, params, target)
-            assignments = len(counts)
-        else:
-            assignments = len(relation.project(list(params)))
+        # Group once: the groups are the assignments, and the same
+        # per-conjunct values pick the survivors if the FILTER runs.
+        values = [
+            relation_group_values(relation, params, c.aggregate, self._targets[c])
+            for c in self._conditions
+        ]
+        assignments = len(values[0])
         ratio = len(relation) / assignments if assignments else 0.0
         key = frozenset(params)
 
@@ -402,7 +396,11 @@ class DynamicEvaluator:
         if should:
             self._certify_decision(node, subquery_indices)
             started = time.perf_counter()
-            filtered, ok = self._filter_relation(engine, relation, params, counts)
+            ok, _ = survivor_relations(
+                values, self._conditions, params, "ok",
+                relation.dictionary if relation.is_encoded else None,
+            )
+            filtered = semi_join(relation, ok, name=relation.name)
             if self.sink is not None:
                 # The survivors are exact for the safe subquery made of
                 # the subgoals absorbed so far (earlier in-flight filters
@@ -450,31 +448,6 @@ class DynamicEvaluator:
                 f"dynamic FILTER at {node} is not certified legal: {details}"
             )
         self.last_trace.certificates += (certificate,)
-
-    def _filter_relation(
-        self,
-        engine: MemoryEngine,
-        relation: Relation,
-        params: tuple[str, ...],
-        counts: Counter | None,
-    ) -> tuple[Relation, Relation]:
-        """Group by ``params``, apply the flock filter (all conjuncts),
-        keep surviving rows.  Returns (filtered relation, ok-relation).
-        A support filter reads survivorship off ``counts``."""
-        if counts is not None:
-            dictionary = relation.dictionary if relation.is_encoded else None
-            ok, _ = survivor_relations(
-                counts, self._cap, params, "ok", dictionary
-            )
-        else:
-            aggregates, conditions = plan_aggregate_specs(
-                self.flock.filter, self._targets.__getitem__
-            )
-            passed = engine.group_filter(
-                relation, list(params), aggregates, conditions, name="ok"
-            )
-            ok = engine.project_unique(passed, list(params), "ok")
-        return semi_join(relation, ok, name=relation.name), ok
 
 
 def evaluate_flock_dynamic(

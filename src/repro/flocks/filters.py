@@ -17,16 +17,14 @@ pruning plans for non-monotone filters.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Union
 
 from ..errors import FilterError, ParseError
 from ..datalog.atoms import ComparisonOp
 from ..relational.aggregates import AggregateFunction
 from ..relational.relation import Relation
-from ..relational.aggregates import group_aggregate, having
 
 
 #: The target column marker for "count whole answer tuples" —
@@ -72,30 +70,30 @@ class FilterCondition:
         """Test one aggregate value against the threshold."""
         return self.op.fn(value, self.threshold)
 
-    def passing_indexes(self, values: Sequence[Union[int, float]]) -> list[int]:
-        """Row indexes of a whole aggregate column that pass.
+    def passing_keys(self, items: Iterable[tuple]) -> list:
+        """The keys of the ``(key, aggregate value)`` pairs that pass.
 
         The batch form of :meth:`passes`: the comparison is inlined per
-        operator so a column scan costs one comprehension instead of a
-        method call per row — this is the memory engine's threshold
-        kernel.
+        operator so a scan over every group costs one comprehension
+        instead of a method call per group — the threshold test of
+        :func:`~repro.relational.aggregates.survivor_relations`.
         """
         t = self.threshold
         op = self.op
         if op is ComparisonOp.GE:
-            return [i for i, v in enumerate(values) if v >= t]
+            return [k for k, v in items if v >= t]
         if op is ComparisonOp.GT:
-            return [i for i, v in enumerate(values) if v > t]
+            return [k for k, v in items if v > t]
         if op is ComparisonOp.LE:
-            return [i for i, v in enumerate(values) if v <= t]
+            return [k for k, v in items if v <= t]
         if op is ComparisonOp.LT:
-            return [i for i, v in enumerate(values) if v < t]
+            return [k for k, v in items if v < t]
         if op is ComparisonOp.EQ:
-            return [i for i, v in enumerate(values) if v == t]
+            return [k for k, v in items if v == t]
         if op is ComparisonOp.NE:
-            return [i for i, v in enumerate(values) if v != t]
+            return [k for k, v in items if v != t]
         fn = op.fn
-        return [i for i, v in enumerate(values) if fn(v, t)]
+        return [k for k, v in items if fn(v, t)]
 
     def test_relation(self, answer: Relation) -> bool:
         """Test the filter against one answer relation (the result of the
@@ -107,12 +105,18 @@ class FilterCondition:
             else:
                 value = answer.distinct_count(self.target)
             return self.passes(value)
-        if len(answer) == 0:
+        # One value per distinct answer row (set semantics), computed
+        # here rather than by the engine's aggregation kernel.
+        values = answer.column_array(self.target)
+        if not values:
             # SQL: SUM/MIN/MAX of no rows is NULL; NULL compares false.
             return False
-        agg = group_aggregate(answer, [], self.aggregate, target=[self.target])
-        (value,) = next(iter(agg.tuples))
-        return self.passes(value)
+        fold = {
+            AggregateFunction.SUM: sum,
+            AggregateFunction.MIN: min,
+            AggregateFunction.MAX: max,
+        }[self.aggregate]
+        return self.passes(fold(values))
 
     # ------------------------------------------------------------------
     # Monotonicity (Section 5)
@@ -156,18 +160,6 @@ class FilterCondition:
             ComparisonOp.GE,
             ComparisonOp.GT,
         )
-
-    @property
-    def support_cap(self) -> Union[int, None]:
-        """The support threshold's integer cap: the least count that
-        passes a support condition (a group survives iff its count
-        reaches it); ``None`` for any other condition."""
-        if not self.is_support_condition:
-            return None
-        cap = max(0, math.floor(float(self.threshold)))
-        while not self.passes(cap):
-            cap += 1
-        return cap
 
     # ------------------------------------------------------------------
     # Display
@@ -242,10 +234,6 @@ class CompositeFilter:
     def is_monotone(self) -> bool:
         """Monotone iff every conjunct is."""
         return all(c.is_monotone for c in self.conditions)
-
-    #: A conjunction is never one support conjunct (see
-    #: :attr:`FilterCondition.support_cap`).
-    support_cap = None
 
     @property
     def is_support_condition(self) -> bool:
@@ -348,8 +336,8 @@ def plan_aggregate_specs(condition: AnyFilter, resolve_target):
     ``_agg{i}``) plus the matching ThresholdFilter conditions.
 
     ``resolve_target(condition)`` maps one conjunct to the answer
-    columns its aggregate ranges over, exactly as in
-    :func:`surviving_assignments`.
+    columns its aggregate ranges over (callers know how head terms were
+    renamed).
     """
     from ..engine.ir import AggregateSpec
 
@@ -364,57 +352,23 @@ def plan_aggregate_specs(condition: AnyFilter, resolve_target):
     return aggregates, conditions
 
 
-def surviving_with_aggregates(
-    answer: Relation,
-    group_by: list[str],
-    condition: AnyFilter,
-    resolve_target,
-    name: str = "ok",
-) -> Relation:
-    """Like :func:`surviving_assignments`, but keep the aggregate values.
-
-    The result has the ``group_by`` columns plus one ``_agg{i}`` column
-    per filter conjunct, holding that conjunct's aggregate value for the
-    surviving assignment.  This is what the session result cache stores:
-    for a *monotone* conjunct, an assignment surviving threshold *t* with
-    recorded value *v* survives any stricter threshold ``t' >= t`` iff
-    ``v`` passes it — so the cached relation answers every stricter
-    request by re-filtering, with zero base-relation work.  (Assignments
-    that *failed* threshold *t* are absent, which is exactly why the
-    cached relation is only sound for thresholds at least as strict.)
-    """
-    survivors: Relation | None = None
-    for index, single in enumerate(iter_conditions(condition)):
-        column = f"_agg{index}"
-        agg = group_aggregate(
-            answer,
-            group_by,
-            single.aggregate,
-            target=resolve_target(single),
-            result_column=column,
-        )
-        passed = having(
-            agg, single.passes, result_column=column, name=name,
-            keep_aggregate=True,
-        )
-        if survivors is None:
-            survivors = passed
-        else:
-            from ..relational.operators import natural_join
-
-            survivors = natural_join(survivors, passed, name=name)
-    assert survivors is not None
-    return survivors
-
-
 def refilter_aggregates(
     cached: Relation,
     group_by: list[str],
     condition: AnyFilter,
     name: str = "ok",
 ) -> Relation:
-    """Re-filter a :func:`surviving_with_aggregates` relation at stricter
-    thresholds and project away the aggregate columns.
+    """Re-filter a cached survivor relation that kept its aggregate
+    values (the ``passed`` relation of a step: one ``_agg{i}`` column per
+    conjunct) at stricter thresholds, and project away the aggregate
+    columns.
+
+    For a *monotone* conjunct, an assignment surviving threshold *t* with
+    recorded value *v* survives any stricter threshold ``t' >= t`` iff
+    ``v`` passes it — so the cached relation answers every stricter
+    request with zero base-relation work.  (Assignments that *failed*
+    threshold *t* are absent, which is why it is only sound for
+    thresholds at least as strict.)
 
     ``condition`` must have the same conjunct signatures (aggregate,
     target, comparison direction) as the filter the relation was built
@@ -473,36 +427,3 @@ def filter_implies(new: AnyFilter, old: AnyFilter) -> bool:
         elif n.threshold != o.threshold:
             return False
     return True
-
-
-def surviving_assignments(
-    answer: Relation,
-    group_by: list[str],
-    condition: AnyFilter,
-    resolve_target,
-    name: str = "ok",
-) -> Relation:
-    """GROUP BY ``group_by`` and keep the assignments passing the filter.
-
-    ``resolve_target(condition)`` maps one :class:`FilterCondition` to
-    the list of answer columns its aggregate ranges over (callers know
-    how head terms were renamed).  For a :class:`CompositeFilter` the
-    per-conjunct survivor sets are intersected — sound because a
-    conjunction passes exactly when every conjunct does.
-    """
-    survivors: Relation | None = None
-    for single in iter_conditions(condition):
-        agg = group_aggregate(
-            answer,
-            group_by,
-            single.aggregate,
-            target=resolve_target(single),
-            result_column="_agg",
-        )
-        passed = having(agg, single.passes, result_column="_agg", name=name)
-        survivors = (
-            passed if survivors is None
-            else survivors.intersection(passed, name=name)
-        )
-    assert survivors is not None
-    return survivors

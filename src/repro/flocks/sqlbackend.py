@@ -227,7 +227,7 @@ class SQLiteBackend:
         loop's retry rung is safe.  With ``need_aggregates`` the table
         and ``passed`` also carry one ``_agg{i}`` column per filter
         conjunct — the SQL rendering of the in-memory engine's
-        ``group_filter`` output.  The table stays until
+        ``passed`` relation.  The table stays until
         :meth:`drop_step_tables`, so later steps can join it.
         """
         base = self._require_loaded()

@@ -8,8 +8,6 @@ for extended conjunctive queries and unions.
 from .aggregates import (
     AggregateFunction,
     group_aggregate,
-    grouped_counts,
-    having,
 )
 from .catalog import Database, database_from_dict
 from .dictionary import ValueDictionary, stable_hash
@@ -67,8 +65,6 @@ __all__ = [
     "explain_conjunctive",
     "greedy_join_order",
     "group_aggregate",
-    "grouped_counts",
-    "having",
     "join_bounds",
     "load_database",
     "load_relation",

@@ -5,10 +5,14 @@ assignment* (``COUNT(answer.P) >= 20``).  Operationally that is a
 GROUP BY over the parameter columns with an aggregate over the answer
 columns, exactly the SQL ``HAVING`` pattern of the paper's Fig. 1.
 
-:func:`group_aggregate` computes one aggregate per group;
-:func:`grouped_counts` is the common COUNT special case.  When the
-group-by column list is empty the whole relation is one group (a flock
-with no parameters degenerates to a single yes/no test).
+:func:`group_values` computes one aggregate per group key, over any
+column reader (a relation's, or a counting join's);
+:func:`survivor_relations` applies a filter's conjuncts to those values
+and builds the surviving groups in canonical order — the one place an
+in-memory FILTER picks its survivors.  :func:`group_aggregate` is the
+same aggregation as a relation.  When the group-by column list is empty
+the whole relation is one group (a flock with no parameters
+degenerates to a single yes/no test).
 """
 
 from __future__ import annotations
@@ -17,11 +21,14 @@ from collections import Counter, defaultdict
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from ..errors import FilterError
 from .dictionary import ValueDictionary
 from .relation import Relation
+
+if TYPE_CHECKING:
+    from ..flocks.filters import FilterCondition
 
 
 class AggregateFunction(Enum):
@@ -66,7 +73,6 @@ def group_aggregate(
     an empty input yields a single row with value 0 (SQL's scalar
     aggregate), while other aggregates of an empty input yield no rows.
     """
-    group_positions = [relation.column_position(c) for c in group_by]
     group_set = set(group_by)
     member_columns = [c for c in relation.columns if c not in group_set]
     if target is None:
@@ -84,64 +90,24 @@ def group_aggregate(
             "absent; targets must be non-group columns"
         )
 
-    # All paths aggregate over the column arrays rather than the row
-    # set: keys come from zipping only the group columns, so no full-row
-    # tuples are materialized.  With one group column the scalar values
-    # themselves serve as keys.  On an encoded relation the key columns
-    # are the integer *code* columns — grouping hashes small ints and the
-    # group-key side of the output stays encoded (codes are
-    # equality-faithful, so code groups are exactly value groups).
-    dictionary = relation.dictionary if relation.is_encoded else None
-    columns: Sequence[Sequence] = (
-        relation.code_columns() if dictionary is not None
-        else relation.columns_data()
-    )
-    single_key = len(group_positions) == 1
-    per_group: dict
-    if fn is AggregateFunction.COUNT:
-        per_group = relation_group_counts(relation, group_by, target)
-    else:
-        # SUM/MIN/MAX need real values (codes are not order- or
-        # arithmetic-faithful): decode only the one target column, and
-        # stream it — set semantics makes the member sub-tuples within a
-        # group distinct (key + member = the whole row).
-        position = relation.column_position(target[0])
-        values = (
-            dictionary.decode_column(columns[position])
-            if dictionary is not None else columns[position]
-        )
-        keys: Sequence = (
-            columns[group_positions[0]] if single_key
-            else list(zip(*(columns[p] for p in group_positions)))
-            if group_positions
-            else [()] * len(relation)  # whole relation is one group
-        )
-        if fn is AggregateFunction.SUM:
-            per_group = defaultdict(int)
-            for key, value in zip(keys, values):
-                per_group[key] += value
-        else:
-            pick = min if fn is AggregateFunction.MIN else max
-            per_group = {}
-            for key, value in zip(keys, values):
-                current = per_group.get(key)
-                per_group[key] = (
-                    value if current is None else pick(current, value)
-                )
-
+    # On an encoded relation the keys are codes, and the group-key side
+    # of the output stays encoded (codes are equality-faithful, so code
+    # groups are exactly value groups).
+    per_group = relation_group_values(relation, group_by, fn, target)
     if not group_by and not per_group and fn is AggregateFunction.COUNT:
         per_group = {(): 0}
 
     # Group keys are unique by construction, so the output is distinct
     # and can be built columnar with no re-deduplication pass.
     out_columns = tuple(group_by) + (result_column,)
-    if single_key:
+    if len(group_by) == 1:
         key_columns = [list(per_group.keys())]
-    elif group_positions and per_group:
+    elif group_by and per_group:
         key_columns = [list(col) for col in zip(*per_group.keys())]
     else:
-        key_columns = [[] for _ in group_positions]
+        key_columns = [[] for _ in group_by]
     aggregate_column = list(per_group.values())
+    dictionary = relation.dictionary if relation.is_encoded else None
     if dictionary is not None:
         return Relation.from_encoded(
             name,
@@ -158,8 +124,13 @@ def group_aggregate(
     )
 
 
+#: Reads one column of a row set by name: ``column(name)`` its keys
+#: (codes when the rows are encoded), ``column(name, True)`` its values.
+ColumnReader = Callable[..., Iterable]
+
+
 def count_groups(
-    column: Callable[[str], Iterable],
+    column: ColumnReader,
     group_by: Sequence[str],
     target: Sequence[str],
     columns: Sequence[str],
@@ -183,97 +154,124 @@ def count_groups(
     return Counter(map(picker, pairs))
 
 
-def relation_group_counts(
-    relation: Relation, group_by: Sequence[str], target: Sequence[str]
-) -> Counter:
-    """:func:`count_groups` over a relation (keys are codes when it is
+def group_values(
+    column: ColumnReader,
+    group_by: Sequence[str],
+    fn: AggregateFunction,
+    target: Sequence[str],
+    columns: Sequence[str],
+    rows: int,
+) -> dict:
+    """``{group key: fn over the group's members}`` — one filter
+    conjunct's aggregate, over the rows :func:`count_groups` reads.
+
+    COUNT is :func:`count_groups`.  SUM/MIN/MAX read the one target
+    column's real values (codes are neither order- nor
+    arithmetic-faithful) and stream them: set semantics makes a group's
+    member sub-tuples distinct (key + member = the whole row), so each
+    row contributes once.
+    """
+    if fn is AggregateFunction.COUNT:
+        return count_groups(column, group_by, target, columns, rows)
+    keys = [column(c) for c in group_by]
+    keyed = zip(
+        keys[0] if len(keys) == 1 else zip(*keys) if keys else repeat((), rows),
+        column(target[0], True),
+    )
+    per_group: dict
+    if fn is AggregateFunction.SUM:
+        per_group = defaultdict(int)
+        for key, value in keyed:
+            per_group[key] += value
+        return per_group
+    pick = min if fn is AggregateFunction.MIN else max
+    per_group = {}
+    for key, value in keyed:
+        current = per_group.get(key)
+        per_group[key] = value if current is None else pick(current, value)
+    return per_group
+
+
+def relation_group_values(
+    relation: Relation,
+    group_by: Sequence[str],
+    fn: AggregateFunction,
+    target: Sequence[str],
+) -> dict:
+    """:func:`group_values` over a relation (keys are codes when it is
     encoded)."""
-    columns = (
-        relation.code_columns() if relation.is_encoded
+    dictionary = relation.dictionary if relation.is_encoded else None
+    data = (
+        relation.code_columns() if dictionary is not None
         else relation.columns_data()
     )
-    return count_groups(
-        lambda c: columns[relation.column_position(c)],
-        group_by, target, relation.columns, len(relation),
+
+    def column(name: str, decode: bool = False) -> Sequence:
+        values = data[relation.column_position(name)]
+        if decode and dictionary is not None:
+            return dictionary.decode_column(values)
+        return values
+
+    return group_values(
+        column, group_by, fn, target, relation.columns, len(relation)
     )
 
 
 def survivor_relations(
-    counts: Counter,
-    cap: int,
+    values: Sequence[Mapping],
+    conditions: Sequence["FilterCondition"],
     columns: Sequence[str],
     name: str,
     dictionary: ValueDictionary | None,
-    agg_column: str | None = None,
+    agg_columns: Sequence[str] | None = None,
 ) -> tuple[Relation, Relation | None]:
-    """The groups whose count reaches ``cap``: (survivor keys, the same
-    with their counts as ``agg_column`` — or ``None`` without one).
+    """The groups passing a filter: (survivor keys, the same with each
+    conjunct's value as its ``agg_columns`` entry — or ``None`` without
+    them).
 
-    Rows are canonically sorted by the decoded ``repr`` (like
-    :meth:`~repro.engine.memory.MemoryEngine.project_unique`); only
-    survivors pay the decode, and encoded keys stay encoded.
+    ``values[i]`` maps each group key to conjunct ``i``'s aggregate
+    (:func:`group_values`); a group survives when every map has it and
+    every ``conditions[i]`` passes its value.  With no group columns,
+    a COUNT of no rows is 0 (SQL's scalar aggregate), any other
+    aggregate of no rows has no value.  Rows are canonically sorted by
+    the decoded ``repr`` of their keys, so serial, parallel and SQLite
+    runs produce identical column arrays; only survivors pay the decode,
+    and encoded keys stay encoded.
     """
-    if not columns and not counts:
-        counts = Counter({(): 0})  # SQL's scalar COUNT of no rows
+    if not columns:
+        values = [
+            {(): 0} if not v and c.aggregate is AggregateFunction.COUNT else v
+            for v, c in zip(values, conditions)
+        ]
+    first, *rest = values
+    keep = conditions[0].passing_keys(first.items())
+    for condition, more in zip(conditions[1:], rest):
+        keep = condition.passing_keys((k, more[k]) for k in keep if k in more)
+
     single = len(columns) == 1
-    rows = [
-        ((key,) if single else key) + (count,)
-        for key, count in counts.items()
-        if count >= cap
-    ]
-    values = dictionary.values if dictionary is not None else None
-    rows.sort(key=lambda row: repr(
-        row[:-1] if values is None else tuple(values[c] for c in row[:-1])
-    ))
-    *keys, totals = [list(col) for col in zip(*rows)] or [
-        [] for _ in range(len(columns) + 1)
-    ]
+    decoded = dictionary.values if dictionary is not None else None
+
+    def canonical(key) -> str:
+        key = (key,) if single else key
+        return repr(key if decoded is None else tuple(decoded[c] for c in key))
+
+    keep.sort(key=canonical)
+    key_columns = (
+        [keep] if single
+        else [list(col) for col in zip(*keep)] or [[] for _ in columns]
+    )
 
     def build(labels: tuple[str, ...], data: list[list]) -> Relation:
         if dictionary is None:
-            return Relation.from_columns(name, labels, data, count=len(rows))
+            return Relation.from_columns(name, labels, data, count=len(keep))
         return Relation.from_encoded(
-            name, labels, data, dictionary, count=len(rows)
+            name, labels, data, dictionary, count=len(keep)
         )
 
-    result = build(tuple(columns), keys)
-    if agg_column is None:
+    result = build(tuple(columns), key_columns)
+    if agg_columns is None:
         return result, None
+    totals = [[v[key] for key in keep] for v in values]
     if dictionary is not None:
-        totals = dictionary.encode_column(totals)
-    return result, build(tuple(columns) + (agg_column,), keys + [totals])
-
-
-def grouped_counts(
-    relation: Relation,
-    group_by: Sequence[str],
-    name: str = "counts",
-    result_column: str = "count",
-) -> Relation:
-    """COUNT of distinct non-group sub-tuples per group."""
-    return group_aggregate(
-        relation,
-        group_by,
-        AggregateFunction.COUNT,
-        name=name,
-        result_column=result_column,
-    )
-
-
-def having(
-    counts: Relation,
-    predicate: Callable[[object], bool],
-    result_column: str = "count",
-    name: str = "having",
-    keep_aggregate: bool = False,
-) -> Relation:
-    """Filter a grouped-aggregate relation by its aggregate value —
-    the HAVING clause.  Drops the aggregate column unless asked to keep it.
-    """
-    pos = counts.column_position(result_column)
-    rows = {row for row in counts.tuples if predicate(row[pos])}
-    if keep_aggregate:
-        return Relation(name, counts.columns, rows)
-    keep = [c for c in counts.columns if c != result_column]
-    keep_pos = [counts.column_position(c) for c in keep]
-    return Relation(name, tuple(keep), {tuple(r[p] for p in keep_pos) for r in rows})
+        totals = [dictionary.encode_column(t) for t in totals]
+    return result, build(tuple(columns) + tuple(agg_columns), key_columns + totals)

@@ -152,11 +152,11 @@ def estimate_chain_join_size(
 def selectivity_of_filter(
     relation: Relation,
     parameter_columns: Sequence[str],
-    surviving_assignments: int,
+    survivors: int,
 ) -> float:
     """Fraction of parameter assignments that survive a filter —
     the observed pruning power used in the dynamic strategy's reporting."""
     total = len(relation.project(parameter_columns)) if parameter_columns else 1
     if total == 0:
         return 0.0
-    return surviving_assignments / total
+    return survivors / total

@@ -50,15 +50,15 @@ def test_group_filter_aborts_between_aggregates(db, monkeypatch):
 
     cancel = CancellationToken()
     calls = []
-    real_group_aggregate = memory_module.group_aggregate
+    real_group_values = memory_module.relation_group_values
 
-    def cancelling_aggregate(*args, **kwargs):
+    def cancelling_aggregate(*args):
         calls.append(1)
         cancel.cancel()  # the client goes away mid-kernel
-        return real_group_aggregate(*args, **kwargs)
+        return real_group_values(*args)
 
     monkeypatch.setattr(
-        memory_module, "group_aggregate", cancelling_aggregate
+        memory_module, "relation_group_values", cancelling_aggregate
     )
     engine = MemoryEngine(db, guard=ExecutionGuard(cancel=cancel))
     with pytest.raises(ExecutionCancelled):

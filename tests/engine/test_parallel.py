@@ -51,6 +51,8 @@ from repro.testing import faults
 from repro.testing.faults import WorkerKill
 from repro.workloads import article_database
 
+from tests.survivor_oracle import survivors
+
 
 # ----------------------------------------------------------------------
 # Fixtures: a basket-pair flock over a corpus big enough to partition
@@ -308,12 +310,11 @@ class TestParallelExecutor:
         assert outcome.result.columns_data() == expected.columns_data()
         assert sum(outcome.partition_sizes) == expected_answer
 
-    def test_aggregate_path_matches_group_filter(
+    def test_aggregate_path_matches_oracle(
         self, force_pool, word_db, pair_plan
     ):
-        engine = MemoryEngine(word_db)
-        answer = engine.run_answer(pair_plan)
-        expected = engine.run_group_filter(answer, pair_plan)
+        answer = MemoryEngine(word_db).run_answer(pair_plan)
+        _, expected = survivors(answer, pair_plan)
         with ParallelExecutor(2, word_db) as executor:
             outcome = executor.run_step(pair_plan, need_aggregates=True)
         assert outcome.passed is not None

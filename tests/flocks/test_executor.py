@@ -289,7 +289,7 @@ class TestSerialEarlyExit:
     to compute full aggregates where ``--jobs 2`` did not)."""
 
     @pytest.fixture
-    def group_filter_calls(self, monkeypatch):
+    def passed_columns(self, monkeypatch):
         """The ``passed`` columns of every step the serial engine ran."""
         calls = []
         real = MemoryEngine.run_step
@@ -304,19 +304,19 @@ class TestSerialEarlyExit:
         return calls
 
     def test_no_sink_no_aggregate_columns(
-        self, small_medical_db, medical_flock, group_filter_calls
+        self, small_medical_db, medical_flock, passed_columns
     ):
         execute_plan(small_medical_db, medical_flock, fig5_plan(medical_flock))
-        assert group_filter_calls == []
+        assert passed_columns == []
 
     def test_sink_gets_aggregates_for_the_final_step_only(
-        self, small_medical_db, medical_flock, group_filter_calls
+        self, small_medical_db, medical_flock, passed_columns
     ):
         execute_plan(
             small_medical_db, medical_flock, fig5_plan(medical_flock),
             sink=RecordingSink(),
         )
-        assert group_filter_calls == [("$m", "$s", "_agg0")]
+        assert passed_columns == [("$m", "$s", "_agg0")]
 
     def test_survivors_identical_either_way(
         self, small_medical_db, medical_flock

@@ -3,15 +3,15 @@ answer.
 
 ``MemoryEngine.run_step`` counts the last join stage of a support step
 instead of building its answer (``count_join``); the reference here
-builds the answer (``run_answer``) and groups it (``run_group_filter``
-/ ``finalize_step``) — the path every other step still takes.  Random
-single-rule flocks cover what the kernel evaluates as masks and keys:
-2–3 positive subgoals, comparisons between columns and against
-constants, a negated subgoal, existential variables the COUNT target
-does not cover, 1–3 parameters and support thresholds.  The dynamic
-strategy's in-flight counters are checked against the same evaluator
-with counting turned off, and against ``naive``, with plan verification
-on and off.
+builds the answer (``run_answer``) and groups it with an independent
+oracle (``tests/survivor_oracle.py``).  Random single-rule flocks cover
+what the kernel evaluates as masks and keys: 2–3 positive subgoals,
+comparisons between columns and against constants, a negated subgoal,
+existential variables the COUNT target does not cover, 1–3 parameters
+and support thresholds — plus SUM, MIN, MAX and conjunctions, which
+materialise the answer and meet the same survivor kernel.  The dynamic
+strategy's in-flight FILTERs (counted for support, grouped otherwise)
+are checked against ``naive``, with plan verification on and off.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from repro.flocks.mining import mine
 from repro.flocks.optimizer import FlockOptimizer
 from repro.flocks.plans import single_step_plan
 from repro.relational import database_from_dict
+
+from tests.survivor_oracle import survivors
 
 values = st.integers(min_value=0, max_value=4)
 pairs = st.sets(st.tuples(values, values), max_size=24)
@@ -50,7 +52,9 @@ def databases(draw):
 
 
 @st.composite
-def flocks(draw):
+def flocks(draw, monotone=False):
+    """A random single-rule flock with a support filter — or, with
+    ``monotone``, possibly a SUM/MIN/MAX one or a conjunction."""
     params = [f"${i + 1}" for i in range(draw(st.integers(1, 3)))]
     body = [atom("r", "B", p) for p in params]
     extras = [atom("s", params[0], "C"), atom("s", "E", params[-1]),
@@ -78,6 +82,13 @@ def flocks(draw):
     op = draw(st.sampled_from([">=", ">"]))
     least = 1 if op == ">=" else 0  # an empty answer must fail the filter
     condition = f"COUNT(answer{target}) {op} {draw(st.integers(least, 3))}"
+    if monotone:
+        other = draw(st.sampled_from(
+            ["SUM(answer.B) >= {}", "MIN(answer.B) <= {}", "MAX(answer.B) >= {}"]
+        )).format(draw(values))
+        condition = draw(st.sampled_from(
+            [condition, other, f"{condition} AND {other}"]
+        ))
     return QueryFlock(rule("answer", head, body), parse_filter(condition))
 
 
@@ -88,11 +99,11 @@ def lowered(db, flock):
 def reference(db, plan, encode_scans=True):
     engine = MemoryEngine(db, encode_scans=encode_scans)
     answer = engine.run_answer(plan)
-    passed = engine.run_group_filter(answer, plan)
-    return engine.finalize_step(passed, plan), passed, len(answer), engine
+    result, passed = survivors(answer, plan)
+    return result, passed, len(answer), engine
 
 
-@given(db=databases(), flock=flocks(), encode=st.booleans())
+@given(db=databases(), flock=flocks(monotone=True), encode=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_run_step_matches_materialised_answer(db, flock, encode):
     plan = lowered(db, flock)
@@ -102,6 +113,10 @@ def test_run_step_matches_materialised_answer(db, flock, encode):
         outcome = engine.run_step(plan, need_aggregates=need_aggregates)
         assert outcome.result == result
         assert outcome.result.name == result.name
+        # canonical order: the column arrays are sorted by row repr
+        assert list(zip(*outcome.result.columns_data())) == sorted(
+            result.tuples, key=repr
+        )
         assert outcome.answer_tuples == answer_tuples
         assert outcome.passed == (passed if need_aggregates else None)
         assert [o.actual for o in engine.stage_log] == [
@@ -132,30 +147,25 @@ def test_plan_steps_match_materialised_answer(db, flock):
 # Verification off is the library default (and what the e2e workloads
 # run); the suite's autouse fixture turns it on everywhere else.
 @pytest.mark.parametrize("verify", [True, False])
-@given(db=databases(), flock=flocks())
+@given(db=databases(), flock=flocks(monotone=True))
 @settings(max_examples=100, deadline=None)
 def test_dynamic_counting_matches_grouping_and_naive(verify, db, flock):
-    counted = DynamicEvaluator(db, flock)
-    grouped = DynamicEvaluator(db, flock)
-    # In-flight FILTERs take the group_filter path every other filter
-    # takes; the root is the step body's either way.
-    grouped._cap = None
+    """In-flight FILTERs count a support filter's groups and aggregate
+    any other filter's; both meet the survivor kernel, and dynamic must
+    answer exactly what ``naive`` and the oracle do."""
+    evaluator = DynamicEvaluator(db, flock)
     with plan_verification(verify):
-        got, want = counted.evaluate(), grouped.evaluate()
-    assert got.relation == want.relation
-    assert got.stage_rows == want.stage_rows
-    assert counted.last_trace.plan_lines == grouped.last_trace.plan_lines
-    assert [
-        (d.node, d.filtered, d.tuples_per_assignment, d.size_before,
-         d.size_after)
-        for d in counted.last_trace.decisions
-    ] == [
-        (d.node, d.filtered, d.tuples_per_assignment, d.size_before,
-         d.size_after)
-        for d in grouped.last_trace.decisions
-    ]
+        got = evaluator.evaluate()
     naive, _ = mine(db, flock, strategy="naive", parallelism=1)
-    assert got.relation.tuples == naive.tuples
+    plan = lowered(db, flock)
+    oracle, _ = survivors(MemoryEngine(db).run_answer(plan), plan)
+    assert got.relation.tuples == naive.tuples == oracle.tuples
+    *inflight, root = evaluator.last_trace.decisions
+    assert root.node == "root" and root.size_after == len(got.relation)
+    for decision in inflight:
+        assert decision.size_after <= decision.size_before
+        if not decision.filtered:
+            assert decision.size_after == decision.size_before
 
 
 @given(db=databases(), flock=flocks())

@@ -32,6 +32,8 @@ from repro.relational.operators import (
 )
 from repro.relational.relation import Relation
 
+from tests.survivor_oracle import survivors
+
 # Mixed types on purpose: 1 / 1.0 / True collapse under Python equality
 # and must collapse identically in code space.
 values = st.one_of(
@@ -178,13 +180,13 @@ def test_engine_kernels_encoded_vs_legacy(r, bad, threshold):
 
         legacy = MemoryEngine(db.scratch(), encode_scans=False)
         answer_legacy = legacy.run_answer(plan)
-        survivors_legacy = legacy.run_step(plan).result
-        passed_legacy = legacy.run_group_filter(answer_legacy, plan)
+        outcome_legacy = legacy.run_step(plan, need_aggregates=True)
+        survivors_legacy = outcome_legacy.result
 
         encoded = MemoryEngine(db.scratch(), encode_scans=True)
         answer_encoded = encoded.run_answer(plan)
-        survivors_encoded = encoded.run_step(plan).result
-        passed_encoded = encoded.run_group_filter(answer_encoded, plan)
+        outcome_encoded = encoded.run_step(plan, need_aggregates=True)
+        survivors_encoded = outcome_encoded.result
 
         assert set(answer_encoded.tuples) == set(answer_legacy.tuples)
         # Survivor outputs are canonical: identical *arrays*, not just
@@ -194,4 +196,6 @@ def test_engine_kernels_encoded_vs_legacy(r, bad, threshold):
             survivors_encoded.columns_data()
             == survivors_legacy.columns_data()
         )
-        assert set(passed_encoded.tuples) == set(passed_legacy.tuples)
+        _, expected = survivors(answer_legacy, plan)
+        assert outcome_encoded.passed.tuples == expected.tuples
+        assert outcome_legacy.passed.tuples == expected.tuples

@@ -26,6 +26,8 @@ from repro.flocks.plans import single_step_plan
 from repro.engine.memory import MemoryEngine
 from repro.relational import database_from_dict
 
+from tests.survivor_oracle import survivors
+
 values = st.integers(min_value=0, max_value=4)
 
 r_rows = st.sets(st.tuples(values, values), max_size=20)
@@ -115,7 +117,7 @@ def test_step_output_bit_identical(
     engine = MemoryEngine(db)
     answer = engine.run_answer(plan)
     expected = engine.run_step(plan).result
-    expected_passed = engine.run_group_filter(answer, plan)
+    _, expected_passed = survivors(answer, plan)
 
     with ParallelExecutor(2, db) as executor:
         outcome = executor.run_step(plan)

@@ -3,13 +3,19 @@
 import pytest
 
 from repro.errors import FilterError
+from repro.flocks import parse_filter
 from repro.relational import (
     AggregateFunction,
     Relation,
+    database_from_dict,
     group_aggregate,
-    grouped_counts,
-    having,
 )
+from repro.relational.aggregates import (
+    relation_group_values,
+    survivor_relations,
+)
+
+COUNT = AggregateFunction.COUNT
 
 
 @pytest.fixture
@@ -39,23 +45,23 @@ class TestAggregateFunction:
 
 class TestGroupedCounts:
     def test_counts_distinct_answers_per_group(self, answer):
-        counts = grouped_counts(answer, ["$1", "$2"])
+        counts = group_aggregate(answer, ["$1", "$2"], COUNT)
         assert ("beer", "diapers", 3) in counts
         assert ("beer", "chips", 1) in counts
 
     def test_empty_group_by_counts_all(self, answer):
-        counts = grouped_counts(answer, [])
-        assert counts.columns == ("count",)
+        counts = group_aggregate(answer, [], COUNT)
+        assert counts.columns == ("agg",)
         assert counts.tuples == frozenset({(4,)})
 
     def test_empty_relation_scalar_count_zero(self):
         empty = Relation("answer", ("B",))
-        counts = grouped_counts(empty, [])
+        counts = group_aggregate(empty, [], COUNT)
         assert counts.tuples == frozenset({(0,)})
 
     def test_empty_relation_grouped_is_empty(self):
         empty = Relation("answer", ("$1", "B"))
-        counts = grouped_counts(empty, ["$1"])
+        counts = group_aggregate(empty, ["$1"], COUNT)
         assert len(counts) == 0
 
 
@@ -114,22 +120,80 @@ class TestGroupAggregate:
         assert ("beer", 3) in counts
 
     def test_result_column_name(self, answer):
-        counts = grouped_counts(answer, ["$1"], result_column="support")
+        counts = group_aggregate(answer, ["$1"], COUNT, result_column="support")
         assert counts.columns == ("$1", "support")
 
 
-class TestHaving:
-    def test_threshold_filter(self, answer):
-        counts = grouped_counts(answer, ["$1", "$2"])
-        passed = having(counts, lambda c: c >= 2)
-        assert passed.columns == ("$1", "$2")
-        assert passed.tuples == frozenset({("beer", "diapers")})
+class TestSurvivorRelations:
+    """The one kernel that turns per-group values into survivors."""
 
-    def test_keep_aggregate(self, answer):
-        counts = grouped_counts(answer, ["$1", "$2"])
-        passed = having(counts, lambda c: c >= 2, keep_aggregate=True)
-        assert passed.tuples == frozenset({("beer", "diapers", 3)})
+    def values(self, answer, *conditions):
+        return [
+            relation_group_values(answer, ["$1", "$2"], c.aggregate, ["B"])
+            for c in conditions
+        ]
+
+    def test_threshold_filter(self, answer):
+        condition = parse_filter("COUNT(answer.B) >= 2")
+        survivors, passed = survivor_relations(
+            self.values(answer, condition), [condition], ["$1", "$2"],
+            "ok", None,
+        )
+        assert survivors.columns == ("$1", "$2")
+        assert survivors.tuples == frozenset({("beer", "diapers")})
+        assert passed is None
+
+    def test_every_conjunct_must_pass(self, answer):
+        conditions = [
+            parse_filter("COUNT(answer.B) >= 1"),
+            parse_filter("MAX(answer.B) >= 2"),
+        ]
+        survivors, passed = survivor_relations(
+            self.values(answer, *conditions), conditions, ["$1", "$2"],
+            "ok", None, ["_agg0", "_agg1"],
+        )
+        assert survivors.tuples == frozenset({("beer", "diapers")})
+        assert passed.columns == ("$1", "$2", "_agg0", "_agg1")
+        assert passed.tuples == frozenset({("beer", "diapers", 3, 3)})
 
     def test_nothing_passes(self, answer):
-        counts = grouped_counts(answer, ["$1", "$2"])
-        assert len(having(counts, lambda c: c >= 100)) == 0
+        condition = parse_filter("COUNT(answer.B) >= 100")
+        survivors, _ = survivor_relations(
+            self.values(answer, condition), [condition], ["$1", "$2"],
+            "ok", None,
+        )
+        assert len(survivors) == 0
+
+    def test_canonical_order_on_encoded_keys(self):
+        """Rows come out sorted by the decoded keys' repr, whatever the
+        grouping order, and the keys stay encoded."""
+        db = database_from_dict(
+            {"r": (("$1", "B"), [("z", 1), ("a", 1), ("m", 1), ("a", 2)])}
+        )
+        rel = db.encoded("r")
+        condition = parse_filter("COUNT(answer.B) >= 1")
+        survivors, _ = survivor_relations(
+            [relation_group_values(rel, ["$1"], COUNT, ["B"])], [condition],
+            ["$1"], "ok", rel.dictionary,
+        )
+        assert survivors.is_encoded
+        assert survivors.columns_data() == (["a", "m", "z"],)
+
+    def test_scalar_count_of_nothing_is_zero(self):
+        """No group columns: COUNT of no rows is 0, while SUM of no rows
+        has no value — so a conjunction with SUM keeps nothing."""
+        empty = Relation("answer", ("B",))
+        count = parse_filter("COUNT(answer.B) >= 0")
+        total = parse_filter("SUM(answer.B) >= 0")
+        values = {
+            c: relation_group_values(empty, [], c.aggregate, ["B"])
+            for c in (count, total)
+        }
+        alone, passed = survivor_relations(
+            [values[count]], [count], [], "ok", None, ["_agg0"]
+        )
+        assert len(alone) == 1 and passed.tuples == frozenset({(0,)})
+        both, _ = survivor_relations(
+            [values[count], values[total]], [count, total], [], "ok", None
+        )
+        assert len(both) == 0
