@@ -24,10 +24,12 @@ conlint:
 stress:
 	$(PYTHON) -m pytest -m faults tests/
 
-# Rewrite tests/golden/step_survivors.json — only for a change meant to
-# alter FILTER-step output (tests/golden/test_step_survivors.py pins it).
+# Rewrite both goldens — only for a change meant to alter FILTER-step
+# output (tests/golden/step_survivors.json) or a paper artifact
+# (tests/golden/paper_artifacts.json); tests/golden/test_*.py pin them.
 golden:
 	PYTHONPATH=src $(PYTHON) -m tests.golden.step_survivors
+	PYTHONPATH=src $(PYTHON) -m tests.golden.paper_artifacts
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
