@@ -192,10 +192,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
             params = ", ".join(sorted(str(p) for p in candidate.parameters))
             print(f"    [{params or '-'}] {candidate.query}")
         if db is not None:
-            from .relational.explain import explain_conjunctive
+            from .engine.planner import lower_rule
 
             print()
-            print("  " + explain_conjunctive(db, rule).replace("\n", "\n  "))
+            print("  " + lower_rule(db, rule).render().replace("\n", "\n  "))
     return 0
 
 

@@ -6,7 +6,10 @@ with one trace row and observation per stage; the last stage of a
 support step is counted per group, never materialised
 (:meth:`MemoryEngine.count_join`).  Binding relations are cached per
 engine instance, so a union's branches (or a dynamic re-plan) never
-rebuild the same scan twice.
+rebuild the same scan twice.  Every relation the engine touches is in
+its catalog's code space (:meth:`~repro.relational.catalog.Database.encoded`):
+joins, grouping and membership tests compare integer codes, and only
+comparisons and SUM/MIN/MAX decode the columns they read.
 
 The Section 4.4 dynamic strategy is a decision object handed to
 :meth:`MemoryEngine.run_step`: the one stage loop asks it for each
@@ -42,13 +45,11 @@ from ..relational.binding import (
     unit_relation,
 )
 from ..relational.catalog import Database
-from ..relational.dictionary import ValueDictionary
 from ..relational.operators import (
     anti_join,
     join_indexes,
     key_reader,
     natural_join,
-    shared_dictionary,
 )
 from ..relational.relation import Relation
 from ..testing.faults import trip
@@ -95,11 +96,6 @@ class MemoryEngine:
             partition predicate here
             (:func:`repro.engine.partition.partition_restrictor`), so
             one engine instance interprets one partition of the plan.
-        encode_scans: intern every scanned base relation against the
-            database's shared dictionary so joins, grouping, and
-            threshold filters run on integer code columns (the default).
-            ``False`` forces the legacy value-array data plane — kept
-            for the encoded-vs-legacy differential tests.
     """
 
     def __init__(
@@ -109,12 +105,10 @@ class MemoryEngine:
         scan_restrict: Optional[
             Callable[[RelationalAtom, Relation], Relation]
         ] = None,
-        encode_scans: bool = True,
     ):
         self.db = db
         self.guard: ExecutionGuard | None = as_guard(guard)
         self.scan_restrict = scan_restrict
-        self.encode_scans = encode_scans
         self._bindings: dict[RelationalAtom, Relation] = {}
         self._filtered_scans: dict[
             tuple[RelationalAtom, tuple[ScanFilter, ...]], Relation
@@ -145,35 +139,20 @@ class MemoryEngine:
         """The (cached) binding relation of one positive subgoal."""
         cached = self._bindings.get(atom)
         if cached is None:
-            cached = atom_binding_relation(self.db, atom, encode=self.encode_scans)
+            cached = atom_binding_relation(self.db, atom)
             if self.scan_restrict is not None:
                 cached = self.scan_restrict(atom, cached)
             self._bindings[atom] = cached
         return cached
 
     def apply_scan_filter(self, rel: Relation, sf: ScanFilter) -> Relation:
-        """Semi-join one scan against a runtime filter's survivor keys.
-
-        When both sides are encoded against the *same* dictionary object
-        the membership test runs over integer codes (codes are
-        equality-faithful, so code membership is value membership);
-        otherwise — e.g. in a process worker whose pickled relations
-        carry distinct dictionary copies — it falls back to decoded
-        values, which is always correct.
-        """
-        source = self.db.get(sf.source)
-        source_pos = source.column_position(sf.source_column)
-        pos = rel.column_position(sf.column)
-        if (
-            rel.is_encoded
-            and source.is_encoded
-            and rel.dictionary is source.dictionary
-        ):
-            keys = set(source.code_columns()[source_pos])
-            column: Sequence = rel.code_columns()[pos]
-        else:
-            keys = set(source.columns_data()[source_pos])
-            column = rel.columns_data()[pos]
+        """Semi-join one scan against a runtime filter's survivor keys —
+        a code membership test (codes are equality-faithful, so code
+        membership is value membership)."""
+        source = self.db.encoded(sf.source)
+        position = source.column_position(sf.source_column)
+        keys = set(source.code_columns()[position])
+        column = rel.code_columns()[rel.column_position(sf.column)]
         keep = [i for i, v in enumerate(column) if v in keys]
         if len(keep) == len(rel):
             return rel
@@ -216,7 +195,7 @@ class MemoryEngine:
         # Ground negation: NOT p(c1,...,ck) empties the result iff the
         # selected relation is nonempty.
         if len(neg_rel):
-            return Relation(current.name, current.columns)
+            return current.take([])
         return current
 
     # ------------------------------------------------------------------
@@ -259,10 +238,10 @@ class MemoryEngine:
         group_by: Sequence[str],
         target: Sequence[str],
         semi_joins: Sequence[JoinStage] = (),
-    ) -> tuple[Counter, int, ValueDictionary | None]:
+    ) -> tuple[Counter, int]:
         """:meth:`run_stage` for the last stage of a support step,
         counted instead of materialised: ``(COUNT of distinct target
-        sub-tuples per group key, output rows, dictionary)``.
+        sub-tuples per group key, output rows)``.
 
         The hash join yields its index pairs only; each attached
         comparison decodes its columns once per side into a keep-mask,
@@ -271,20 +250,15 @@ class MemoryEngine:
         :func:`~repro.relational.aggregates.count_groups`) — no joined
         relation is built.  ``semi_joins`` are trailing stages that
         bind no new column (a static plan's ok-atoms): each is one more
-        membership mask.  Keys are codes under the returned shared
-        dictionary, else values.  Trace rows, observations (``actual``
-        = output rows) and checkpoints are :meth:`run_stage`'s.
+        membership mask.  Keys are codes.  Trace rows, observations
+        (``actual`` = output rows) and checkpoints are :meth:`run_stage`'s.
         """
         trip("relational.join")
         started = time.perf_counter()
         left, before = current, len(current)
         right = self._filtered_scan(stage, leaf)
-        # A columnless left side (the unit relation) has no codes to
-        # disagree with: read the scan in place, in its code space.
-        dictionary = (
-            shared_dictionary(left, right) if left.columns else right.dictionary
-        )
-        left_idx, right_idx = join_indexes(left, right, dictionary is not None)
+        dictionary = self.db.dictionary
+        left_idx, right_idx = join_indexes(left, right)
 
         def gathered(column: str, decode: bool = False) -> Iterator:
             """One output column, read through the surviving pairs."""
@@ -292,12 +266,8 @@ class MemoryEngine:
                 (left, left_idx) if column in left.columns
                 else (right, right_idx)
             )
-            data = (
-                rel.code_columns() if dictionary is not None
-                else rel.columns_data()
-            )[rel.column_position(column)]
-            if decode and dictionary is not None:
-                data = dictionary.decode_column(data)
+            codes = rel.code_columns()[rel.column_position(column)]
+            data = dictionary.decode_column(codes) if decode else codes
             if isinstance(idx, range):
                 return iter(data)
             return map(data.__getitem__, idx)
@@ -309,7 +279,7 @@ class MemoryEngine:
             right_idx = list(compress(right_idx, selected))
 
         for op in stage.filters:
-            keep(self._filter_mask(op, gathered, len(left_idx), dictionary))
+            keep(self._filter_mask(op, gathered, len(left_idx)))
             if self.guard is not None:
                 self.guard.checkpoint(rows=len(left_idx), node=stage.node)
         self._observe(stage, before, len(left_idx), started)
@@ -317,20 +287,19 @@ class MemoryEngine:
             trip("relational.join")
             started, before = time.perf_counter(), len(left_idx)
             scan = self._filtered_scan(semi, None)
-            keep(self._members(scan, gathered, dictionary))
+            keep(self._members(scan, gathered))
             self._observe(semi, before, len(left_idx), started)
         rows = len(left_idx)
         counts = count_groups(
             gathered, group_by, target, left.columns + right.columns, rows
         )
-        return counts, rows, dictionary
+        return counts, rows
 
     def _filter_mask(
         self,
         op: CompareFilter | AntiJoin,
         gathered: Callable[..., Iterator],
         rows: int,
-        dictionary: ValueDictionary | None,
     ) -> Iterator[bool]:
         """One attached filter as a keep-mask over :meth:`count_join`'s
         output rows (``gathered(column, decode)`` reads one column)."""
@@ -350,19 +319,16 @@ class MemoryEngine:
             # Ground negation: NOT p(c1,...,ck) keeps nothing iff the
             # selected relation is nonempty.
             return repeat(not len(neg_rel), rows)
-        return map(not_, self._members(neg_rel, gathered, dictionary))
+        return map(not_, self._members(neg_rel, gathered))
 
     @staticmethod
     def _members(
-        rel: Relation,
-        gathered: Callable[..., Iterator],
-        dictionary: ValueDictionary | None,
+        rel: Relation, gathered: Callable[..., Iterator]
     ) -> Iterator[bool]:
         """Whether each output row, read on ``rel``'s columns, is a row
-        of ``rel`` (in code space when both share ``dictionary``)."""
-        in_codes = dictionary is not None and rel.dictionary is dictionary
-        rows = set(key_reader(rel, rel.columns, in_codes))
-        cols = [gathered(c, not in_codes) for c in rel.columns]
+        of ``rel`` (a code-tuple membership test)."""
+        rows = set(key_reader(rel, rel.columns))
+        cols = [gathered(c) for c in rel.columns]
         return map(rows.__contains__, cols[0] if len(cols) == 1 else zip(*cols))
 
     def _observe(
@@ -426,78 +392,49 @@ class MemoryEngine:
 
     def materialize(self, current: Relation, root: Materialize) -> Relation:
         """Project onto the output terms under the plan's labels,
-        re-inserting constant head terms positionally."""
-        dictionary = current.dictionary if current.is_encoded else None
-        cols: Sequence[Sequence] = (
-            current.code_columns() if dictionary is not None
-            else current.columns_data()
-        )
+        re-inserting constant head terms positionally (interned, so the
+        output stays in code space)."""
+        dictionary = self.db.dictionary
+        cols = current.code_columns()
         n = len(current)
-        entries: list[object] = []  # column position | ("const", value)
         positions: list[int] = []
-        for term in root.output_terms:
-            if is_bindable(term):
-                p = current.column_position(term_column(term))
-                positions.append(p)
-                entries.append(p)
+        constants: list[tuple[int, int]] = []  # (output index, code)
+        for i, term in enumerate(root.output_terms):
+            if isinstance(term, Constant):
+                constants.append((i, dictionary.intern(term.value)))
             else:
-                entries.append(("const", term.value))  # type: ignore[union-attr]
+                positions.append(current.column_position(term_column(term)))
 
         if len(set(positions)) == len(cols):
-            # Output covers every column: rows stay distinct.  On the
-            # encoded path a constant head term is interned so the
-            # output stays in code space.
-            if dictionary is not None:
-                codes = [
-                    cols[e] if isinstance(e, int)
-                    else [dictionary.intern(e[1])] * n
-                    for e in entries
-                ]
-                return Relation.from_encoded(
-                    root.name, root.columns, codes, dictionary, count=n
-                )
-            arrays = [
-                cols[e] if isinstance(e, int) else [e[1]] * n for e in entries
-            ]
-            return Relation.from_columns(root.name, root.columns, arrays, count=n)
+            # Output covers every column: rows stay distinct.
+            codes = [cols[p] for p in positions]
+            for i, code in constants:
+                codes.insert(i, [code] * n)
+            return Relation.from_encoded(
+                root.name, root.columns, codes, dictionary, count=n
+            )
 
         # The projection drops columns: deduplicate the bindable part
-        # (in code space when encoded — codes are equality-faithful, so
-        # code-distinct is value-distinct), then re-insert constants
-        # (which cannot split groups).
+        # (codes are equality-faithful, so code-distinct is
+        # value-distinct), then re-insert constants (which cannot split
+        # groups).
         if not positions:
             rows: set[tuple] = {()} if n else set()
         elif len(positions) == 1:
             rows = {(v,) for v in cols[positions[0]]}
         else:
             rows = set(zip(*(cols[p] for p in positions)))
-        const_inserts = [
-            (
-                i,
-                dictionary.intern(e[1]) if dictionary is not None else e[1],
-            )
-            for i, e in enumerate(entries)
-            if not isinstance(e, int)
-        ]
-        if const_inserts:
+        if constants:
             out_rows = set()
             for row in rows:
                 values = list(row)
-                for i, v in const_inserts:
-                    values.insert(i, v)
+                for i, code in constants:
+                    values.insert(i, code)
                 out_rows.add(tuple(values))
             rows = out_rows
-        if dictionary is not None:
-            code_arrays = (
-                [list(col) for col in zip(*rows)]
-                if rows
-                else [[] for _ in root.columns]
-            )
-            return Relation.from_encoded(
-                root.name, root.columns, code_arrays, dictionary,
-                count=len(rows),
-            )
-        return Relation.from_distinct_rows(root.name, root.columns, rows)
+        return Relation.from_code_rows(
+            root.name, root.columns, rows, dictionary
+        )
 
     # ------------------------------------------------------------------
     # Step plans (FILTER steps / flock answers)
@@ -505,18 +442,20 @@ class MemoryEngine:
 
     def run_answer(self, step: StepPlan) -> Relation:
         """The unioned answer relation of a step's rule branches (the
-        guard is polled after each branch of a union)."""
+        guard is polled after each branch of a union).  A union's
+        branches merge as code tuples, so its answer stays in code space
+        like every other step's."""
         if len(step.branches) == 1:
             return self.run_plan(step.branches[0]).with_name("answer")
-        rows: set[tuple] = set()
+        rows: set[tuple[int, ...]] = set()
         for branch in step.branches:
-            rows |= self.run_plan(branch).tuples
+            rows.update(self.run_plan(branch).code_rows())
             if self.guard is not None:
                 self.guard.checkpoint(
                     rows=len(rows), node=f"union:{step.result_name}"
                 )
-        return Relation.from_distinct_rows(
-            "answer", step.answer_columns, rows
+        return Relation.from_code_rows(
+            "answer", step.answer_columns, rows, self.db.dictionary
         )
 
     def run_step(
@@ -565,7 +504,6 @@ class MemoryEngine:
                 ))
                 if self.guard is not None:
                     self.guard.checkpoint(rows=len(values[-1]), node=column)
-            dictionary = answer.dictionary if answer.is_encoded else None
         else:
             group_by, target = shape
             branch = step.branches[0]
@@ -573,7 +511,7 @@ class MemoryEngine:
             if dynamic is None:
                 counted -= _semi_join_tail(branch.stages)
             current, branch = self._run_stages(branch, counted, dynamic)
-            counts, rows, dictionary = self.count_join(
+            counts, rows = self.count_join(
                 current, branch.stages[counted],
                 self._leaf(branch, counted, dynamic), group_by, target,
                 branch.stages[counted + 1:],
@@ -583,7 +521,7 @@ class MemoryEngine:
             values = [counts]
         result, passed = survivor_relations(
             values, [condition for condition, _ in conditions],
-            step.root.columns, step.root.name, dictionary,
+            step.root.columns, step.root.name, self.db.dictionary,
             [column for _, column in conditions] if need_aggregates else None,
         )
         outcome = StepResult(result, passed, answer_tuples)

@@ -35,6 +35,7 @@ from typing import Callable, Optional
 from ..datalog.atoms import RelationalAtom
 from ..relational.catalog import Database
 from ..relational.dictionary import stable_hash
+from ..relational.operators import shared_dictionary
 from ..relational.relation import Relation
 from .ir import Merge, Partition, PartitionedStepPlan, StepPlan
 
@@ -113,21 +114,13 @@ def restrict_to_partition(
     column)."""
     if column not in relation.columns:
         return relation
-    position = relation.column_position(column)
-    if relation.is_encoded and relation.dictionary is not None:
-        # Per-code partition table: ``repr`` + CRC-32 runs once per
-        # *distinct value* (cached on the dictionary), and each row
-        # costs one list lookup — bit-identical assignments to the
-        # per-row hash below.
-        table = relation.dictionary.partition_table(parts)
-        codes = relation.code_columns()[position]
-        keep = [i for i, c in enumerate(codes) if table[c] == index]
-    else:
-        values = relation.columns_data()[position]
-        keep = [
-            i for i, v in enumerate(values)
-            if stable_hash(v) % parts == index
-        ]
+    dictionary, (relation,) = shared_dictionary(relation)
+    # Per-code partition table: ``repr`` + CRC-32 runs once per
+    # *distinct value* (cached on the dictionary), and each row costs
+    # one list lookup — bit-identical to ``partition_index`` per row.
+    table = dictionary.partition_table(parts)
+    codes = relation.code_columns()[relation.column_position(column)]
+    keep = [i for i, c in enumerate(codes) if table[c] == index]
     if len(keep) == len(relation):
         return relation
     return relation.take(keep)

@@ -248,7 +248,7 @@ class DynamicEvaluator:
         stage = branch.stages[position]
         atom = stage.scan.atom
         leaf = self._maybe_filter(
-            engine.scan_atom(atom), str(atom),
+            engine, engine.scan_atom(atom), str(atom),
             self._body_indices(branch, [atom]),
         )
         if position:
@@ -277,7 +277,7 @@ class DynamicEvaluator:
                 for op in s.filters
             ]
             current = self._maybe_filter(
-                current, f"temp{position - 1}",
+                engine, current, f"temp{position - 1}",
                 self._body_indices(branch, absorbed),
             )
         return current, self._maybe_replan(branch, position, current)
@@ -358,6 +358,7 @@ class DynamicEvaluator:
 
     def _maybe_filter(
         self,
+        engine: MemoryEngine,
         relation: Relation,
         node: str,
         subquery_indices: tuple[int, ...],
@@ -397,8 +398,7 @@ class DynamicEvaluator:
             self._certify_decision(node, subquery_indices)
             started = time.perf_counter()
             ok, _ = survivor_relations(
-                values, self._conditions, params, "ok",
-                relation.dictionary if relation.is_encoded else None,
+                values, self._conditions, params, "ok", engine.db.dictionary
             )
             filtered = semi_join(relation, ok, name=relation.name)
             if self.sink is not None:

@@ -2,7 +2,7 @@
 
 Set-semantics relations, hash joins/anti-joins, grouped aggregation
 (the HAVING machinery), a statistics-bearing catalog, and an evaluator
-for extended conjunctive queries and unions.
+for extended conjunctive queries.
 """
 
 from .aggregates import (
@@ -11,11 +11,9 @@ from .aggregates import (
 )
 from .catalog import Database, database_from_dict
 from .dictionary import ValueDictionary, stable_hash
-from .explain import explain_conjunctive
 from .evaluate import (
     atom_binding_relation,
     evaluate_conjunctive,
-    evaluate_union,
     greedy_join_order,
     term_column,
 )
@@ -61,8 +59,6 @@ __all__ = [
     "estimate_chain_join_size",
     "estimate_join_size",
     "evaluate_conjunctive",
-    "evaluate_union",
-    "explain_conjunctive",
     "greedy_join_order",
     "group_aggregate",
     "join_bounds",

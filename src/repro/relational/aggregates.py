@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from ..errors import FilterError
 from .dictionary import ValueDictionary
+from .operators import shared_dictionary
 from .relation import Relation
 
 if TYPE_CHECKING:
@@ -90,42 +91,34 @@ def group_aggregate(
             "absent; targets must be non-group columns"
         )
 
-    # On an encoded relation the keys are codes, and the group-key side
-    # of the output stays encoded (codes are equality-faithful, so code
-    # groups are exactly value groups).
+    # The keys are codes, and the group-key side of the output stays
+    # encoded (codes are equality-faithful, so code groups are exactly
+    # value groups).
+    dictionary, (relation,) = shared_dictionary(relation)
     per_group = relation_group_values(relation, group_by, fn, target)
     if not group_by and not per_group and fn is AggregateFunction.COUNT:
         per_group = {(): 0}
 
     # Group keys are unique by construction, so the output is distinct
     # and can be built columnar with no re-deduplication pass.
-    out_columns = tuple(group_by) + (result_column,)
     if len(group_by) == 1:
         key_columns = [list(per_group.keys())]
     elif group_by and per_group:
         key_columns = [list(col) for col in zip(*per_group.keys())]
     else:
         key_columns = [[] for _ in group_by]
-    aggregate_column = list(per_group.values())
-    dictionary = relation.dictionary if relation.is_encoded else None
-    if dictionary is not None:
-        return Relation.from_encoded(
-            name,
-            out_columns,
-            key_columns + [dictionary.encode_column(aggregate_column)],
-            dictionary,
-            count=len(aggregate_column),
-        )
-    return Relation.from_columns(
+    aggregate_column = dictionary.encode_column(list(per_group.values()))
+    return Relation.from_encoded(
         name,
-        out_columns,
+        tuple(group_by) + (result_column,),
         key_columns + [aggregate_column],
+        dictionary,
         count=len(aggregate_column),
     )
 
 
-#: Reads one column of a row set by name: ``column(name)`` its keys
-#: (codes when the rows are encoded), ``column(name, True)`` its values.
+#: Reads one column of a row set by name: ``column(name)`` its codes,
+#: ``column(name, True)`` its values.
 ColumnReader = Callable[..., Iterable]
 
 
@@ -198,19 +191,13 @@ def relation_group_values(
     fn: AggregateFunction,
     target: Sequence[str],
 ) -> dict:
-    """:func:`group_values` over a relation (keys are codes when it is
-    encoded)."""
-    dictionary = relation.dictionary if relation.is_encoded else None
-    data = (
-        relation.code_columns() if dictionary is not None
-        else relation.columns_data()
-    )
+    """:func:`group_values` over a relation (keys are codes)."""
+    dictionary, (relation,) = shared_dictionary(relation)
+    codes = relation.code_columns()
 
     def column(name: str, decode: bool = False) -> Sequence:
-        values = data[relation.column_position(name)]
-        if decode and dictionary is not None:
-            return dictionary.decode_column(values)
-        return values
+        values = codes[relation.column_position(name)]
+        return dictionary.decode_column(values) if decode else values
 
     return group_values(
         column, group_by, fn, target, relation.columns, len(relation)
@@ -222,7 +209,7 @@ def survivor_relations(
     conditions: Sequence["FilterCondition"],
     columns: Sequence[str],
     name: str,
-    dictionary: ValueDictionary | None,
+    dictionary: ValueDictionary,
     agg_columns: Sequence[str] | None = None,
 ) -> tuple[Relation, Relation | None]:
     """The groups passing a filter: (survivor keys, the same with each
@@ -235,8 +222,9 @@ def survivor_relations(
     a COUNT of no rows is 0 (SQL's scalar aggregate), any other
     aggregate of no rows has no value.  Rows are canonically sorted by
     the decoded ``repr`` of their keys, so serial, parallel and SQLite
-    runs produce identical column arrays; only survivors pay the decode,
-    and encoded keys stay encoded.
+    runs produce identical column arrays; only survivors pay the decode.
+    The keys are codes under ``dictionary``, and the output is encoded
+    under it.
     """
     if not columns:
         values = [
@@ -249,11 +237,10 @@ def survivor_relations(
         keep = condition.passing_keys((k, more[k]) for k in keep if k in more)
 
     single = len(columns) == 1
-    decoded = dictionary.values if dictionary is not None else None
+    decoded = dictionary.values
 
     def canonical(key) -> str:
-        key = (key,) if single else key
-        return repr(key if decoded is None else tuple(decoded[c] for c in key))
+        return repr(tuple(decoded[c] for c in ((key,) if single else key)))
 
     keep.sort(key=canonical)
     key_columns = (
@@ -262,8 +249,6 @@ def survivor_relations(
     )
 
     def build(labels: tuple[str, ...], data: list[list]) -> Relation:
-        if dictionary is None:
-            return Relation.from_columns(name, labels, data, count=len(keep))
         return Relation.from_encoded(
             name, labels, data, dictionary, count=len(keep)
         )
@@ -271,7 +256,5 @@ def survivor_relations(
     result = build(tuple(columns), key_columns)
     if agg_columns is None:
         return result, None
-    totals = [[v[key] for key in keep] for v in values]
-    if dictionary is not None:
-        totals = [dictionary.encode_column(t) for t in totals]
+    totals = [dictionary.encode_column([v[key] for key in keep]) for v in values]
     return result, build(tuple(columns) + tuple(agg_columns), key_columns + totals)

@@ -3,9 +3,9 @@
 A positive subgoal becomes a *binding relation* — columns named after
 the subgoal's variables/parameters, constants and repeated terms handled
 by selection — and arithmetic comparisons filter a binding relation once
-their terms are bound.  These helpers are shared by the physical-plan
-engine (:mod:`repro.engine`) and the public evaluator facade
-(:mod:`repro.relational.evaluate`).
+their terms are bound.  Binding relations are born in the database's
+code space (:meth:`~.catalog.Database.encoded`), the only one the
+physical-plan engine (:mod:`repro.engine`) reads.
 
 Column naming convention: a binding column is the rendered term —
 ``"P"`` for a variable, ``"$s"`` for a parameter — so the same term
@@ -21,6 +21,7 @@ from ..errors import EvaluationError
 from ..datalog.atoms import Comparison, RelationalAtom
 from ..datalog.terms import Constant, Term
 from .catalog import Database
+from .operators import shared_dictionary
 from .relation import Relation
 
 
@@ -29,9 +30,7 @@ def term_column(term: Term) -> str:
     return str(term)
 
 
-def atom_binding_relation(
-    db: Database, subgoal: RelationalAtom, encode: bool = True
-) -> Relation:
+def atom_binding_relation(db: Database, subgoal: RelationalAtom) -> Relation:
     """The binding relation of one (positive-polarity) relational subgoal.
 
     Applies constant selections and repeated-term equality selections,
@@ -40,13 +39,11 @@ def atom_binding_relation(
     collapse — this is what makes a one-subgoal subquery like
     ``answer(B) :- baskets(B,$1)`` well defined.
 
-    With ``encode`` (the default) the base relation is interned against
-    the database's shared dictionary and the binding relation is built
-    on code columns — constant selections compare integer codes and the
-    output feeds the encoded join/aggregate fast paths.  ``encode=False``
-    forces the legacy value-array path (used by the differential tests).
+    The binding relation is built on the base relation's code columns
+    in the database's code space (:meth:`Database.encoded`): constant
+    selections compare integer codes.
     """
-    base = db.encoded(subgoal.predicate) if encode else db.get(subgoal.predicate)
+    base = db.encoded(subgoal.predicate)
     if base.arity != subgoal.arity:
         raise EvaluationError(
             f"subgoal {subgoal} has arity {subgoal.arity} but relation "
@@ -70,51 +67,30 @@ def atom_binding_relation(
             output_positions.append(i)
             output_columns.append(term_column(term))
 
-    name = f"bind:{subgoal.predicate}"
-    dictionary = base.dictionary if base.is_encoded else None
-    if dictionary is not None:
-        columns = base.code_columns()
+    columns = base.code_columns()
+    if constant_checks or equality_checks:
+        keep: list[int] | range = range(len(base))
+        for pos, value in constant_checks:
+            # A never-seen constant matches nothing.
+            code, arr = db.dictionary.code_of(value), columns[pos]
+            keep = [] if code is None else [i for i in keep if arr[i] == code]
+        for first, other in equality_checks:
+            a, b = columns[first], columns[other]
+            keep = [i for i in keep if a[i] == b[i]]
+        # The surviving rows stay distinct after dropping the checked
+        # positions: a dropped column is either a fixed constant or
+        # equal to a kept column, so it cannot distinguish two rows.
+        picked = [
+            list(map(columns[p].__getitem__, keep)) for p in output_positions
+        ]
+        count = len(keep)
     else:
-        columns = base.columns_data()
-
-    if not constant_checks and not equality_checks:
         # Every position is kept: the arrays can be shared as-is.
         picked = [columns[p] for p in output_positions]
-        if dictionary is not None:
-            return Relation.from_encoded(
-                name, tuple(output_columns), picked, dictionary,
-                count=len(base),
-            )
-        return Relation.from_columns(
-            name, tuple(output_columns), picked, count=len(base)
-        )
-
-    keep: list[int] | range = range(len(base))
-    for pos, value in constant_checks:
-        arr = columns[pos]
-        if dictionary is not None:
-            # Compare interned codes; a never-seen constant matches nothing.
-            code = dictionary.code_of(value)
-            keep = [] if code is None else [i for i in keep if arr[i] == code]
-        else:
-            keep = [i for i in keep if arr[i] == value]
-    for first, other in equality_checks:
-        a, b = columns[first], columns[other]
-        keep = [i for i in keep if a[i] == b[i]]
-
-    # The surviving rows stay distinct after dropping the checked
-    # positions: a dropped column is either a fixed constant or equal to
-    # a kept column, so it cannot distinguish two rows on its own.
-    count = len(keep) if isinstance(keep, list) else len(base)
-    picked = [
-        list(map(columns[p].__getitem__, keep)) for p in output_positions
-    ]
-    if dictionary is not None:
-        return Relation.from_encoded(
-            name, tuple(output_columns), picked, dictionary, count=count
-        )
-    return Relation.from_columns(
-        name, tuple(output_columns), picked, count=count
+        count = len(base)
+    return Relation.from_encoded(
+        f"bind:{subgoal.predicate}", tuple(output_columns), picked,
+        db.dictionary, count=count,
     )
 
 
@@ -137,17 +113,16 @@ def apply_comparison(current: Relation, comp: Comparison) -> Relation:
     right_pos, right_const = resolve(comp.right)
     fn = comp.op.fn
 
+    dictionary, (current,) = shared_dictionary(current)
+    codes = current.code_columns()
+
     def operand(pos: int | None, const: object) -> Iterable[object]:
         if pos is None:
             return repeat(const)
         # Ordered comparisons need real values; decode only the columns
         # the predicate touches (codes are equality-faithful, not
         # order-faithful).
-        if current.is_encoded and current.dictionary is not None:
-            return current.dictionary.decode_column(
-                current.code_columns()[pos]
-            )
-        return current.columns_data()[pos]
+        return dictionary.decode_column(codes[pos])
 
     if left_pos is None and right_pos is None:
         # Constant-only comparison: one evaluation decides every row.

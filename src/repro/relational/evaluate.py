@@ -5,8 +5,9 @@ This module is the public facade over the physical-plan engine
 comparisons and negated subgoals attached to the earliest stage where
 their terms are bound — and the resulting
 :class:`~repro.engine.ir.PhysicalPlan` is interpreted by the columnar
-in-memory engine.  ``explain`` renders the very same plan object, so
-the printed plan is by construction the executed one.
+in-memory engine.  ``lower_rule(...).render()`` (what ``repro explain``
+prints) renders the very same plan object, so the printed plan is by
+construction the executed one.
 
 Column naming convention: a binding column is the rendered term —
 ``"P"`` for a variable, ``"$s"`` for a parameter — so the same term
@@ -17,13 +18,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..errors import EvaluationError
-from ..datalog.query import ConjunctiveQuery, UnionQuery
+from ..datalog.query import ConjunctiveQuery
 from ..datalog.safety import assert_safe
 from ..datalog.terms import Term
 from ..engine.memory import MemoryEngine
 from ..engine.planner import lower_rule
-from ..guard import GuardLike, as_guard
+from ..guard import GuardLike
 from .binding import atom_binding_relation, term_column
 from .catalog import Database
 from .joinorder import greedy_join_order
@@ -32,7 +32,6 @@ from .relation import Relation
 __all__ = [
     "atom_binding_relation",
     "evaluate_conjunctive",
-    "evaluate_union",
     "greedy_join_order",
     "term_column",
 ]
@@ -81,48 +80,3 @@ def evaluate_conjunctive(
     )
     engine = MemoryEngine(db, guard=guard)
     return engine.run_plan(plan)
-
-
-def evaluate_union(
-    db: Database,
-    union: UnionQuery,
-    output_terms_per_rule: Sequence[Sequence[Term]] | None = None,
-    output_columns: Sequence[str] | None = None,
-    order_strategy: str = "greedy",
-    guard: GuardLike = None,
-) -> Relation:
-    """Evaluate a union query as the set union of its rules' results.
-
-    Rules may use different head variable names (Fig. 4's ``D`` vs
-    ``A``); results are aligned positionally.  ``output_columns`` names
-    the unified columns (defaults to ``h0..h{k-1}``).
-    """
-    per_rule = output_terms_per_rule or [list(r.head_terms) for r in union.rules]
-    if len(per_rule) != len(union.rules):
-        raise EvaluationError(
-            "output_terms_per_rule must match the number of union rules"
-        )
-    widths = {len(terms) for terms in per_rule}
-    if len(widths) != 1:
-        raise EvaluationError("all union branches must project the same width")
-    width = widths.pop()
-    columns = tuple(output_columns) if output_columns else tuple(
-        f"h{i}" for i in range(width)
-    )
-    if len(columns) != width:
-        raise EvaluationError(
-            f"output_columns has {len(columns)} names for width {width}"
-        )
-
-    guard = as_guard(guard)
-    engine = MemoryEngine(db, guard=guard)
-    rows: set[tuple] = set()
-    for rule, terms in zip(union.rules, per_rule):
-        assert_safe(rule)
-        plan = lower_rule(
-            db, rule, output_terms=terms, order_strategy=order_strategy
-        )
-        rows |= engine.run_plan(plan).tuples
-        if guard is not None:
-            guard.checkpoint(rows=len(rows), node=f"union:{union.head_name}")
-    return Relation.from_distinct_rows(union.head_name, columns, rows)

@@ -15,12 +15,12 @@ shared key columns equal and hence ``r1 == r2``.  Joins, semi-joins,
 anti-joins, and selections therefore never re-deduplicate; only
 projections that drop columns and unions do.
 
-When both inputs carry encoded code columns interned against the *same*
-:class:`~.dictionary.ValueDictionary`, every operator here runs on the
-integer codes instead of the values — build/probe keys are small ints,
-gathers move ints, and the output is itself encoded (no decode on the
-hot path).  Mixed or differently-encoded inputs transparently fall back
-to the value arrays.
+Every operator runs on integer codes: build/probe keys are small ints,
+gathers move ints, and the output is itself encoded.  Engine inputs
+already share their catalog's dictionary; :func:`shared_dictionary` is
+the one place a library caller's plain or differently-encoded input is
+interned into a common code space.  Codes are equality-faithful, so
+code-space results are exactly the value-space set results.
 """
 
 from __future__ import annotations
@@ -39,28 +39,45 @@ def shared_columns(left: Relation, right: Relation) -> tuple[str, ...]:
     return tuple(c for c in left.columns if c in right_set)
 
 
-def shared_dictionary(left: Relation, right: Relation) -> ValueDictionary | None:
-    """The common dictionary when both sides are encoded against one."""
-    d = left.dictionary
-    if d is not None and right.dictionary is d and left.is_encoded and right.is_encoded:
-        return d
-    return None
+def shared_dictionary(
+    *relations: Relation,
+) -> tuple[ValueDictionary, tuple[Relation, ...]]:
+    """``relations`` in one code space: (its dictionary, each relation
+    encoded under it).
 
-
-def key_reader(
-    rel: Relation, keys: Sequence[str], encoded: bool = False
-) -> Iterator[object]:
-    """An iterator of per-row key values for ``rel`` over ``keys``.
-
-    Single-column keys iterate the raw column array (no tuple boxing);
-    multi-column keys zip the key arrays.  ``encoded`` reads the code
-    columns instead of the value arrays.
+    The engine's inputs already share their catalog's dictionary and
+    pass through untouched.  A library caller's plain or
+    differently-encoded relation is interned into the dictionary of the
+    first input that has one, or into a fresh one.  A columnless
+    relation (the unit relation) fits any code space.
     """
-    if encoded:
-        codes = rel.code_columns()
-        arrays = [codes[rel.column_position(c)] for c in keys]
-    else:
-        arrays = [rel.column_array(c) for c in keys]
+    dictionary = next(
+        (
+            r.dictionary for r in relations
+            if r.columns and r.dictionary is not None
+        ),
+        None,
+    )
+    if dictionary is None:
+        dictionary = ValueDictionary()
+    return dictionary, tuple(
+        r if r.dictionary is dictionary or not r.columns
+        else Relation.from_encoded(
+            r.name, r.columns, r.encode_with(dictionary), dictionary,
+            count=len(r),
+        )
+        for r in relations
+    )
+
+
+def key_reader(rel: Relation, keys: Sequence[str]) -> Iterator[object]:
+    """An iterator of per-row key codes for ``rel`` over ``keys``.
+
+    Single-column keys iterate the raw code column (no tuple boxing);
+    multi-column keys zip the key columns.
+    """
+    codes = rel.code_columns()
+    arrays = [codes[rel.column_position(c)] for c in keys]
     if len(arrays) == 1:
         return iter(arrays[0])
     return zip(*arrays)
@@ -72,18 +89,19 @@ def _gather(arrays: Sequence[list], indexes: Sequence[int]) -> list[list]:
 
 
 def join_indexes(
-    left: Relation, right: Relation, encoded: bool = False
+    left: Relation, right: Relation
 ) -> tuple[list[int], Sequence[int]]:
-    """The matching ``(left, right)`` row-index pairs of the natural join,
-    as two aligned sequences — the join without its gather.
+    """The matching ``(left, right)`` row-index pairs of the natural join
+    of two relations in one code space, as two aligned sequences — the
+    join without its gather.
 
-    A hash join on all shared columns that builds on the smaller side
-    and probes with the larger; with no shared columns every pair
+    A hash join on all shared columns' codes that builds on the smaller
+    side and probes with the larger; with no shared columns every pair
     matches (a cartesian product, which the evaluator's join ordering
     tries to avoid but must support — the paper's queries can have
-    disconnected subgoal sets after deletion).  ``encoded`` hashes the
-    code columns instead of the values.  Against a one-row left side
-    (the unit relation) the right indexes are the identity ``range``.
+    disconnected subgoal sets after deletion).  Against a one-row left
+    side (the unit relation) the right indexes are the identity
+    ``range``.
     """
     keys = shared_columns(left, right)
     n, m = len(left), len(right)
@@ -97,7 +115,7 @@ def join_indexes(
     )
 
     table: dict[object, list[int]] = {}
-    for i, key in enumerate(key_reader(build, keys, encoded)):
+    for i, key in enumerate(key_reader(build, keys)):
         bucket = table.get(key)
         if bucket is None:
             table[key] = [i]
@@ -106,7 +124,7 @@ def join_indexes(
 
     build_idx: list[int] = []
     probe_idx: list[int] = []
-    for i, key in enumerate(key_reader(probe, keys, encoded)):
+    for i, key in enumerate(key_reader(probe, keys)):
         bucket = table.get(key)
         if bucket is not None:
             probe_idx.extend([i] * len(bucket))
@@ -120,27 +138,18 @@ def join_indexes(
 def natural_join(left: Relation, right: Relation, name: str = "join") -> Relation:
     """Natural (hash) join on all shared columns (see :func:`join_indexes`;
     no shared columns is a cartesian product)."""
+    dictionary, (left, right) = shared_dictionary(left, right)
     left_cols = set(left.columns)
     right_only = [c for c in right.columns if c not in left_cols]
-    out_columns = left.columns + tuple(right_only)
-    dictionary = shared_dictionary(left, right)
-    left_idx, right_idx = join_indexes(left, right, dictionary is not None)
-    if dictionary is not None:
-        right_codes = right.code_columns()
-        right_only_codes = [
-            right_codes[right.column_position(c)] for c in right_only
-        ]
-        codes = _gather(left.code_columns(), left_idx) + _gather(
-            right_only_codes, right_idx
-        )
-        return Relation.from_encoded(
-            name, out_columns, codes, dictionary, count=len(left_idx)
-        )
-    right_only_arrays = [right.column_array(c) for c in right_only]
-    data = _gather(left.columns_data(), left_idx) + _gather(
-        right_only_arrays, right_idx
+    left_idx, right_idx = join_indexes(left, right)
+    right_codes = right.code_columns()
+    codes = _gather(left.code_columns(), left_idx) + _gather(
+        [right_codes[right.column_position(c)] for c in right_only], right_idx
     )
-    return Relation.from_columns(name, out_columns, data, count=len(left_idx))
+    return Relation.from_encoded(
+        name, left.columns + tuple(right_only), codes, dictionary,
+        count=len(left_idx),
+    )
 
 
 def semi_join(left: Relation, right: Relation, name: str = "semijoin") -> Relation:
@@ -160,17 +169,17 @@ def anti_join(left: Relation, right: Relation, name: str = "antijoin") -> Relati
 def _filter_by_membership(
     left: Relation, right: Relation, name: str, keep_matches: bool
 ) -> Relation:
+    _, (left, right) = shared_dictionary(left, right)
     keys = shared_columns(left, right)
     if not keys:
         # No shared columns: left survives iff right is (non)empty.
         if bool(len(right)) == keep_matches:
             return left.with_name(name)
-        return Relation(name, left.columns)
-    encoded = shared_dictionary(left, right) is not None
-    right_keys = set(key_reader(right, keys, encoded))
+        return left.take([], name=name)
+    right_keys = set(key_reader(right, keys))
     keep = [
         i
-        for i, key in enumerate(key_reader(left, keys, encoded))
+        for i, key in enumerate(key_reader(left, keys))
         if (key in right_keys) == keep_matches
     ]
     return left.take(keep, name=name)
@@ -190,11 +199,13 @@ def union_all(relations: Sequence[Relation], name: str = "union") -> Relation:
     if not relations:
         raise ValueError("union_all needs at least one relation")
     first = relations[0]
-    rows: set[tuple] = set()
     for rel in relations:
         if rel.columns != first.columns:
             raise SchemaError(
                 f"union_all schema mismatch: {first.columns} vs {rel.columns}"
             )
-        rows |= rel.tuples
-    return Relation.from_distinct_rows(name, first.columns, rows)
+    dictionary, encoded = shared_dictionary(*relations)
+    rows: set[tuple[int, ...]] = set()
+    for rel in encoded:
+        rows.update(rel.code_rows())
+    return Relation.from_code_rows(name, first.columns, rows, dictionary)

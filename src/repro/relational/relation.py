@@ -12,16 +12,15 @@ makes intermediate results self-describing.
 
 Internally a relation keeps up to three representations of the same rows:
 
-* a row set (``frozenset`` of tuples) — ideal for membership tests,
-  set-algebra, and hashing;
-* column arrays (one Python list per column, row-aligned) — ideal for
-  batch-at-a-time operators that scan one or two columns of every row
-  (hash joins, comparisons, grouping);
+* a row set (``frozenset`` of tuples) — the API edge: membership
+  tests, set algebra on results, hashing, SQLite loading;
+* column arrays (one Python list per column, row-aligned) — decoded
+  results and the pickling wire form;
 * encoded columns (one row-aligned list of integer codes per column,
   interned against a shared :class:`~.dictionary.ValueDictionary`) —
-  the canonical data-plane layout: joins, grouping, and partitioning
-  run on small ints, and the flat codes pack into ``array('q')``
-  buffers for zero-copy shipping through shared memory.
+  the data plane: every operator and engine kernel runs on these small
+  ints, and the flat codes pack into ``array('q')`` buffers for
+  zero-copy shipping through shared memory.
 
 Any representation is materialized lazily from the others and cached,
 so operators pay only for the layout they touch.  All describe a
@@ -34,7 +33,7 @@ of two duplicate-free inputs — skip re-deduplication entirely.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from ..errors import SchemaError
 from .dictionary import ValueDictionary
@@ -183,6 +182,19 @@ class Relation:
         return rel
 
     @classmethod
+    def from_code_rows(
+        cls,
+        name: str,
+        columns: Sequence[str],
+        rows: Collection[tuple[int, ...]],
+        dictionary: ValueDictionary,
+    ) -> "Relation":
+        """Build an encoded relation from distinct code tuples (see
+        :meth:`from_encoded`)."""
+        codes = [list(col) for col in zip(*rows)] or [[] for _ in columns]
+        return cls.from_encoded(name, columns, codes, dictionary, count=len(rows))
+
+    @classmethod
     def from_distinct_rows(
         cls,
         name: str,
@@ -261,14 +273,23 @@ class Relation:
     def code_columns(self) -> tuple[list[int], ...]:
         """The encoded code columns (shared, do not mutate).
 
-        Raises :class:`SchemaError` if the relation is not encoded; use
+        A columnless relation has no codes to disagree on: it reads as
+        encoded in any code space.  Otherwise raises
+        :class:`SchemaError` if the relation is not encoded; use
         :meth:`encode_with` to encode against a dictionary first.
         """
         if self._codes is None:
+            if not self.columns:
+                return ()
             raise SchemaError(
                 f"relation {self.name!r} has no encoded representation"
             )
         return self._codes
+
+    def code_rows(self) -> Iterator[tuple[int, ...]]:
+        """The rows as code tuples (see :meth:`code_columns`)."""
+        codes = self.code_columns()
+        return zip(*codes) if codes else iter([()] * self._count)
 
     def encode_with(self, dictionary: ValueDictionary) -> tuple[list[int], ...]:
         """Encode (and cache) the rows as code columns over ``dictionary``.

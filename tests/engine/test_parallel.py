@@ -46,6 +46,7 @@ from repro.flocks.options import BACKENDS, STRATEGIES
 from repro.flocks.plans import single_step_plan
 from repro.guard import CancellationToken, ResourceBudget
 from repro.datalog import atom, comparison, rule
+from repro.relational.catalog import Database
 from repro.relational.relation import Relation
 from repro.testing import faults
 from repro.testing.faults import WorkerKill
@@ -359,6 +360,38 @@ class TestParallelExecutor:
             with pytest.raises(BudgetExceededError) as exc:
                 executor.run_step(pair_plan)
         assert exc.value.limit == "intermediate_rows"
+
+    def test_relation_shared_between_catalogs(self, force_pool):
+        """A relation one catalog encoded and another holds is read in
+        the second catalog's code space — on the pool as serially."""
+        rel = Relation(
+            "baskets", ("BID", "Item"),
+            [(b, item) for b in range(40) for item in "abcd"],
+        )
+        flock = QueryFlock(
+            rule("answer", ["B"], [
+                atom("baskets", "B", "$1"), atom("baskets", "B", "$2"),
+                comparison("$1", "<", "$2"),
+            ]),
+            parse_filter("COUNT(answer.B) >= 5"),
+        )
+        first = Database()
+        first.add(rel)
+        mine(first, flock)
+        second = Database()
+        second.dictionary.extend([f"x{i}" for i in range(100)])
+        second.add(rel)
+
+        serial, _ = mine(second, flock, strategy="naive", parallelism=1)
+        pooled, report = mine(second, flock, strategy="naive", parallelism=2)
+        plan = lower_filter_step(
+            second, flock, single_step_plan(flock).final_step
+        )
+        expected, _ = survivors(MemoryEngine(second).run_answer(plan), plan)
+        assert report.parallelism_used == 2
+        assert not [d for d in report.downgrades if d.kind == "parallelism"]
+        assert len(expected) == 6
+        assert pooled.tuples == serial.tuples == expected.tuples
 
 
 # ----------------------------------------------------------------------

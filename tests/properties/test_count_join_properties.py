@@ -96,20 +96,20 @@ def lowered(db, flock):
     return lower_filter_step(db, flock, single_step_plan(flock).final_step)
 
 
-def reference(db, plan, encode_scans=True):
-    engine = MemoryEngine(db, encode_scans=encode_scans)
+def reference(db, plan):
+    engine = MemoryEngine(db)
     answer = engine.run_answer(plan)
     result, passed = survivors(answer, plan)
     return result, passed, len(answer), engine
 
 
-@given(db=databases(), flock=flocks(monotone=True), encode=st.booleans())
+@given(db=databases(), flock=flocks(monotone=True))
 @settings(max_examples=150, deadline=None)
-def test_run_step_matches_materialised_answer(db, flock, encode):
+def test_run_step_matches_materialised_answer(db, flock):
     plan = lowered(db, flock)
-    result, passed, answer_tuples, ref = reference(db, plan, encode)
+    result, passed, answer_tuples, ref = reference(db, plan)
     for need_aggregates in (False, True):
-        engine = MemoryEngine(db, encode_scans=encode)
+        engine = MemoryEngine(db)
         outcome = engine.run_step(plan, need_aggregates=need_aggregates)
         assert outcome.result == result
         assert outcome.result.name == result.name

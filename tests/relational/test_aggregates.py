@@ -6,6 +6,7 @@ from repro.errors import FilterError
 from repro.flocks import parse_filter
 from repro.relational import (
     AggregateFunction,
+    Database,
     Relation,
     database_from_dict,
     group_aggregate,
@@ -124,6 +125,13 @@ class TestGroupAggregate:
         assert counts.columns == ("$1", "support")
 
 
+def in_code_space(relation):
+    """``relation`` encoded in a catalog's code space, and that space's
+    dictionary (the kernel's input contract)."""
+    db = Database([relation])
+    return db.encoded(relation.name), db.dictionary
+
+
 class TestSurvivorRelations:
     """The one kernel that turns per-group values into survivors."""
 
@@ -134,33 +142,36 @@ class TestSurvivorRelations:
         ]
 
     def test_threshold_filter(self, answer):
+        answer, dictionary = in_code_space(answer)
         condition = parse_filter("COUNT(answer.B) >= 2")
         survivors, passed = survivor_relations(
             self.values(answer, condition), [condition], ["$1", "$2"],
-            "ok", None,
+            "ok", dictionary,
         )
         assert survivors.columns == ("$1", "$2")
         assert survivors.tuples == frozenset({("beer", "diapers")})
         assert passed is None
 
     def test_every_conjunct_must_pass(self, answer):
+        answer, dictionary = in_code_space(answer)
         conditions = [
             parse_filter("COUNT(answer.B) >= 1"),
             parse_filter("MAX(answer.B) >= 2"),
         ]
         survivors, passed = survivor_relations(
             self.values(answer, *conditions), conditions, ["$1", "$2"],
-            "ok", None, ["_agg0", "_agg1"],
+            "ok", dictionary, ["_agg0", "_agg1"],
         )
         assert survivors.tuples == frozenset({("beer", "diapers")})
         assert passed.columns == ("$1", "$2", "_agg0", "_agg1")
         assert passed.tuples == frozenset({("beer", "diapers", 3, 3)})
 
     def test_nothing_passes(self, answer):
+        answer, dictionary = in_code_space(answer)
         condition = parse_filter("COUNT(answer.B) >= 100")
         survivors, _ = survivor_relations(
             self.values(answer, condition), [condition], ["$1", "$2"],
-            "ok", None,
+            "ok", dictionary,
         )
         assert len(survivors) == 0
 
@@ -182,7 +193,7 @@ class TestSurvivorRelations:
     def test_scalar_count_of_nothing_is_zero(self):
         """No group columns: COUNT of no rows is 0, while SUM of no rows
         has no value — so a conjunction with SUM keeps nothing."""
-        empty = Relation("answer", ("B",))
+        empty, dictionary = in_code_space(Relation("answer", ("B",)))
         count = parse_filter("COUNT(answer.B) >= 0")
         total = parse_filter("SUM(answer.B) >= 0")
         values = {
@@ -190,10 +201,11 @@ class TestSurvivorRelations:
             for c in (count, total)
         }
         alone, passed = survivor_relations(
-            [values[count]], [count], [], "ok", None, ["_agg0"]
+            [values[count]], [count], [], "ok", dictionary, ["_agg0"]
         )
         assert len(alone) == 1 and passed.tuples == frozenset({(0,)})
         both, _ = survivor_relations(
-            [values[count], values[total]], [count, total], [], "ok", None
+            [values[count], values[total]], [count, total], [], "ok",
+            dictionary,
         )
         assert len(both) == 0

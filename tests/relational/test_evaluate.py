@@ -5,7 +5,7 @@ import pytest
 from repro.datalog import atom, comparison, negated, rule
 from repro.datalog.terms import Parameter, Variable
 from repro.errors import EvaluationError, SafetyError
-from repro.relational import database_from_dict, atom_binding_relation, evaluate_conjunctive, evaluate_union, greedy_join_order
+from repro.relational import database_from_dict, atom_binding_relation, evaluate_conjunctive, greedy_join_order
 
 
 @pytest.fixture
@@ -198,47 +198,3 @@ class TestGreedyJoinOrder:
 
     def test_empty(self, basket_db):
         assert greedy_join_order(basket_db, ()) == []
-
-
-class TestEvaluateUnion:
-    @pytest.fixture
-    def web_db(self):
-        return database_from_dict(
-            {
-                "inTitle": (
-                    ("D", "W"),
-                    [("d1", "apple"), ("d1", "berry"), ("d2", "apple")],
-                ),
-                "inAnchor": (("A", "W"), [("a1", "apple"), ("a2", "cherry")]),
-                "link": (("A", "D1", "D2"), [("a1", "d2", "d1"), ("a2", "d1", "d2")]),
-            }
-        )
-
-    def test_union_combines_branches(self, web_db, web_union_query):
-        per_rule = [
-            [Parameter("1"), Parameter("2")] + list(r.head_terms)
-            for r in web_union_query.rules
-        ]
-        result = evaluate_union(
-            web_db,
-            web_union_query,
-            output_terms_per_rule=per_rule,
-            output_columns=("$1", "$2", "ID"),
-        )
-        # Branch 1: apple & berry together in d1's title.
-        assert ("apple", "berry", "d1") in result
-        # Branch 2: anchor a1 ('apple') links to d1 whose title has 'berry':
-        # $1=apple < $2=berry.
-        assert ("apple", "berry", "a1") in result
-
-    def test_mismatched_per_rule_length(self, web_db, web_union_query):
-        with pytest.raises(EvaluationError):
-            evaluate_union(web_db, web_union_query, output_terms_per_rule=[[]])
-
-    def test_default_output_uses_heads(self, web_db, web_union_query):
-        result = evaluate_union(web_db, web_union_query)
-        assert result.columns == ("h0",)
-
-    def test_output_columns_width_check(self, web_db, web_union_query):
-        with pytest.raises(EvaluationError):
-            evaluate_union(web_db, web_union_query, output_columns=("a", "b"))

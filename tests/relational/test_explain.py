@@ -1,9 +1,15 @@
-"""Tests for EXPLAIN output."""
+"""Tests for EXPLAIN output: the rendering of a lowered rule plan
+(what ``repro explain`` prints with a data directory)."""
 
 import pytest
 
 from repro.datalog import parse_rule
-from repro.relational import database_from_dict, explain_conjunctive
+from repro.engine.planner import lower_rule
+from repro.relational import database_from_dict
+
+
+def explain(db, rule, order_strategy="greedy"):
+    return lower_rule(db, rule, order_strategy=order_strategy).render()
 
 
 @pytest.fixture
@@ -26,24 +32,24 @@ MEDICAL_RULE = parse_rule(
 
 class TestExplainConjunctive:
     def test_contains_scan_join_project(self, medical_db):
-        text = explain_conjunctive(medical_db, MEDICAL_RULE)
+        text = explain(medical_db, MEDICAL_RULE)
         assert "scan " in text
         assert "join " in text
         assert "project (P)" in text
 
     def test_negation_shown_as_anti_join(self, medical_db):
-        text = explain_conjunctive(medical_db, MEDICAL_RULE)
+        text = explain(medical_db, MEDICAL_RULE)
         assert "anti-join: NOT causes(D, $s)" in text
 
     def test_comparison_shown_as_filter(self, medical_db):
         rule = parse_rule(
             "answer(P) :- exhibits(P,$s) AND exhibits(P,$t) AND $s < $t"
         )
-        text = explain_conjunctive(medical_db, rule)
+        text = explain(medical_db, rule)
         assert "then filter: $s < $t" in text
 
     def test_join_columns_annotated(self, medical_db):
-        text = explain_conjunctive(medical_db, MEDICAL_RULE)
+        text = explain(medical_db, MEDICAL_RULE)
         assert "on (P)" in text
 
     def test_cartesian_annotated(self):
@@ -51,19 +57,19 @@ class TestExplainConjunctive:
             {"r": (("X",), [(1,)]), "s": (("Y",), [(2,)])}
         )
         rule = parse_rule("answer(X) :- r(X) AND s(Y)")
-        text = explain_conjunctive(db, rule)
+        text = explain(db, rule)
         assert "cartesian!" in text
 
     def test_selinger_strategy(self, medical_db):
-        text = explain_conjunctive(
+        text = explain(
             medical_db, MEDICAL_RULE, order_strategy="selinger"
         )
         assert "selinger join order" in text
 
     def test_unknown_strategy_rejected(self, medical_db):
         with pytest.raises(ValueError):
-            explain_conjunctive(medical_db, MEDICAL_RULE, order_strategy="magic")
+            explain(medical_db, MEDICAL_RULE, order_strategy="magic")
 
     def test_estimates_present(self, medical_db):
-        text = explain_conjunctive(medical_db, MEDICAL_RULE)
+        text = explain(medical_db, MEDICAL_RULE)
         assert "~" in text and "tuples" in text
