@@ -1,15 +1,18 @@
 """The in-memory interpreter for physical plans, over columnar relations.
 
-Executes a :class:`~repro.engine.ir.PhysicalPlan` stage by stage —
-batch-at-a-time columnar hash joins, comparison filters and anti-joins —
-with one trace row and observation per stage; the last stage of a
-support step is counted per group, never materialised
-(:meth:`MemoryEngine.count_join`).  Binding relations are cached per
-engine instance, so a union's branches (or a dynamic re-plan) never
-rebuild the same scan twice.  Every relation the engine touches is in
-its catalog's code space (:meth:`~repro.relational.catalog.Database.encoded`):
-joins, grouping and membership tests compare integer codes, and only
-comparisons and SUM/MIN/MAX decode the columns they read.
+Executes a :class:`~repro.engine.ir.PhysicalPlan` stage by stage, each
+stage through one body: the join's row-index pairs
+(:class:`~repro.relational.operators.JoinPairs`), one keep-mask per
+attached filter (:meth:`MemoryEngine._filter_mask`: comparison mask,
+membership mask, ground negation), one trace row and observation —
+then a gather (:meth:`MemoryEngine.run_stage`) or, for the last stage
+of a support step, a count per group (:meth:`MemoryEngine.count_join`).
+Binding relations are cached per engine instance, so a union's branches
+(or a dynamic re-plan) never rebuild the same scan twice.  Every
+relation the engine touches is in its catalog's code space
+(:meth:`~repro.relational.catalog.Database.encoded`): joins, grouping
+and membership tests compare integer codes, and only comparisons and
+SUM/MIN/MAX decode the columns they read.
 
 The Section 4.4 dynamic strategy is a decision object handed to
 :meth:`MemoryEngine.run_step`: the one stage loop asks it for each
@@ -28,10 +31,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import not_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..datalog.atoms import RelationalAtom
-from ..datalog.terms import Constant, Term, is_bindable
+from ..datalog.terms import Constant, is_bindable
 from ..guard import ExecutionGuard, GuardLike, as_guard
 from ..relational.aggregates import (
     count_groups,
@@ -39,18 +42,13 @@ from ..relational.aggregates import (
     survivor_relations,
 )
 from ..relational.binding import (
-    apply_comparison,
     atom_binding_relation,
+    comparison_mask,
     term_column,
     unit_relation,
 )
 from ..relational.catalog import Database
-from ..relational.operators import (
-    anti_join,
-    join_indexes,
-    key_reader,
-    natural_join,
-)
+from ..relational.operators import ColumnReader, JoinPairs, member_mask
 from ..relational.relation import Relation
 from ..testing.faults import trip
 from .ir import (
@@ -149,11 +147,11 @@ class MemoryEngine:
         """Semi-join one scan against a runtime filter's survivor keys —
         a code membership test (codes are equality-faithful, so code
         membership is value membership)."""
-        source = self.db.encoded(sf.source)
-        position = source.column_position(sf.source_column)
-        keys = set(source.code_columns()[position])
         column = rel.code_columns()[rel.column_position(sf.column)]
-        keep = [i for i, v in enumerate(column) if v in keys]
+        mask = member_mask(
+            self.db.encoded(sf.source), (sf.source_column,), (column,)
+        )
+        keep = list(compress(range(len(rel)), mask))
         if len(keep) == len(rel):
             return rel
         return rel.take(keep, name=rel.name)
@@ -182,22 +180,6 @@ class MemoryEngine:
             self._filtered_scans[key] = rel
         return rel
 
-    def apply_filter(
-        self, current: Relation, op: CompareFilter | AntiJoin
-    ) -> Relation:
-        """Apply one attached filter operator to the running result."""
-        if isinstance(op, CompareFilter):
-            return apply_comparison(current, op.comparison)
-        neg = op.atom
-        neg_rel = self.scan_atom(neg.with_positive_polarity())
-        if neg.bindable_terms():
-            return anti_join(current, neg_rel, name=current.name)
-        # Ground negation: NOT p(c1,...,ck) empties the result iff the
-        # selected relation is nonempty.
-        if len(neg_rel):
-            return current.take([])
-        return current
-
     # ------------------------------------------------------------------
     # Rule plans
     # ------------------------------------------------------------------
@@ -208,27 +190,42 @@ class MemoryEngine:
         stage: JoinStage,
         leaf: Relation | None = None,
     ) -> Relation:
-        """One join stage: trip, join, attached filters, guard note.
+        """One join stage, materialised: :meth:`_stage_pairs` gathered.
 
         ``leaf`` overrides the scan with an already-reduced binding
         relation (a dynamically filtered leaf).  Against the unit
-        relation (no columns, one row: the join's identity) the stage
-        starts from the scan in place, in its code space.
+        relation (no columns, one row: the join's identity) an
+        unfiltered stage returns the scan in place, in its code space.
         """
+        return self._stage_pairs(current, stage, leaf).relation()
+
+    def _stage_pairs(
+        self, current: Relation, stage: JoinStage, leaf: Relation | None
+    ) -> JoinPairs:
+        """The one stage body: trip, scan, the join's index pairs, one
+        keep-mask per attached filter (each followed by a checkpoint),
+        then the stage's observation.  Nothing is gathered."""
         trip("relational.join")
         started = time.perf_counter()
-        before = len(current)
-        scan_rel = self._filtered_scan(stage, leaf)
-        if current.columns or before != 1:
-            current = natural_join(current, scan_rel)
-        else:
-            current = scan_rel
-        for op in stage.filters:
-            current = self.apply_filter(current, op)
+        pairs = JoinPairs(
+            current, self._filtered_scan(stage, leaf), self.db.dictionary
+        )
+        self._keep_filters(pairs, stage.filters, stage.node)
+        self._observe(stage, len(current), len(pairs), started)
+        return pairs
+
+    def _keep_filters(
+        self,
+        pairs: JoinPairs,
+        filters: Sequence[CompareFilter | AntiJoin],
+        node: str,
+    ) -> None:
+        """Narrow ``pairs`` by each filter's mask, checkpointing after
+        each under ``node``."""
+        for op in filters:
+            pairs.keep(self._filter_mask(op, pairs.column, len(pairs)))
             if self.guard is not None:
-                self.guard.checkpoint(rows=len(current), node=stage.node)
-        self._observe(stage, before, len(current), started)
-        return current
+                self.guard.checkpoint(rows=len(pairs), node=node)
 
     def count_join(
         self,
@@ -243,93 +240,43 @@ class MemoryEngine:
         counted instead of materialised: ``(COUNT of distinct target
         sub-tuples per group key, output rows)``.
 
-        The hash join yields its index pairs only; each attached
-        comparison decodes its columns once per side into a keep-mask,
-        each anti-join is a key-membership mask, and the surviving
-        rows' group keys go straight into one Counter (see
+        The stage body (:meth:`_stage_pairs`) leaves the surviving
+        index pairs; ``semi_joins`` are trailing stages that bind no new
+        column (a static plan's ok-atoms), each one more membership
+        mask with its own observation; the surviving rows' group keys
+        go straight into one Counter (see
         :func:`~repro.relational.aggregates.count_groups`) — no joined
-        relation is built.  ``semi_joins`` are trailing stages that
-        bind no new column (a static plan's ok-atoms): each is one more
-        membership mask.  Keys are codes.  Trace rows, observations
-        (``actual`` = output rows) and checkpoints are :meth:`run_stage`'s.
+        relation is built.  Keys are codes.
         """
-        trip("relational.join")
-        started = time.perf_counter()
-        left, before = current, len(current)
-        right = self._filtered_scan(stage, leaf)
-        dictionary = self.db.dictionary
-        left_idx, right_idx = join_indexes(left, right)
-
-        def gathered(column: str, decode: bool = False) -> Iterator:
-            """One output column, read through the surviving pairs."""
-            rel, idx = (
-                (left, left_idx) if column in left.columns
-                else (right, right_idx)
-            )
-            codes = rel.code_columns()[rel.column_position(column)]
-            data = dictionary.decode_column(codes) if decode else codes
-            if isinstance(idx, range):
-                return iter(data)
-            return map(data.__getitem__, idx)
-
-        def keep(mask: Iterable[bool]) -> None:
-            nonlocal left_idx, right_idx
-            selected = list(mask)
-            left_idx = list(compress(left_idx, selected))
-            right_idx = list(compress(right_idx, selected))
-
-        for op in stage.filters:
-            keep(self._filter_mask(op, gathered, len(left_idx)))
-            if self.guard is not None:
-                self.guard.checkpoint(rows=len(left_idx), node=stage.node)
-        self._observe(stage, before, len(left_idx), started)
+        pairs = self._stage_pairs(current, stage, leaf)
         for semi in semi_joins:
             trip("relational.join")
-            started, before = time.perf_counter(), len(left_idx)
+            started, before = time.perf_counter(), len(pairs)
             scan = self._filtered_scan(semi, None)
-            keep(self._members(scan, gathered))
-            self._observe(semi, before, len(left_idx), started)
-        rows = len(left_idx)
+            pairs.keep(member_mask(
+                scan, scan.columns, [pairs.column(c) for c in scan.columns]
+            ))
+            self._observe(semi, before, len(pairs), started)
         counts = count_groups(
-            gathered, group_by, target, left.columns + right.columns, rows
+            pairs.column, group_by, target, pairs.columns, len(pairs)
         )
-        return counts, rows
+        return counts, len(pairs)
 
     def _filter_mask(
-        self,
-        op: CompareFilter | AntiJoin,
-        gathered: Callable[..., Iterator],
-        rows: int,
-    ) -> Iterator[bool]:
-        """One attached filter as a keep-mask over :meth:`count_join`'s
-        output rows (``gathered(column, decode)`` reads one column)."""
+        self, op: CompareFilter | AntiJoin, column: ColumnReader, rows: int
+    ) -> Iterable[bool]:
+        """One attached filter as a keep-mask over ``rows`` rows whose
+        columns ``column`` reads — the one place an attached filter is
+        interpreted."""
         if isinstance(op, CompareFilter):
-            comp = op.comparison
-
-            def operand(term: Term) -> Iterator:
-                # Ordered comparisons need real values: codes are
-                # equality-faithful, not order-faithful.
-                if isinstance(term, Constant):
-                    return repeat(term.value, rows)
-                return gathered(term_column(term), True)
-
-            return map(comp.op.fn, operand(comp.left), operand(comp.right))
+            return comparison_mask(op.comparison, column, rows)
         neg_rel = self.scan_atom(op.atom.with_positive_polarity())
         if not op.atom.bindable_terms():
             # Ground negation: NOT p(c1,...,ck) keeps nothing iff the
             # selected relation is nonempty.
             return repeat(not len(neg_rel), rows)
-        return map(not_, self._members(neg_rel, gathered))
-
-    @staticmethod
-    def _members(
-        rel: Relation, gathered: Callable[..., Iterator]
-    ) -> Iterator[bool]:
-        """Whether each output row, read on ``rel``'s columns, is a row
-        of ``rel`` (a code-tuple membership test)."""
-        rows = set(key_reader(rel, rel.columns))
-        cols = [gathered(c) for c in rel.columns]
-        return map(rows.__contains__, cols[0] if len(cols) == 1 else zip(*cols))
+        keys = neg_rel.columns
+        return map(not_, member_mask(neg_rel, keys, [column(c) for c in keys]))
 
     def _observe(
         self, stage: JoinStage, before: int, actual: int, started: float
@@ -384,10 +331,10 @@ class MemoryEngine:
         (under ``dynamic``'s decisions when given, see :meth:`run_step`)."""
         self._verify_before_execution(plan)
         current, plan = self._run_stages(plan, len(plan.stages), dynamic)
-        for op in plan.unit_filters:
-            current = self.apply_filter(current, op)
-            if self.guard is not None:
-                self.guard.checkpoint(rows=len(current), node="unit filter")
+        if plan.unit_filters:
+            pairs = JoinPairs(unit_relation(), current, self.db.dictionary)
+            self._keep_filters(pairs, plan.unit_filters, "unit filter")
+            current = pairs.relation()
         return self.materialize(current, plan.root)
 
     def materialize(self, current: Relation, root: Materialize) -> Relation:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from ..errors import FilterError, ParseError
+from ..errors import EvaluationError, FilterError, ParseError
 from ..datalog.atoms import ComparisonOp
 from ..relational.aggregates import AggregateFunction
 from ..relational.relation import Relation
@@ -80,20 +80,25 @@ class FilterCondition:
         """
         t = self.threshold
         op = self.op
-        if op is ComparisonOp.GE:
-            return [k for k, v in items if v >= t]
-        if op is ComparisonOp.GT:
-            return [k for k, v in items if v > t]
-        if op is ComparisonOp.LE:
-            return [k for k, v in items if v <= t]
-        if op is ComparisonOp.LT:
-            return [k for k, v in items if v < t]
-        if op is ComparisonOp.EQ:
-            return [k for k, v in items if v == t]
-        if op is ComparisonOp.NE:
-            return [k for k, v in items if v != t]
-        fn = op.fn
-        return [k for k, v in items if fn(v, t)]
+        try:
+            if op is ComparisonOp.GE:
+                return [k for k, v in items if v >= t]
+            if op is ComparisonOp.GT:
+                return [k for k, v in items if v > t]
+            if op is ComparisonOp.LE:
+                return [k for k, v in items if v <= t]
+            if op is ComparisonOp.LT:
+                return [k for k, v in items if v < t]
+            if op is ComparisonOp.EQ:
+                return [k for k, v in items if v == t]
+            if op is ComparisonOp.NE:
+                return [k for k, v in items if v != t]
+            fn = op.fn
+            return [k for k, v in items if fn(v, t)]
+        except TypeError as error:
+            # A value the threshold cannot be ordered against (MAX of a
+            # text column vs a number).
+            raise EvaluationError(f"cannot evaluate {self}: {error}") from None
 
     def test_relation(self, answer: Relation) -> bool:
         """Test the filter against one answer relation (the result of the

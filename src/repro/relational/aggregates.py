@@ -21,11 +21,11 @@ from collections import Counter, defaultdict
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..errors import FilterError
+from ..errors import EvaluationError, FilterError
 from .dictionary import ValueDictionary
-from .operators import shared_dictionary
+from .operators import ColumnReader, shared_dictionary
 from .relation import Relation
 
 if TYPE_CHECKING:
@@ -117,11 +117,6 @@ def group_aggregate(
     )
 
 
-#: Reads one column of a row set by name: ``column(name)`` its codes,
-#: ``column(name, True)`` its values.
-ColumnReader = Callable[..., Iterable]
-
-
 def count_groups(
     column: ColumnReader,
     group_by: Sequence[str],
@@ -162,7 +157,8 @@ def group_values(
     column's real values (codes are neither order- nor
     arithmetic-faithful) and stream them: set semantics makes a group's
     member sub-tuples distinct (key + member = the whole row), so each
-    row contributes once.
+    row contributes once.  Values the aggregate cannot add or order
+    raise :class:`~repro.errors.EvaluationError`.
     """
     if fn is AggregateFunction.COUNT:
         return count_groups(column, group_by, target, columns, rows)
@@ -172,17 +168,23 @@ def group_values(
         column(target[0], True),
     )
     per_group: dict
-    if fn is AggregateFunction.SUM:
-        per_group = defaultdict(int)
+    try:
+        if fn is AggregateFunction.SUM:
+            per_group = defaultdict(int)
+            for key, value in keyed:
+                per_group[key] += value
+            return per_group
+        pick = min if fn is AggregateFunction.MIN else max
+        per_group = {}
         for key, value in keyed:
-            per_group[key] += value
+            current = per_group.get(key)
+            per_group[key] = value if current is None else pick(current, value)
         return per_group
-    pick = min if fn is AggregateFunction.MIN else max
-    per_group = {}
-    for key, value in keyed:
-        current = per_group.get(key)
-        per_group[key] = value if current is None else pick(current, value)
-    return per_group
+    except TypeError as error:
+        # Values the aggregate cannot add or order (3 and "x").
+        raise EvaluationError(
+            f"cannot evaluate {fn.value} over the answer: {error}"
+        ) from None
 
 
 def relation_group_values(

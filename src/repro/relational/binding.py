@@ -2,8 +2,9 @@
 
 A positive subgoal becomes a *binding relation* — columns named after
 the subgoal's variables/parameters, constants and repeated terms handled
-by selection — and arithmetic comparisons filter a binding relation once
-their terms are bound.  Binding relations are born in the database's
+by selection — and an arithmetic comparison becomes a keep-mask
+(:func:`comparison_mask`) over the rows of a stage once its terms are
+bound.  Binding relations are born in the database's
 code space (:meth:`~.catalog.Database.encoded`), the only one the
 physical-plan engine (:mod:`repro.engine`) reads.
 
@@ -21,7 +22,7 @@ from ..errors import EvaluationError
 from ..datalog.atoms import Comparison, RelationalAtom
 from ..datalog.terms import Constant, Term
 from .catalog import Database
-from .operators import shared_dictionary
+from .operators import ColumnReader
 from .relation import Relation
 
 
@@ -100,41 +101,29 @@ def unit_relation() -> Relation:
     return Relation("unit", (), {()})
 
 
-def apply_comparison(current: Relation, comp: Comparison) -> Relation:
-    """Filter the binding relation by an arithmetic subgoal whose terms
-    are all bound (or constant)."""
+def comparison_mask(
+    comp: Comparison, column: ColumnReader, rows: int
+) -> list[bool]:
+    """Whether each of ``rows`` rows passes an arithmetic subgoal whose
+    terms are all bound (or constant) — the one place a comparison is
+    evaluated.
 
-    def resolve(term: Term) -> tuple[int | None, object]:
+    ``column(name, True)`` reads one column's values: ordered
+    comparisons need real values (codes are equality-faithful, not
+    order-faithful), so only the compared columns are decoded.
+    Constants repeat.  Values the operator cannot order (``1 < "a"``)
+    raise :class:`EvaluationError`.
+    """
+
+    def operand(term: Term) -> Iterable:
         if isinstance(term, Constant):
-            return None, term.value
-        return current.column_position(term_column(term)), None
+            return repeat(term.value, rows)
+        return column(term_column(term), True)
 
-    left_pos, left_const = resolve(comp.left)
-    right_pos, right_const = resolve(comp.right)
-    fn = comp.op.fn
-
-    dictionary, (current,) = shared_dictionary(current)
-    codes = current.code_columns()
-
-    def operand(pos: int | None, const: object) -> Iterable[object]:
-        if pos is None:
-            return repeat(const)
-        # Ordered comparisons need real values; decode only the columns
-        # the predicate touches (codes are equality-faithful, not
-        # order-faithful).
-        return dictionary.decode_column(codes[pos])
-
-    if left_pos is None and right_pos is None:
-        # Constant-only comparison: one evaluation decides every row.
-        if fn(left_const, right_const):
-            return current
-        return current.take([])
-    left = operand(left_pos, left_const)
-    right = operand(right_pos, right_const)
-    # map() drives the comparison at C speed; the comprehension only
-    # collects surviving row indexes.
-    keep = [i for i, ok in enumerate(map(fn, left, right)) if ok]
-    return current.take(keep)
+    try:
+        return list(map(comp.op.fn, operand(comp.left), operand(comp.right)))
+    except TypeError as error:
+        raise EvaluationError(f"cannot evaluate {comp}: {error}") from None
 
 
 def terms_bound(current: Relation, subgoal: RelationalAtom) -> bool:

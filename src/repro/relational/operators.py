@@ -1,11 +1,15 @@
 """Relational-algebra operators used by the query engine.
 
 Joins are columnar hash joins: build a hash table on the smaller input
-keyed by the shared columns, probe with the larger, then gather the
-matching row indexes through the column arrays batch-at-a-time.  Negated
-subgoals become anti-joins (Section 2.3's ``NOT`` is evaluated against
-fully bound terms, which safety guarantees).  Everything is
-set-semantics.
+keyed by the shared columns, probe with the larger, and keep the
+matching ``(left, right)`` row-index pairs (:class:`JoinPairs`).
+Filters narrow the pairs with keep-masks; only a gather
+(:meth:`JoinPairs.relation`, which is :func:`natural_join`) moves
+column data, batch-at-a-time.  Negated subgoals become anti-joins
+(Section 2.3's ``NOT`` is evaluated against fully bound terms, which
+safety guarantees); every membership test — semi-join, anti-join,
+runtime scan filter — is one kernel, :func:`member_mask`.  Everything
+is set-semantics.
 
 A key property keeps these operators cheap: the natural join of two
 duplicate-free relations is duplicate-free.  Two matched pairs
@@ -25,12 +29,18 @@ code-space results are exactly the value-space set results.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from typing import Iterator, Sequence
+from itertools import chain, compress, repeat
+from operator import not_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import SchemaError
 from .dictionary import ValueDictionary
 from .relation import Relation
+
+
+#: Reads one column of a row set by name: ``column(name)`` its codes,
+#: ``column(name, True)`` its values (e.g. :meth:`JoinPairs.column`).
+ColumnReader = Callable[..., Iterable]
 
 
 def shared_columns(left: Relation, right: Relation) -> tuple[str, ...]:
@@ -83,11 +93,6 @@ def key_reader(rel: Relation, keys: Sequence[str]) -> Iterator[object]:
     return zip(*arrays)
 
 
-def _gather(arrays: Sequence[list], indexes: Sequence[int]) -> list[list]:
-    """Materialize selected rows of row-aligned arrays, column by column."""
-    return [list(map(arr.__getitem__, indexes)) for arr in arrays]
-
-
 def join_indexes(
     left: Relation, right: Relation
 ) -> tuple[list[int], Sequence[int]]:
@@ -135,21 +140,83 @@ def join_indexes(
     return probe_idx, build_idx
 
 
+class JoinPairs:
+    """The natural join of two relations in one code space, held as its
+    surviving ``(left, right)`` row-index pairs (:func:`join_indexes`).
+
+    Attached filters narrow the pairs with keep-masks (:meth:`keep`)
+    over output columns read through them (:meth:`column`); only
+    :meth:`relation` gathers, and a counting caller never does.
+    """
+
+    def __init__(
+        self, left: Relation, right: Relation, dictionary: ValueDictionary
+    ) -> None:
+        self.left, self.right, self.dictionary = left, right, dictionary
+        self.left_idx, self.right_idx = join_indexes(left, right)
+        left_cols = set(left.columns)
+        self.columns = left.columns + tuple(
+            c for c in right.columns if c not in left_cols
+        )
+
+    def __len__(self) -> int:
+        return len(self.left_idx)
+
+    def column(self, name: str, decode: bool = False) -> Iterator:
+        """One output column, read through the surviving pairs: its
+        codes, or its values with ``decode``."""
+        rel, idx = (
+            (self.left, self.left_idx) if name in self.left.columns
+            else (self.right, self.right_idx)
+        )
+        codes = rel.code_columns()[rel.column_position(name)]
+        data = self.dictionary.decode_column(codes) if decode else codes
+        if isinstance(idx, range):
+            return iter(data)
+        return map(data.__getitem__, idx)
+
+    def keep(self, mask: Iterable[bool]) -> None:
+        """Drop the pairs whose ``mask`` entry is false."""
+        # Read twice below; a list mask (a comparison's) is not copied.
+        selected = mask if isinstance(mask, list) else list(mask)
+        self.left_idx = list(compress(self.left_idx, selected))
+        self.right_idx = list(compress(self.right_idx, selected))
+
+    def relation(self, name: str = "join") -> Relation:
+        """The surviving pairs gathered into a relation.  Against the
+        unit relation with nothing dropped, that is the right side in
+        place (renamed, its arrays shared)."""
+        if not self.left.columns and isinstance(self.right_idx, range):
+            return self.right.with_name(name)
+        return Relation.from_encoded(
+            name, self.columns, [list(self.column(c)) for c in self.columns],
+            self.dictionary, count=len(self),
+        )
+
+
+def member_mask(
+    rel: Relation, keys: Sequence[str], probe_columns: Sequence[Iterable]
+) -> Iterator[bool]:
+    """Whether each probe row's ``keys`` codes are a key of ``rel`` —
+    the one membership test (codes are equality-faithful, so code
+    membership is value membership).
+
+    ``probe_columns[i]`` reads column ``keys[i]`` of every probe row.
+    With no keys every probe row matches iff ``rel`` is non-empty; that
+    mask is endless, so bound it by the probe rows.
+    """
+    if not keys:
+        return repeat(bool(len(rel)))
+    members = set(key_reader(rel, keys))
+    probe = probe_columns[0] if len(keys) == 1 else zip(*probe_columns)
+    return map(members.__contains__, probe)
+
+
 def natural_join(left: Relation, right: Relation, name: str = "join") -> Relation:
     """Natural (hash) join on all shared columns (see :func:`join_indexes`;
     no shared columns is a cartesian product)."""
     dictionary, (left, right) = shared_dictionary(left, right)
-    left_cols = set(left.columns)
-    right_only = [c for c in right.columns if c not in left_cols]
-    left_idx, right_idx = join_indexes(left, right)
-    right_codes = right.code_columns()
-    codes = _gather(left.code_columns(), left_idx) + _gather(
-        [right_codes[right.column_position(c)] for c in right_only], right_idx
-    )
-    return Relation.from_encoded(
-        name, left.columns + tuple(right_only), codes, dictionary,
-        count=len(left_idx),
-    )
+    return JoinPairs(left, right, dictionary).relation(name)
 
 
 def semi_join(left: Relation, right: Relation, name: str = "semijoin") -> Relation:
@@ -171,18 +238,13 @@ def _filter_by_membership(
 ) -> Relation:
     _, (left, right) = shared_dictionary(left, right)
     keys = shared_columns(left, right)
-    if not keys:
-        # No shared columns: left survives iff right is (non)empty.
-        if bool(len(right)) == keep_matches:
-            return left.with_name(name)
-        return left.take([], name=name)
-    right_keys = set(key_reader(right, keys))
-    keep = [
-        i
-        for i, key in enumerate(key_reader(left, keys))
-        if (key in right_keys) == keep_matches
-    ]
-    return left.take(keep, name=name)
+    codes = left.code_columns()
+    mask = member_mask(
+        right, keys, [codes[left.column_position(c)] for c in keys]
+    )
+    if not keep_matches:
+        mask = map(not_, mask)
+    return left.take(list(compress(range(len(left)), mask)), name=name)
 
 
 def cartesian_product(left: Relation, right: Relation, name: str = "product") -> Relation:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.engine.memory as memory_module
 from repro.datalog import UnionQuery, atom, comparison, negated, rule
 from repro.engine.memory import MemoryEngine, support_shape
 from repro.flocks import QueryFlock, parse_filter, single_step_plan
@@ -68,20 +67,22 @@ def test_support_shape_is_a_plan_property(db, make, counted):
 
 @pytest.fixture
 def join_log(monkeypatch):
-    """Every natural join and counted stage the engine runs, in order."""
+    """Every materialised join (a stage whose left side has columns)
+    and counted stage the engine runs, in order."""
     events = []
-    real_join = memory_module.natural_join
+    real_stage = MemoryEngine.run_stage
     real_count = MemoryEngine.count_join
 
-    def joining(left, right, name="join"):
-        events.append("join")
-        return real_join(left, right, name=name)
+    def joining(self, current, stage, *args):
+        if current.columns:
+            events.append("join")
+        return real_stage(self, current, stage, *args)
 
     def counting(self, current, stage, *args):
         events.append(("count", stage))
         return real_count(self, current, stage, *args)
 
-    monkeypatch.setattr(memory_module, "natural_join", joining)
+    monkeypatch.setattr(MemoryEngine, "run_stage", joining)
     monkeypatch.setattr(MemoryEngine, "count_join", counting)
     return events
 

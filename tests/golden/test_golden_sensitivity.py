@@ -1,0 +1,70 @@
+"""The goldens notice a broken stage body.
+
+Each case seeds one behaviour change into the memory engine's stage
+body, rebuilds both goldens in-process and requires at least one record
+to differ from the committed JSON — so a "same behaviour" refactor that
+passes ``tests/golden/`` has really kept these behaviours.
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import repeat
+
+import pytest
+
+import repro.engine.memory as memory
+from repro.engine.ir import AntiJoin
+from repro.engine.memory import MemoryEngine
+
+from tests.golden import paper_artifacts, step_survivors
+
+REAL_COMPARISON_MASK = memory.comparison_mask
+REAL_FILTER_MASK = MemoryEngine._filter_mask
+REAL_OBSERVE = MemoryEngine._observe
+
+
+def compare_codes(comp, column, rows):
+    """Ordered comparisons evaluated on codes instead of values."""
+    return REAL_COMPARISON_MASK(
+        comp, lambda name, decode=False: column(name), rows
+    )
+
+
+def keep_negated_rows(self, op, column, rows):
+    """``NOT`` masks that keep every row."""
+    if isinstance(op, AntiJoin):
+        return repeat(True, rows)
+    return REAL_FILTER_MASK(self, op, column, rows)
+
+
+def observe_one_more(self, stage, before, actual, started):
+    """Every stage observation reports ``actual + 1``."""
+    return REAL_OBSERVE(self, stage, before, actual + 1, started)
+
+
+MUTATIONS = {
+    "comparisons on codes": (memory, "comparison_mask", compare_codes),
+    "NOT keeps every row": (MemoryEngine, "_filter_mask", keep_negated_rows),
+    "observed actual + 1": (MemoryEngine, "_observe", observe_one_more),
+}
+
+
+def changed_records() -> list[str]:
+    changed = []
+    for golden in (step_survivors, paper_artifacts):
+        expected = json.loads(golden.GOLDEN.read_text())
+        actual = json.loads(golden.render(golden.build()))
+        changed += [
+            f"{golden.GOLDEN.name}:{key}"
+            for key in sorted(expected)
+            if actual.get(key) != expected[key]
+        ]
+    return changed
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_goldens_catch_a_seeded_mutation(monkeypatch, mutation):
+    owner, name, mutant = MUTATIONS[mutation]
+    monkeypatch.setattr(owner, name, mutant)
+    assert changed_records()

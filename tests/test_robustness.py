@@ -28,6 +28,8 @@ from repro import (
     rule,
     support_filter,
 )
+from repro.cli import main as cli_main
+from repro.flocks.mining import mine
 from repro.relational import Database, Relation, database_from_dict, evaluate_conjunctive
 
 
@@ -169,14 +171,61 @@ class TestDegenerateData:
         assert result.tuples == frozenset({("x",)})
 
     def test_comparison_between_incomparable_types(self):
-        # Python 3 raises TypeError comparing int to str; the engine
-        # surfaces it rather than silently dropping rows.
+        # Python 3 cannot order int against str; the engine surfaces
+        # that as a clean error naming the subgoal rather than silently
+        # dropping rows.
         db = database_from_dict({"r": (("a", "b"), [(1, "x")])})
         query = rule(
             "answer", ["A"], [atom("r", "A", "B"), comparison("A", "<", "B")]
         )
-        with pytest.raises(TypeError):
+        with pytest.raises(EvaluationError, match="A < B.*'int' and 'str'"):
             evaluate_conjunctive(db, query)
+
+
+class TestIncomparableValues:
+    """Values a comparison or aggregate cannot order or add (int vs str,
+    as a CSV word column holding ``2024`` loads) fail every strategy
+    with one :class:`EvaluationError`, never a raw ``TypeError``."""
+
+    PAIR = (
+        "QUERY:\nanswer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2\n"
+        "\nFILTER:\nCOUNT(answer.B) >= 2\n"
+    )
+
+    @pytest.mark.parametrize("strategy", ["naive", "optimized", "dynamic"])
+    def test_ordered_comparison(self, strategy):
+        db = database_from_dict({"baskets": (
+            ("B", "I"), {(b, i) for b in (1, 2, 3) for i in ("a", 2)},
+        )})
+        with pytest.raises(EvaluationError, match=r"\$1 < \$2.*'(int|str)'"):
+            mine(db, parse_flock(self.PAIR), strategy=strategy)
+
+    @pytest.mark.parametrize("strategy", ["naive", "optimized", "dynamic"])
+    @pytest.mark.parametrize("aggregate", ["SUM", "MAX"])
+    @pytest.mark.parametrize("rows", [
+        {(1, 3), (1, "x")},  # one group mixes the types
+        {(1, "x"), (2, "y")},  # MAX is text, the threshold a number
+    ])
+    def test_aggregate(self, strategy, aggregate, rows):
+        db = database_from_dict({"w": (("G", "W"), rows)})
+        flock = parse_flock(
+            f"QUERY:\nanswer(W) :- w($g,W)\n\n"
+            f"FILTER:\n{aggregate}(answer.W) >= 2\n"
+        )
+        with pytest.raises(EvaluationError, match=f"{aggregate}.*'(int|str)'"):
+            mine(db, flock, strategy=strategy)
+
+    def test_cli_reports_a_clean_error(self, tmp_path, capsys):
+        (tmp_path / "pair.flock").write_text(self.PAIR)
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "baskets.csv").write_text(
+            "BID,Item\n1,beer\n1,2024\n2,beer\n2,2024\n"
+        )
+        code = cli_main(["run", str(tmp_path / "pair.flock"), str(data)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestRelationValidation:
