@@ -55,7 +55,7 @@ from .flocks import (
     plan_to_sql,
     single_step_plan,
 )
-from .flocks.optimizer import FlockOptimizer
+from .flocks.optimizer import certified_plan
 from .flocks.options import MiningOptions, positive_int
 from .relational.io import load_database
 
@@ -65,15 +65,6 @@ def _load(flock_path: str, data_dir: str | None):
     flock = parse_flock(text)
     db = load_database(data_dir) if data_dir else None
     return flock, db
-
-
-def _optimized_plan(db, flock, gather: bool):
-    if flock.is_union:
-        from .flocks.optimizer import optimize_union
-
-        return optimize_union(db, flock)
-    optimizer = FlockOptimizer(db, flock, gather_statistics=gather)
-    return optimizer.best_plan().plan
 
 
 def _nonnegative_float(text: str) -> float:
@@ -151,7 +142,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
             "" if db is not None else " (no data directory: no statistics)"
         )
     else:
-        plan = _optimized_plan(db, flock, args.strategy == "stats")
+        plan, _ = certified_plan(
+            db, flock, gather_statistics=args.strategy == "stats"
+        )
         note = f"cost-based plan ({args.strategy})"
     print(f"# {note}")
     print(plan.render(flock))
@@ -167,7 +160,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
             print("-- (rewrite requires a data directory for statistics)",
                   file=sys.stderr)
             return 2
-        plan = _optimized_plan(db, flock, gather=False)
+        plan, _ = certified_plan(db, flock)
         print("\n-- a-priori rewrite")
         print(plan_to_sql(flock, plan, db))
     return 0

@@ -26,8 +26,10 @@ snapshot, per-relation offsets); each worker attaches and slices its
 columns out of the mapping — no row pickling in either direction.
 Survivors travel back the same way: a partition whose codes stay inside
 the seeded dictionary prefix returns flat code buffers the parent
-decodes against its own dictionary.  When shared memory is unavailable
-the seeding degrades to the pickled catalog.
+decodes against its own dictionary, and the merge encodes the
+canonically ordered union back into it — pool results are in the
+catalog's code space, like serial ones.  When shared memory is
+unavailable the seeding degrades to the pickled catalog.
 
 Guard propagation: workers get a fresh guard built from
 :meth:`~repro.guard.ExecutionGuard.child_budget` — the *remaining*
@@ -150,19 +152,24 @@ def clamp_default_jobs(jobs: int) -> tuple[int, Optional[str]]:
 
 
 def merged_relation(
-    name: str, columns: Sequence[str], rows: Iterable[tuple]
+    name: str,
+    columns: Sequence[str],
+    rows: Iterable[tuple],
+    dictionary: ValueDictionary,
 ) -> Relation:
     """Union partition outputs under a canonical (repr-sorted) row
     order — the Merge operator's contract, and what makes parallel
-    output arrays bit-identical to serial ones."""
+    output arrays bit-identical to serial ones — encoded into the
+    catalog's ``dictionary``, so pool results share the serial runner's
+    code space."""
     ordered = sorted(set(rows), key=repr)
-    arrays = (
-        [list(column) for column in zip(*ordered)]
-        if ordered
-        else [[] for _ in columns]
-    )
-    return Relation.from_columns(
-        name, tuple(columns), arrays, count=len(ordered)
+    codes = [dictionary.encode_column(column) for column in zip(*ordered)]
+    return Relation.from_encoded(
+        name,
+        tuple(columns),
+        codes or [[] for _ in columns],
+        dictionary,
+        count=len(ordered),
     )
 
 
@@ -607,19 +614,23 @@ class ParallelExecutor:
         for _count, part_columns, part_rows in outputs:
             columns = tuple(part_columns)
             rows.extend(part_rows)
+        dictionary = self.db.dictionary
         if need_aggregates:
             passed: Optional[Relation] = merged_relation(
-                step.root.name, columns, rows
+                step.root.name, columns, rows, dictionary
             )
             positions = [columns.index(c) for c in step.root.columns]
             result = merged_relation(
                 step.root.name,
                 step.root.columns,
                 [tuple(row[p] for p in positions) for row in rows],
+                dictionary,
             )
         else:
             passed = None
-            result = merged_relation(step.root.name, step.root.columns, rows)
+            result = merged_relation(
+                step.root.name, step.root.columns, rows, dictionary
+            )
         if self.guard is not None:
             self.guard.note_step(
                 name=f"parallel:{step.result_name}",

@@ -112,7 +112,7 @@ class FilterCondition:
             return self.passes(value)
         # One value per distinct answer row (set semantics), computed
         # here rather than by the engine's aggregation kernel.
-        values = answer.column_array(self.target)
+        values = answer.columns_data()[answer.column_position(self.target)]
         if not values:
             # SQL: SUM/MIN/MAX of no rows is NULL; NULL compares false.
             return False

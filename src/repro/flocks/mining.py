@@ -59,7 +59,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..analysis.verification import plan_verification, plan_verification_enabled
+from ..analysis.verification import plan_verification
 from ..engine.ir import StageObservation
 from ..engine.memory import MemoryRunner
 from ..engine.parallel import ParallelExecutor, clamp_default_jobs, resolve_jobs
@@ -78,7 +78,7 @@ from .dynamic import DynamicEvaluator
 from .executor import execute_plan
 from .flock import QueryFlock
 from .lint import LintWarning, lint_flock
-from .optimizer import FlockOptimizer, optimize_union
+from .optimizer import certified_plan
 from .options import BACKENDS as BACKENDS  # re-exported for importers
 from .options import JOIN_ORDERS as JOIN_ORDERS
 from .options import STRATEGIES as STRATEGIES
@@ -165,9 +165,10 @@ class MiningReport:
     cache_step_hits: int = 0
     rows_saved: int = 0
     #: The legality certificate of the plan that produced the answer
-    #: (optimized/stats strategies with plan verification on): per-step
-    #: safety reports plus containment witnesses, re-checkable with
-    #: :func:`repro.analysis.verify_certificate`.
+    #: (optimized/stats strategies, single-rule and union flocks alike):
+    #: per-step safety reports plus containment witnesses, re-validated
+    #: before execution when plan verification is on and re-checkable
+    #: with :func:`repro.analysis.verify_certificate`.
     certificate: Optional["LegalityCertificate"] = None
     #: The dynamic strategy's per-FILTER-decision certificates (one
     #: :class:`repro.analysis.certify.BranchCertificate` per filter
@@ -410,46 +411,6 @@ class _Attempt:
     recorder: Optional[CheckpointRecorder] = None
 
 
-def _certified(flock: QueryFlock, plan):
-    """The plan's legality certificate, verified, when the ambient
-    plan-verification switch is on (else ``None``)."""
-    if not plan_verification_enabled():
-        return None
-    from ..analysis.certify import certify_plan, verify_certificate
-
-    certificate = certify_plan(flock, plan, witnesses=True)
-    certificate.raise_for_errors()
-    report = verify_certificate(certificate)
-    if not report.ok:
-        details = "; ".join(str(d) for d in report.errors)
-        raise PlanError(f"plan certificate failed re-validation: {details}")
-    return certificate
-
-
-def _build_plan(
-    db: Database,
-    flock: QueryFlock,
-    strategy: str,
-    guard: ExecutionGuard | None,
-    sink=None,
-):
-    """Plan construction — the 'mid-search' phase degradation watches.
-
-    Returns ``(plan, certificate)``; the certificate carries per-step
-    safety reports and containment witnesses (see
-    :mod:`repro.analysis.certify`).
-    """
-    if flock.is_union:
-        plan = optimize_union(db, flock, guard=guard)
-        return plan, _certified(flock, plan)
-    optimizer = FlockOptimizer(
-        db, flock, gather_statistics=(strategy == "stats"), guard=guard,
-        sink=sink,
-    )
-    scored = optimizer.best_plan()
-    return scored.plan, scored.certificate
-
-
 def _run_strategy(
     db: Database,
     flock: QueryFlock,
@@ -508,10 +469,14 @@ def _run_strategy(
     if strategy in ("naive", "dynamic"):
         plan = single_step_plan(flock)
     else:
-        # Plan search.  PlanError/FilterError *and* budget
-        # exhaustion here degrade: no answer work has been lost yet.
+        # Plan search — the 'mid-search' phase degradation watches.
+        # PlanError/FilterError *and* budget exhaustion here degrade: no
+        # answer work has been lost yet.
         plan, attempt.certificate = supervisor.run(
-            lambda: _build_plan(db, flock, strategy, guard, sink=sink),
+            lambda: certified_plan(
+                db, flock, gather_statistics=(strategy == "stats"),
+                guard=guard, sink=sink,
+            ),
             site="plan-search",
         )
         attempt.plan_text = plan.render(flock)

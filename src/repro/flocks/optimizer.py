@@ -19,7 +19,7 @@ tuples concentrate on few assignments, the smaller the surviving set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -404,27 +404,28 @@ class FlockOptimizer:
                     node=f"plan search {index + 1}/{len(plans)}"
                 )
             scored.append(self.score(plan))
-        return certify_scored_plan(
-            self.flock, min(scored, key=lambda s: s.estimated_cost)
+        winner = min(scored, key=lambda s: s.estimated_cost)
+        return replace(
+            winner, certificate=checked_certificate(self.flock, winner.plan)
         )
 
 
-def certify_scored_plan(flock: QueryFlock, scored: ScoredPlan) -> ScoredPlan:
-    """Attach the full legality certificate to a search winner.
+def checked_certificate(
+    flock: QueryFlock, plan: QueryPlan
+) -> "LegalityCertificate":
+    """The full legality certificate of a plan about to be released.
 
     The plan search hands out *certified* plans, not bare ones: the
-    winner's per-step safety reports and containment witnesses are
-    computed, and — when plan verification is ambient-enabled
-    (:func:`repro.analysis.plan_verification_enabled`) — independently
-    re-validated with :func:`repro.analysis.verify_certificate` before
-    the plan is released for execution.
+    per-step safety reports and containment witnesses are always
+    computed (an illegal plan raises), and — when plan verification is
+    ambient-enabled (:func:`repro.analysis.plan_verification_enabled`)
+    — independently re-validated with
+    :func:`repro.analysis.verify_certificate` before the plan runs.
     """
-    from dataclasses import replace
-
     from ..analysis.certify import certify_plan, verify_certificate
     from ..analysis.verification import plan_verification_enabled
 
-    certificate = certify_plan(flock, scored.plan, witnesses=True)
+    certificate = certify_plan(flock, plan, witnesses=True)
     certificate.raise_for_errors()
     if plan_verification_enabled():
         report = verify_certificate(certificate)
@@ -433,7 +434,29 @@ def certify_scored_plan(flock: QueryFlock, scored: ScoredPlan) -> ScoredPlan:
             raise PlanError(
                 f"plan certificate failed re-validation: {details}"
             )
-    return replace(scored, certificate=certificate)
+    return certificate
+
+
+def certified_plan(
+    db: Database,
+    flock: QueryFlock,
+    gather_statistics: bool = False,
+    guard: GuardLike = None,
+    sink=None,
+) -> tuple[QueryPlan, "LegalityCertificate"]:
+    """The static plan producer of the ``optimized`` / ``stats``
+    strategies and the CLI: the cheapest plan for ``flock`` (a union
+    flock's through :func:`optimize_union`) with its
+    :func:`checked_certificate`."""
+    if flock.is_union:
+        plan = optimize_union(db, flock, guard=guard)
+        return plan, checked_certificate(flock, plan)
+    scored = FlockOptimizer(
+        db, flock, gather_statistics=gather_statistics, guard=guard,
+        sink=sink,
+    ).best_plan()
+    assert scored.certificate is not None
+    return scored.plan, scored.certificate
 
 
 def optimize(

@@ -1,6 +1,6 @@
 """Interned value dictionaries for dictionary-encoded columns.
 
-The third :class:`~repro.relational.relation.Relation` representation —
+The engine's :class:`~repro.relational.relation.Relation` form —
 typed, flat code columns — needs a mapping between arbitrary Python
 values and small integer codes.  A :class:`ValueDictionary` provides it:
 an append-only intern table where equal values (by Python ``==``/``hash``

@@ -10,29 +10,30 @@ Columns are strings; by convention the evaluator labels columns with the
 rendered form of the Datalog term they bind (``"P"``, ``"$s"``), which
 makes intermediate results self-describing.
 
-Internally a relation keeps up to three representations of the same rows:
+Internally a relation keeps up to two representations of the same rows:
 
-* a row set (``frozenset`` of tuples) — the API edge: membership
-  tests, set algebra on results, hashing, SQLite loading;
-* column arrays (one Python list per column, row-aligned) — decoded
-  results and the pickling wire form;
 * encoded columns (one row-aligned list of integer codes per column,
   interned against a shared :class:`~.dictionary.ValueDictionary`) —
   the data plane: every operator and engine kernel runs on these small
   ints, and the flat codes pack into ``array('q')`` buffers for
-  zero-copy shipping through shared memory.
+  zero-copy shipping through shared memory;
+* a row set (``frozenset`` of tuples) — the API edge: membership
+  tests, set algebra on results, hashing, SQLite loading and the
+  pickling wire form.  A relation built from rows keeps them; one born
+  encoded decodes its rows once, the first time a caller asks.
 
-Any representation is materialized lazily from the others and cached,
-so operators pay only for the layout they touch.  All describe a
-duplicate-free set of rows; ``distinct`` construction paths
-(:meth:`Relation.from_columns`, :meth:`Relation.from_encoded`) let
-operators that provably preserve distinctness — e.g. the natural join
-of two duplicate-free inputs — skip re-deduplication entirely.
+Values are only ever read at the edge: :meth:`Relation.columns_data`
+is an uncached decoded view.  Both forms describe a duplicate-free set
+of rows; the ``distinct`` construction paths
+(:meth:`Relation.from_encoded`, :meth:`Relation.from_distinct_rows`)
+let operators that provably preserve distinctness — e.g. the natural
+join of two duplicate-free inputs — skip re-deduplication entirely.
 """
 
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from ..errors import SchemaError
@@ -55,7 +56,6 @@ class Relation:
         "columns",
         "_column_index",
         "_rows",
-        "_data",
         "_count",
         "_codes",
         "_dict",
@@ -82,7 +82,6 @@ class Relation:
                 )
             normalized.add(row_t)
         self._rows: frozenset[tuple] | None = frozenset(normalized)
-        self._data: tuple[list, ...] | None = None
         self._codes: tuple[list[int], ...] | None = None
         self._dict: ValueDictionary | None = None
         self._count = len(normalized)
@@ -91,48 +90,6 @@ class Relation:
     # ------------------------------------------------------------------
     # Trusted constructors (no re-validation, no re-deduplication)
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        columns: Sequence[str],
-        data: Sequence[list],
-        count: int | None = None,
-    ) -> "Relation":
-        """Build a relation directly from row-aligned column arrays.
-
-        The caller asserts the rows are already **distinct** — this is
-        the fast path for operators (joins, selections) that provably
-        preserve distinctness.  ``count`` is required only for
-        zero-column relations, where no array records the row count.
-        """
-        rel = cls.__new__(cls)
-        rel.name = name
-        rel.columns = tuple(columns)
-        if len(set(rel.columns)) != len(rel.columns):
-            raise SchemaError(f"duplicate column names in {name}: {rel.columns}")
-        arrays = tuple(data)
-        if len(arrays) != len(rel.columns):
-            raise SchemaError(
-                f"relation {name!r} got {len(arrays)} column arrays for "
-                f"{len(rel.columns)} columns"
-            )
-        if arrays:
-            rel._count = len(arrays[0])
-            for arr in arrays:
-                if len(arr) != rel._count:
-                    raise SchemaError(
-                        f"relation {name!r} has ragged column arrays"
-                    )
-        else:
-            rel._count = int(count or 0)
-        rel._data = arrays
-        rel._rows = None
-        rel._codes = None
-        rel._dict = None
-        rel._column_index = {c: i for i, c in enumerate(rel.columns)}
-        return rel
 
     @classmethod
     def from_encoded(
@@ -176,7 +133,6 @@ class Relation:
             rel._count = int(count or 0)
         rel._codes = normalized
         rel._dict = dictionary
-        rel._data = None
         rel._rows = None
         rel._column_index = {c: i for i, c in enumerate(rel.columns)}
         return rel
@@ -212,7 +168,6 @@ class Relation:
         if len(set(rel.columns)) != len(rel.columns):
             raise SchemaError(f"duplicate column names in {name}: {rel.columns}")
         rel._rows = rows if isinstance(rows, frozenset) else frozenset(rows)
-        rel._data = None
         rel._codes = None
         rel._dict = None
         rel._count = len(rel._rows)
@@ -225,36 +180,30 @@ class Relation:
 
     @property
     def tuples(self) -> frozenset[tuple]:
-        """The rows as a frozenset, materialized lazily from columns."""
+        """The rows as a frozenset — the rows the relation was built
+        from, or its codes decoded once and cached."""
         if self._rows is None:
-            if self._data is None and self._codes is not None:
-                self.columns_data()
-            data = self._data or ()
-            if data:
-                self._rows = frozenset(zip(*data))
-            else:
-                self._rows = frozenset([()] ) if self._count else frozenset()
+            self._rows = frozenset(self._decoded_rows())
         return self._rows
 
     def columns_data(self) -> tuple[list, ...]:
-        """Row-aligned per-column arrays, materialized lazily from rows
-        (or decoded lazily from encoded code columns)."""
-        if self._data is None:
-            if self._codes is not None and self._dict is not None:
-                values = self._dict.values
-                self._data = tuple(
-                    list(map(values.__getitem__, col)) for col in self._codes
-                )
-                return self._data
-            rows = self._rows or frozenset()
-            if self.columns:
-                if rows:
-                    self._data = tuple(list(col) for col in zip(*rows))
-                else:
-                    self._data = tuple([] for _ in self.columns)
-            else:
-                self._data = ()
-        return self._data
+        """Row-aligned per-column value arrays: an uncached view of the
+        codes decoded in code-row order (or of the rows transposed)."""
+        if self._codes is not None and self._dict is not None:
+            decode = self._dict.decode_column
+            return tuple(decode(col) for col in self._codes)
+        # One C-level pass per column: ``zip(*rows)`` would allocate an
+        # iterator per row, and the garbage collector runs it over a
+        # warm heap.
+        rows = self._rows or ()
+        return tuple(
+            list(map(itemgetter(p), rows)) for p in range(len(self.columns))
+        )
+
+    def _decoded_rows(self) -> Iterator[tuple]:
+        """The rows as value tuples, in code-row order."""
+        data = self.columns_data()
+        return zip(*data) if data else iter([()] * self._count)
 
     # ------------------------------------------------------------------
     # Encoded representation
@@ -325,30 +274,16 @@ class Relation:
         )
 
     def take(self, indexes: Sequence[int], name: str | None = None) -> "Relation":
-        """The rows at ``indexes`` (caller asserts they stay distinct).
-
-        Preserves the cheapest materialized representation: encoded
-        relations gather code columns, others gather value columns.
-        """
-        if self._codes is not None and self._dict is not None:
-            return Relation.from_encoded(
-                name or self.name,
-                self.columns,
-                [list(map(col.__getitem__, indexes)) for col in self._codes],
-                self._dict,
-                count=len(indexes),
-            )
-        data = self.columns_data()
-        return Relation.from_columns(
+        """The rows at code-row positions ``indexes``, gathered in code
+        space (caller asserts they stay distinct).  A columnless
+        relation fits any code space."""
+        return Relation.from_encoded(
             name or self.name,
             self.columns,
-            [list(map(arr.__getitem__, indexes)) for arr in data],
+            [list(map(col.__getitem__, indexes)) for col in self.code_columns()],
+            self._dict or ValueDictionary(),
             count=len(indexes),
         )
-
-    def column_array(self, column: str) -> list:
-        """One column as a row-aligned array (shared, do not mutate)."""
-        return self.columns_data()[self.column_position(column)]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -364,12 +299,7 @@ class Relation:
     def __iter__(self) -> Iterator[tuple]:
         if self._rows is not None:
             return iter(self._rows)
-        if self._data is None and self._codes is not None:
-            self.columns_data()
-        data = self._data or ()
-        if data:
-            return iter(zip(*data))
-        return iter([()] * self._count)
+        return self._decoded_rows()
 
     def __contains__(self, row: tuple) -> bool:
         return tuple(row) in self.tuples
@@ -395,7 +325,7 @@ class Relation:
 
     def column_values(self, column: str) -> set:
         """The set of distinct values in one column."""
-        return set(self.column_array(column))
+        return set(self.columns_data()[self.column_position(column)])
 
     def distinct_count(self, column: str) -> int:
         """Number of distinct values in one column."""
@@ -431,18 +361,7 @@ class Relation:
                 name or self.name, tuple(columns), codes, self._dict,
                 count=count,
             )
-        if permutation:
-            data = self.columns_data()
-            return Relation.from_columns(
-                name or self.name,
-                tuple(columns),
-                [data[p] for p in positions],
-                count=self._count,
-            )
-        if len(positions) == 1:
-            rows = {(v,) for v in self.columns_data()[positions[0]]}
-        else:
-            rows = {tuple(row[p] for p in positions) for row in self.tuples}
+        rows = {tuple(row[p] for p in positions) for row in self.tuples}
         return Relation.from_distinct_rows(name or self.name, tuple(columns), rows)
 
     def select(
@@ -476,12 +395,10 @@ class Relation:
                     i for i, c in enumerate(self._codes[pos]) if c == code
                 ]
             return self.take(keep, name=name)
-        data = self.columns_data()
-        keep = [i for i, v in enumerate(data[pos]) if v == value]
-        return Relation.from_columns(
+        return Relation.from_distinct_rows(
             name or self.name,
             self.columns,
-            [[arr[i] for i in keep] for arr in data],
+            frozenset(row for row in self.tuples if row[pos] == value),
         )
 
     def rename(self, mapping: dict[str, str], name: str | None = None) -> "Relation":
@@ -501,7 +418,6 @@ class Relation:
         rel.name = name
         rel.columns = new_cols
         rel._rows = self._rows
-        rel._data = self._data
         rel._codes = self._codes
         rel._dict = self._dict
         rel._count = self._count
@@ -541,19 +457,18 @@ class Relation:
     # ------------------------------------------------------------------
 
     def __reduce__(self) -> tuple:
-        """Pickle as decoded column arrays via a positional rebuilder.
+        """Pickle as the decoded row set.
 
-        ``__slots__`` + trusted keyword-only constructor paths do not
-        round-trip through the default reduce protocol, and pickling an
-        encoded relation naively would drag the entire shared
-        :class:`ValueDictionary` into every payload.  Instead the wire
-        form is always (name, columns, value arrays, count): compact,
-        self-contained, and rebuilt through the distinct-preserving
-        fast path on the other side.
+        ``__slots__`` + trusted constructor paths do not round-trip
+        through the default reduce protocol, and pickling an encoded
+        relation naively would drag the entire shared
+        :class:`ValueDictionary` into every payload.  The wire form is
+        (name, columns, rows) — self-contained, and rebuilt through the
+        distinct-preserving fast path on the other side, where a catalog
+        encodes it into its own code space on first read.
         """
         return (
-            _rebuild_relation,
-            (self.name, self.columns, self.columns_data(), self._count),
+            Relation.from_distinct_rows, (self.name, self.columns, self.tuples)
         )
 
     # ------------------------------------------------------------------
@@ -576,16 +491,6 @@ class Relation:
                 break
             lines.append(" | ".join(str(v) for v in row))
         return "\n".join(lines)
-
-
-def _rebuild_relation(
-    name: str,
-    columns: tuple[str, ...],
-    data: tuple[list, ...],
-    count: int,
-) -> Relation:
-    """Unpickle target: rebuild from distinct row-aligned columns."""
-    return Relation.from_columns(name, columns, data, count=count)
 
 
 def relation_from_rows(

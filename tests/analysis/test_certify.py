@@ -142,6 +142,21 @@ class TestCertifyLegalPlans:
         assert report.certificate.ok
         assert verify_certificate(report.certificate).is_clean
 
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_union_flock_certified_like_single_rule(
+        self, small_web_db, web_flock, small_basket_db, basket_flock, verify
+    ):
+        # Both plan shapes report a certificate whether or not the plan
+        # was re-validated before it ran.
+        for db, flock in (
+            (small_web_db, web_flock), (small_basket_db, basket_flock)
+        ):
+            _result, report = mine(
+                db, flock, strategy="optimized", verify_plans=verify
+            )
+            assert report.certificate is not None
+            assert report.certificate.ok
+
 
 class TestIllegalPlans:
     def codes(self, flock, plan):

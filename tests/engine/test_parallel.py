@@ -25,6 +25,7 @@ from repro.engine import (
     resolve_jobs,
     stable_hash,
 )
+from repro.engine import shm
 from repro.engine.memory import MemoryEngine
 from repro.engine.parallel import clamp_default_jobs, merged_relation
 from repro.engine.parallel import PROCESS_ESTIMATE_THRESHOLD
@@ -47,6 +48,7 @@ from repro.flocks.plans import single_step_plan
 from repro.guard import CancellationToken, ResourceBudget
 from repro.datalog import atom, comparison, rule
 from repro.relational.catalog import Database
+from repro.relational.dictionary import ValueDictionary
 from repro.relational.relation import Relation
 from repro.testing import faults
 from repro.testing.faults import WorkerKill
@@ -163,15 +165,17 @@ class TestRestriction:
 
 class TestMergedRelation:
     def test_canonical_order_and_dedup(self):
+        dictionary = ValueDictionary()
         merged = merged_relation(
-            "m", ("A",), [(2,), (1,), (2,), (3,)]
+            "m", ("A",), [(2,), (1,), (2,), (3,)], dictionary
         )
+        assert merged.dictionary is dictionary  # the catalog's code space
         assert merged.tuples == {(1,), (2,), (3,)}
         # canonical column arrays: repr-sorted, duplicates collapsed
         assert merged.columns_data()[0] == [1, 2, 3]
 
     def test_empty(self):
-        merged = merged_relation("m", ("A", "B"), [])
+        merged = merged_relation("m", ("A", "B"), [], ValueDictionary())
         assert len(merged) == 0
         assert merged.columns == ("A", "B")
 
@@ -605,6 +609,22 @@ class TestMineParallel:
             d for d in report.downgrades
             if d.kind in ("parallelism", "watchdog")
         ]
+
+    def test_pickled_catalog_seed_matches_serial(
+        self, force_pool, word_db, pair_flock, monkeypatch
+    ):
+        """Without shared memory the workers are seeded with the pickled
+        catalog and every scratch relation crosses by pickle too."""
+        monkeypatch.setattr(shm, "shared_memory", None)
+        serial, _ = mine(
+            word_db, pair_flock, strategy="optimized", parallelism=1
+        )
+        pooled, report = mine(
+            word_db, pair_flock, strategy="optimized", parallelism=2
+        )
+        assert report.parallelism_used == 2
+        assert not report.downgrades
+        assert pooled == serial
 
     def test_report_mentions_parallelism(
         self, force_pool, word_db, pair_flock

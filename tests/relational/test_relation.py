@@ -112,7 +112,7 @@ class TestOperations:
         projected = encoded.project(columns)
         assert projected.is_encoded
         assert projected.dictionary is encoded.dictionary
-        assert encoded._data is None  # the source was never decoded
+        assert encoded._rows is None  # the source was never decoded
         assert projected.tuples == decoded.project(columns).tuples
         assert len(projected) == len(decoded.project(columns))
 
@@ -159,3 +159,47 @@ class TestOperations:
     def test_pretty_truncates(self, baskets):
         text = baskets.pretty(limit=2)
         assert "and 4 more" in text
+
+
+class TestPickling:
+    @staticmethod
+    def states(baskets):
+        from repro.relational.catalog import Database
+        from repro.relational.dictionary import ValueDictionary
+
+        rows_only = Relation("b", baskets.columns, baskets.tuples)
+        catalog = Database()
+        catalog.add(Relation("baskets", baskets.columns, baskets.tuples))
+        foreign = ValueDictionary(["padding", "chips"])
+        return {
+            "rows-only": rows_only,
+            "encoded-in-catalog": catalog.encoded("baskets"),
+            "foreign-dictionary": Relation.from_encoded(
+                "f",
+                baskets.columns,
+                [foreign.encode_column(c) for c in baskets.columns_data()],
+                foreign,
+            ),
+            "zero-columns-one-row": Relation("unit", (), {()}),
+            "empty": Relation("e", ("A", "B"), ()),
+        }
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            "rows-only",
+            "encoded-in-catalog",
+            "foreign-dictionary",
+            "zero-columns-one-row",
+            "empty",
+        ],
+    )
+    def test_round_trip(self, baskets, state):
+        import pickle
+
+        original = self.states(baskets)[state]
+        restored = pickle.loads(pickle.dumps(original))
+        assert restored == original
+        assert restored.name == original.name
+        assert restored.columns == original.columns
+        assert len(restored) == len(original)

@@ -18,6 +18,7 @@ from repro.serve import (
     ServerConfig,
     server_in_thread,
 )
+from repro.serve.app import HttpError
 
 FLOCK = """
 QUERY:
@@ -246,6 +247,47 @@ class TestData:
         with pytest.raises(ServeError) as excinfo:
             client.load_relation("typed", ["y"], [[2]], mode="append")
         assert excinfo.value.status == 400
+
+    def test_scalar_cells_of_every_json_type_load(self, client):
+        rows = [[1, "a"], [2.5, True], [None, False]]
+        response = client.load_relation("scalars", ["x", "y"], rows)
+        assert response["rows"] == 3
+
+    def test_object_row_over_http_is_400_and_adds_nothing(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client._request("POST", "/v1/data", {
+                "name": "objrow", "columns": ["A", "B"],
+                "rows": [{"A": 1, "B": 2}],
+            })
+        assert excinfo.value.status == 400
+        assert "row 0" in excinfo.value.body["error"]
+        assert "objrow" not in client.health()["relations"]
+
+    @pytest.mark.parametrize("mode", ["replace", "append"])
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            pytest.param("xy", id="string-row"),
+            pytest.param({"A": 1, "B": 2}, id="object-row"),
+            pytest.param([1, [2]], id="array-cell"),
+            pytest.param([1, {"x": 2}], id="object-cell"),
+        ],
+    )
+    def test_malformed_row_is_400_and_keeps_the_version(self, bad_row, mode):
+        with MiningService(make_db(), ServerConfig(port=0, workers=1)) as service:
+            stored = service.db.get("baskets").tuples
+            version = service.db.version("baskets")
+            with pytest.raises(HttpError) as excinfo:
+                service.handle_data({
+                    "name": "baskets",
+                    "columns": ["BID", "item"],
+                    "rows": [[1, "i1"], bad_row],
+                    "mode": mode,
+                })
+            assert excinfo.value.status == 400
+            assert "row 1" in str(excinfo.value)
+            assert service.db.version("baskets") == version
+            assert service.db.get("baskets").tuples == stored
 
 
 class TestObservability:
