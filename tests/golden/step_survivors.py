@@ -79,6 +79,19 @@ WEIGHTED = (
     "answer(B,W) :- baskets(B,$1) AND baskets(B,$2) AND importance(B,W) "
     "AND $1 < $2"
 )
+#: ``I`` is existential with one witness per other item in the basket:
+#: SUM must add each (B, W) answer row once, not once per witness.
+WEIGHTED_OTHER_ITEM = (
+    "answer(B,W) :- baskets(B,$1) AND baskets(B,I) AND importance(B,W) "
+    "AND $1 != I"
+)
+#: The second branch's answer is a subset of the first's: the union
+#: must count each shared row once.
+BASKET_OVERLAP = "\n".join([
+    BASKET,
+    "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND importance(B,W) "
+    "AND W >= 30 AND $1 < $2",
+])
 
 #: (case name, catalog, rules, filter)
 CASES = [
@@ -101,6 +114,17 @@ CASES = [
     ("weighted_max_ge", weighted_db, WEIGHTED, "MAX(answer.W) >= 30"),
     ("weighted_count_and_sum", weighted_db, WEIGHTED,
      "COUNT(answer.B) >= 2 AND SUM(answer.W) >= 45"),
+    # The answer's distinct rows: an existential with several
+    # witnesses, overlapping union branches, a constant head term and a
+    # repeated head variable.
+    ("weighted_sum_existential", weighted_db, WEIGHTED_OTHER_ITEM,
+     "SUM(answer.W) >= 90"),
+    ("basket_union_overlap", weighted_db, BASKET_OVERLAP,
+     "COUNT(answer(*)) >= 3"),
+    ("basket_constant_head", weighted_db, BASKET.replace("(B)", "(B,1)", 1),
+     "COUNT(answer(*)) >= 2"),
+    ("basket_repeated_head", weighted_db, BASKET.replace("(B)", "(B,B)", 1),
+     "COUNT(answer(*)) >= 2"),
 ]
 
 #: Cases also mined with ``strategy="dynamic"`` (single-rule, monotone).
