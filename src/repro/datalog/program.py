@@ -42,7 +42,6 @@ from ..relational.relation import Relation
 from .atoms import RelationalAtom
 from .query import ConjunctiveQuery
 from .safety import assert_safe
-from .terms import Variable
 
 
 @dataclass(frozen=True)
@@ -107,9 +106,11 @@ class Program:
         """Evaluate every view; return a scratch database containing the
         base relations plus the materialized intermediates.
 
-        View columns are named after the head variables (constants get
-        positional ``_const<i>`` names), so flock subgoals over the view
-        join exactly as over a base relation.
+        View columns are the first rule's output labels
+        (:func:`~repro.engine.planner.lower_rule`'s: the head variables,
+        with positional ``_const<i>`` names for constants and ``_h<i>``
+        for a repeated variable's later occurrences), so flock subgoals
+        over the view join exactly as over a base relation.
         """
         scratch = db.scratch()
         by_head: dict[str, list[ConjunctiveQuery]] = {}
@@ -122,10 +123,7 @@ class Program:
             for rule in by_head[predicate]:
                 result = evaluate_conjunctive(scratch, rule)
                 if columns is None:
-                    columns = tuple(
-                        str(t) if isinstance(t, Variable) else f"_const{i}"
-                        for i, t in enumerate(rule.head_terms)
-                    )
+                    columns = result.columns
                 # Align positionally: later rules may use different
                 # variable names.
                 branch_results.append(Relation(predicate, columns, result.tuples))

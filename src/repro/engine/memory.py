@@ -4,9 +4,12 @@ Executes a :class:`~repro.engine.ir.PhysicalPlan` stage by stage, each
 stage through one body: the join's row-index pairs
 (:class:`~repro.relational.operators.JoinPairs`), one keep-mask per
 attached filter (:meth:`MemoryEngine._filter_mask`: comparison mask,
-membership mask, ground negation), one trace row and observation —
-then a gather (:meth:`MemoryEngine.run_stage`) or, for the last stage
-of a support step, a count per group (:meth:`MemoryEngine.count_join`).
+membership mask, ground negation), one trace row and observation.
+Every stage but a branch's last is gathered
+(:meth:`MemoryEngine.run_stage`) for the next join; the last is kept as
+index pairs (:meth:`MemoryEngine._run_branch`) and the branch's output
+is read through them (:meth:`MemoryEngine._answer`): a FILTER step
+groups those rows where they are, and a rule plan gathers them once.
 Binding relations are cached per engine instance, so a union's branches
 (or a dynamic re-plan) never rebuild the same scan twice.  Every
 relation the engine touches is in its catalog's code space
@@ -27,20 +30,15 @@ the engine itself never decides to filter.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import not_
+from operator import itemgetter, not_
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..datalog.atoms import RelationalAtom
-from ..datalog.terms import Constant, is_bindable
+from ..datalog.terms import Constant
 from ..guard import ExecutionGuard, GuardLike, as_guard
-from ..relational.aggregates import (
-    count_groups,
-    relation_group_values,
-    survivor_relations,
-)
+from ..relational.aggregates import group_values, survivor_relations
 from ..relational.binding import (
     atom_binding_relation,
     comparison_mask,
@@ -70,8 +68,8 @@ class StepResult:
     ``result`` is the materialized survivor relation; ``passed`` keeps
     the surviving groups *with* their aggregate columns (what the
     session cache stores) and is ``None`` unless the caller asked for
-    aggregates; ``answer_tuples`` is the size of the unioned rule result
-    (counted, not materialised, for a support step).  ``mode`` and
+    aggregates; ``answer_tuples`` is the number of distinct rows of the
+    unioned rule result.  ``mode`` and
     ``partition_sizes`` say how a partitioned runner executed it.
     """
 
@@ -227,41 +225,6 @@ class MemoryEngine:
             if self.guard is not None:
                 self.guard.checkpoint(rows=len(pairs), node=node)
 
-    def count_join(
-        self,
-        current: Relation,
-        stage: JoinStage,
-        leaf: Relation | None,
-        group_by: Sequence[str],
-        target: Sequence[str],
-        semi_joins: Sequence[JoinStage] = (),
-    ) -> tuple[Counter, int]:
-        """:meth:`run_stage` for the last stage of a support step,
-        counted instead of materialised: ``(COUNT of distinct target
-        sub-tuples per group key, output rows)``.
-
-        The stage body (:meth:`_stage_pairs`) leaves the surviving
-        index pairs; ``semi_joins`` are trailing stages that bind no new
-        column (a static plan's ok-atoms), each one more membership
-        mask with its own observation; the surviving rows' group keys
-        go straight into one Counter (see
-        :func:`~repro.relational.aggregates.count_groups`) — no joined
-        relation is built.  Keys are codes.
-        """
-        pairs = self._stage_pairs(current, stage, leaf)
-        for semi in semi_joins:
-            trip("relational.join")
-            started, before = time.perf_counter(), len(pairs)
-            scan = self._filtered_scan(semi, None)
-            pairs.keep(member_mask(
-                scan, scan.columns, [pairs.column(c) for c in scan.columns]
-            ))
-            self._observe(semi, before, len(pairs), started)
-        counts = count_groups(
-            pairs.column, group_by, target, pairs.columns, len(pairs)
-        )
-        return counts, len(pairs)
-
     def _filter_mask(
         self, op: CompareFilter | AntiJoin, column: ColumnReader, rows: int
     ) -> Iterable[bool]:
@@ -326,61 +289,97 @@ class MemoryEngine:
     def _leaf(self, branch: PhysicalPlan, position: int, dynamic):
         return None if dynamic is None else dynamic.leaf(self, branch, position)
 
-    def run_plan(self, plan: PhysicalPlan, dynamic=None) -> Relation:
-        """Execute one rule plan end to end, including materialization
-        (under ``dynamic``'s decisions when given, see :meth:`run_step`)."""
-        self._verify_before_execution(plan)
-        current, plan = self._run_stages(plan, len(plan.stages), dynamic)
-        if plan.unit_filters:
-            pairs = JoinPairs(unit_relation(), current, self.db.dictionary)
-            self._keep_filters(pairs, plan.unit_filters, "unit filter")
-            current = pairs.relation()
-        return self.materialize(current, plan.root)
-
-    def materialize(self, current: Relation, root: Materialize) -> Relation:
-        """Project onto the output terms under the plan's labels,
-        re-inserting constant head terms positionally (interned, so the
-        output stays in code space)."""
-        dictionary = self.db.dictionary
-        cols = current.code_columns()
-        n = len(current)
-        positions: list[int] = []
-        constants: list[tuple[int, int]] = []  # (output index, code)
-        for i, term in enumerate(root.output_terms):
-            if isinstance(term, Constant):
-                constants.append((i, dictionary.intern(term.value)))
-            else:
-                positions.append(current.column_position(term_column(term)))
-
-        if len(set(positions)) == len(cols):
-            # Output covers every column: rows stay distinct.
-            codes = [cols[p] for p in positions]
-            for i, code in constants:
-                codes.insert(i, [code] * n)
-            return Relation.from_encoded(
-                root.name, root.columns, codes, dictionary, count=n
-            )
-
-        # The projection drops columns: deduplicate the bindable part
-        # (codes are equality-faithful, so code-distinct is
-        # value-distinct), then re-insert constants (which cannot split
-        # groups).
-        if not positions:
-            rows: set[tuple] = {()} if n else set()
-        elif len(positions) == 1:
-            rows = {(v,) for v in cols[positions[0]]}
+    def _run_branch(
+        self, branch: PhysicalPlan, dynamic=None
+    ) -> tuple[JoinPairs, Materialize]:
+        """One rule branch up to its last join, left as index pairs:
+        the stage loop, the last stage's body, then each trailing stage
+        that binds no new column (a static plan's ok-atoms) as one more
+        membership mask with its own observation — a re-plan may
+        reorder a dynamic branch's suffix, so it has no such tail.  A
+        branch with no stages is the unit relation's one pair; its
+        unit filters are masks like any other.  Returns the pairs and
+        the root of the branch that ran."""
+        last = len(branch.stages) - 1
+        if dynamic is None:
+            last -= _semi_join_tail(branch.stages)
+        if last < 0:
+            pairs = JoinPairs(unit_relation(), unit_relation(), self.db.dictionary)
         else:
-            rows = set(zip(*(cols[p] for p in positions)))
-        if constants:
-            out_rows = set()
-            for row in rows:
-                values = list(row)
-                for i, code in constants:
-                    values.insert(i, code)
-                out_rows.add(tuple(values))
-            rows = out_rows
-        return Relation.from_code_rows(
-            root.name, root.columns, rows, dictionary
+            current, branch = self._run_stages(branch, last, dynamic)
+            pairs = self._stage_pairs(
+                current, branch.stages[last], self._leaf(branch, last, dynamic)
+            )
+        for semi in branch.stages[last + 1:]:
+            trip("relational.join")
+            started, before = time.perf_counter(), len(pairs)
+            scan = self._filtered_scan(semi, None)
+            pairs.keep(member_mask(
+                scan, scan.columns, [pairs.column(c) for c in scan.columns]
+            ))
+            self._observe(semi, before, len(pairs), started)
+        self._keep_filters(pairs, branch.unit_filters, "unit filter")
+        return pairs, branch.root
+
+    def _output(self, pairs: JoinPairs, root: Materialize) -> ColumnReader:
+        """``root``'s output columns read through ``pairs`` by label:
+        a variable's pair column, or a constant repeated (interned, so
+        the output stays in code space).  Rows may repeat when the
+        output drops a pair column."""
+        terms = dict(zip(root.columns, root.output_terms))
+        dictionary = self.db.dictionary
+
+        def column(name: str, decode: bool = False) -> Iterable:
+            term = terms[name]
+            if not isinstance(term, Constant):
+                return pairs.column(term_column(term), decode)
+            codes = repeat(dictionary.intern(term.value), len(pairs))
+            return dictionary.decode_column(codes) if decode else codes
+
+        return column
+
+    def _answer(
+        self, parts: Sequence[tuple[JoinPairs, Materialize]]
+    ) -> tuple[ColumnReader, int]:
+        """The distinct output rows of ``parts`` (branches run by
+        :meth:`_run_branch`, whose roots share their column labels), as
+        a column reader and a row count.
+
+        One branch whose output keeps every pair column is read in
+        place: a join of sets is a set.  Otherwise the branches' rows
+        collapse into one set of code tuples (codes are
+        equality-faithful, so code-distinct is value-distinct): that
+        drops existential variables' extra witnesses — what makes a SUM
+        over the rows the paper's set aggregate, not a bag one — and
+        across branches it *is* the union.  The set's columns are read
+        in place, one ``itemgetter`` pass each.
+        """
+        if len(parts) == 1 and _covers(*parts[0]):
+            pairs, root = parts[0]
+            return self._output(pairs, root), len(pairs)
+        rows: set[tuple[int, ...]] = set()
+        for pairs, root in parts:
+            read = self._output(pairs, root)
+            columns = [read(c) for c in root.columns]
+            rows.update(zip(*columns) if columns else repeat((), len(pairs)))
+        position = {c: i for i, c in enumerate(parts[0][1].columns)}
+        decode_column = self.db.dictionary.decode_column
+
+        def column(name: str, decode: bool = False) -> Iterable:
+            codes = map(itemgetter(position[name]), rows)
+            return decode_column(codes) if decode else codes
+
+        return column, len(rows)
+
+    def run_plan(self, plan: PhysicalPlan) -> Relation:
+        """Execute one rule plan end to end: its distinct output rows
+        (:meth:`_answer`) gathered once, under the plan's labels."""
+        self._verify_before_execution(plan)
+        column, rows = self._answer([self._run_branch(plan)])
+        root = plan.root
+        return Relation.from_encoded(
+            root.name, root.columns, [list(column(c)) for c in root.columns],
+            self.db.dictionary, count=rows,
         )
 
     # ------------------------------------------------------------------
@@ -388,10 +387,9 @@ class MemoryEngine:
     # ------------------------------------------------------------------
 
     def run_answer(self, step: StepPlan) -> Relation:
-        """The unioned answer relation of a step's rule branches (the
-        guard is polled after each branch of a union).  A union's
-        branches merge as code tuples, so its answer stays in code space
-        like every other step's."""
+        """The unioned answer relation of a step's rule branches, built
+        through :meth:`run_plan` — the materialised reference the tests
+        compare :meth:`run_step` against; no engine path calls it."""
         if len(step.branches) == 1:
             return self.run_plan(step.branches[0]).with_name("answer")
         rows: set[tuple[int, ...]] = set()
@@ -411,13 +409,15 @@ class MemoryEngine:
         """Execute one FILTER step end to end — the serial step body
         every in-memory path shares.
 
-        A support step (:func:`support_shape`) runs its join stages but
-        counts the last one (:meth:`count_join`): its answer is never
-        materialised.  Any other step materialises the answer and
-        aggregates it once per conjunct.  Either way
-        :func:`~repro.relational.aggregates.survivor_relations` picks the
-        surviving groups; ``passed`` (survivors with their ``_agg``
-        columns) is built only when ``need_aggregates``.
+        Each rule branch runs to its last join's index pairs
+        (:meth:`_run_branch`); the answer is read through them — in
+        place, or collapsed to its distinct rows (:meth:`_answer`) —
+        and never gathered.  One
+        :func:`~repro.relational.aggregates.group_values` map per filter
+        conjunct (a guard checkpoint after each) feeds
+        :func:`~repro.relational.aggregates.survivor_relations`, which
+        picks the surviving groups; ``passed`` (survivors with their
+        ``_agg`` columns) is built only when ``need_aggregates``.
 
         ``dynamic`` is the Section 4.4 decision policy
         (:class:`~repro.flocks.dynamic.DynamicEvaluator`) for a
@@ -426,66 +426,43 @@ class MemoryEngine:
         for each stage's (possibly FILTERed) binding relation and
         ``joined(engine, branch, position, current)`` for the (possibly
         FILTERed) join result and the (possibly re-lowered) remaining
-        stages; ``root(rows, survivors)`` closes it.  A re-plan may
-        reorder the suffix, so only the last stage is counted then (no
-        semi-join tail).
+        stages; ``root(rows, survivors)`` closes it with the last
+        stage's pair count.
         """
         self._verify_before_execution(step)
         if dynamic is not None:
             step = dynamic.begin(step)
-        shape = support_shape(step)
-        conditions = step.threshold.conditions
-        if shape is None:
-            answer = (
-                self.run_answer(step) if dynamic is None
-                else self.run_plan(step.branches[0], dynamic)
-            )
-            rows = answer_tuples = len(answer)
-            self._step_checkpoint(step, rows)
-            spec = {s.column: s for s in step.group.aggregates}
-            values = []
-            for _, column in conditions:
-                values.append(relation_group_values(
-                    answer, step.group.group_by, spec[column].fn,
-                    spec[column].target,
-                ))
-                if self.guard is not None:
-                    self.guard.checkpoint(rows=len(values[-1]), node=column)
-        else:
-            group_by, target = shape
-            branch = step.branches[0]
-            counted = len(branch.stages) - 1
-            if dynamic is None:
-                counted -= _semi_join_tail(branch.stages)
-            current, branch = self._run_stages(branch, counted, dynamic)
-            counts, rows = self.count_join(
-                current, branch.stages[counted],
-                self._leaf(branch, counted, dynamic), group_by, target,
-                branch.stages[counted + 1:],
-            )
-            answer_tuples = sum(counts.values())  # one per (key, target)
-            self._step_checkpoint(step, answer_tuples)
-            values = [counts]
-        result, passed = survivor_relations(
-            values, [condition for condition, _ in conditions],
-            step.root.columns, step.root.name, self.db.dictionary,
-            [column for _, column in conditions] if need_aggregates else None,
-        )
-        outcome = StepResult(result, passed, answer_tuples)
-        if dynamic is not None:
-            dynamic.root(rows, len(outcome.result))
-        return outcome
-
-    def _step_checkpoint(self, step: StepPlan, answer_tuples: int) -> None:
+        parts = [self._run_branch(branch, dynamic) for branch in step.branches]
+        column, answer_tuples = self._answer(parts)
         if self.guard is not None:
             self.guard.checkpoint(
                 rows=answer_tuples, node=f"step:{step.result_name}"
             )
+        spec = {s.column: s for s in step.group.aggregates}
+        conditions = step.threshold.conditions
+        values = []
+        for _, name in conditions:
+            values.append(group_values(
+                column, step.group.group_by, spec[name].fn, spec[name].target,
+                step.answer_columns, answer_tuples,
+            ))
+            if self.guard is not None:
+                self.guard.checkpoint(rows=len(values[-1]), node=name)
+        result, passed = survivor_relations(
+            values, [condition for condition, _ in conditions],
+            step.root.columns, step.root.name, self.db.dictionary,
+            [name for _, name in conditions] if need_aggregates else None,
+        )
+        outcome = StepResult(result, passed, answer_tuples)
+        if dynamic is not None:
+            dynamic.root(len(parts[0][0]), len(outcome.result))
+        return outcome
 
 
 def _semi_join_tail(stages: Sequence[JoinStage]) -> int:
     """How many trailing stages bind no new column (a static plan's
-    ok-atoms): semi-joins the counting join applies as masks."""
+    ok-atoms): semi-joins :meth:`MemoryEngine._run_branch` applies as
+    masks."""
     n = 0
     while n + 1 < len(stages):
         stage, before = stages[-1 - n], stages[-2 - n]
@@ -496,40 +473,13 @@ def _semi_join_tail(stages: Sequence[JoinStage]) -> int:
     return n
 
 
-def support_shape(step: StepPlan) -> tuple[list[str], list[str]] | None:
-    """``(group columns, COUNT target columns)`` in the last join
-    stage's column names when the step is counted, else ``None`` — a
-    property of the lowered plan.
-
-    Counted: one rule branch with join stages, a threshold of one
-    support conjunct (``COUNT >= k`` / ``COUNT > k``), and a COUNT
-    target that is the whole answer tuple beyond the group key, so each
-    distinct (key, target) pair is one answer tuple.  Unions, other
-    filters and narrower targets materialise the answer.
-    """
-    conditions = step.threshold.conditions
-    if len(conditions) != 1 or len(step.branches) != 1:
-        return None
-    support = getattr(conditions[0][0], "is_support_condition", False)
-    (branch,) = step.branches
-    column_of = {
-        label: term_column(term)
-        for label, term in zip(branch.root.columns, branch.root.output_terms)
-        if is_bindable(term)
+def _covers(pairs: JoinPairs, root: Materialize) -> bool:
+    """Whether ``root``'s output keeps every column of ``pairs`` — then
+    its rows are as distinct as the pairs."""
+    kept = {
+        term_column(t) for t in root.output_terms if not isinstance(t, Constant)
     }
-    if not support or not branch.stages or not all(
-        c in column_of for c in step.group.group_by
-    ):
-        return None
-    group_by = [column_of[c] for c in step.group.group_by]
-
-    def underlying(labels: Sequence[str]) -> set[str]:
-        return {column_of[c] for c in labels if c in column_of} - set(group_by)
-
-    target = underlying(step.group.aggregates[0].target)
-    if target != underlying(step.answer_columns):
-        return None
-    return group_by, sorted(target)
+    return kept >= set(pairs.columns)
 
 
 class MemoryRunner:

@@ -181,7 +181,8 @@ def lower_rule(
         query: a safe extended conjunctive query.
         output_terms: terms to project onto; defaults to the head terms.
         output_columns: labels for the output columns; defaults to the
-            rendered terms (constants become ``_const{i}``).
+            rendered terms (constants become ``_const{i}``, and a
+            repeated term's later occurrences ``_h{i}``).
         join_order: explicit positive-subgoal order (wins over
             ``order_strategy``).
         order_strategy: ``"greedy"``, ``"selinger"`` or ``"ues"``.
@@ -326,7 +327,8 @@ def _lower_materialize(
                 raise EvaluationError(
                     f"output term {term} is not bound by any positive subgoal"
                 )
-            labels.append(column)
+            # A repeated term keeps its labels unique positionally.
+            labels.append(column if column not in labels else f"_h{i}")
         else:
             labels.append(f"_const{i}")
     if output_columns is not None:

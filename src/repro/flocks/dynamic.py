@@ -17,7 +17,8 @@ after each join whether inserting a FILTER step would pay:
   tuples-per-assignment ratio dropped significantly since the last
   filter opportunity for that set;
 * the root must always be filtered — that final FILTER *is* the flock's
-  answer, and it is the step's own (counted for a support flock).
+  answer, and it is the step's own group-by over the last join's index
+  pairs.
 
 Watching sizes enables one more dynamic move the static strategies
 cannot make: when the observed size of an intermediate relation

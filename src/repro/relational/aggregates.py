@@ -6,7 +6,9 @@ GROUP BY over the parameter columns with an aggregate over the answer
 columns, exactly the SQL ``HAVING`` pattern of the paper's Fig. 1.
 
 :func:`group_values` computes one aggregate per group key, over any
-column reader (a relation's, or a counting join's);
+column reader — the in-memory step's answer, read through its last
+join's index pairs or its distinct rows, or a relation's
+(:func:`relation_group_values`);
 :func:`survivor_relations` applies a filter's conjuncts to those values
 and builds the surviving groups in canonical order — the one place an
 in-memory FILTER picks its survivors.  :func:`group_aggregate` is the

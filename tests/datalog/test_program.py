@@ -90,6 +90,11 @@ class TestMaterialize:
         scratch = materialize_views(db, [r1, r2])
         assert scratch.get("v").tuples == frozenset({(1,), (2,)})
 
+    def test_repeated_head_variable(self):
+        db = database_from_dict({"b": (("B", "I"), [("x", 1), ("x", 2), ("y", 1)])})
+        scratch = materialize_views(db, [parse_rule("v(B,B) :- b(B,I)")])
+        assert scratch.get("v").tuples == frozenset({("x", "x"), ("y", "y")})
+
     def test_layered_views(self):
         db = database_from_dict({"r": (("X", "Y"), [(1, 2), (2, 3)])})
         hop1 = parse_rule("hop1(X, Z) :- r(X, Y) AND r(Y, Z)")

@@ -50,16 +50,14 @@ def test_group_filter_aborts_between_aggregates(db, monkeypatch):
 
     cancel = CancellationToken()
     calls = []
-    real_group_values = memory_module.relation_group_values
+    real_group_values = memory_module.group_values
 
     def cancelling_aggregate(*args):
         calls.append(1)
         cancel.cancel()  # the client goes away mid-kernel
         return real_group_values(*args)
 
-    monkeypatch.setattr(
-        memory_module, "relation_group_values", cancelling_aggregate
-    )
+    monkeypatch.setattr(memory_module, "group_values", cancelling_aggregate)
     engine = MemoryEngine(db, guard=ExecutionGuard(cancel=cancel))
     with pytest.raises(ExecutionCancelled):
         engine.run_step(step_plan, need_aggregates=True)
@@ -74,7 +72,7 @@ def test_group_filter_unguarded_engine_still_completes(db):
 
 
 def pair_step_plan(db):
-    """A support step whose counted last stage carries two filters."""
+    """A support step whose last stage carries two filters."""
     query = rule(
         "answer", ["B"],
         [atom("r", "B", "$1"), atom("r", "B", "$2"),
@@ -87,7 +85,7 @@ def pair_step_plan(db):
 
 
 def test_counting_pass_aborts_between_filter_masks(db, monkeypatch):
-    """Cancel lands while the first mask of the counted stage is being
+    """Cancel lands while the first mask of the last stage is being
     built: the second mask and the counting must never run."""
     cancel = CancellationToken()
     masks, counted = [], []
@@ -100,7 +98,7 @@ def test_counting_pass_aborts_between_filter_masks(db, monkeypatch):
 
     monkeypatch.setattr(MemoryEngine, "_filter_mask", cancelling_mask)
     monkeypatch.setattr(
-        memory_module, "count_groups", lambda *a: counted.append(1)
+        memory_module, "group_values", lambda *a: counted.append(1)
     )
     engine = MemoryEngine(db, guard=ExecutionGuard(cancel=cancel))
     with pytest.raises(ExecutionCancelled):
@@ -109,12 +107,12 @@ def test_counting_pass_aborts_between_filter_masks(db, monkeypatch):
 
 
 def test_counting_pass_trips_row_budget(db, monkeypatch):
-    """The counted stage's surviving rows are checked against the budget
+    """The last stage's surviving rows are checked against the budget
     after each mask, before anything is counted: the first stage scans
-    12 rows, the counted one keeps 4 baskets x 6 ordered pairs = 24."""
+    12 rows, the last one keeps 4 baskets x 6 ordered pairs = 24."""
     counted = []
     monkeypatch.setattr(
-        memory_module, "count_groups", lambda *a: counted.append(1)
+        memory_module, "group_values", lambda *a: counted.append(1)
     )
     engine = MemoryEngine(
         db, guard=ResourceBudget(max_intermediate_rows=20).start()

@@ -1,17 +1,21 @@
-"""The counting join: the last stage of a support step is counted,
-never materialised — in the executor's step body and at the dynamic
-strategy's root alike."""
+"""The last join stage of every step is read as index pairs, never
+gathered — for every step kind, in the executor's step body and at the
+dynamic strategy's root alike; no engine path builds the answer
+relation (``run_answer`` / ``run_plan``) or groups one
+(``relation_group_values``)."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.relational.aggregates as aggregates
 from repro.datalog import UnionQuery, atom, comparison, negated, rule
-from repro.engine.memory import MemoryEngine, support_shape
+from repro.engine.memory import MemoryEngine
 from repro.flocks import QueryFlock, parse_filter, single_step_plan
 from repro.flocks.dynamic import evaluate_flock_dynamic
 from repro.flocks.executor import lower_filter_step
 from repro.relational import database_from_dict
+from repro.relational.operators import JoinPairs
 
 from tests.survivor_oracle import survivors
 
@@ -40,51 +44,75 @@ def flock(body=PAIR, head=("B",), condition="COUNT(answer.B) >= 2"):
     return QueryFlock(rule("answer", list(head), body), parse_filter(condition))
 
 
-@pytest.mark.parametrize(
-    "make, counted",
-    [
-        (lambda: flock(), True),
-        (lambda: flock(condition="COUNT(answer(*)) > 1"), True),
-        # An existential variable (I) the target does not cover.
-        (lambda: flock([atom("r", "B", "$1"), atom("s", "$1", "C")]), True),
-        # The target is narrower than the head: materialised.
-        (lambda: flock([atom("r", "B", "$1"), atom("s", "$1", "C")],
-                       head=("B", "C")), False),
-        (lambda: flock(condition="SUM(answer.B) >= 2"), False),
-        (lambda: flock(condition="MAX(answer.B) >= 2"), False),
-        (lambda: flock(condition="COUNT(answer.B) >= 1 AND COUNT(answer.B) >= 2"),
-         False),
-        (lambda: QueryFlock(
-            UnionQuery((rule("answer", ["B"], PAIR[:2]),
-                        rule("answer", ["B"], PAIR))),
-            parse_filter("COUNT(answer(*)) >= 2"),
-        ), False),
-    ],
-)
-def test_support_shape_is_a_plan_property(db, make, counted):
-    assert (support_shape(step_plan(db, make())) is not None) is counted
-
-
 @pytest.fixture
 def join_log(monkeypatch):
-    """Every materialised join (a stage whose left side has columns)
-    and counted stage the engine runs, in order."""
-    events = []
+    """Every gathered join (a ``run_stage`` whose left side has columns)
+    and every stage body left as index pairs (``("last", stage)``), in
+    order.  A gather outside ``run_stage``, or building or grouping an
+    answer relation, fails the test."""
+    events, gathering = [], []
     real_stage = MemoryEngine.run_stage
-    real_count = MemoryEngine.count_join
+    real_pairs = MemoryEngine._stage_pairs
+    real_gather = JoinPairs.relation
 
     def joining(self, current, stage, *args):
         if current.columns:
             events.append("join")
-        return real_stage(self, current, stage, *args)
+        gathering.append(stage)
+        try:
+            return real_stage(self, current, stage, *args)
+        finally:
+            gathering.pop()
 
-    def counting(self, current, stage, *args):
-        events.append(("count", stage))
-        return real_count(self, current, stage, *args)
+    def pairing(self, current, stage, leaf):
+        if not gathering:
+            events.append(("last", stage))
+        return real_pairs(self, current, stage, leaf)
+
+    def gather(self, *args):
+        assert gathering, "a stage was gathered outside run_stage"
+        return real_gather(self, *args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the step built or grouped an answer relation")
 
     monkeypatch.setattr(MemoryEngine, "run_stage", joining)
-    monkeypatch.setattr(MemoryEngine, "count_join", counting)
+    monkeypatch.setattr(MemoryEngine, "_stage_pairs", pairing)
+    monkeypatch.setattr(JoinPairs, "relation", gather)
+    monkeypatch.setattr(MemoryEngine, "run_answer", forbidden)
+    monkeypatch.setattr(MemoryEngine, "run_plan", forbidden)
+    monkeypatch.setattr(aggregates, "relation_group_values", forbidden)
     return events
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: flock(),
+        lambda: flock(condition="COUNT(answer(*)) > 1"),
+        # An existential variable (I) the target does not cover.
+        lambda: flock([atom("r", "B", "$1"), atom("s", "$1", "C")]),
+        # The target is narrower than the head.
+        lambda: flock([atom("r", "B", "$1"), atom("s", "$1", "C")],
+                      head=("B", "C")),
+        lambda: flock(condition="SUM(answer.B) >= 2"),
+        lambda: flock(condition="MAX(answer.B) >= 2"),
+        lambda: flock(condition="COUNT(answer.B) >= 1 AND COUNT(answer.B) >= 2"),
+        lambda: QueryFlock(
+            UnionQuery((rule("answer", ["B"], PAIR[:2]),
+                        rule("answer", ["B"], PAIR))),
+            parse_filter("COUNT(answer(*)) >= 2"),
+        ),
+    ],
+)
+def test_run_step_never_gathers_its_last_stage(db, join_log, make):
+    plan = step_plan(db, make())
+    for need_aggregates in (False, True):
+        join_log.clear()
+        outcome = MemoryEngine(db).run_step(plan, need_aggregates)
+        last = [event[1] for event in join_log if event != "join"]
+        assert last == [branch.stages[-1] for branch in plan.branches]
+        assert len(outcome.result) > 0
 
 
 @pytest.mark.parametrize("need_aggregates", [False, True])
@@ -93,29 +121,31 @@ def test_run_step_never_joins_the_final_stage(db, join_log, need_aggregates):
     stages = plan.branches[0].stages
     outcome = MemoryEngine(db).run_step(plan, need_aggregates=need_aggregates)
     # The first stage reads its scan in place (the unit relation is the
-    # join's identity); every later one joins, but the last is counted.
-    assert join_log == ["join"] * (len(stages) - 2) + [("count", stages[-1])]
+    # join's identity); every later one joins, but the last is read as
+    # index pairs.
+    assert join_log == ["join"] * (len(stages) - 2) + [("last", stages[-1])]
     assert len(outcome.result) > 0
 
 
 def test_dynamic_root_never_joins(db, join_log):
     result, trace = evaluate_flock_dynamic(db, flock())
-    assert join_log[-1][0] == "count"
-    assert "join" not in join_log  # two stages: a scan, then the count
+    assert join_log[-1][0] == "last"
+    assert "join" not in join_log  # two stages: a scan, then the pairs
     assert trace.decisions[-1].node == "root"
     assert trace.decisions[-1].size_after == len(result.relation)
 
 
-def test_fallback_still_materialises(db, join_log):
+def test_sum_step_never_joins_the_final_stage(db, join_log):
     plan = step_plan(db, flock(condition="SUM(answer.B) >= 2"))
+    stages = plan.branches[0].stages
     MemoryEngine(db).run_step(plan)
-    assert join_log == ["join"] * (len(plan.branches[0].stages) - 1)
+    assert join_log == ["join"] * (len(stages) - 2) + [("last", stages[-1])]
 
 
-def test_trailing_semi_joins_are_counted_masks(db, join_log):
+def test_trailing_semi_joins_are_counted_masks(db, join_log, monkeypatch):
     """A static plan's ok-atom that joins after its column is bound
-    (``okb($2)`` here) is a semi-join: a mask in the counting pass, not
-    a natural join, with its own stage observation."""
+    (``okb($2)`` here) is a semi-join: a mask on the last stage's
+    pairs, not a natural join, with its own stage observation."""
     db = db.scratch()
     db.add(database_from_dict({"oka": (("I",), {(1,)})}).get("oka"))
     db.add(database_from_dict({"okb": (("I",), {(2,), (3,)})}).get("okb"))
@@ -127,7 +157,8 @@ def test_trailing_semi_joins_are_counted_masks(db, join_log):
     assert [s.scan.atom.predicate for s in stages] == ["oka", "r", "r", "okb"]
     engine = MemoryEngine(db)
     outcome = engine.run_step(plan)
-    assert join_log == ["join", ("count", stages[2])]
+    assert join_log == ["join", ("last", stages[2])]
+    monkeypatch.undo()  # the reference builds the answer
     reference = MemoryEngine(db)
     answer = reference.run_answer(plan)
     assert outcome.result == survivors(answer, plan)[0]

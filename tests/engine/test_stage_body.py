@@ -1,8 +1,10 @@
 """The one stage body: index pairs, then one keep-mask per attached
-filter, then a gather (``run_stage``) or a count (``count_join``).
+filter, then a gather (``run_stage``) — or, for a branch's last stage,
+nothing: its pairs are read where they are (``_run_branch``).
 
-Each filter kind sits once on a materialised intermediate stage and
-once on the counted stage of a support step.  Survivors are checked
+Each filter kind sits once on a gathered intermediate stage
+(``materialised``) and once on the last stage of a support step
+(``counted``: its groups are counted through the pairs).  Survivors are checked
 against ``tests/survivor_oracle.py`` and every stage's observed
 ``actual`` against a set comprehension over the decoded base rows —
 neither reference shares code with the engine's kernels.
@@ -52,8 +54,8 @@ def db():
 
 def layout(kind, where, db):
     """``kind``'s extra body subgoals, and its stages as (atom, attached
-    subgoals, scan filters) in execution order, with the filter on the
-    materialised intermediate stage or on the counted stage."""
+    subgoals, scan filters) in execution order, with the filter on a
+    gathered intermediate stage or on the last stage."""
     at = 1 if where == "materialised" else 2
     if kind == "semi-join tail":
         atoms = [R1, R2, OK, S] if where == "materialised" else [R1, R2, S, OK]
@@ -149,15 +151,25 @@ def reference_stages(db, stages):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """The stage and semi-join tail each ``count_join`` call counts."""
-    calls = []
-    real = MemoryEngine.count_join
+    """Per ``_run_branch`` call: the last stage whose body ran, and the
+    trailing stages it applied as masks instead (the semi-join tail)."""
+    calls, bodies = [], []
+    real_branch = MemoryEngine._run_branch
+    real_pairs = MemoryEngine._stage_pairs
 
-    def spy(self, current, stage, leaf, group_by, target, semi_joins=()):
-        calls.append((stage, tuple(semi_joins)))
-        return real(self, current, stage, leaf, group_by, target, semi_joins)
+    def body(self, current, stage, leaf):
+        bodies.append(stage)
+        return real_pairs(self, current, stage, leaf)
 
-    monkeypatch.setattr(MemoryEngine, "count_join", spy)
+    def branch_spy(self, branch, dynamic=None):
+        outcome = real_branch(self, branch, dynamic)
+        last = bodies[-1]
+        tail = branch.stages[branch.stages.index(last) + 1:]
+        calls.append((last, tuple(tail)))
+        return outcome
+
+    monkeypatch.setattr(MemoryEngine, "_stage_pairs", body)
+    monkeypatch.setattr(MemoryEngine, "_run_branch", branch_spy)
     return calls
 
 
@@ -169,8 +181,8 @@ def test_stage_body_per_filter_kind_and_position(db, counted, kind, where):
     engine = MemoryEngine(db)
     outcome = engine.run_step(step)
 
-    # The filter sits where the parameters say: on the counted stage
-    # (or its semi-join tail), or on a stage materialised before it.
+    # The filter sits where the parameters say: on the last stage (or
+    # its semi-join tail), or on a stage gathered before it.
     (stage, tail), = counted
     filtered = [s for s in branch.stages if s.filters or s.scan_filters]
     if kind == "semi-join tail":

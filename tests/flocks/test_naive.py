@@ -13,6 +13,7 @@ from repro.flocks import (
     support_filter,
 )
 from repro.flocks.executor import lower_filter_step
+from repro.relational import database_from_dict
 
 
 class TestEvaluateFlock:
@@ -123,3 +124,14 @@ class TestBruteForceAgreement:
         fast = evaluate_flock(small_web_db, web_flock)
         slow = evaluate_flock_bruteforce(small_web_db, web_flock)
         assert fast == slow
+
+    def test_repeated_head_variable(self):
+        db = database_from_dict({"b": (("B", "I"), [
+            ("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2), ("c", 1),
+        ])})
+        flock = parse_flock(
+            "QUERY:\nanswer(B,B) :- b(B,$1)\n\nFILTER:\nCOUNT(answer(*)) >= 2\n"
+        )
+        slow = evaluate_flock_bruteforce(db, flock)
+        assert slow == evaluate_flock(db, flock)
+        assert slow.tuples == {(1,), (2,)}

@@ -1,7 +1,7 @@
-"""The goldens notice a broken stage body.
+"""The goldens notice a broken stage body or answer.
 
 Each case seeds one behaviour change into the memory engine's stage
-body, rebuilds both goldens in-process and requires at least one record
+body or the way it reads a step's answer rows, rebuilds both goldens in-process and requires at least one record
 to differ from the committed JSON — so a "same behaviour" refactor that
 passes ``tests/golden/`` has really kept these behaviours.
 """
@@ -9,7 +9,7 @@ passes ``tests/golden/`` has really kept these behaviours.
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import chain, repeat
 
 import pytest
 
@@ -22,6 +22,7 @@ from tests.golden import paper_artifacts, step_survivors
 REAL_COMPARISON_MASK = memory.comparison_mask
 REAL_FILTER_MASK = MemoryEngine._filter_mask
 REAL_OBSERVE = MemoryEngine._observe
+REAL_ANSWER = MemoryEngine._answer
 
 
 def compare_codes(comp, column, rows):
@@ -43,10 +44,27 @@ def observe_one_more(self, stage, before, actual, started):
     return REAL_OBSERVE(self, stage, before, actual + 1, started)
 
 
+def concatenate_branches(self, parts):
+    """Each branch's distinct rows, concatenated: no dedup across the
+    branches of a union."""
+    answers = [REAL_ANSWER(self, [part]) for part in parts]
+
+    def column(name, decode=False):
+        return chain.from_iterable(read(name, decode) for read, _ in answers)
+
+    return column, sum(rows for _, rows in answers)
+
+
 MUTATIONS = {
     "comparisons on codes": (memory, "comparison_mask", compare_codes),
     "NOT keeps every row": (MemoryEngine, "_filter_mask", keep_negated_rows),
     "observed actual + 1": (MemoryEngine, "_observe", observe_one_more),
+    "no dedup for a non-covering branch": (
+        memory, "_covers", lambda pairs, root: True
+    ),
+    "no dedup across union branches": (
+        MemoryEngine, "_answer", concatenate_branches
+    ),
 }
 
 

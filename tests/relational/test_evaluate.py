@@ -179,6 +179,13 @@ class TestEvaluateConjunctive:
         assert (0, 1) in result
         assert (0, 9) not in result
 
+    def test_repeated_head_variable(self):
+        """A head that repeats a variable labels the repeat positionally."""
+        db = database_from_dict({"b": (("B", "I"), [("x", 1), ("x", 2), ("y", 1)])})
+        result = evaluate_conjunctive(db, rule("answer", ["B", "B"], [atom("b", "B", "I")]))
+        assert result.columns == ("B", "_h1")
+        assert result.tuples == {("x", "x"), ("y", "y")}
+
 
 class TestGreedyJoinOrder:
     def test_permutation(self, medical_db, medical_query):
