@@ -1,15 +1,21 @@
-"""``make loc``'s second number: code-only lines under a source tree.
+"""``make loc``'s second and third lines: code-only lines under a source
+tree, and the ``MiningOptions`` inventory.
 
 A line counts when it carries at least one token that is not a comment,
 and is not part of a docstring — so deleting comments or docstrings
 never shows up as a reduction (the simplicity guide does not count it
-as one).  Usage: ``python benchmarks/loc.py src/repro``.
+as one).  The inventory lists every ``mine()`` option field, with the
+number of values of each enumerated one (its CLI ``choices``, or None /
+False / True for an unset-by-default switch), so a PR that grows or
+shrinks the option surface shows it.  Usage: ``python benchmarks/loc.py
+src/repro``.
 """
 
 import ast
 import io
 import sys
 import tokenize
+from dataclasses import fields
 from pathlib import Path
 
 _NOT_CODE = {
@@ -35,7 +41,24 @@ def code_lines(source: str) -> int:
     return len(code - docstrings)
 
 
+def option_inventory() -> str:
+    from repro.flocks.options import MiningOptions
+
+    names = []
+    for option in fields(MiningOptions):
+        cli = option.metadata["cli"]
+        if "choices" in cli:
+            names.append(f"{option.name}({len(cli['choices'])})")
+        elif cli.get("action") == "store_true" and option.default is None:
+            names.append(f"{option.name}(3)")
+        else:
+            names.append(option.name)
+    return f"{len(names):>7} MiningOptions fields: {' '.join(names)}"
+
+
 if __name__ == "__main__":
     root = Path(sys.argv[1])
     total = sum(code_lines(p.read_text()) for p in root.rglob("*.py"))
     print(f"{total:>7} code-only (no blank, comment or docstring lines)")
+    sys.path.insert(0, str(root.resolve().parent))
+    print(option_inventory())

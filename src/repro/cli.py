@@ -142,9 +142,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             "" if db is not None else " (no data directory: no statistics)"
         )
     else:
-        plan, _ = certified_plan(
-            db, flock, gather_statistics=args.strategy == "stats"
-        )
+        plan, _ = certified_plan(db, flock)
         note = f"cost-based plan ({args.strategy})"
     print(f"# {note}")
     print(plan.render(flock))
@@ -476,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="show the chosen query plan")
     plan.add_argument("flock")
     plan.add_argument("data", nargs="?", default=None)
-    plan.add_argument("--strategy", choices=("naive", "optimized", "stats"),
+    plan.add_argument("--strategy", choices=("naive", "optimized"),
                       default="optimized")
     plan.set_defaults(fn=cmd_plan)
 

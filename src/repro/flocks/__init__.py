@@ -15,11 +15,6 @@ from .apriori import (
     itemset_plan,
     itemsets_from_flock_result,
 )
-from .compare import (
-    ComparisonReport,
-    StrategyTiming,
-    compare_strategies,
-)
 from .dynamic import (
     DynamicDecision,
     DynamicEvaluator,
@@ -90,7 +85,6 @@ from .sqlbackend import (
 __all__ = [
     "AssociationRule",
     "BACKENDS",
-    "ComparisonReport",
     "CompositeFilter",
     "Downgrade",
     "DynamicDecision",
@@ -116,11 +110,9 @@ __all__ = [
     "SequenceResult",
     "SequenceStep",
     "StepTrace",
-    "StrategyTiming",
     "apriori_itemsets",
     "baskets_as_sets",
     "chained_plan",
-    "compare_strategies",
     "estimate_rule_size",
     "evaluate_flock",
     "evaluate_flock_bruteforce",

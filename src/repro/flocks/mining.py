@@ -24,12 +24,12 @@ Resilience (this module is the policy layer over :mod:`repro.guard`):
 * **strategy degradation**: when a fancier strategy fails *before
   producing an answer* — plan construction raises
   :class:`~repro.errors.PlanError` / :class:`~repro.errors.FilterError`,
-  or the budget expires mid plan-search — :func:`mine` falls back to
-  the next-cheaper sound strategy (ultimately naive) instead of dying,
-  and records the downgrade in the :class:`MiningReport`.  A budget
-  exhausted during *execution* is not downgraded: re-running a cheaper
-  strategy cannot un-spend the budget, and silently retrying would turn
-  a hard limit into a soft one;
+  or the budget expires mid plan-search — :func:`mine` falls back
+  instead of dying (optimized to dynamic where ``"auto"`` would pick
+  dynamic, anything else to naive) and records the downgrade in the
+  :class:`MiningReport`.  A budget exhausted during *execution* is not
+  downgraded: re-running a cheaper strategy cannot un-spend the budget,
+  and silently retrying would turn a hard limit into a soft one;
 * **backend degradation**: if the SQLite backend fails (after its own
   transient-error retries) the call falls back to the in-memory engine,
   again recording the downgrade;
@@ -89,10 +89,6 @@ from .sqlbackend import SQLiteBackend
 
 if TYPE_CHECKING:
     from ..analysis.certify import BranchCertificate, LegalityCertificate
-
-
-#: Most- to least-sophisticated machinery; degradation walks rightward.
-_STRATEGY_COST_ORDER = ("stats", "optimized", "dynamic", "naive")
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ class MiningReport:
     cache_step_hits: int = 0
     rows_saved: int = 0
     #: The legality certificate of the plan that produced the answer
-    #: (optimized/stats strategies, single-rule and union flocks alike):
+    #: (optimized strategy, single-rule and union flocks alike):
     #: per-step safety reports plus containment witnesses, re-validated
     #: before execution when plan verification is on and re-checkable
     #: with :func:`repro.analysis.verify_certificate`.
@@ -374,27 +370,15 @@ def _choose_strategy(flock: QueryFlock) -> str:
     return "dynamic"
 
 
-def _strategy_sound(flock: QueryFlock, strategy: str) -> bool:
-    """Whether ``strategy`` can produce a correct answer for ``flock``."""
-    if strategy == "naive":
-        return True
-    if not flock.filter.is_monotone:
-        return False  # pruning strategies are unsound
-    if strategy == "dynamic":
-        return not flock.is_union
-    return True  # optimized / stats handle unions via optimize_union
-
-
-def _next_cheaper(flock: QueryFlock, strategy: str) -> str | None:
-    """The next-cheaper *sound* strategy after ``strategy``, or None."""
-    try:
-        index = _STRATEGY_COST_ORDER.index(strategy)
-    except ValueError:
+def _fallback(flock: QueryFlock, used: str) -> str | None:
+    """The strategy that answers when ``used`` fails before producing an
+    answer: optimized falls back to dynamic where that is what ``"auto"``
+    picks, every other strategy to naive, and naive to nothing."""
+    if used == "naive":
         return None
-    for candidate in _STRATEGY_COST_ORDER[index + 1:]:
-        if _strategy_sound(flock, candidate):
-            return candidate
-    return None
+    if used == "optimized" and _choose_strategy(flock) == "dynamic":
+        return "dynamic"
+    return "naive"
 
 
 @dataclass
@@ -409,6 +393,14 @@ class _Attempt:
     certificate: Optional["LegalityCertificate"] = None
     decision_certificates: tuple["BranchCertificate", ...] = ()
     recorder: Optional[CheckpointRecorder] = None
+
+    def abandon_plan(self) -> None:
+        """Forget what a failed strategy's plan left here.  The checkpoint
+        ``recorder`` stays: the manifest it names is on disk and
+        resumable."""
+        self.plan_text = self.decision_text = None
+        self.certificate = None
+        self.decision_certificates = ()
 
 
 def _run_strategy(
@@ -433,7 +425,7 @@ def _run_strategy(
     The strategies are plan producers: naive and dynamic run the
     single-step plan (dynamic on a serial :class:`MemoryRunner` whose
     step body consults the Section 4.4 :class:`DynamicEvaluator`),
-    optimized/stats the searched plan.
+    optimized the searched plan.
 
     ``strategy`` is the one actually run (``options.strategy`` after
     auto-selection and any degradation).  ``sink`` is the session's
@@ -473,10 +465,7 @@ def _run_strategy(
         # PlanError/FilterError *and* budget exhaustion here degrade: no
         # answer work has been lost yet.
         plan, attempt.certificate = supervisor.run(
-            lambda: certified_plan(
-                db, flock, gather_statistics=(strategy == "stats"),
-                guard=guard, sink=sink,
-            ),
+            lambda: certified_plan(db, flock, guard=guard),
             site="plan-search",
         )
         attempt.plan_text = plan.render(flock)
@@ -566,8 +555,8 @@ def mine(
 
     Raises what :class:`MiningOptions` raises for an invalid option or
     combination (``TypeError`` for a keyword that is not an option);
-    :class:`FilterError` when a pruning strategy is requested for a
-    non-monotone filter and no sound fallback exists;
+    :class:`FilterError` when ``resume=`` asks the optimized strategy
+    for a non-monotone filter (resuming never degrades);
     :class:`~repro.errors.BudgetExceededError` /
     :class:`~repro.errors.ExecutionCancelled` when the guard trips
     during execution.
@@ -600,7 +589,7 @@ def mine(
             if not flock.filter.is_monotone:
                 raise FilterError(
                     "checkpoint= requires a plan-based strategy "
-                    "(optimized/stats), but a non-monotone filter can "
+                    "(optimized), but a non-monotone filter can "
                     "only be evaluated naively"
                 )
             used = "optimized"
@@ -670,7 +659,7 @@ def mine(
                     break
                 except (PlanError, FilterError, BudgetExceededError) as error:
                     if isinstance(error, BudgetExceededError) and not (
-                        used in ("optimized", "stats")
+                        used == "optimized"
                         and attempt.plan_text is None
                     ):
                         # The budget died during execution, not mid
@@ -682,7 +671,7 @@ def mine(
                         # manifest's plan; resuming onto it would splice
                         # checkpoints into a different evaluation.
                         raise
-                    fallback = _next_cheaper(flock, used)
+                    fallback = _fallback(flock, used)
                     if fallback is None:
                         raise
                     attempt.downgrades.append(
@@ -692,8 +681,7 @@ def mine(
                         )
                     )
                     used = fallback
-                    attempt.plan_text = None
-                    attempt.decision_text = None
+                    attempt.abandon_plan()
     finally:
         if parallel is not None:
             parallel.close()

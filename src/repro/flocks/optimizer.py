@@ -148,9 +148,7 @@ class FlockOptimizer:
         flock: QueryFlock,
         candidates_per_set: int = 2,
         max_param_set_size: int | None = None,
-        gather_statistics: bool = False,
         guard: GuardLike = None,
-        sink=None,
     ):
         if not flock.filter.is_monotone:
             raise FilterError(
@@ -168,17 +166,6 @@ class FlockOptimizer:
         self.guard = as_guard(guard)
         self.candidates_per_set = candidates_per_set
         self.max_param_set_size = max_param_set_size
-        #: Section 4.4: "we may want to do substantial gathering of
-        #: statistics to support the filter/don't filter decision".
-        #: When enabled, single-subgoal pre-filter candidates are costed
-        #: with their *exact* survivor counts (one cheap group-by scan
-        #: each) instead of the pigeonhole bound.
-        self.gather_statistics = gather_statistics
-        #: Optional session sink: statistics probes first consult the
-        #: session result cache for an exact prior survivor count, and
-        #: publish freshly measured survivor sets for later reuse.
-        self.sink = sink
-        self._exact_ok_cache: dict[str, float] = {}
         self._rule = flock.rules[0]
 
     # ------------------------------------------------------------------
@@ -210,21 +197,8 @@ class FlockOptimizer:
         return estimate_rule_size(self.db, candidate.query)
 
     def estimate_ok_assignments(self, candidate: SubqueryCandidate) -> float:
-        """Estimated output size of a pre-filter step.
-
-        Default: the pigeonhole bound (see module doc).  With
-        ``gather_statistics`` and a single-subgoal candidate, the exact
-        survivor count is measured with one group-by scan and cached —
-        the paper's Section 4.4 statistics gathering.
-        """
-        if self.gather_statistics and len(candidate.query.body) == 1:
-            key = str(candidate.query)
-            cached = self._exact_ok_cache.get(key)
-            if cached is not None:
-                return cached
-            exact = self._measure_ok_assignments(candidate)
-            self._exact_ok_cache[key] = exact
-            return exact
+        """Estimated output size of a pre-filter step: the pigeonhole
+        bound (see module doc)."""
         answer_size = self.estimate_step_cost(candidate)
         domain = self._domain_size(candidate.parameters)
         threshold = self._pruning_threshold()
@@ -244,33 +218,6 @@ class FlockOptimizer:
             if c.is_support_condition
         ]
         return max(thresholds) if thresholds else 0.0
-
-    def _measure_ok_assignments(self, candidate: SubqueryCandidate) -> float:
-        """Exactly execute one (cheap) pre-filter step to learn its
-        true survivor count.
-
-        With a session sink attached, a prior *exact* measurement of an
-        alpha-equivalent subquery at the same thresholds is reused (a
-        bound would not do — a too-big count would distort the cost
-        model), and a fresh measurement is published instead of being
-        thrown away."""
-        from .executor import execute_step
-        from .plans import FilterStep
-
-        if self.sink is not None:
-            cached = self.sink.serve_exact_count(candidate.query)
-            if cached is not None:
-                return float(cached)
-        params = tuple(sorted(candidate.parameters, key=lambda p: p.name))
-        step = FilterStep("_stats_probe", params, candidate.query)
-        ok, answer_tuples = execute_step(
-            self.db, self.flock, step, guard=self.guard
-        )
-        if self.sink is not None:
-            self.sink.publish_step(
-                candidate.query, [str(p) for p in params], ok, answer_tuples
-            )
-        return float(len(ok))
 
     def _domain_size(self, parameters: Iterable[Parameter]) -> float:
         """Independence estimate of the number of distinct assignments."""
@@ -440,21 +387,15 @@ def checked_certificate(
 def certified_plan(
     db: Database,
     flock: QueryFlock,
-    gather_statistics: bool = False,
     guard: GuardLike = None,
-    sink=None,
 ) -> tuple[QueryPlan, "LegalityCertificate"]:
-    """The static plan producer of the ``optimized`` / ``stats``
-    strategies and the CLI: the cheapest plan for ``flock`` (a union
-    flock's through :func:`optimize_union`) with its
-    :func:`checked_certificate`."""
+    """The static plan producer of the ``optimized`` strategy and the
+    CLI: the cheapest plan for ``flock`` (a union flock's through
+    :func:`optimize_union`) with its :func:`checked_certificate`."""
     if flock.is_union:
         plan = optimize_union(db, flock, guard=guard)
         return plan, checked_certificate(flock, plan)
-    scored = FlockOptimizer(
-        db, flock, gather_statistics=gather_statistics, guard=guard,
-        sink=sink,
-    ).best_plan()
+    scored = FlockOptimizer(db, flock, guard=guard).best_plan()
     assert scored.certificate is not None
     return scored.plan, scored.certificate
 

@@ -18,7 +18,7 @@ from ..errors import EvaluationError, FilterError
 if TYPE_CHECKING:
     from ..recovery import CheckpointStore, RetryPolicy
 
-STRATEGIES = ("auto", "naive", "optimized", "stats", "dynamic")
+STRATEGIES = ("auto", "naive", "optimized", "dynamic")
 
 BACKENDS = ("memory", "sqlite")
 
@@ -57,9 +57,9 @@ class MiningOptions:
 
     Attributes:
         strategy: ``"naive"``, ``"optimized"`` (static plan search),
-            ``"stats"`` (the same with Section 4.4 statistics gathering),
-            ``"dynamic"``, or ``"auto"``, which picks by flock shape
-            (see :mod:`repro.flocks.mining`).
+            ``"dynamic"`` (Section 4.4 filtering decided mid-run), or
+            ``"auto"``, which picks by flock shape (see
+            :mod:`repro.flocks.mining`).
         lint: run :func:`~repro.flocks.lint.lint_flock` and attach its
             warnings to the report.
         backend: ``"memory"`` or ``"sqlite"`` (which falls back to
@@ -171,7 +171,7 @@ class MiningOptions:
         elif self.strategy in ("naive", "dynamic"):
             raise ValueError(
                 "checkpoint= requires a plan-based strategy "
-                f"(auto/optimized/stats), not {self.strategy!r}"
+                f"(auto/optimized), not {self.strategy!r}"
             )
 
     @property

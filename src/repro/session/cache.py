@@ -29,7 +29,7 @@ Two entry kinds:
   re-filter, but still a sound *upper bound* for any contained query
   under an implied filter — exactly what a FILTER step's ``ok``
   relation needs, since later plan steps re-filter anyway.  This is
-  what the optimizer's probes and the dynamic evaluator's intermediate
+  what plan pre-filter steps and the dynamic evaluator's intermediate
   materializations publish.
 
 Eviction is size-bounded LRU: total cached rows and entry count are
@@ -291,29 +291,6 @@ class ResultCache:
         return refilter_aggregates(
             entry.relation, list(entry.param_columns), filter, name=name
         )
-
-    def find_count(
-        self, query: FlockQuery, filter: AnyFilter
-    ) -> Optional[int]:
-        """The *exact* survivor count of an alpha-equivalent query at
-        exactly these thresholds, from either entry kind — for the
-        optimizer's statistics probes, which need counts, not bounds.
-        Requires mutual filter implication (equal thresholds)."""
-        key = canonical_key(query)
-        with self._lock:
-            for kind in (KIND_SURVIVORS, KIND_AGGREGATES):
-                slot = (key, kind, filter_signature(filter))
-                entry = self._entries.get(slot)
-                if (
-                    entry is not None
-                    and alpha_equivalent(entry.query, query)
-                    and filter_implies(filter, entry.filter)
-                    and filter_implies(entry.filter, filter)
-                ):
-                    self._entries.move_to_end(slot)
-                    self.stats.hits += 1
-                    return len(entry.relation)
-            return None
 
     def find_bound(
         self,

@@ -13,8 +13,8 @@ such sessions.  :class:`MiningSession` is that loop's server side:
   equal — threshold is answered by re-filtering the cached aggregates,
   with **zero** base-relation joins) and fed by every evaluation through
   a :class:`SessionSink` (final results with aggregate values;
-  intermediate safe-subquery survivor sets from the optimizer and the
-  dynamic evaluator);
+  intermediate safe-subquery survivor sets from plan pre-filter steps
+  and the dynamic evaluator);
 * invalidation is exact: every cache entry records the version counters
   of the base relations it read, and any lookup first drops entries
   whose relations have since been mutated — untouched entries survive;
@@ -104,7 +104,7 @@ def with_support_threshold(flock: QueryFlock, threshold: float) -> QueryFlock:
 class SessionSink:
     """The cache side-channel one :func:`~repro.flocks.mining.mine` call
     threads through its evaluators (duck-typed; evaluators only see the
-    four methods below).
+    three methods below).
 
     Per-call counters feed the :class:`~repro.flocks.mining.MiningReport`:
     ``step_hits`` counts pre-filter steps served from the cache and
@@ -140,17 +140,6 @@ class SessionSink:
         self.step_hits += 1
         self.rows_saved += entry.source_rows
         return entry.survivor_relation("ok")
-
-    def serve_exact_count(self, query: FlockQuery) -> int | None:
-        """A prior *exact* survivor count for an alpha-equivalent query
-        at exactly these thresholds (for the optimizer's statistics
-        probes, where an upper bound would distort the cost model)."""
-        if not self.active:
-            return None
-        count = self.session.cache.find_count(query, self.flock.filter)
-        if count is not None:
-            self.step_hits += 1
-        return count
 
     # -- publishing ----------------------------------------------------
 

@@ -15,7 +15,7 @@ from repro.datalog import atom, comparison, rule
 
 class TestMine:
     @pytest.mark.parametrize(
-        "strategy", ["auto", "naive", "optimized", "stats", "dynamic"]
+        "strategy", ["auto", "naive", "optimized", "dynamic"]
     )
     def test_all_strategies_agree(self, small_basket_db, basket_flock, strategy):
         reference = evaluate_flock(small_basket_db, basket_flock)
@@ -78,9 +78,12 @@ class TestOptimizerKnobs:
 
     @pytest.fixture(scope="class")
     def pruning_db(self):
-        from repro.workloads import basket_database
+        from repro.workloads import article_database
 
-        return basket_database(n_baskets=200, n_items=60, seed=11)
+        return article_database(
+            n_articles=60, vocabulary=400, words_per_article=20, skew=0.8,
+            seed=101,
+        )
 
     @pytest.fixture(scope="class")
     def pruning_flock(self):
@@ -89,7 +92,15 @@ class TestOptimizerKnobs:
             [atom("baskets", "B", "$1"), atom("baskets", "B", "$2"),
              comparison("$1", "<", "$2")],
         )
-        return QueryFlock(q, parse_filter("COUNT(answer.B) >= 20"))
+        return QueryFlock(q, parse_filter("COUNT(answer.B) >= 4"))
+
+    @staticmethod
+    def mine_pruning(db, flock, **options):
+        """``mine(strategy="optimized")``, checked to have picked a
+        pre-filter plan: with one step there is nothing to prune."""
+        relation, report = mine(db, flock, strategy="optimized", **options)
+        assert report.plan_text.count("FILTER") >= 2
+        return relation, report
 
     def test_unknown_join_order_rejected(self, small_basket_db, basket_flock):
         with pytest.raises(ValueError, match="order strategy"):
@@ -125,13 +136,11 @@ class TestOptimizerKnobs:
     def test_runtime_filters_prune_rows(self, pruning_db, pruning_flock):
         """The a-priori pre-filter step's survivors actually restrict
         later scans, and the count is surfaced on the report."""
-        baseline, _ = mine(
-            pruning_db, pruning_flock,
-            strategy="stats", runtime_filters=False, parallelism=1,
+        baseline, _ = self.mine_pruning(
+            pruning_db, pruning_flock, runtime_filters=False, parallelism=1,
         )
-        filtered, report = mine(
-            pruning_db, pruning_flock,
-            strategy="stats", join_order="ues", parallelism=1,
+        filtered, report = self.mine_pruning(
+            pruning_db, pruning_flock, join_order="ues", parallelism=1,
         )
         assert filtered == baseline
         assert report.runtime_filter_rows_pruned > 0
@@ -139,9 +148,8 @@ class TestOptimizerKnobs:
     def test_stage_observations_carry_sound_bounds(
         self, pruning_db, pruning_flock
     ):
-        _, report = mine(
-            pruning_db, pruning_flock,
-            strategy="stats", join_order="ues", parallelism=1,
+        _, report = self.mine_pruning(
+            pruning_db, pruning_flock, join_order="ues", parallelism=1,
         )
         assert report.stage_rows
         for obs in report.stage_rows:
@@ -156,13 +164,11 @@ class TestOptimizerKnobs:
         """Steps ``--jobs`` leaves serial run on the executor loop's own
         runner: when nothing was partitioned, the report carries the
         serial run's stage rows and pruned-row count."""
-        _, serial = mine(
-            pruning_db, pruning_flock,
-            strategy="stats", join_order="ues", parallelism=1,
+        _, serial = self.mine_pruning(
+            pruning_db, pruning_flock, join_order="ues", parallelism=1,
         )
-        _, jobs = mine(
-            pruning_db, pruning_flock,
-            strategy="stats", join_order="ues", parallelism=2,
+        _, jobs = self.mine_pruning(
+            pruning_db, pruning_flock, join_order="ues", parallelism=2,
         )
         assert jobs.parallelism_used == 1
         assert jobs.stage_rows == serial.stage_rows != ()
@@ -172,9 +178,8 @@ class TestOptimizerKnobs:
         )
 
     def test_report_str_mentions_pruning(self, pruning_db, pruning_flock):
-        _, report = mine(
-            pruning_db, pruning_flock,
-            strategy="stats", join_order="ues", parallelism=1,
+        _, report = self.mine_pruning(
+            pruning_db, pruning_flock, join_order="ues", parallelism=1,
         )
         text = str(report)
         assert "runtime filters" in text

@@ -159,10 +159,10 @@ def test_wire_fields_round_trip_and_the_rest_are_rejected(name):
 
 
 def test_from_json_inherits_the_defaults_it_is_given():
-    defaults = MiningOptions(strategy="stats", join_order="selinger")
+    defaults = MiningOptions(strategy="optimized", join_order="selinger")
     assert MiningOptions.from_json({"flock": FLOCK_TEXT}, defaults) is defaults
     options = MiningOptions.from_json({"join_order": "ues"}, defaults)
-    assert (options.strategy, options.join_order) == ("stats", "ues")
+    assert (options.strategy, options.join_order) == ("optimized", "ues")
     assert options.runtime_filters_enabled
 
 

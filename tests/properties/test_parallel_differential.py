@@ -130,7 +130,7 @@ def test_step_output_bit_identical(
     assert with_aggs.passed.tuples == expected_passed.tuples
 
 
-@pytest.mark.parametrize("strategy", ["optimized", "dynamic", "stats"])
+@pytest.mark.parametrize("strategy", ["optimized", "dynamic"])
 @given(r=r_rows, threshold=thresholds)
 @settings(max_examples=8, deadline=None, suppress_health_check=SHARED_FIXTURE)
 def test_strategies_agree_under_parallelism(

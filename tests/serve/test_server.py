@@ -78,7 +78,7 @@ class TestMine:
         assert result["row_count"] == len(expected)
         assert {tuple(row) for row in result["rows"]} == expected.tuples
         assert result["report"]["strategy_used"] in (
-            "naive", "optimized", "stats", "dynamic", "cache"
+            "naive", "optimized", "dynamic", "cache"
         )
 
     def test_cache_shared_across_requests(self, client):
@@ -102,7 +102,7 @@ class TestMine:
     def test_report_round_trips_through_client(self, client):
         report = client.mine_report(FLOCK)
         assert report.strategy_used in (
-            "naive", "optimized", "stats", "dynamic", "cache"
+            "naive", "optimized", "dynamic", "cache"
         )
         assert report.seconds >= 0
 
@@ -340,7 +340,7 @@ class TestObservability:
     def test_pruned_rows_counter_exposed(self, client):
         client.mine(
             self.TRIPLE_FLOCK.replace(">= 2", ">= 3"),
-            strategy="stats", join_order="ues", runtime_filters=True,
+            strategy="optimized", join_order="ues", runtime_filters=True,
         )
         text = client.metrics()
         assert "# TYPE repro_runtime_filter_rows_pruned counter" in text

@@ -164,15 +164,6 @@ class TestBounds:
         assert entry is not None
         assert len(entry.relation) == 2
 
-    def test_find_count_requires_equal_thresholds(self, pair_query,
-                                                  aggregates_relation):
-        cache = ResultCache()
-        put_aggregates(cache, pair_query, aggregates_relation, threshold=2)
-        assert cache.find_count(pair_query, support_filter(2, target="B")) == 2
-        # A stricter threshold could re-filter, but the count would be
-        # wrong for the optimizer's cost model: no count served.
-        assert cache.find_count(pair_query, support_filter(3, target="B")) is None
-
 
 class TestLRUEviction:
     def queries(self, n):

@@ -26,7 +26,7 @@ def workspace(tmp_path):
 
 
 class TestRun:
-    @pytest.mark.parametrize("strategy", ["naive", "optimized", "dynamic", "stats"])
+    @pytest.mark.parametrize("strategy", ["naive", "optimized", "dynamic"])
     def test_strategies_all_run(self, workspace, capsys, strategy):
         flock_file, data_dir = workspace
         code = main(["run", str(flock_file), str(data_dir),
@@ -57,7 +57,7 @@ class TestRun:
         assert "more" in out
 
     @pytest.mark.parametrize(
-        "strategy", ["naive", "optimized", "stats", "dynamic"]
+        "strategy", ["naive", "optimized", "dynamic"]
     )
     def test_verbose_prints_the_mining_report(
         self, workspace, capsys, strategy

@@ -1,7 +1,7 @@
 """Execution guards: budgets, cancellation, and partial-trace semantics.
 
 Acceptance surface of the resilience layer: a flock evaluated under a
-ResourceBudget aborts promptly on all four strategies and both backends,
+ResourceBudget aborts promptly on every strategy and both backends,
 raising BudgetExceededError with a non-empty partial trace; a
 CancellationToken stops any evaluation at its next checkpoint.
 """

@@ -451,7 +451,7 @@ class TestMineCheckpointResume:
         relation, report = mine(small_basket_db, basket_flock, checkpoint=path)
         assert report.run_id is not None
         assert report.steps_checkpointed >= 1
-        assert report.strategy_used in ("optimized", "stats")
+        assert report.strategy_used == "optimized"
         assert "checkpoint run" in str(report)
 
     def test_kill_and_resume_bit_identical(
