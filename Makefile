@@ -37,8 +37,9 @@ bench:
 # Machine-readable sweeps: writes BENCH_parallel.json ((strategy,
 # backend) x jobs: median/quartile ms over >=5 runs, survivors),
 # BENCH_recovery.json (checkpoint overhead and warm-resume vs cold
-# re-mine), and BENCH_optimizer.json (join-order mode x runtime-filter
-# sweep with the UES-vs-greedy headline).
+# re-mine), and BENCH_optimizer.json ((strategy, join order) cells:
+# median/quartile ms over 7 runs, load average, the UES-vs-greedy
+# headline).
 bench-json:
 	$(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py \
 		benchmarks/bench_recovery_overhead.py \

@@ -1,27 +1,33 @@
-"""Join-order modes: greedy vs Selinger DP vs pessimistic UES bounds.
+"""Join orders under both in-memory plan strategies: greedy vs UES.
 
 The paper defers join ordering to "the general theory of cost-based
-optimization ([G*79])"; this bench compares the three orderers the
-planner offers, with and without runtime semi-join filter injection:
+optimization ([G*79])" and says its filtering idea "is independent of
+how the join order is actually chosen" (Section 4.4); this bench
+compares the two orderers the planner offers:
 
 * ``greedy`` — smallest estimated growth next (the default);
-* ``selinger`` — the System-R DP over left-deep orders, still under the
-  independence cost model;
 * ``ues`` — the pessimistic mode: stages ranked by *guaranteed* output
   upper bounds (exact distinct counts × max per-value frequencies),
-  never by independence estimates.
+  never by independence estimates, plus runtime semi-join filters from
+  every materialized pre-filter step into later scans.
+
+each under the ``optimized`` (static plan search) and ``dynamic``
+(Section 4.4 decisions mid-run) strategies.
 
 Workloads: the two Section 1.3 paper workloads (Zipf word occurrences
-and market baskets), where all modes should be comparable, plus the
+and market baskets), where both orders should be comparable, plus the
 **adversarial-skew clickstream** (:mod:`repro.workloads.skew`) built to
 fool estimates: bot accounts hot in two relations at once make the
 estimate-minimal order join hot⋈hot early and blow up, while the UES
 bound carries the bots' max frequency and provably defers that join.
 
-Every (mode × filters) cell must return identical survivors.  Output:
-a JSON report at ``$REPRO_BENCH_JSON_OPTIMIZER`` (default
-``BENCH_optimizer.json``) with one row per cell and the headline
-UES+filters vs greedy speedups.
+Each (strategy × join order) cell is the median and quartiles of
+``REPEATS`` runs, interleaved across a workload's cells (alternating
+direction) so drift hits all alike; every cell must return identical
+survivors.  Output: a JSON report at ``$REPRO_BENCH_JSON_OPTIMIZER``
+(default ``BENCH_optimizer.json``) with one row per cell — the
+machine's ``cpu_count`` and the 1-minute load average before and after
+the workload — and the headline ``optimized`` UES-vs-greedy speedups.
 
 Floors: ``REPRO_BENCH_MIN_UES_SPEEDUP`` (exported by the CI smoke job
 as ``1.0``) gates the adversarial-skew headline at any scale; a
@@ -30,14 +36,17 @@ acceptance targets — >=1.5x on adversarial-skew and parity (within
 measurement tolerance) on the paper workloads.
 """
 
+import gc
 import json
 import os
+import statistics
 import time
 
 import pytest
 
 from repro.flocks import parse_flock
 from repro.flocks.mining import mine
+from repro.flocks.options import JOIN_ORDERS
 from repro.workloads import generate_skewed_clickstream
 
 from conftest import SCALE, report, scaled
@@ -46,19 +55,16 @@ JSON_PATH = os.environ.get(
     "REPRO_BENCH_JSON_OPTIMIZER", "BENCH_optimizer.json"
 )
 
-#: (join_order, runtime_filters) cells swept per workload.
-MODES = [
-    ("greedy", False),
-    ("greedy", True),
-    ("selinger", False),
-    ("selinger", True),
-    ("ues", False),
-    ("ues", True),
+#: (strategy, join_order) cells swept per workload.
+CELLS = [
+    (strategy, join_order)
+    for strategy in ("optimized", "dynamic")
+    for join_order in JOIN_ORDERS
 ]
 
-#: Timing = best of this many end-to-end mine() calls per cell (each
-#: call re-plans, so plan search is included in every sample).
-ROUNDS = 3
+#: Timed end-to-end mine() calls per cell (each call re-plans, so plan
+#: search is included in every sample), after one untimed warm-up.
+REPEATS = 7
 
 
 @pytest.fixture(scope="module")
@@ -88,52 +94,68 @@ def skew_flock():
     )
 
 
+def _load_1min() -> float:
+    return round(os.getloadavg()[0], 2)
+
+
 def _sweep(db, flock, workload: str) -> list:
-    """One row per (join_order, runtime_filters) cell: best-of-ROUNDS
-    wall ms plus survivor count — which must agree across every cell."""
-    rows = []
-    baseline = None
-    for join_order, runtime_filters in MODES:
-        wall_ms = float("inf")
-        for _ in range(ROUNDS):
+    """One row per (strategy, join_order) cell: median and quartile
+    wall ms over REPEATS interleaved runs, plus the survivor count —
+    which must agree across every cell."""
+    load_before = _load_1min()
+    samples = {cell: [] for cell in CELLS}
+    last = {}
+    for cell in CELLS:  # warm-up: caches, lazy statistics, imports
+        mine(db, flock, strategy=cell[0], join_order=cell[1], parallelism=1)
+    for repeat in range(REPEATS):
+        for cell in CELLS[::-1] if repeat % 2 else CELLS:
+            gc.collect()
             started = time.perf_counter()
             relation, rpt = mine(
-                db, flock,
-                strategy="optimized", backend="memory", parallelism=1,
-                join_order=join_order, runtime_filters=runtime_filters,
+                db, flock, strategy=cell[0], join_order=cell[1],
+                backend="memory", parallelism=1,
             )
-            wall_ms = min(wall_ms, (time.perf_counter() - started) * 1e3)
-        survivors = sorted(relation.tuples, key=repr)
-        if baseline is None:
-            baseline = survivors
+            samples[cell].append((time.perf_counter() - started) * 1e3)
+            last[cell] = (sorted(relation.tuples, key=repr), rpt)
+    load_after = _load_1min()
+    baseline = last[CELLS[0]][0]
+    rows = []
+    for cell in CELLS:
+        survivors, rpt = last[cell]
         assert survivors == baseline, (
-            f"{workload}: {join_order}/filters={runtime_filters} "
-            f"survivors differ from {MODES[0]}"
+            f"{workload}: {cell} survivors differ from {CELLS[0]}"
         )
+        q1, median, q3 = statistics.quantiles(samples[cell], n=4)
         rows.append({
             "workload": workload,
-            "join_order": join_order,
-            "runtime_filters": runtime_filters,
-            "wall_ms": round(wall_ms, 2),
+            "strategy": cell[0],
+            "join_order": cell[1],
+            "median_ms": round(median, 2),
+            "q1_ms": round(q1, 2),
+            "q3_ms": round(q3, 2),
+            "samples_ms": [round(ms, 2) for ms in samples[cell]],
             "survivors": len(survivors),
             "rows_pruned": rpt.runtime_filter_rows_pruned,
+            "load_1min_before": load_before,
+            "load_1min_after": load_after,
         })
     return rows
 
 
-def _cell(rows: list, workload: str, join_order: str, rf: bool) -> dict:
+def _cell(rows: list, workload: str, strategy: str, join_order: str) -> dict:
     return next(
         r for r in rows
         if r["workload"] == workload
+        and r["strategy"] == strategy
         and r["join_order"] == join_order
-        and r["runtime_filters"] is rf
     )
 
 
 def _speedup(rows: list, workload: str) -> float:
-    """UES + runtime filters vs the greedy default (no filters)."""
-    greedy = _cell(rows, workload, "greedy", False)["wall_ms"]
-    ues = _cell(rows, workload, "ues", True)["wall_ms"]
+    """``optimized``: UES (runtime filters on) vs the greedy default
+    (no filters), by median."""
+    greedy = _cell(rows, workload, "optimized", "greedy")["median_ms"]
+    ues = _cell(rows, workload, "optimized", "ues")["median_ms"]
     return greedy / max(ues, 1e-9)
 
 
@@ -141,11 +163,12 @@ def _write_json(rows: list, speedups: dict) -> None:
     payload = {
         "scale": SCALE,
         "cpu_count": os.cpu_count(),
-        "modes": [
-            {"join_order": order, "runtime_filters": rf}
-            for order, rf in MODES
+        "repeats": REPEATS,
+        "cells": [
+            {"strategy": strategy, "join_order": join_order}
+            for strategy, join_order in CELLS
         ],
-        "speedup_ues_filters_vs_greedy": {
+        "speedup_optimized_ues_vs_greedy": {
             workload: round(value, 3) for workload, value in speedups.items()
         },
         "rows": rows,
@@ -158,7 +181,7 @@ def _write_json(rows: list, speedups: dict) -> None:
 def test_optimizer_modes(
     benchmark, word_db, basket_db, basket_flock_20, skew_db, skew_flock
 ):
-    """Full mode × filters sweep over three workloads, JSON out."""
+    """Full strategy × join order sweep over three workloads, JSON out."""
     collected = {}
 
     def run():
@@ -176,12 +199,12 @@ def test_optimizer_modes(
     }
     _write_json(rows, speedups)
 
-    skew_rf = _cell(rows, "adversarial-skew", "ues", True)
+    skew_rf = _cell(rows, "adversarial-skew", "optimized", "ues")
     report(
         "optimizer-modes",
         "bounds beat estimates on correlated skew, tie on paper data",
         " | ".join(
-            f"{workload} ues+filters {speedup:.2f}x vs greedy"
+            f"{workload} optimized ues {speedup:.2f}x vs greedy"
             for workload, speedup in speedups.items()
         )
         + f" | {skew_rf['rows_pruned']} scan rows pruned on skew",
@@ -205,5 +228,5 @@ def test_optimizer_modes(
         assert speedups["adversarial-skew"] >= 1.5, speedups
         for workload in ("words-sec1.3", "baskets-sec1.3"):
             # Parity on the paper workloads: UES must never lose; 5%
-            # covers timer noise between best-of-3 samples.
+            # covers timer noise between medians.
             assert speedups[workload] >= 0.95, speedups

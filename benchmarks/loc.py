@@ -5,10 +5,9 @@ A line counts when it carries at least one token that is not a comment,
 and is not part of a docstring — so deleting comments or docstrings
 never shows up as a reduction (the simplicity guide does not count it
 as one).  The inventory lists every ``mine()`` option field, with the
-number of values of each enumerated one (its CLI ``choices``, or None /
-False / True for an unset-by-default switch), so a PR that grows or
-shrinks the option surface shows it.  Usage: ``python benchmarks/loc.py
-src/repro``.
+number of values of each enumerated one (its CLI ``choices``), so a
+change that grows or shrinks the option surface shows it.  Usage:
+``python benchmarks/loc.py src/repro``.
 """
 
 import ast
@@ -49,8 +48,6 @@ def option_inventory() -> str:
         cli = option.metadata["cli"]
         if "choices" in cli:
             names.append(f"{option.name}({len(cli['choices'])})")
-        elif cli.get("action") == "store_true" and option.default is None:
-            names.append(f"{option.name}(3)")
         else:
             names.append(option.name)
     return f"{len(names):>7} MiningOptions fields: {' '.join(names)}"

@@ -2,7 +2,7 @@
 
 The planner turns one extended conjunctive query into a
 :class:`~repro.engine.ir.PhysicalPlan`: pick a join order (greedy,
-Selinger, pessimistic UES, or caller-supplied), emit one
+pessimistic UES, or caller-supplied), emit one
 :class:`JoinStage` per positive subgoal, attach each
 comparison/negation to the earliest stage where its terms are bound
 (the same eager placement Sections 4.1–4.3 assume for selections),
@@ -32,7 +32,6 @@ from ..relational.joinorder import (
     ScanCaps,
     chain_upper_bounds,
     greedy_join_order,
-    selinger_join_order,
     ues_join_order,
 )
 from .ir import (
@@ -76,13 +75,11 @@ def order_positive_atoms(
         return order, "explicit"
     if order_strategy == "greedy":
         return greedy_join_order(db, positives), "greedy"
-    if order_strategy == "selinger":
-        return selinger_join_order(db, positives), "selinger"
     if order_strategy == "ues":
         return ues_join_order(db, positives, scan_caps), "ues"
     raise ValueError(
         f"unknown order strategy {order_strategy!r}; "
-        "use 'greedy', 'selinger' or 'ues'"
+        "use 'greedy' or 'ues'"
     )
 
 
@@ -185,7 +182,7 @@ def lower_rule(
             repeated term's later occurrences ``_h{i}``).
         join_order: explicit positive-subgoal order (wins over
             ``order_strategy``).
-        order_strategy: ``"greedy"``, ``"selinger"`` or ``"ues"``.
+        order_strategy: ``"greedy"`` or ``"ues"``.
         runtime_filters: names of materialized pre-filter results whose
             survivor keys may be pushed into later scans as
             :class:`~repro.engine.ir.ScanFilter` operators (sideways

@@ -208,15 +208,14 @@ class DynamicEvaluator:
         The flock runs as its single-step plan through the executor
         loop, on a serial :class:`MemoryRunner` that hands this policy
         to the step body.  ``order_strategy`` selects the join order
-        when ``join_order`` is not given: ``"greedy"`` (default),
-        ``"selinger"`` (the [G*79] DP orderer — the paper: "Any of a
-        number of models and approaches to selecting this join order may
-        be used, our idea is independent of how the join order is
-        actually chosen"), or ``"ues"`` (the pessimistic bound-minimal
-        order).  With no explicit ``join_order``, the remaining stages
-        may be re-planned mid-flight when observed sizes diverge from
-        the estimates (or from the guaranteed bounds, whichever is
-        tighter).
+        when ``join_order`` is not given: ``"greedy"`` (default) or
+        ``"ues"`` (the pessimistic bound-minimal order) — the paper: "Any
+        of a number of models and approaches to selecting this join order
+        may be used, our idea is independent of how the join order is
+        actually chosen".  With no explicit ``join_order``, the
+        remaining stages may be re-planned mid-flight when observed
+        sizes diverge from the estimates (or from the guaranteed bounds,
+        whichever is tighter).
         """
         self._join_order = join_order
         result = execute_plan(

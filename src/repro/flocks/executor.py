@@ -153,7 +153,7 @@ def execute_step(
     happens one level up in :func:`repro.flocks.mining.mine`.
 
     ``order_strategy`` picks the join ordering the step's rules are
-    lowered with (``"greedy"``, ``"selinger"`` or ``"ues"``).
+    lowered with (``"greedy"`` or ``"ues"``).
 
     ``runner`` is the step runner the lowered plan is handed to (see the
     module docstring); ``None`` runs it on a serial
@@ -206,7 +206,6 @@ def execute_plan(
     parallel=None,
     supervisor=None,
     recorder=None,
-    runtime_filters: bool = False,
     runner=None,
 ) -> FlockResult:
     """Run a plan and return the flock result with a per-step trace.
@@ -217,11 +216,12 @@ def execute_plan(
     :class:`MemoryRunner` (the dynamic strategy's) reports the run's
     stage observations.
 
-    ``runtime_filters=True`` enables sideways information passing: once
-    a pre-filter step's ok-relation materializes, its name joins the set
-    of filter sources handed to every later step's lowering, so later
-    scans that bind one of its parameter columns are pre-pruned to the
-    survivor keys (see :class:`~repro.engine.ir.ScanFilter`).
+    ``order_strategy="ues"`` also turns on sideways information passing:
+    once a pre-filter step's ok-relation materializes, its name joins
+    the set of filter sources handed to every later step's lowering, so
+    later scans that bind one of its parameter columns are pre-pruned to
+    the survivor keys (see :class:`~repro.engine.ir.ScanFilter`), and
+    the UES bounds read the survivor-key counts.
 
     ``validate=False`` skips the legality check for hot benchmark loops
     where the same plan is executed repeatedly.
@@ -286,7 +286,8 @@ def execute_plan(
                 runner=runner,
                 supervisor=supervisor,
                 runtime_filters=(
-                    frozenset(rf_sources) if runtime_filters else None
+                    frozenset(rf_sources) if order_strategy == "ues"
+                    else None
                 ),
             )
             description = str(step.query).replace("\n", " | ")

@@ -122,11 +122,9 @@ class MiningReport:
     backend_requested: str = "memory"
     backend_used: str = "memory"
     join_order: str = "greedy"
-    #: Whether runtime semi-join filter injection (sideways information
-    #: passing from materialized pre-filter steps into later scans) was
-    #: enabled for this call, and how many scan rows those filters
-    #: removed before any join ran.
-    runtime_filters: bool = False
+    #: How many scan rows runtime semi-join filters (sideways information
+    #: passing from materialized pre-filter steps into later scans, part
+    #: of the ``"ues"`` join order) removed before any join ran.
     runtime_filter_rows_pruned: int = 0
     #: Per-join-stage observations (System-R estimate, guaranteed UES
     #: bound, actual output rows) from the in-memory engine —
@@ -209,7 +207,6 @@ class MiningReport:
             "backend_requested": self.backend_requested,
             "backend_used": self.backend_used,
             "join_order": self.join_order,
-            "runtime_filters": self.runtime_filters,
             "runtime_filter_rows_pruned": self.runtime_filter_rows_pruned,
             "stage_rows": [o.to_dict() for o in self.stage_rows],
             "parallelism_requested": self.parallelism_requested,
@@ -263,7 +260,6 @@ class MiningReport:
             backend_requested=data.get("backend_requested", "memory"),
             backend_used=data.get("backend_used", "memory"),
             join_order=data.get("join_order", "greedy"),
-            runtime_filters=bool(data.get("runtime_filters", False)),
             runtime_filter_rows_pruned=int(
                 data.get("runtime_filter_rows_pruned", 0)
             ),
@@ -319,10 +315,10 @@ class MiningReport:
             )
         if self.join_order != "greedy":
             lines.append(f"join order: {self.join_order}")
-        if self.runtime_filters:
+        if self.join_order == "ues":
             lines.append(
-                "runtime filters: on "
-                f"({self.runtime_filter_rows_pruned} scan row(s) pruned)"
+                "runtime filters: "
+                f"{self.runtime_filter_rows_pruned} scan row(s) pruned"
             )
         if self.stage_rows:
             lines.append("stages (estimate / bound / actual):")
@@ -441,13 +437,14 @@ def _run_strategy(
     backend = options.backend
     evaluator = None
     loop: dict[str, Any] = dict(
-        guard=guard, order_strategy=options.join_order,
-        runtime_filters=options.runtime_filters_enabled,
-        sink=sink, supervisor=supervisor, parallel=parallel,
+        guard=guard, order_strategy=options.join_order, sink=sink,
+        supervisor=supervisor, parallel=parallel,
     )
     if strategy == "dynamic":
         # The decision policy runs inside the in-memory step body;
-        # SQLite cannot host it.
+        # SQLite cannot host it.  The evaluator refuses a flock it cannot
+        # run before any backend switch is recorded.
+        evaluator = DynamicEvaluator(db, flock, guard=guard, sink=sink)
         if backend == "sqlite":
             attempt.downgrades.append(
                 Downgrade(
@@ -456,7 +453,6 @@ def _run_strategy(
                 )
             )
             attempt.backend_used = backend = "memory"
-        evaluator = DynamicEvaluator(db, flock, guard=guard, sink=sink)
         loop["runner"] = MemoryRunner(guard, dynamic=evaluator)
     if strategy in ("naive", "dynamic"):
         plan = single_step_plan(flock)
@@ -580,7 +576,7 @@ def mine(
         # Only the env/default path is clamped; an explicit
         # parallelism= argument is honored as given.
         jobs, clamp_reason = clamp_default_jobs(requested_jobs)
-    warnings = tuple(lint_flock(flock)) if options.lint else ()
+    warnings = tuple(lint_flock(flock))
     used = options.strategy
     if used == "auto":
         used = _choose_strategy(flock)
@@ -729,7 +725,6 @@ def mine(
         backend_requested=options.backend,
         backend_used=attempt.backend_used,
         join_order=options.join_order,
-        runtime_filters=options.runtime_filters_enabled,
         runtime_filter_rows_pruned=result.runtime_filter_rows_pruned,
         stage_rows=tuple(result.stage_rows),
         parallelism_requested=requested_jobs,

@@ -22,7 +22,7 @@ STRATEGIES = ("auto", "naive", "optimized", "dynamic")
 
 BACKENDS = ("memory", "sqlite")
 
-JOIN_ORDERS = ("greedy", "selinger", "ues")
+JOIN_ORDERS = ("greedy", "ues")
 
 
 def positive_int(text: str) -> int:
@@ -60,24 +60,18 @@ class MiningOptions:
             ``"dynamic"`` (Section 4.4 filtering decided mid-run), or
             ``"auto"``, which picks by flock shape (see
             :mod:`repro.flocks.mining`).
-        lint: run :func:`~repro.flocks.lint.lint_flock` and attach its
-            warnings to the report.
         backend: ``"memory"`` or ``"sqlite"`` (which falls back to
             memory on backend failure, with a recorded downgrade).
-        join_order: how lowered plans order their joins — ``"greedy"``,
-            ``"selinger"`` (System-R style dynamic programming), or
-            ``"ues"`` (stages ranked by *guaranteed* output upper
-            bounds from exact distinct counts and max per-value
-            frequencies, never by independence estimates — the robust
-            choice on skewed, correlated data).
-        runtime_filters: inject semi-join filters from materialized
-            pre-filter steps into later scans (sideways information
-            passing) on the plan-based strategies.  ``None`` means
-            exactly when ``join_order="ues"``, which both consumes the
-            survivor-key counts in its bounds and profits most from the
-            pruning (:attr:`runtime_filters_enabled`).  Results are
-            identical either way: a filter only pre-applies a join the
-            plan performs anyway.
+        join_order: how lowered plans order their joins — ``"greedy"``
+            (smallest estimated growth first) or ``"ues"`` (stages
+            ranked by *guaranteed* output upper bounds from exact
+            distinct counts and max per-value frequencies, never by
+            independence estimates — the robust choice on skewed,
+            correlated data).  ``"ues"`` also injects runtime semi-join
+            filters from materialized pre-filter steps into later scans
+            (sideways information passing) and reads their survivor-key
+            counts in its bounds.  Results are identical either way: a
+            filter only pre-applies a join the plan performs anyway.
         verify_plans: run the :mod:`repro.analysis` verifiers on every
             plan the call uses — the IR schema checker on each lowered
             physical plan (dynamic re-plans included) and certificate
@@ -117,19 +111,14 @@ class MiningOptions:
         "auto", str, "--strategy", choices=STRATEGIES,
         help="evaluation strategy (default: auto, picked by flock shape)",
     )
-    lint: bool = _option(True)
     backend: str = _option(
         "memory", str, "--backend", choices=BACKENDS,
         help="execution backend (sqlite falls back to memory on failure)",
     )
     join_order: str = _option(
         "greedy", str, "--join-order", choices=JOIN_ORDERS,
-        help="join ordering of lowered plans (ues: robust on skewed data)",
-    )
-    runtime_filters: Optional[bool] = _option(
-        None, bool, "--runtime-filters", action="store_true",
-        help="inject semi-join filters from materialized pre-filter steps "
-        "into later scans (default: on exactly when the join order is ues)",
+        help="join ordering of lowered plans (ues: robust on skewed data, "
+        "with runtime semi-join filters from earlier FILTER steps)",
     )
     verify_plans: Optional[bool] = _option(None)
     parallelism: Optional[int] = _option(
@@ -173,14 +162,6 @@ class MiningOptions:
                 "checkpoint= requires a plan-based strategy "
                 f"(auto/optimized), not {self.strategy!r}"
             )
-
-    @property
-    def runtime_filters_enabled(self) -> bool:
-        """Whether runtime filters are on: the explicit flag, else
-        exactly when the join order is ``"ues"``."""
-        if self.runtime_filters is None:
-            return self.join_order == "ues"
-        return self.runtime_filters
 
     def over(self, **overrides: Any) -> "MiningOptions":
         """These options with every non-``None`` override applied

@@ -192,8 +192,8 @@ class SQLiteBackend:
         on an abort or a failure — so the backend can be reused.
 
         ``loop`` is passed to :func:`~repro.flocks.executor.execute_plan`
-        unchanged: ``order_strategy``, ``runtime_filters`` (semi-join
-        ``IN`` conjuncts over earlier step tables), ``sink``,
+        unchanged: ``order_strategy`` (``"ues"`` adds semi-join ``IN``
+        conjuncts over earlier step tables), ``sink``,
         ``supervisor``, ``recorder`` — the hooks every runner gets.
         """
         db = self._require_loaded()

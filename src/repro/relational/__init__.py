@@ -23,7 +23,6 @@ from .joinorder import (
     atom_bounds,
     chain_upper_bounds,
     join_bounds,
-    selinger_join_order,
     ues_join_order,
 )
 from .operators import (
@@ -69,7 +68,6 @@ __all__ = [
     "save_database",
     "save_relation",
     "selectivity_of_filter",
-    "selinger_join_order",
     "semi_join",
     "shared_columns",
     "stable_hash",

@@ -57,7 +57,7 @@ def evaluate_conjunctive(
         join_order: optional explicit ordering of the positive subgoals
             (indices into ``query.positive_atoms()``); wins over
             ``order_strategy``.
-        order_strategy: ``"greedy"`` (default) or ``"selinger"``.
+        order_strategy: ``"greedy"`` (default) or ``"ues"``.
         check_safe: set ``False`` to skip the safety assertion when the
             caller has already checked (the optimizer's hot path).
         guard: optional :class:`~repro.guard.ExecutionGuard` (or

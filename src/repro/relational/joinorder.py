@@ -1,21 +1,19 @@
-"""Join ordering: greedy, Selinger-style DP ([G*79]), and UES bounds.
+"""Join ordering: greedy estimates and UES bounds.
 
 The paper defers join ordering to "the general theory of cost-based
-optimization ([G*79])".  :func:`greedy_join_order` is the fast default
-(smallest relation first, then smallest estimated growth);
-:func:`selinger_join_order` is the classic DP over atom subsets
-producing the best **left-deep** order under the independence cost
-model, for queries of up to a dozen or so subgoals (the paper: "queries
-tend to be small, exponential searches are often computationally
-feasible").  :func:`ues_join_order` is the pessimistic alternative: it
-orders stages by *guaranteed* upper bounds on each join's output
-(UES-style, after Hertzschuch et al.), built from exact per-column
-distinct counts and maximum per-value frequencies instead of
-independence estimates — on skew-correlated data, where averages lie
-but maxima cannot, the bound-minimal order avoids the blown-up
-intermediates the estimate-minimal order walks into.  All three produce
-orders the physical planner (:mod:`repro.engine.planner`) lowers into
-the same plan IR, so what ``explain`` prints is what the engines run.
+optimization ([G*79])" and notes its filtering idea "is independent of
+how the join order is actually chosen" (Section 4.4).
+:func:`greedy_join_order` is the fast default (smallest relation first,
+then smallest estimated growth); :func:`ues_join_order` is the
+pessimistic alternative: it orders stages by *guaranteed* upper bounds
+on each join's output (UES-style, after Hertzschuch et al.), built from
+exact per-column distinct counts and maximum per-value frequencies
+instead of independence estimates — on skew-correlated data, where
+averages lie but maxima cannot, the bound-minimal order avoids the
+blown-up intermediates the estimate-minimal order walks into.  Both
+produce orders the physical planner (:mod:`repro.engine.planner`)
+lowers into the same plan IR, so what ``explain`` prints is what the
+engines run.
 
 The bound algebra (:class:`AtomBounds`, :func:`chain_upper_bounds`) is
 shared with the planner, which annotates every lowered stage with its
@@ -41,7 +39,7 @@ from typing import Mapping, Sequence
 from ..datalog.atoms import RelationalAtom, is_bindable
 from .binding import term_column
 from .catalog import Database
-from .statistics import RelationStats, estimate_join_size
+from .statistics import estimate_join_size
 
 #: Per-atom scan caps for the bound algebra: atom index → rendered
 #: binding column → number of distinct survivor keys a runtime filter
@@ -90,98 +88,6 @@ def greedy_join_order(db: Database, atoms: Sequence[RelationalAtom]) -> list[int
         remaining.remove(pick)
         bound |= columns[pick]
     return order
-
-
-def _atom_columns(db: Database, atom: RelationalAtom) -> frozenset[str]:
-    return frozenset(str(t) for t in atom.bindable_terms())
-
-
-def _join_estimate(
-    left_size: float,
-    left_columns: frozenset[str],
-    right: RelationStats,
-    right_atom_columns: frozenset[str],
-    db: Database,
-    right_atom: RelationalAtom,
-) -> float:
-    """Estimated |left ⋈ right| with distinct counts taken from the
-    right atom's base relation (the left side's distinct counts are
-    unknown mid-DP; bounding by the right's is the standard
-    simplification)."""
-    shared = left_columns & right_atom_columns
-    size = left_size * right.cardinality
-    base_columns = db.get(right_atom.predicate).columns
-    position_of: dict[str, int] = {}
-    for position, term in enumerate(right_atom.terms):
-        name = str(term)
-        if name in right_atom_columns and name not in position_of:
-            if position < len(base_columns):
-                position_of[name] = position
-    for column in shared:
-        if column in position_of:
-            d = right.distinct.get(base_columns[position_of[column]], 1)
-        else:
-            d = 1
-        size /= max(d, 1)
-    return size
-
-
-def selinger_join_order(
-    db: Database, atoms: Sequence[RelationalAtom], max_atoms: int = 14
-) -> list[int]:
-    """The cheapest left-deep join order by total intermediate tuples.
-
-    DP state: a bitmask of joined atoms → (cumulative cost, result-size
-    estimate, bound columns, order).  Cartesian products are implicitly
-    penalized by the cost model (no shared columns → no division).
-    Falls back to the identity order beyond ``max_atoms`` (2^n states).
-    """
-    n = len(atoms)
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
-    if n > max_atoms:
-        return list(range(n))
-
-    stats = [db.stats(a.predicate) for a in atoms]
-    columns = [_atom_columns(db, a) for a in atoms]
-
-    # state: mask -> (cumulative_cost, result_size, bound_columns, order)
-    State = tuple[float, float, frozenset, tuple]
-    best: dict[int, State] = {}
-    for i in range(n):
-        size = float(stats[i].cardinality)
-        best[1 << i] = (size, size, columns[i], (i,))
-
-    # Process masks in increasing popcount so every extension sees a
-    # finished prefix state.
-    all_masks = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
-    for mask in all_masks:
-        state = best.get(mask)
-        if state is None:
-            continue
-        cost, size, bound, order = state
-        for j in range(n):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            estimate = _join_estimate(
-                size, bound, stats[j], columns[j], db, atoms[j]
-            )
-            new_mask = mask | bit
-            new_cost = cost + estimate
-            current = best.get(new_mask)
-            if current is None or new_cost < current[0]:
-                best[new_mask] = (
-                    new_cost,
-                    estimate,
-                    bound | columns[j],
-                    order + (j,),
-                )
-
-    full = (1 << n) - 1
-    return list(best[full][3])
 
 
 # ----------------------------------------------------------------------

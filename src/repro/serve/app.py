@@ -55,7 +55,7 @@ from ..errors import (
     ReproError,
 )
 from ..flocks.flock import QueryFlock, parse_flock
-from ..flocks.options import MiningOptions
+from ..flocks.options import WIRE_FIELDS, MiningOptions
 from ..guard import CancellationToken, ResourceBudget
 from ..recovery import CheckpointStore, new_run_id
 from ..relational.catalog import Database
@@ -66,6 +66,12 @@ from .tenants import AdmissionError, FairDispatcher, TenantPolicy
 
 #: Tenant assumed when a request names none.
 DEFAULT_TENANT = "default"
+
+#: Every key a ``POST /v1/mine`` body may carry; any other is a 400.
+MINE_KEYS = frozenset({
+    "flock", "threshold", "timeout", "max_rows", "max_answer_rows",
+    "limit", "tenant", *WIRE_FIELDS,
+})
 
 #: Registry keeps the most recent runs' records (bounded memory).
 RUN_HISTORY_LIMIT = 1024
@@ -100,7 +106,7 @@ class ServerConfig:
         max_queued_per_tenant: bounded queue per tenant; beyond it,
             admission fails with HTTP 429.
         cache_entries / cache_rows: shared result-cache LRU bounds.
-        backend / strategy / parallelism / join_order / runtime_filters:
+        backend / strategy / parallelism / join_order:
             per-call defaults a request's payload overrides — the
             :class:`~repro.flocks.options.MiningOptions` fields of those
             names, collected (and validated) as :attr:`defaults`.
@@ -123,7 +129,6 @@ class ServerConfig:
     strategy: str = MiningOptions.strategy
     parallelism: Optional[int] = MiningOptions.parallelism
     join_order: str = MiningOptions.join_order
-    runtime_filters: Optional[bool] = MiningOptions.runtime_filters
     checkpoint_path: Optional[str] = None
     max_response_rows: int = 10_000
     defaults: MiningOptions = field(init=False, repr=False, compare=False)
@@ -379,6 +384,13 @@ class MiningService:
     def _parse_mine(self, payload: dict) -> _MineRequest:
         if not isinstance(payload, dict):
             raise HttpError(400, "request body must be a JSON object")
+        unknown = payload.keys() - MINE_KEYS
+        if unknown:
+            raise HttpError(
+                400,
+                f"{min(unknown)!r} is not a /v1/mine key; "
+                f"accepted: {', '.join(sorted(MINE_KEYS))}",
+            )
         text = payload.get("flock")
         if not isinstance(text, str) or not text.strip():
             raise HttpError(400, "missing required field 'flock' (text)")

@@ -231,8 +231,8 @@ class MiningSession:
         **defaults: session-wide
             :class:`~repro.flocks.options.MiningOptions` fields every
             :meth:`mine` call inherits unless it passes its own —
-            ``backend``, ``parallelism``, ``join_order``,
-            ``runtime_filters``, ``lint``, ``retry``, ``checkpoint``
+            ``backend``, ``parallelism``, ``join_order``, ``retry``,
+            ``checkpoint``
             (a per-call field such as ``strategy`` or ``resume`` is a
             ``TypeError`` here).  Kept as :attr:`defaults`.
     """

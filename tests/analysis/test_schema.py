@@ -57,7 +57,7 @@ class TestRulePlans:
         report = check_physical_plan(medical_plan, db=small_medical_db)
         assert report.is_clean
 
-    @pytest.mark.parametrize("strategy", ["greedy", "selinger"])
+    @pytest.mark.parametrize("strategy", ["greedy", "ues"])
     def test_both_orderers_type_check(
         self, small_medical_db, medical_query, strategy
     ):

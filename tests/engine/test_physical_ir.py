@@ -36,7 +36,7 @@ def rendered_atom_predicates(text: str) -> list[str]:
 class TestExplainNamesExecutedOrder:
     """Satellite regression: explain output == executed join order."""
 
-    @pytest.mark.parametrize("strategy", ["greedy", "selinger"])
+    @pytest.mark.parametrize("strategy", ["greedy", "ues"])
     def test_render_is_the_executed_plan(
         self, medical, medical_query, strategy
     ):
@@ -62,15 +62,11 @@ class TestExplainNamesExecutedOrder:
             name.split(":", 1)[1] for name in executed
         ]
 
-    def test_greedy_and_selinger_agree_on_answers(
-        self, medical, medical_query
-    ):
+    def test_greedy_and_ues_agree_on_answers(self, medical, medical_query):
         db = medical.db
         greedy = evaluate_conjunctive(db, medical_query)
-        selinger = evaluate_conjunctive(
-            db, medical_query, order_strategy="selinger"
-        )
-        assert greedy == selinger
+        ues = evaluate_conjunctive(db, medical_query, order_strategy="ues")
+        assert greedy == ues
 
 
 class TestLowering:

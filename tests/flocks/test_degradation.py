@@ -469,6 +469,23 @@ class TestBackendDegradation:
         assert downgrade.kind == "backend"
         assert "in-memory" in downgrade.reason
 
+    def test_refused_dynamic_on_sqlite_records_no_backend_downgrade(
+        self, small_web_db, web_flock
+    ):
+        """A union flock is refused by the dynamic evaluator before any
+        backend switch: naive then runs on SQLite, and the report lists
+        the strategy downgrade alone."""
+        expected = evaluate_flock(small_web_db, web_flock)
+        relation, report = mine(
+            small_web_db, web_flock, strategy="dynamic", backend="sqlite",
+        )
+        assert relation == expected
+        assert report.strategy_used == "naive"
+        assert report.backend_used == "sqlite"
+        assert [
+            (d.kind, d.from_name, d.to_name) for d in mining_downgrades(report)
+        ] == [("strategy", "dynamic", "naive")]
+
     def test_healthy_sqlite_backend_reports_no_downgrade(
         self, small_basket_db, basket_flock
     ):

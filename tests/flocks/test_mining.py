@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import mine
+from repro import MiningOptions, mine
 from repro.errors import FilterError
 from repro.flocks import (
     QueryFlock,
@@ -52,10 +52,6 @@ class TestMine:
         assert report.warnings
         assert "unsatisfiable" in str(report)
 
-    def test_lint_disabled(self, small_basket_db, basket_flock):
-        _, report = mine(small_basket_db, basket_flock, lint=False)
-        assert report.warnings == ()
-
     def test_unknown_strategy_rejected(self, small_basket_db, basket_flock):
         with pytest.raises(FilterError):
             mine(small_basket_db, basket_flock, strategy="magic")
@@ -73,8 +69,8 @@ class TestMine:
 
 
 class TestOptimizerKnobs:
-    """The ``join_order=``/``runtime_filters=`` knobs: threading,
-    observability, and the pruning counter."""
+    """The ``join_order=`` knob: threading, observability, and the
+    runtime-filter pruning counter that comes with ``"ues"``."""
 
     @pytest.fixture(scope="class")
     def pruning_db(self):
@@ -105,45 +101,48 @@ class TestOptimizerKnobs:
     def test_unknown_join_order_rejected(self, small_basket_db, basket_flock):
         with pytest.raises(ValueError, match="order strategy"):
             mine(small_basket_db, basket_flock, join_order="magic")
+        with pytest.raises(ValueError, match="'greedy', 'ues'"):
+            mine(small_basket_db, basket_flock, join_order="selinger")
 
-    def test_ues_defaults_runtime_filters_on(
-        self, small_basket_db, basket_flock
-    ):
-        _, report = mine(
-            small_basket_db, basket_flock,
-            strategy="optimized", join_order="ues",
+    def test_ues_defaults_runtime_filters_on(self, pruning_db, pruning_flock):
+        _, report = self.mine_pruning(
+            pruning_db, pruning_flock, join_order="ues", parallelism=1,
         )
         assert report.join_order == "ues"
-        assert report.runtime_filters is True
+        assert report.runtime_filter_rows_pruned > 0
 
     def test_greedy_defaults_runtime_filters_off(
-        self, small_basket_db, basket_flock
+        self, pruning_db, pruning_flock
     ):
-        _, report = mine(small_basket_db, basket_flock, strategy="optimized")
-        assert report.join_order == "greedy"
-        assert report.runtime_filters is False
-
-    def test_explicit_flag_overrides_the_default(
-        self, small_basket_db, basket_flock
-    ):
-        _, report = mine(
-            small_basket_db, basket_flock,
-            strategy="optimized", join_order="ues", runtime_filters=False,
+        _, report = self.mine_pruning(
+            pruning_db, pruning_flock, parallelism=1,
         )
-        assert report.runtime_filters is False
+        assert report.join_order == "greedy"
         assert report.runtime_filter_rows_pruned == 0
 
+    def test_deleted_switches_are_type_errors(
+        self, small_basket_db, basket_flock
+    ):
+        """Runtime filters belong to the ``"ues"`` order and linting
+        always runs: neither has a switch of its own."""
+        with pytest.raises(TypeError, match="runtime_filters"):
+            MiningOptions(runtime_filters=True)
+        with pytest.raises(TypeError, match="lint"):
+            mine(small_basket_db, basket_flock, lint=False)
+
     def test_runtime_filters_prune_rows(self, pruning_db, pruning_flock):
-        """The a-priori pre-filter step's survivors actually restrict
-        later scans, and the count is surfaced on the report."""
-        baseline, _ = self.mine_pruning(
-            pruning_db, pruning_flock, runtime_filters=False, parallelism=1,
+        """The a-priori pre-filter step's survivors restrict later scans
+        exactly when the join order is ``"ues"``, and the survivors are
+        the same either way."""
+        baseline, greedy = self.mine_pruning(
+            pruning_db, pruning_flock, join_order="greedy", parallelism=1,
         )
-        filtered, report = self.mine_pruning(
+        filtered, ues = self.mine_pruning(
             pruning_db, pruning_flock, join_order="ues", parallelism=1,
         )
         assert filtered == baseline
-        assert report.runtime_filter_rows_pruned > 0
+        assert greedy.runtime_filter_rows_pruned == 0
+        assert ues.runtime_filter_rows_pruned > 0
 
     def test_stage_observations_carry_sound_bounds(
         self, pruning_db, pruning_flock

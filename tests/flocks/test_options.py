@@ -37,10 +37,8 @@ FIELDS = [f.name for f in dataclasses.fields(MiningOptions)]
 #: One non-default value per option.
 SAMPLES = {
     "strategy": "optimized",
-    "lint": False,
     "backend": "sqlite",
     "join_order": "ues",
-    "runtime_filters": True,
     "verify_plans": False,
     "parallelism": 2,
     "retry": RetryPolicy(max_attempts=1),
@@ -159,11 +157,10 @@ def test_wire_fields_round_trip_and_the_rest_are_rejected(name):
 
 
 def test_from_json_inherits_the_defaults_it_is_given():
-    defaults = MiningOptions(strategy="optimized", join_order="selinger")
+    defaults = MiningOptions(strategy="optimized", join_order="greedy")
     assert MiningOptions.from_json({"flock": FLOCK_TEXT}, defaults) is defaults
     options = MiningOptions.from_json({"join_order": "ues"}, defaults)
     assert (options.strategy, options.join_order) == ("optimized", "ues")
-    assert options.runtime_filters_enabled
 
 
 # ----------------------------------------------------------------------

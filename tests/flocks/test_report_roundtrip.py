@@ -115,7 +115,6 @@ class TestRoundTrip:
             seconds=0.5,
             warnings=(),
             join_order="ues",
-            runtime_filters=True,
             runtime_filter_rows_pruned=594,
             stage_rows=(
                 StageObservation(
@@ -138,7 +137,7 @@ class TestRoundTrip:
             db, parse_flock(FLOCK_TEXT),
             strategy="optimized", join_order="ues", parallelism=1,
         )
-        assert report.runtime_filters is True
+        assert report.join_order == "ues"
         assert report.stage_rows
         restored = MiningReport.from_json(report.to_json())
         assert restored.stage_rows == report.stage_rows

@@ -53,7 +53,7 @@ def medical_db(diag, exh, trt, cse):
 
 
 class TestLoweringAlwaysTypeChecks:
-    @given(diag, exh, trt, cse, st.sampled_from(["greedy", "selinger"]))
+    @given(diag, exh, trt, cse, st.sampled_from(["greedy", "ues"]))
     @settings(max_examples=30, deadline=None)
     def test_lowered_rule_plans_are_clean(
         self, diag, exh, trt, cse, strategy

@@ -127,10 +127,10 @@ def test_aggregate_values_identical(make_flock, r, s, bad, threshold):
 
 @given(r=r_rows, threshold=thresholds)
 @settings(max_examples=15, deadline=None)
-def test_selinger_order_agrees_across_backends(r, threshold):
+def test_ues_order_agrees_across_backends(r, threshold):
     db = make_db(r, set(), set())
     flock = pair_flock(threshold)
-    in_memory = evaluate_flock(db, flock, order_strategy="selinger")
+    in_memory = evaluate_flock(db, flock, order_strategy="ues")
     with SQLiteBackend(db) as backend:
-        on_sqlite = backend.evaluate_flock(flock, order_strategy="selinger")
+        on_sqlite = backend.evaluate_flock(flock, order_strategy="ues")
     assert in_memory.tuples == on_sqlite.tuples

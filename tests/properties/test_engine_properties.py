@@ -16,7 +16,7 @@ from repro.relational import (
     Relation,
     evaluate_conjunctive,
     greedy_join_order,
-    selinger_join_order,
+    ues_join_order,
 )
 
 
@@ -58,13 +58,13 @@ class TestJoinOrderIndependence:
 
     @given(chain_query(), rel_rows, rel_rows, rel_rows)
     @settings(max_examples=60, deadline=None)
-    def test_selinger_equals_greedy_result(self, query, r_rows, s_rows, t_rows):
+    def test_ues_equals_greedy_result(self, query, r_rows, s_rows, t_rows):
         db = make_db(r_rows, s_rows, t_rows)
         atoms = query.positive_atoms()
-        dp = selinger_join_order(db, atoms)
+        ues = ues_join_order(db, atoms)
         greedy = greedy_join_order(db, atoms)
-        assert sorted(dp) == sorted(greedy) == list(range(len(atoms)))
-        assert evaluate_conjunctive(db, query, join_order=dp) == (
+        assert sorted(ues) == sorted(greedy) == list(range(len(atoms)))
+        assert evaluate_conjunctive(db, query, join_order=ues) == (
             evaluate_conjunctive(db, query, join_order=greedy)
         )
 

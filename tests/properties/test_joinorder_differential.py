@@ -2,10 +2,11 @@
 
 Join order and sideways information passing are pure *performance*
 levers: for any catalog, any flock, any backend and any worker count,
-``greedy``/``selinger``/``ues`` with or without runtime semi-join
-filters must produce the identical survivor set.  Hypothesis drives
-random small catalogs through the full knob space and compares against
-the greedy/memory/serial baseline; a fixed grid covers the
+the ``optimized`` plan under ``greedy`` (no runtime filters) and under
+``ues`` (runtime semi-join filters from every materialized pre-filter
+step) must produce the survivor set of the single-step plan, which has
+no pre-filter step and so never a filter.  Hypothesis drives random
+small catalogs through the knob space; a fixed grid covers the
 process-parallel path.
 
 The bound algebra's soundness is a property too: every number
@@ -64,6 +65,14 @@ def survivors(db, flock, **knobs):
     return relation.tuples, report
 
 
+def single_step(db, flock):
+    """The single-step plan's survivors: memory, serial, no filters."""
+    relation, _ = mine(
+        db, flock, strategy="naive", backend="memory", parallelism=1
+    )
+    return relation.tuples
+
+
 @pytest.mark.parametrize("make_flock", [pair_flock, join_flock])
 @given(
     r=r_rows,
@@ -71,66 +80,51 @@ def survivors(db, flock, **knobs):
     threshold=thresholds,
     join_order=st.sampled_from(JOIN_ORDERS),
     backend=st.sampled_from(("memory", "sqlite")),
-    runtime_filters=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
 def test_knobs_never_change_survivors(
-    make_flock, r, s, threshold, join_order, backend, runtime_filters
+    make_flock, r, s, threshold, join_order, backend
 ):
     db = make_db(r, s)
     flock = make_flock(threshold)
-    baseline, _ = survivors(
-        db, flock,
-        backend="memory", parallelism=1,
-        join_order="greedy", runtime_filters=False,
-    )
     variant, report = survivors(
-        db, flock,
-        backend=backend, parallelism=1,
-        join_order=join_order, runtime_filters=runtime_filters,
+        db, flock, backend=backend, parallelism=1, join_order=join_order,
     )
-    assert variant == baseline
+    assert variant == single_step(db, flock)
     assert report.join_order == join_order
-    assert report.runtime_filters is runtime_filters
 
 
 @given(r=r_rows, threshold=thresholds)
 @settings(max_examples=15, deadline=None)
 def test_ues_defaults_runtime_filters_on(r, threshold):
+    """Filters come with ``ues`` and only with it: the greedy plan never
+    prunes a scan row, and the ues plan's pruning changes no survivor."""
     db = make_db(r, set())
     flock = pair_flock(threshold)
-    baseline, _ = survivors(
+    _, greedy = survivors(
         db, flock, backend="memory", parallelism=1, join_order="greedy"
     )
-    variant, report = survivors(
+    variant, _ = survivors(
         db, flock, backend="memory", parallelism=1, join_order="ues"
     )
-    assert variant == baseline
-    # runtime_filters=None resolves from the join order.
-    assert report.runtime_filters is True
+    assert greedy.runtime_filter_rows_pruned == 0
+    assert variant == single_step(db, flock)
 
 
 @pytest.mark.parametrize("join_order", JOIN_ORDERS)
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_parallel_workers_agree(force_pool, join_order, jobs):
-    """The process-parallel path (explicit ``parallelism=2``) with
-    runtime filters matches the serial greedy baseline exactly."""
+    """The process-parallel path (explicit ``parallelism=2``) under
+    either join order matches the single-step plan exactly."""
     db = make_db(
         {(b, i) for b in range(30) for i in range(5) if (b + i) % 3},
         set(),
     )
     flock = pair_flock(3)
-    baseline, _ = survivors(
-        db, flock,
-        backend="memory", parallelism=1,
-        join_order="greedy", runtime_filters=False,
-    )
     variant, _ = survivors(
-        db, flock,
-        backend="memory", parallelism=jobs,
-        join_order=join_order, runtime_filters=True,
+        db, flock, backend="memory", parallelism=jobs, join_order=join_order,
     )
-    assert variant == baseline
+    assert variant == single_step(db, flock)
 
 
 @given(r=r_rows, s=s_rows)

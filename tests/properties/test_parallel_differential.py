@@ -78,7 +78,7 @@ FLOCK_MAKERS = [pair_flock, join_flock, negation_flock]
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
-@pytest.mark.parametrize("join_order", ["greedy", "selinger"])
+@pytest.mark.parametrize("join_order", ["greedy", "ues"])
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @given(r=r_rows, s=s_rows, bad=bad_rows, threshold=thresholds)
 @settings(max_examples=10, deadline=None, suppress_health_check=SHARED_FIXTURE)

@@ -60,11 +60,9 @@ class TestExplainConjunctive:
         text = explain(db, rule)
         assert "cartesian!" in text
 
-    def test_selinger_strategy(self, medical_db):
-        text = explain(
-            medical_db, MEDICAL_RULE, order_strategy="selinger"
-        )
-        assert "selinger join order" in text
+    def test_ues_strategy(self, medical_db):
+        text = explain(medical_db, MEDICAL_RULE, order_strategy="ues")
+        assert "ues join order" in text
 
     def test_unknown_strategy_rejected(self, medical_db):
         with pytest.raises(ValueError):

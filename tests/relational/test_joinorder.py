@@ -1,4 +1,4 @@
-"""Tests for the Selinger DP and pessimistic (UES) join orderers."""
+"""Tests for the pessimistic (UES) join orderer and its bound algebra."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.relational import (
     database_from_dict,
     evaluate_conjunctive,
     join_bounds,
-    selinger_join_order,
     ues_join_order,
 )
 from repro.datalog import rule
@@ -19,7 +18,7 @@ from repro.datalog import rule
 @pytest.fixture
 def chain_db():
     """A chain r(A,B)-s(B,C)-t(C,D) with a huge middle relation:
-    the DP order should avoid starting from the middle."""
+    the order should avoid starting from the middle."""
     return database_from_dict(
         {
             "r": (("A", "B"), [(i, i % 5) for i in range(20)]),
@@ -27,74 +26,6 @@ def chain_db():
             "t": (("C", "D"), [(i, 0) for i in range(10)]),
         }
     )
-
-
-class TestSelingerJoinOrder:
-    def test_permutation(self, chain_db):
-        atoms = (atom("r", "A", "B"), atom("s", "B", "C"), atom("t", "C", "D"))
-        order = selinger_join_order(chain_db, atoms)
-        assert sorted(order) == [0, 1, 2]
-
-    def test_avoids_starting_with_giant(self, chain_db):
-        atoms = (atom("r", "A", "B"), atom("s", "B", "C"), atom("t", "C", "D"))
-        order = selinger_join_order(chain_db, atoms)
-        assert order[0] != 1  # s is the 500-row middle
-
-    def test_empty_and_single(self, chain_db):
-        assert selinger_join_order(chain_db, ()) == []
-        assert selinger_join_order(chain_db, (atom("r", "A", "B"),)) == [0]
-
-    def test_falls_back_beyond_max(self, chain_db):
-        atoms = tuple(atom("r", f"X{i}", f"Y{i}") for i in range(6))
-        order = selinger_join_order(chain_db, atoms, max_atoms=4)
-        assert order == list(range(6))
-
-    def test_orders_produce_same_result(self, chain_db):
-        query = rule(
-            "answer",
-            ["A", "D"],
-            [atom("r", "A", "B"), atom("s", "B", "C"), atom("t", "C", "D")],
-        )
-        atoms = query.positive_atoms()
-        dp_order = selinger_join_order(chain_db, atoms)
-        dp_result = evaluate_conjunctive(chain_db, query, join_order=dp_order)
-        default = evaluate_conjunctive(chain_db, query)
-        assert dp_result == default
-
-    def test_star_query(self):
-        """A star join: fact table with three small dimensions."""
-        db = database_from_dict(
-            {
-                "fact": (
-                    ("K1", "K2", "K3"),
-                    [(i % 4, i % 3, i % 2) for i in range(100)],
-                ),
-                "d1": (("K1", "V1"), [(i, i) for i in range(4)]),
-                "d2": (("K2", "V2"), [(i, i) for i in range(3)]),
-                "d3": (("K3", "V3"), [(i, i) for i in range(2)]),
-            }
-        )
-        atoms = (
-            atom("fact", "K1", "K2", "K3"),
-            atom("d1", "K1", "V1"),
-            atom("d2", "K2", "V2"),
-            atom("d3", "K3", "V3"),
-        )
-        order = selinger_join_order(db, atoms)
-        assert sorted(order) == [0, 1, 2, 3]
-        query = rule(
-            "answer",
-            ["V1", "V2", "V3"],
-            list(atoms),
-        )
-        assert evaluate_conjunctive(db, query, join_order=order) == (
-            evaluate_conjunctive(db, query)
-        )
-
-    def test_parameters_count_as_join_columns(self, chain_db):
-        atoms = (atom("r", "A", "$p"), atom("s", "$p", "C"))
-        order = selinger_join_order(chain_db, atoms)
-        assert sorted(order) == [0, 1]
 
 
 @pytest.fixture
@@ -212,6 +143,42 @@ class TestUesJoinOrder:
             trap_db, self.TRAP_ATOMS, ues_join_order(trap_db, self.TRAP_ATOMS)
         )
         assert capped[-1] <= uncapped[-1]
+
+    def test_avoids_starting_with_giant(self, chain_db):
+        atoms = (atom("r", "A", "B"), atom("s", "B", "C"), atom("t", "C", "D"))
+        order = ues_join_order(chain_db, atoms)
+        assert order[0] != 1  # s is the 500-row middle
+
+    def test_parameters_count_as_join_columns(self, chain_db):
+        atoms = (atom("r", "A", "$p"), atom("s", "$p", "C"))
+        order = ues_join_order(chain_db, atoms)
+        assert sorted(order) == [0, 1]
+
+    def test_star_query(self):
+        """A star join: fact table with three small dimensions."""
+        db = database_from_dict(
+            {
+                "fact": (
+                    ("K1", "K2", "K3"),
+                    [(i % 4, i % 3, i % 2) for i in range(100)],
+                ),
+                "d1": (("K1", "V1"), [(i, i) for i in range(4)]),
+                "d2": (("K2", "V2"), [(i, i) for i in range(3)]),
+                "d3": (("K3", "V3"), [(i, i) for i in range(2)]),
+            }
+        )
+        atoms = (
+            atom("fact", "K1", "K2", "K3"),
+            atom("d1", "K1", "V1"),
+            atom("d2", "K2", "V2"),
+            atom("d3", "K3", "V3"),
+        )
+        order = ues_join_order(db, atoms)
+        assert sorted(order) == [0, 1, 2, 3]
+        query = rule("answer", ["V1", "V2", "V3"], list(atoms))
+        assert evaluate_conjunctive(db, query, join_order=order) == (
+            evaluate_conjunctive(db, query)
+        )
 
     def test_order_produces_same_result_as_default(self, trap_db):
         query = rule(

@@ -154,8 +154,8 @@ class TestNonMonotone:
             basket_query_ordered, parse_filter("COUNT(answer.B) = 2")
         )
         session = MiningSession(small_basket_db)
-        _, first = session.mine(flock, lint=False)
-        _, second = session.mine(flock, lint=False)
+        _, first = session.mine(flock)
+        _, second = session.mine(flock)
         assert first.strategy_used != "cache"
         assert second.strategy_used != "cache"
         assert len(session.cache) == 0

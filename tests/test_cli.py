@@ -130,6 +130,16 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", str(flock_file), str(data_dir), "--jobs", "0"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--join-order", "selinger"], ["--runtime-filters"],
+    ])
+    def test_deleted_ordering_choices_exit_2(self, workspace, capsys, argv):
+        flock_file, data_dir = workspace
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(flock_file), str(data_dir), *argv])
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
 
 class TestPlan:
     def test_plan_renders_filter_steps(self, workspace, capsys):
