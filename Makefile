@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test stress golden bench bench-json bench-e2e loc examples lint lint-flocks conlint clean outputs
+.PHONY: install test stress golden bench bench-json bench-e2e bench-ab loc examples lint lint-flocks conlint clean outputs
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -50,6 +50,18 @@ bench-json:
 # its contract; see benchmarks/e2e/README.md for full runs).
 bench-e2e:
 	python3 benchmarks/e2e/run.py --smoke
+
+# Same-session A/B of two committed revisions on one e2e workload:
+# alternating pairs of fresh runs, medians, quartiles and win counts
+# (see benchmarks/ab.py).
+A ?= HEAD~1
+B ?= HEAD
+WORKLOAD ?= words_cold
+PAIRS ?= 10
+SECONDS ?= 25
+bench-ab:
+	python3 benchmarks/ab.py $(A) $(B) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seconds $(SECONDS)
 
 # The one definition of the ROADMAP's line budget: all lines, then
 # code-only lines (comment/docstring deletion is not a reduction), then

@@ -373,12 +373,16 @@ class StageObservation:
     (when computed), and the observed output rows.  Collected by the
     in-memory engine per stage and surfaced through
     :class:`repro.flocks.mining.MiningReport` so estimate quality and
-    bound tightness are inspectable per run."""
+    bound tightness are inspectable per run.  ``kernel`` names the body
+    that ran the stage: ``"pairs"`` (index pairs and masks) or
+    ``"bitmap"`` (a COUNT step's last join counted by AND + popcount);
+    ``actual`` is the same row count either way."""
 
     node: str
     estimated: float
     bound: float | None
     actual: int
+    kernel: str = "pairs"
 
     def to_dict(self) -> dict[str, object]:
         data: dict[str, object] = {
@@ -388,6 +392,8 @@ class StageObservation:
         }
         if self.bound is not None:
             data["bound"] = self.bound
+        if self.kernel != "pairs":
+            data["kernel"] = self.kernel
         return data
 
     @classmethod
@@ -398,6 +404,7 @@ class StageObservation:
             estimated=float(data.get("estimated", 0.0)),  # type: ignore[arg-type]
             bound=None if bound is None else float(bound),  # type: ignore[arg-type]
             actual=int(data.get("actual", 0)),  # type: ignore[arg-type]
+            kernel=str(data.get("kernel", "pairs")),
         )
 
 

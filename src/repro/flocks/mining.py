@@ -326,9 +326,10 @@ class MiningReport:
                 bound_text = (
                     f"{obs.bound:,.0f}" if obs.bound is not None else "-"
                 )
+                kernel = f" [{obs.kernel}]" if obs.kernel != "pairs" else ""
                 lines.append(
                     f"  {obs.node}: ~{obs.estimated:,.0f} / "
-                    f"<={bound_text} / {obs.actual}"
+                    f"<={bound_text} / {obs.actual}{kernel}"
                 )
         if self.parallelism_requested != 1 or self.parallelism_used != 1:
             lines.append(

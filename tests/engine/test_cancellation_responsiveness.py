@@ -122,3 +122,24 @@ def test_counting_pass_trips_row_budget(db, monkeypatch):
     assert [o.actual for o in engine.stage_log] == [12]  # first stage ran
     assert counted == []
     assert info.value.trace is not None
+
+
+def test_pair_step_plan_takes_the_bitmap_body(db):
+    """The two tests above run the bitmap body by default; the next one
+    runs them through each body."""
+    engine = MemoryEngine(db)
+    engine.run_step(pair_step_plan(db))
+    assert [o.kernel for o in engine.stage_log] == ["pairs", "bitmap"]
+
+
+@pytest.mark.parametrize("body", ["pairs", "bitmap"])
+@pytest.mark.parametrize(
+    "scenario",
+    [test_counting_pass_aborts_between_filter_masks,
+     test_counting_pass_trips_row_budget],
+)
+def test_each_last_stage_body_stops_between_masks(db, monkeypatch, body, scenario):
+    monkeypatch.setattr(
+        memory_module, "bitmap_pays", lambda *_: body == "bitmap"
+    )
+    scenario(db, monkeypatch)

@@ -1,13 +1,15 @@
-"""The last join stage of every step is read as index pairs, never
-gathered — for every step kind, in the executor's step body and at the
-dynamic strategy's root alike; no engine path builds the answer
-relation (``run_answer`` / ``run_plan``) or groups one
+"""The last join stage of every step is read as index pairs — or, for a
+COUNT step of the bitmap shape, counted by bitmaps — never gathered:
+for every step kind, in the executor's step body and at the dynamic
+strategy's root alike; no engine path builds the answer relation
+(``run_answer`` / ``run_plan``) or groups one
 (``relation_group_values``)."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.engine.memory as memory
 import repro.relational.aggregates as aggregates
 from repro.datalog import UnionQuery, atom, comparison, negated, rule
 from repro.engine.memory import MemoryEngine
@@ -47,9 +49,10 @@ def flock(body=PAIR, head=("B",), condition="COUNT(answer.B) >= 2"):
 @pytest.fixture
 def join_log(monkeypatch):
     """Every gathered join (a ``run_stage`` whose left side has columns)
-    and every stage body left as index pairs (``("last", stage)``), in
-    order.  A gather outside ``run_stage``, or building or grouping an
-    answer relation, fails the test."""
+    and every stage body left as index pairs (``("last", stage)``) or
+    counted by bitmaps (``("bitmap", stage)``), in order.  A gather
+    outside ``run_stage``, or building or grouping an answer relation,
+    fails the test."""
     events, gathering = [], []
     real_stage = MemoryEngine.run_stage
     real_pairs = MemoryEngine._stage_pairs
@@ -64,10 +67,12 @@ def join_log(monkeypatch):
         finally:
             gathering.pop()
 
-    def pairing(self, current, stage, leaf):
+    def pairing(self, current, stage, *args):
+        outcome = real_pairs(self, current, stage, *args)
         if not gathering:
-            events.append(("last", stage))
-        return real_pairs(self, current, stage, leaf)
+            kind = "last" if isinstance(outcome, JoinPairs) else "bitmap"
+            events.append((kind, stage))
+        return outcome
 
     def gather(self, *args):
         assert gathering, "a stage was gathered outside run_stage"
@@ -132,6 +137,20 @@ def test_dynamic_root_never_joins(db, join_log):
     assert join_log[-1][0] == "last"
     assert "join" not in join_log  # two stages: a scan, then the pairs
     assert trace.decisions[-1].node == "root"
+    assert trace.decisions[-1].size_after == len(result.relation)
+
+
+def test_bitmap_body_never_joins_the_final_stage(db, join_log, monkeypatch):
+    """Counted by bitmaps (the size rule forced), the last stage of the
+    step and of the dynamic root is still never gathered."""
+    monkeypatch.setattr(memory, "bitmap_pays", lambda *_: True)
+    plan = step_plan(db, flock())
+    stages = plan.branches[0].stages
+    MemoryEngine(db).run_step(plan)
+    assert join_log == ["join"] * (len(stages) - 2) + [("bitmap", stages[-1])]
+    join_log.clear()
+    result, trace = evaluate_flock_dynamic(db, flock())
+    assert [kind for kind, _ in join_log] == ["bitmap"]
     assert trace.decisions[-1].size_after == len(result.relation)
 
 

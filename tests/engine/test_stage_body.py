@@ -157,12 +157,12 @@ def counted(monkeypatch):
     real_branch = MemoryEngine._run_branch
     real_pairs = MemoryEngine._stage_pairs
 
-    def body(self, current, stage, leaf):
+    def body(self, current, stage, *args):
         bodies.append(stage)
-        return real_pairs(self, current, stage, leaf)
+        return real_pairs(self, current, stage, *args)
 
-    def branch_spy(self, branch, dynamic=None):
-        outcome = real_branch(self, branch, dynamic)
+    def branch_spy(self, branch, *args):
+        outcome = real_branch(self, branch, *args)
         last = bodies[-1]
         tail = branch.stages[branch.stages.index(last) + 1:]
         calls.append((last, tuple(tail)))

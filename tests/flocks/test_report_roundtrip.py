@@ -131,6 +131,25 @@ class TestRoundTrip:
         assert restored == synthetic
         assert restored.stage_rows[1].bound is None
 
+    def test_stage_kernel_round_trips_and_defaults_off_the_wire(self, db):
+        from repro.engine.ir import StageObservation
+
+        bitmap = StageObservation(
+            node="join:baskets", estimated=9.0, bound=None, actual=12,
+            kernel="bitmap",
+        )
+        pairs = dataclasses.replace(bitmap, kernel="pairs")
+        assert bitmap.to_dict()["kernel"] == "bitmap"
+        assert "kernel" not in pairs.to_dict()  # wire payloads unchanged
+        assert StageObservation.from_dict(pairs.to_dict()) == pairs
+        # A real dynamic run counts its last stage by bitmaps.
+        _, report = mine(db, parse_flock(FLOCK_TEXT), strategy="dynamic")
+        assert report.stage_rows[-1].kernel == "bitmap"
+        assert str(report).count(" [bitmap]") == 1
+        restored = MiningReport.from_json(report.to_json())
+        assert restored.stage_rows == report.stage_rows
+        assert restored == strip_certificates(report)
+
     def test_real_ues_run_round_trips_observability(self, db):
         # stage_rows are recorded by the serial in-memory engine only.
         _, report = mine(

@@ -39,9 +39,9 @@ def keep_negated_rows(self, op, column, rows):
     return REAL_FILTER_MASK(self, op, column, rows)
 
 
-def observe_one_more(self, stage, before, actual, started):
+def observe_one_more(self, stage, before, actual, *rest):
     """Every stage observation reports ``actual + 1``."""
-    return REAL_OBSERVE(self, stage, before, actual + 1, started)
+    return REAL_OBSERVE(self, stage, before, actual + 1, *rest)
 
 
 def concatenate_branches(self, parts):

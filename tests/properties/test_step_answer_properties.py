@@ -15,6 +15,13 @@ constant and repeated head terms, two-branch unions, support
 thresholds and SUM, MIN, MAX (over any head variable) and conjunctions.
 The dynamic strategy's in-flight FILTERs are checked against ``naive``,
 with plan verification on and off.
+
+A COUNT step's last stage has two bodies, index pairs and bitmaps
+(AND + popcount), picked by a size rule (``memory.bitmap_pays``).  Every
+generated step, and every dynamic run, goes through both — the rule is
+forced each way — and must agree on survivors, aggregates, answer
+tuples, stage actuals and decisions; named cases pin the bitmap body's
+edge shapes.
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.engine.memory as memory
 from repro.analysis import plan_verification
 from repro.datalog import UnionQuery, atom, comparison, negated, rule
 from repro.engine import ParallelExecutor
 from repro.engine.memory import MemoryEngine
+from repro.errors import EvaluationError
 from repro.flocks import QueryFlock, parse_filter
 from repro.flocks.dynamic import DynamicEvaluator
 from repro.flocks.executor import lower_filter_step
@@ -120,6 +129,30 @@ def flocks(draw, monotone=False, union=True):
         ))
     query = rules[0] if len(rules) == 1 else UnionQuery(tuple(rules))
     return QueryFlock(query, parse_filter(condition))
+
+
+@st.composite
+def count_flocks(draw):
+    """A flock of the bitmap body's shape: head ``(B)``, one or two
+    COUNT conjuncts over ``B``, one ``r(B, $i)`` per parameter (two or
+    three: one parameter would be a single stage), comparisons between
+    parameters and against constants, and a ``NOT bad(B)``."""
+    params = [f"${i + 1}" for i in range(draw(st.integers(2, 3)))]
+    body = [atom("r", "B", p) for p in params]
+    if draw(st.booleans()):
+        body.append(comparison(params[0], draw(st.sampled_from(["<", "!="])),
+                               params[-1]))
+    if draw(st.booleans()):
+        body.append(comparison(draw(st.sampled_from(params)),
+                               draw(st.sampled_from([">", "<=", "!="])),
+                               draw(values)))
+    if draw(st.booleans()):
+        body.append(negated("bad", "B"))
+    counts = [f"COUNT(answer{draw(st.sampled_from(['(*)', '.B']))}) >= "
+              f"{draw(st.integers(1, 3))}"
+              for _ in range(draw(st.integers(1, 2)))]
+    return QueryFlock(rule("answer", ["B"], body),
+                      parse_filter(" AND ".join(counts)))
 
 
 def lowered(db, flock):
@@ -232,3 +265,125 @@ def test_pooled_partitions_count_like_the_reference(force_pool, db, flock):
     assert outcome.result.tuples == result.tuples
     assert outcome.passed.tuples == passed.tuples
     assert outcome.answer_tuples == answer_tuples
+
+
+def both_bodies(run):
+    """``run()`` with the size rule forced to the pair body, then to the
+    bitmap body (where the step's shape allows it)."""
+    outcomes = []
+    for body in ("pairs", "bitmap"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(memory, "bitmap_pays", lambda *_, b=body: b == "bitmap")
+            outcomes.append(run())
+    return outcomes
+
+
+def step_run(db, plan, need_aggregates):
+    """One ``run_step``: the outcome, its survivor rows in array order,
+    and the stage log as (actual, kernel) pairs."""
+    engine = MemoryEngine(db)
+    outcome = engine.run_step(plan, need_aggregates=need_aggregates)
+    rows = list(zip(*outcome.result.columns_data()))
+    return outcome, rows, [(o.actual, o.kernel) for o in engine.stage_log]
+
+
+def assert_bodies_agree(db, plan):
+    """Both bodies answer alike; returns the bitmap run's kernels."""
+    for need_aggregates in (False, True):
+        (pairs, pair_rows, pair_log), (bits, bit_rows, bit_log) = both_bodies(
+            lambda: step_run(db, plan, need_aggregates)
+        )
+        assert bit_rows == pair_rows
+        assert bits.result == pairs.result
+        assert bits.passed == pairs.passed
+        assert bits.answer_tuples == pairs.answer_tuples
+        assert [a for a, _ in bit_log] == [a for a, _ in pair_log]
+        assert {k for _, k in pair_log} == {"pairs"}
+    return [k for _, k in bit_log]
+
+
+@given(db=databases(), flock=st.one_of(flocks(monotone=True), count_flocks()))
+@settings(max_examples=150, deadline=None)
+def test_both_last_stage_bodies_agree(db, flock):
+    assert_bodies_agree(db, lowered(db, flock))
+
+
+@given(db=databases(),
+       flock=st.one_of(flocks(monotone=True, union=False), count_flocks()))
+@settings(max_examples=60, deadline=None)
+def test_dynamic_decides_alike_in_both_bodies(db, flock):
+    def run():
+        evaluator = DynamicEvaluator(db, flock)
+        got = evaluator.evaluate()
+        trace = evaluator.last_trace
+        return got.relation.tuples, trace.decisions, trace.plan_lines
+
+    pairs, bits = both_bodies(run)
+    assert bits == pairs
+
+
+B, I = "B", "I"
+NAMED = {
+    # One side binds no parameter: the pinned-word shape.
+    "side with no parameter": ([atom("r", B, 1), atom("r", B, "$2")],
+                               "COUNT(answer.B) >= 1"),
+    "side with two parameters": (
+        [atom("r", B, "$1"), atom("r", B, "$2"), atom("r", B, "$3")],
+        "COUNT(answer.B) >= 1",
+    ),
+    "parameter against a constant": (
+        [atom("r", B, "$1"), atom("r", B, "$2"), comparison("$2", "!=", 5)],
+        "COUNT(answer.B) >= 1",
+    ),
+    "COUNT(answer(*)) with head (B)": (
+        [atom("r", B, "$1"), atom("r", B, "$2"), comparison("$1", "<", "$2")],
+        "COUNT(answer(*)) >= 2",
+    ),
+    "two COUNT conjuncts": (
+        [atom("r", B, "$1"), atom("r", B, "$2"), comparison("$1", "<", "$2")],
+        "COUNT(answer.B) >= 1 AND COUNT(answer(*)) >= 2",
+    ),
+    "an empty side": ([atom("r", B, "$1"), atom("none", B, "$2")],
+                      "COUNT(answer.B) >= 1"),
+    # An int and a string share no basket: ``$1 < $2`` would raise on
+    # them, but a zero-count candidate is never compared.
+    "zero-count candidates": (
+        [atom("r", B, "$1"), atom("r", B, "$2"), comparison("$1", "<", "$2")],
+        "COUNT(answer.B) >= 1",
+    ),
+}
+
+#: ``r``'s items are ints in baskets 0-3 and strings in baskets 4-5: a
+#: key pair of an int and a string shares no basket (a zero count).
+MIXED = {
+    "r": ((B, I), {(b, i) for b in range(4) for i in range(6) if (b + i) % 3}
+          | {(b, s) for b in (4, 5) for s in "xyz"}),
+    "none": ((B, I), set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED))
+def test_named_shapes_take_the_bitmap_body(case):
+    body, condition = NAMED[case]
+    db = database_from_dict(MIXED)
+    flock = QueryFlock(rule("answer", [B], body), parse_filter(condition))
+    plan = lowered(db, flock)
+    assert assert_bodies_agree(db, plan)[-1] == "bitmap"
+
+
+def test_mixed_type_comparison_raises_from_both_bodies():
+    db = database_from_dict({"r": ((B, I), {(0, 1), (0, "x"), (1, 2)})})
+    flock = QueryFlock(
+        rule("answer", [B], [atom("r", B, "$1"), atom("r", B, "$2"),
+                             comparison("$1", "<", "$2")]),
+        parse_filter("COUNT(answer.B) >= 1"),
+    )
+    plan = lowered(db, flock)
+
+    def run():
+        engine = MemoryEngine(db)
+        with pytest.raises(EvaluationError):
+            engine.run_step(plan)
+        return [o.kernel for o in engine.stage_log]
+
+    assert both_bodies(run) == [["pairs"], ["pairs"]]  # only stage 0 ran
