@@ -37,9 +37,9 @@ bench:
 # Machine-readable sweeps: writes BENCH_parallel.json ((strategy,
 # backend) x jobs: median/quartile ms over >=5 runs, survivors),
 # BENCH_recovery.json (checkpoint overhead and warm-resume vs cold
-# re-mine), and BENCH_optimizer.json ((strategy, join order) cells:
-# median/quartile ms over 7 runs, load average, the UES-vs-greedy
-# headline).
+# re-mine), and BENCH_optimizer.json ({optimized, dynamic} cells under
+# the one UES join order: median/quartile ms over 7 runs, load average,
+# rows pruned).
 bench-json:
 	$(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py \
 		benchmarks/bench_recovery_overhead.py \
@@ -51,16 +51,17 @@ bench-json:
 bench-e2e:
 	python3 benchmarks/e2e/run.py --smoke
 
-# Same-session A/B of two committed revisions on one e2e workload:
+# Same-session A/B of two committed revisions on one e2e workload, or
+# on every BENCHMARK.json workload in turn when WORKLOAD is empty:
 # alternating pairs of fresh runs, medians, quartiles and win counts
 # (see benchmarks/ab.py).
 A ?= HEAD~1
 B ?= HEAD
-WORKLOAD ?= words_cold
+WORKLOAD ?=
 PAIRS ?= 10
 SECONDS ?= 25
 bench-ab:
-	python3 benchmarks/ab.py $(A) $(B) --workload $(WORKLOAD) \
+	python3 benchmarks/ab.py $(A) $(B) $(if $(WORKLOAD),--workload $(WORKLOAD)) \
 		--pairs $(PAIRS) --seconds $(SECONDS)
 
 # The one definition of the ROADMAP's line budget: all lines, then

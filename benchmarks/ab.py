@@ -1,21 +1,22 @@
-"""Same-session A/B of two revisions on one end-to-end workload::
+"""Same-session A/B of two revisions on the end-to-end workloads::
 
-    python3 benchmarks/ab.py A B --workload words_cold [--pairs 10] [--seconds 25]
-    make bench-ab A=HEAD~1 B=HEAD WORKLOAD=words_cold PAIRS=10 SECONDS=25
+    python3 benchmarks/ab.py A B [--workload words_cold] [--pairs 10] [--seconds 25]
+    make bench-ab A=HEAD~1 B=HEAD [WORKLOAD=words_cold] PAIRS=10 SECONDS=25
 
 Each revision is exported with ``git archive`` into its own temporary
-directory, so uncommitted changes take no part.  Then ``--pairs`` times,
-both trees run ``benchmarks/e2e/run.py --workload W --trace 0`` in fresh
-processes, alternating which side goes first.  Absolute timings drift
-between sessions on a shared box; only runs interleaved like this
-compare two trees.
+directory, once, so uncommitted changes take no part.  Then, for the
+``--workload`` given, or for every ``BENCHMARK.json`` workload in turn
+when none is, ``--pairs`` times both trees run ``benchmarks/e2e/run.py
+--workload W --trace 0`` in fresh processes, alternating which side goes
+first.  Absolute timings drift between sessions on a shared box; only
+runs interleaved like this compare two trees.
 
-It prints, per end-to-end metric of ``BENCHMARK.json``: each side's
-median and quartiles, B/A, how many pairs B won, and whether a side's
-spread (q3 - q1 over the median) is wider than the metric's bound — a
-change of that size cannot show there.  Also ``cpu_count`` and the
-1-minute load average before and after.  Exits 1 if any run failed an
-op or returned a wrong answer.
+It prints, per workload and end-to-end metric of ``BENCHMARK.json``:
+each side's median and quartiles, B/A, how many pairs B won, and whether
+a side's spread (q3 - q1 over the median) is wider than the metric's
+bound — a change of that size cannot show there.  Also ``cpu_count``
+and the 1-minute load average before and after.  Exits 1 if any run of
+any workload failed an op or returned a wrong answer.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, args: argparse.Namespace) -> dict:
+def run_once(tree: Path, workload: str, args: argparse.Namespace) -> dict:
     """One fresh ``run.py`` process: its result line plus its exit code
     (``metrics`` is ``None`` when the run printed no result)."""
     proc = subprocess.run(
         [sys.executable, str(tree / "benchmarks" / "e2e" / "run.py"),
-         "--workload", args.workload, "--trace", "0",
+         "--workload", workload, "--trace", "0",
          "--seconds", str(args.seconds), "--seed", str(args.seed)],
         cwd=tree, capture_output=True, text=True,
     )
@@ -76,33 +77,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("a", help="base revision")
-    parser.add_argument("b", help="candidate revision")
-    parser.add_argument("--workload", required=True,
-                        choices=[w["name"] for w in CONTRACT["workloads"]])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        default=CONTRACT["run_seconds"])
-    parser.add_argument("--seed", type=int, default=101)
-    args = parser.parse_args(argv)
-    # A terminated A/B still removes its exported trees.
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
-
+def compare(
+    workload: str, args: argparse.Namespace, trees: dict, shas: dict
+) -> bool:
+    """``--pairs`` alternating pairs of ``workload`` and their table;
+    returns whether every run succeeded."""
     load_before = os.getloadavg()[0]
-    runs: dict[str, list[dict]] = {"A": [], "B": []}
-    with tempfile.TemporaryDirectory(prefix="repro-ab-") as tmp:
-        trees = {side: Path(tmp) / side for side in runs}
-        shas = {side: export(rev, trees[side])
-                for side, rev in (("A", args.a), ("B", args.b))}
-        for pair in range(args.pairs):
-            for side in ("AB" if pair % 2 == 0 else "BA"):
-                runs[side].append(run_once(trees[side], args))
+    runs: dict[str, list[dict]] = {side: [] for side in trees}
+    for pair in range(args.pairs):
+        for side in ("AB" if pair % 2 == 0 else "BA"):
+            runs[side].append(run_once(trees[side], workload, args))
     load_after = os.getloadavg()[0]
 
     print(f"A = {args.a} ({shas['A']}), B = {args.b} ({shas['B']}); "
-          f"workload {args.workload}; {args.pairs} alternating pair(s) x "
+          f"workload {workload}; {args.pairs} alternating pair(s) x "
           f"{args.seconds:g} s; cpu_count {os.cpu_count()}; "
           f"1-min load {load_before:.2f} -> {load_after:.2f}")
     bad = [r for side in runs.values() for r in side
@@ -114,7 +102,7 @@ def main(argv: list[str]) -> int:
               f"{sum(not r['correct'] for r in side_runs)} run(s) incorrect")
     if bad:
         print(f"{len(bad)} run(s) failed; no metrics compared")
-        return 1
+        return False
     print(f"{'metric':12s} {'A median [q1, q3]':>32s} "
           f"{'B median [q1, q3]':>32s} {'B/A':>6s}  B wins  spread > bound")
     for metric in CONTRACT["end_to_end"]:
@@ -132,7 +120,36 @@ def main(argv: list[str]) -> int:
               f"{stats['B'][1] / stats['A'][1]:6.3f}  {wins:2d}/{args.pairs:<3d} "
               f"{', '.join(wide) or '-'} (bound {metric['bound']:.0%}, "
               f"{metric['unit']}, {metric['better']} is better)")
-    return 0
+    return True
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("a", help="base revision")
+    parser.add_argument("b", help="candidate revision")
+    names = [w["name"] for w in CONTRACT["workloads"]]
+    parser.add_argument("--workload", choices=names,
+                        help="one workload (default: every workload in turn)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float,
+                        default=CONTRACT["run_seconds"])
+    parser.add_argument("--seed", type=int, default=101)
+    args = parser.parse_args(argv)
+    # A terminated A/B still removes its exported trees.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="repro-ab-") as tmp:
+        trees = {side: Path(tmp) / side for side in "AB"}
+        shas = {side: export(rev, trees[side])
+                for side, rev in (("A", args.a), ("B", args.b))}
+        for number, workload in enumerate([args.workload] if args.workload
+                                          else names):
+            if number:
+                print(flush=True)
+            ok = compare(workload, args, trees, shas) and ok
+            sys.stdout.flush()
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -1,39 +1,30 @@
-"""Join orders under both in-memory plan strategies: greedy vs UES.
+"""The two in-memory plan strategies over the one join order.
 
 The paper defers join ordering to "the general theory of cost-based
 optimization ([G*79])" and says its filtering idea "is independent of
-how the join order is actually chosen" (Section 4.4); this bench
-compares the two orderers the planner offers:
-
-* ``greedy`` — smallest estimated growth next (the default);
-* ``ues`` — the pessimistic mode: stages ranked by *guaranteed* output
-  upper bounds (exact distinct counts × max per-value frequencies),
-  never by independence estimates, plus runtime semi-join filters from
-  every materialized pre-filter step into later scans.
-
-each under the ``optimized`` (static plan search) and ``dynamic``
-(Section 4.4 decisions mid-run) strategies.
+how the join order is actually chosen" (Section 4.4).  Every lowered
+plan takes the pessimistic UES order — stages ranked by *guaranteed*
+output upper bounds (exact distinct counts × max per-value
+frequencies), never by independence estimates — with runtime semi-join
+filters from every materialized pre-filter step into later scans.  This
+bench times that order under the ``optimized`` (static plan search) and
+``dynamic`` (Section 4.4 decisions mid-run) strategies.
 
 Workloads: the two Section 1.3 paper workloads (Zipf word occurrences
-and market baskets), where both orders should be comparable, plus the
-**adversarial-skew clickstream** (:mod:`repro.workloads.skew`) built to
-fool estimates: bot accounts hot in two relations at once make the
-estimate-minimal order join hot⋈hot early and blow up, while the UES
-bound carries the bots' max frequency and provably defers that join.
+and market baskets), plus the **adversarial-skew clickstream**
+(:mod:`repro.workloads.skew`) built to fool estimates: bot accounts hot
+in two relations at once make an estimate-minimal order join hot⋈hot
+early and blow up, while the UES bound carries the bots' max frequency
+and provably defers that join.
 
-Each (strategy × join order) cell is the median and quartiles of
-``REPEATS`` runs, interleaved across a workload's cells (alternating
-direction) so drift hits all alike; every cell must return identical
-survivors.  Output: a JSON report at ``$REPRO_BENCH_JSON_OPTIMIZER``
-(default ``BENCH_optimizer.json``) with one row per cell — the
-machine's ``cpu_count`` and the 1-minute load average before and after
-the workload — and the headline ``optimized`` UES-vs-greedy speedups.
-
-Floors: ``REPRO_BENCH_MIN_UES_SPEEDUP`` (exported by the CI smoke job
-as ``1.0``) gates the adversarial-skew headline at any scale; a
-full-scale run (``REPRO_BENCH_SCALE >= 1``) additionally asserts the
-acceptance targets — >=1.5x on adversarial-skew and parity (within
-measurement tolerance) on the paper workloads.
+Each strategy cell is the median and quartiles of ``REPEATS`` runs,
+interleaved across a workload's cells (alternating direction) so drift
+hits all alike; every cell must return identical survivors, and the
+runtime filters must prune scan rows on the skew workload.  Output: a
+JSON report at ``$REPRO_BENCH_JSON_OPTIMIZER`` (default
+``BENCH_optimizer.json``) with one row per cell, the machine's
+``cpu_count`` and the 1-minute load average before and after the
+workload.
 """
 
 import gc
@@ -46,7 +37,6 @@ import pytest
 
 from repro.flocks import parse_flock
 from repro.flocks.mining import mine
-from repro.flocks.options import JOIN_ORDERS
 from repro.workloads import generate_skewed_clickstream
 
 from conftest import SCALE, report, scaled
@@ -55,12 +45,8 @@ JSON_PATH = os.environ.get(
     "REPRO_BENCH_JSON_OPTIMIZER", "BENCH_optimizer.json"
 )
 
-#: (strategy, join_order) cells swept per workload.
-CELLS = [
-    (strategy, join_order)
-    for strategy in ("optimized", "dynamic")
-    for join_order in JOIN_ORDERS
-]
+#: Strategy cells swept per workload.
+CELLS = ("optimized", "dynamic")
 
 #: Timed end-to-end mine() calls per cell (each call re-plans, so plan
 #: search is included in every sample), after one untimed warm-up.
@@ -99,21 +85,20 @@ def _load_1min() -> float:
 
 
 def _sweep(db, flock, workload: str) -> list:
-    """One row per (strategy, join_order) cell: median and quartile
-    wall ms over REPEATS interleaved runs, plus the survivor count —
-    which must agree across every cell."""
+    """One row per strategy cell: median and quartile wall ms over
+    REPEATS interleaved runs, plus the survivor count — which must agree
+    across every cell."""
     load_before = _load_1min()
     samples = {cell: [] for cell in CELLS}
     last = {}
     for cell in CELLS:  # warm-up: caches, lazy statistics, imports
-        mine(db, flock, strategy=cell[0], join_order=cell[1], parallelism=1)
+        mine(db, flock, strategy=cell, parallelism=1)
     for repeat in range(REPEATS):
         for cell in CELLS[::-1] if repeat % 2 else CELLS:
             gc.collect()
             started = time.perf_counter()
             relation, rpt = mine(
-                db, flock, strategy=cell[0], join_order=cell[1],
-                backend="memory", parallelism=1,
+                db, flock, strategy=cell, backend="memory", parallelism=1,
             )
             samples[cell].append((time.perf_counter() - started) * 1e3)
             last[cell] = (sorted(relation.tuples, key=repr), rpt)
@@ -128,8 +113,7 @@ def _sweep(db, flock, workload: str) -> list:
         q1, median, q3 = statistics.quantiles(samples[cell], n=4)
         rows.append({
             "workload": workload,
-            "strategy": cell[0],
-            "join_order": cell[1],
+            "strategy": cell,
             "median_ms": round(median, 2),
             "q1_ms": round(q1, 2),
             "q3_ms": round(q3, 2),
@@ -142,35 +126,20 @@ def _sweep(db, flock, workload: str) -> list:
     return rows
 
 
-def _cell(rows: list, workload: str, strategy: str, join_order: str) -> dict:
+def _cell(rows: list, workload: str, strategy: str) -> dict:
     return next(
         r for r in rows
-        if r["workload"] == workload
-        and r["strategy"] == strategy
-        and r["join_order"] == join_order
+        if r["workload"] == workload and r["strategy"] == strategy
     )
 
 
-def _speedup(rows: list, workload: str) -> float:
-    """``optimized``: UES (runtime filters on) vs the greedy default
-    (no filters), by median."""
-    greedy = _cell(rows, workload, "optimized", "greedy")["median_ms"]
-    ues = _cell(rows, workload, "optimized", "ues")["median_ms"]
-    return greedy / max(ues, 1e-9)
-
-
-def _write_json(rows: list, speedups: dict) -> None:
+def _write_json(rows: list) -> None:
     payload = {
         "scale": SCALE,
         "cpu_count": os.cpu_count(),
         "repeats": REPEATS,
-        "cells": [
-            {"strategy": strategy, "join_order": join_order}
-            for strategy, join_order in CELLS
-        ],
-        "speedup_optimized_ues_vs_greedy": {
-            workload: round(value, 3) for workload, value in speedups.items()
-        },
+        "join_order": "ues",
+        "strategies": list(CELLS),
         "rows": rows,
     }
     with open(JSON_PATH, "w") as handle:
@@ -181,7 +150,7 @@ def _write_json(rows: list, speedups: dict) -> None:
 def test_optimizer_modes(
     benchmark, word_db, basket_db, basket_flock_20, skew_db, skew_flock
 ):
-    """Full strategy × join order sweep over three workloads, JSON out."""
+    """Strategy sweep over three workloads, JSON out."""
     collected = {}
 
     def run():
@@ -193,19 +162,15 @@ def test_optimizer_modes(
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     rows = collected["rows"]
-    speedups = {
-        workload: _speedup(rows, workload)
-        for workload in ("adversarial-skew", "words-sec1.3", "baskets-sec1.3")
-    }
-    _write_json(rows, speedups)
+    _write_json(rows)
 
-    skew_rf = _cell(rows, "adversarial-skew", "optimized", "ues")
+    skew_rf = _cell(rows, "adversarial-skew", "optimized")
     report(
         "optimizer-modes",
-        "bounds beat estimates on correlated skew, tie on paper data",
+        "one bound-driven order under both plan strategies",
         " | ".join(
-            f"{workload} optimized ues {speedup:.2f}x vs greedy"
-            for workload, speedup in speedups.items()
+            f"{r['workload']} {r['strategy']} {r['median_ms']:.1f} ms"
+            for r in rows
         )
         + f" | {skew_rf['rows_pruned']} scan rows pruned on skew",
     )
@@ -213,20 +178,3 @@ def test_optimizer_modes(
     # Runtime filters must actually fire on the skew workload (its page
     # and item long tails are built to be mostly prunable).
     assert skew_rf["rows_pruned"] > 0
-
-    floor = os.environ.get("REPRO_BENCH_MIN_UES_SPEEDUP", "")
-    if floor:
-        measured = speedups["adversarial-skew"]
-        assert measured >= float(floor), (
-            f"expected >={floor}x on adversarial-skew, "
-            f"measured {measured:.2f}x"
-        )
-
-    if SCALE >= 1.0:
-        # The acceptance targets, asserted only at full scale where the
-        # skew structure is big enough to dominate fixed costs.
-        assert speedups["adversarial-skew"] >= 1.5, speedups
-        for workload in ("words-sec1.3", "baskets-sec1.3"):
-            # Parity on the paper workloads: UES must never lose; 5%
-            # covers timer noise between medians.
-            assert speedups[workload] >= 0.95, speedups

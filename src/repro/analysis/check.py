@@ -97,7 +97,6 @@ def _build_plan(
 def check_flock(
     flock: "QueryFlock",
     db: Optional["Database"] = None,
-    order_strategy: str = "greedy",
 ) -> FlockCheck:
     """Run lint, safety, plan certification, and (with ``db``) the IR
     schema checker over one flock; returns the merged report."""
@@ -124,9 +123,7 @@ def check_flock(
     if db is not None and plan is not None:
         for step in plan.steps:
             try:
-                step_plan = lower_filter_step(
-                    db, flock, step, order_strategy=order_strategy
-                )
+                step_plan = lower_filter_step(db, flock, step)
             except ReproError as failure:
                 extra.append(
                     error(

@@ -454,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("flock", help="path to a flock file (QUERY:/FILTER:)")
     run.add_argument("data", help="directory of <relation>.csv files")
     MiningOptions.add_arguments(run, (
-        "--strategy", "--backend", "--join-order", "--checkpoint",
-        "--run-id", "--resume", "--jobs",
+        "--strategy", "--backend", "--checkpoint", "--run-id", "--resume",
+        "--jobs",
     ))
     run.add_argument("--timeout", type=_nonnegative_float, default=None,
                      metavar="SECONDS",
@@ -568,8 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent mining calls (dispatcher threads)")
     # Per-call defaults for requests that name none.
     MiningOptions.add_arguments(serve, (
-        "--strategy", "--backend", "--jobs", "--join-order",
-        "--checkpoint",
+        "--strategy", "--backend", "--jobs", "--checkpoint",
     ))
     serve.add_argument("--timeout", type=_nonnegative_float, default=None,
                        metavar="SECONDS",

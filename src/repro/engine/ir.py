@@ -223,7 +223,8 @@ class PhysicalPlan:
     """The lowered physical plan of one conjunctive rule."""
 
     query: "ConjunctiveQuery"
-    order_strategy: str
+    #: ``"ues"`` (the bound order) or ``"explicit"`` (a caller's).
+    ordered_by: str
     order: tuple[int, ...]
     stages: tuple[JoinStage, ...]
     unit_filters: tuple[CompareFilter | AntiJoin, ...]
@@ -237,7 +238,7 @@ class PhysicalPlan:
     def render(self) -> str:
         """The EXPLAIN text: scan/join/filter/project lines with size
         estimates.  This *is* the plan the engines execute."""
-        lines = [f"EXPLAIN ({self.order_strategy} join order) for: {self.query}"]
+        lines = [f"EXPLAIN ({self.ordered_by} join order) for: {self.query}"]
         for stage in self.stages:
             atom = stage.scan.atom
             bound = (

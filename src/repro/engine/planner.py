@@ -1,8 +1,8 @@
 """Lowering: logical rules and FILTER steps become physical plans, once.
 
 The planner turns one extended conjunctive query into a
-:class:`~repro.engine.ir.PhysicalPlan`: pick a join order (greedy,
-pessimistic UES, or caller-supplied), emit one
+:class:`~repro.engine.ir.PhysicalPlan`: pick a join order (the
+pessimistic UES bound order, or a caller-supplied one), emit one
 :class:`JoinStage` per positive subgoal, attach each
 comparison/negation to the earliest stage where its terms are bound
 (the same eager placement Sections 4.1–4.3 assume for selections),
@@ -31,7 +31,6 @@ from ..relational.catalog import Database
 from ..relational.joinorder import (
     ScanCaps,
     chain_upper_bounds,
-    greedy_join_order,
     ues_join_order,
 )
 from .ir import (
@@ -54,33 +53,24 @@ from .ir import (
 def order_positive_atoms(
     db: Database,
     positives: Sequence[RelationalAtom],
-    order_strategy: str = "greedy",
     join_order: Sequence[int] | None = None,
     scan_caps: ScanCaps | None = None,
 ) -> tuple[list[int], str]:
     """The join order to lower with, and the label it renders under.
 
     An explicit ``join_order`` (indices into ``positives``) wins over
-    the strategy; it must be a permutation.  ``scan_caps`` carries the
-    runtime-filter key counts only the pessimistic (``"ues"``) order
-    uses — the estimate-driven orders ignore them.
+    the UES bound order; it must be a permutation.  ``scan_caps``
+    carries the runtime-filter key counts the bounds read.
     """
-    if join_order is not None:
-        order = list(join_order)
-        if sorted(order) != list(range(len(positives))):
-            raise EvaluationError(
-                f"join_order {order} is not a permutation of the "
-                f"{len(positives)} positive subgoals"
-            )
-        return order, "explicit"
-    if order_strategy == "greedy":
-        return greedy_join_order(db, positives), "greedy"
-    if order_strategy == "ues":
+    if join_order is None:
         return ues_join_order(db, positives, scan_caps), "ues"
-    raise ValueError(
-        f"unknown order strategy {order_strategy!r}; "
-        "use 'greedy' or 'ues'"
-    )
+    order = list(join_order)
+    if sorted(order) != list(range(len(positives))):
+        raise EvaluationError(
+            f"join_order {order} is not a permutation of the "
+            f"{len(positives)} positive subgoals"
+        )
+    return order, "explicit"
 
 
 def scan_columns(atom: RelationalAtom) -> tuple[str, ...]:
@@ -168,7 +158,6 @@ def lower_rule(
     output_terms: Sequence[Term] | None = None,
     output_columns: Sequence[str] | None = None,
     join_order: Sequence[int] | None = None,
-    order_strategy: str = "greedy",
     runtime_filters: Collection[str] | None = None,
 ) -> PhysicalPlan:
     """Lower one rule to a physical plan.
@@ -180,9 +169,8 @@ def lower_rule(
         output_columns: labels for the output columns; defaults to the
             rendered terms (constants become ``_const{i}``, and a
             repeated term's later occurrences ``_h{i}``).
-        join_order: explicit positive-subgoal order (wins over
-            ``order_strategy``).
-        order_strategy: ``"greedy"`` or ``"ues"``.
+        join_order: explicit positive-subgoal order (wins over the UES
+            bound order).
         runtime_filters: names of materialized pre-filter results whose
             survivor keys may be pushed into later scans as
             :class:`~repro.engine.ir.ScanFilter` operators (sideways
@@ -191,14 +179,12 @@ def lower_rule(
     positives = query.positive_atoms()
     filters_by_column = scan_filter_map(db, positives, runtime_filters)
     caps = _scan_caps(positives, filters_by_column)
-    order, strategy_label = order_positive_atoms(
-        db, positives, order_strategy=order_strategy, join_order=join_order,
-        scan_caps=caps,
+    order, ordered_by = order_positive_atoms(
+        db, positives, join_order=join_order, scan_caps=caps,
     )
-    # Guaranteed output bounds along the chosen order — computed for
-    # every strategy (the algebra is cheap) so EXPLAIN can print
-    # estimate vs bound and the dynamic evaluator can re-plan against
-    # the tighter of the two.
+    # Guaranteed output bounds along the chosen order — explicit orders
+    # included — so EXPLAIN can print estimate vs bound and the dynamic
+    # evaluator can re-plan against the tighter of the two.
     stage_bounds = chain_upper_bounds(db, positives, order, caps)
     pending_comparisons = list(query.comparisons())
     pending_negations = list(query.negated_atoms())
@@ -283,7 +269,7 @@ def lower_rule(
     )
     plan = PhysicalPlan(
         query=query,
-        order_strategy=strategy_label,
+        ordered_by=ordered_by,
         order=tuple(order),
         stages=tuple(stages),
         unit_filters=unit_filters,
@@ -394,7 +380,6 @@ def lower_step(
     aggregates: Sequence[AggregateSpec],
     conditions: Sequence[tuple[object, str]],
     result_name: str,
-    order_strategy: str = "greedy",
     runtime_filters: Collection[str] | None = None,
 ) -> StepPlan:
     """Lower one FILTER step: union the rule plans, group by the
@@ -406,7 +391,6 @@ def lower_step(
             rule,
             output_terms=terms,
             output_columns=answer_columns,
-            order_strategy=order_strategy,
             runtime_filters=runtime_filters,
         )
         for rule, terms in zip(rules, output_terms_per_rule)

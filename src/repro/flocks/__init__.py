@@ -36,7 +36,7 @@ from .filters import (
 from .flock import QueryFlock, parse_flock
 from .lint import LintCode, LintWarning, lint_diagnostics, lint_flock
 from .mining import Downgrade, MiningReport, mine
-from .options import BACKENDS, JOIN_ORDERS, STRATEGIES, MiningOptions
+from .options import BACKENDS, STRATEGIES, MiningOptions
 from .paper import (
     fig2_flock,
     fig3_flock,
@@ -96,7 +96,6 @@ __all__ = [
     "FlockOptimizer",
     "FlockResult",
     "FlockSequence",
-    "JOIN_ORDERS",
     "LintCode",
     "LintWarning",
     "MiningOptions",

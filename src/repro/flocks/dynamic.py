@@ -197,20 +197,15 @@ class DynamicEvaluator:
 
     # ------------------------------------------------------------------
 
-    def evaluate(
-        self,
-        join_order: list[int] | None = None,
-        order_strategy: str = "greedy",
-    ) -> FlockResult:
+    def evaluate(self, join_order: list[int] | None = None) -> FlockResult:
         """Run the dynamic strategy; returns the flock result (the
         :class:`DynamicTrace` is :attr:`last_trace`).
 
         The flock runs as its single-step plan through the executor
         loop, on a serial :class:`MemoryRunner` that hands this policy
-        to the step body.  ``order_strategy`` selects the join order
-        when ``join_order`` is not given: ``"greedy"`` (default) or
-        ``"ues"`` (the pessimistic bound-minimal order) — the paper: "Any
-        of a number of models and approaches to selecting this join order
+        to the step body.  The join order is ``join_order`` when given,
+        else the UES bound order every plan takes — the paper: "Any of
+        a number of models and approaches to selecting this join order
         may be used, our idea is independent of how the join order is
         actually chosen".  With no explicit ``join_order``, the
         remaining stages may be re-planned mid-flight when observed
@@ -221,7 +216,6 @@ class DynamicEvaluator:
         result = execute_plan(
             self.db, self.flock, single_step_plan(self.flock),
             validate=False, guard=self.guard, sink=self.sink,
-            order_strategy=order_strategy,
             runner=MemoryRunner(self.guard, dynamic=self),
         )
         self.last_trace.seconds = result.trace.total_seconds
@@ -458,14 +452,11 @@ def evaluate_flock_dynamic(
     join_order: list[int] | None = None,
     guard: GuardLike = None,
     sink=None,
-    order_strategy: str = "greedy",
 ) -> tuple[FlockResult, DynamicTrace]:
     """One-call dynamic evaluation; returns (result, trace)."""
     evaluator = DynamicEvaluator(
         db, flock, decision_factor=decision_factor,
         improvement_factor=improvement_factor, guard=guard, sink=sink,
     )
-    result = evaluator.evaluate(
-        join_order=join_order, order_strategy=order_strategy
-    )
+    result = evaluator.evaluate(join_order=join_order)
     return result, evaluator.last_trace

@@ -75,7 +75,6 @@ def lower_filter_step(
     db: Database,
     flock: QueryFlock,
     step: FilterStep,
-    order_strategy: str = "greedy",
     runtime_filters: Collection[str] | None = None,
 ):
     """Lower one FILTER step to its physical :class:`StepPlan`.
@@ -115,7 +114,6 @@ def lower_filter_step(
         aggregates,
         conditions,
         step.result_name,
-        order_strategy=order_strategy,
         runtime_filters=runtime_filters,
     )
 
@@ -127,7 +125,6 @@ def execute_step(
     guard: ExecutionGuard | None = None,
     sink=None,
     final_sink=None,
-    order_strategy: str = "greedy",
     runner=None,
     supervisor=None,
     runtime_filters: Collection[str] | None = None,
@@ -152,9 +149,6 @@ def execute_step(
     the cache here — an upper bound is not the answer; exact reuse
     happens one level up in :func:`repro.flocks.mining.mine`.
 
-    ``order_strategy`` picks the join ordering the step's rules are
-    lowered with (``"greedy"`` or ``"ues"``).
-
     ``runner`` is the step runner the lowered plan is handed to (see the
     module docstring); ``None`` runs it on a serial
     :class:`MemoryRunner`.  Aggregate values are only kept when a
@@ -172,8 +166,7 @@ def execute_step(
             return served.project(param_cols, name=step.result_name), 0
 
     step_plan = lower_filter_step(
-        db, flock, step,
-        order_strategy=order_strategy, runtime_filters=runtime_filters,
+        db, flock, step, runtime_filters=runtime_filters
     )
     if runner is None:
         runner = MemoryRunner(guard)
@@ -202,7 +195,6 @@ def execute_plan(
     validate: bool = True,
     guard: GuardLike = None,
     sink=None,
-    order_strategy: str = "greedy",
     parallel=None,
     supervisor=None,
     recorder=None,
@@ -216,12 +208,12 @@ def execute_plan(
     :class:`MemoryRunner` (the dynamic strategy's) reports the run's
     stage observations.
 
-    ``order_strategy="ues"`` also turns on sideways information passing:
-    once a pre-filter step's ok-relation materializes, its name joins
-    the set of filter sources handed to every later step's lowering, so
-    later scans that bind one of its parameter columns are pre-pruned to
-    the survivor keys (see :class:`~repro.engine.ir.ScanFilter`), and
-    the UES bounds read the survivor-key counts.
+    Every run passes information sideways: once a pre-filter step's
+    ok-relation materializes, its name joins the set of filter sources
+    handed to every later step's lowering, so later scans that bind one
+    of its parameter columns are pre-pruned to the survivor keys (see
+    :class:`~repro.engine.ir.ScanFilter`), and the UES bounds read the
+    survivor-key counts.
 
     ``validate=False`` skips the legality check for hot benchmark loops
     where the same plan is executed repeatedly.
@@ -282,13 +274,9 @@ def execute_plan(
                 scratch, flock, step, guard=guard,
                 sink=None if step is final_step else sink,
                 final_sink=sink if step is final_step else None,
-                order_strategy=order_strategy,
                 runner=runner,
                 supervisor=supervisor,
-                runtime_filters=(
-                    frozenset(rf_sources) if order_strategy == "ues"
-                    else None
-                ),
+                runtime_filters=frozenset(rf_sources),
             )
             description = str(step.query).replace("\n", " | ")
             if recorder is not None:

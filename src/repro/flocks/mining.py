@@ -80,7 +80,6 @@ from .flock import QueryFlock
 from .lint import LintWarning, lint_flock
 from .optimizer import certified_plan
 from .options import BACKENDS as BACKENDS  # re-exported for importers
-from .options import JOIN_ORDERS as JOIN_ORDERS
 from .options import STRATEGIES as STRATEGIES
 from .options import MiningOptions
 from .plans import single_step_plan
@@ -121,10 +120,9 @@ class MiningReport:
     decision_text: str | None = None
     backend_requested: str = "memory"
     backend_used: str = "memory"
-    join_order: str = "greedy"
     #: How many scan rows runtime semi-join filters (sideways information
-    #: passing from materialized pre-filter steps into later scans, part
-    #: of the ``"ues"`` join order) removed before any join ran.
+    #: passing from materialized pre-filter steps into later scans)
+    #: removed before any join ran.
     runtime_filter_rows_pruned: int = 0
     #: Per-join-stage observations (System-R estimate, guaranteed UES
     #: bound, actual output rows) from the in-memory engine —
@@ -206,7 +204,6 @@ class MiningReport:
             "decision_text": self.decision_text,
             "backend_requested": self.backend_requested,
             "backend_used": self.backend_used,
-            "join_order": self.join_order,
             "runtime_filter_rows_pruned": self.runtime_filter_rows_pruned,
             "stage_rows": [o.to_dict() for o in self.stage_rows],
             "parallelism_requested": self.parallelism_requested,
@@ -259,7 +256,6 @@ class MiningReport:
             decision_text=data.get("decision_text"),
             backend_requested=data.get("backend_requested", "memory"),
             backend_used=data.get("backend_used", "memory"),
-            join_order=data.get("join_order", "greedy"),
             runtime_filter_rows_pruned=int(
                 data.get("runtime_filter_rows_pruned", 0)
             ),
@@ -313,9 +309,7 @@ class MiningReport:
                 f"backend: {self.backend_used} "
                 f"(requested {self.backend_requested})"
             )
-        if self.join_order != "greedy":
-            lines.append(f"join order: {self.join_order}")
-        if self.join_order == "ues":
+        if self.runtime_filter_rows_pruned:
             lines.append(
                 "runtime filters: "
                 f"{self.runtime_filter_rows_pruned} scan row(s) pruned"
@@ -438,8 +432,7 @@ def _run_strategy(
     backend = options.backend
     evaluator = None
     loop: dict[str, Any] = dict(
-        guard=guard, order_strategy=options.join_order, sink=sink,
-        supervisor=supervisor, parallel=parallel,
+        guard=guard, sink=sink, supervisor=supervisor, parallel=parallel,
     )
     if strategy == "dynamic":
         # The decision policy runs inside the in-memory step body;
@@ -468,8 +461,7 @@ def _run_strategy(
         attempt.plan_text = plan.render(flock)
         if checkpoint_store is not None:
             attempt.recorder = loop["recorder"] = checkpoint_store.recorder(
-                flock, plan, db, join_order=options.join_order,
-                run_id=options.run_id, resume=options.resume,
+                flock, plan, db, run_id=options.run_id, resume=options.resume,
             )
     # Execution.  Only backend failures degrade from here;
     # budget/cancellation aborts propagate with their partial trace.
@@ -529,7 +521,7 @@ def mine(
 
     *How* the flock is evaluated is a :class:`MiningOptions`: pass one
     as ``options=``, and/or any of its fields (``strategy=``,
-    ``backend=``, ``join_order=``, ``parallelism=``, ``checkpoint=``,
+    ``backend=``, ``parallelism=``, ``checkpoint=``,
     ...) as keyword arguments, which override it.  The remaining
     arguments are per-call resources:
 
@@ -725,7 +717,6 @@ def mine(
         decision_text=attempt.decision_text,
         backend_requested=options.backend,
         backend_used=attempt.backend_used,
-        join_order=options.join_order,
         runtime_filter_rows_pruned=result.runtime_filter_rows_pruned,
         stage_rows=tuple(result.stage_rows),
         parallelism_requested=requested_jobs,

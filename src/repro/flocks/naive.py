@@ -39,7 +39,6 @@ def evaluate_flock(
     flock: QueryFlock,
     guard: GuardLike = None,
     sink=None,
-    order_strategy: str = "greedy",
     parallel=None,
 ) -> Relation:
     """Group-by evaluation: the flock result as a relation over its
@@ -65,8 +64,7 @@ def evaluate_flock(
     """
     return execute_plan(
         db, flock, single_step_plan(flock), validate=False,
-        guard=guard, sink=sink, order_strategy=order_strategy,
-        parallel=parallel,
+        guard=guard, sink=sink, parallel=parallel,
     ).relation
 
 

@@ -22,8 +22,6 @@ STRATEGIES = ("auto", "naive", "optimized", "dynamic")
 
 BACKENDS = ("memory", "sqlite")
 
-JOIN_ORDERS = ("greedy", "ues")
-
 
 def positive_int(text: str) -> int:
     """argparse ``type=`` for a count that must be at least 1 (argparse
@@ -51,9 +49,13 @@ class MiningOptions:
     Construction validates everything that does not need the flock:
     :class:`~repro.errors.FilterError` for an unknown ``strategy``,
     :class:`~repro.errors.EvaluationError` for an unknown ``backend``,
-    ``ValueError`` for an unknown ``join_order``, for ``resume``
-    without ``checkpoint``, and for ``checkpoint`` with a strategy that
-    has no plan.
+    ``ValueError`` for ``resume`` without ``checkpoint`` and for
+    ``checkpoint`` with a strategy that has no plan.
+
+    The join order is not an option: every lowered plan orders its
+    joins by certified UES upper bounds and injects runtime semi-join
+    filters from materialized pre-filter steps into later scans
+    (:mod:`repro.relational.joinorder`).
 
     Attributes:
         strategy: ``"naive"``, ``"optimized"`` (static plan search),
@@ -62,16 +64,6 @@ class MiningOptions:
             :mod:`repro.flocks.mining`).
         backend: ``"memory"`` or ``"sqlite"`` (which falls back to
             memory on backend failure, with a recorded downgrade).
-        join_order: how lowered plans order their joins — ``"greedy"``
-            (smallest estimated growth first) or ``"ues"`` (stages
-            ranked by *guaranteed* output upper bounds from exact
-            distinct counts and max per-value frequencies, never by
-            independence estimates — the robust choice on skewed,
-            correlated data).  ``"ues"`` also injects runtime semi-join
-            filters from materialized pre-filter steps into later scans
-            (sideways information passing) and reads their survivor-key
-            counts in its bounds.  Results are identical either way: a
-            filter only pre-applies a join the plan performs anyway.
         verify_plans: run the :mod:`repro.analysis` verifiers on every
             plan the call uses — the IR schema checker on each lowered
             physical plan (dynamic re-plans included) and certificate
@@ -115,11 +107,6 @@ class MiningOptions:
         "memory", str, "--backend", choices=BACKENDS,
         help="execution backend (sqlite falls back to memory on failure)",
     )
-    join_order: str = _option(
-        "greedy", str, "--join-order", choices=JOIN_ORDERS,
-        help="join ordering of lowered plans (ues: robust on skewed data, "
-        "with runtime semi-join filters from earlier FILTER steps)",
-    )
     verify_plans: Optional[bool] = _option(None)
     parallelism: Optional[int] = _option(
         None, int, "--jobs", type=positive_int, metavar="N",
@@ -144,7 +131,6 @@ class MiningOptions:
         for what, value, allowed, error in (
             ("strategy", self.strategy, STRATEGIES, FilterError),
             ("backend", self.backend, BACKENDS, EvaluationError),
-            ("order strategy", self.join_order, JOIN_ORDERS, ValueError),
         ):
             if value not in allowed:
                 raise error(

@@ -170,14 +170,10 @@ class SQLiteBackend:
         self,
         flock: QueryFlock,
         guard: GuardLike = None,
-        order_strategy: str = "greedy",
     ) -> Relation:
         """The naive one-statement evaluation (the Fig. 1 path): the
         single-step plan through :meth:`execute_plan`."""
-        return self.execute_plan(
-            flock, single_step_plan(flock), guard=guard,
-            order_strategy=order_strategy,
-        )
+        return self.execute_plan(flock, single_step_plan(flock), guard=guard)
 
     def execute_plan(
         self,
@@ -192,9 +188,9 @@ class SQLiteBackend:
         on an abort or a failure — so the backend can be reused.
 
         ``loop`` is passed to :func:`~repro.flocks.executor.execute_plan`
-        unchanged: ``order_strategy`` (``"ues"`` adds semi-join ``IN``
-        conjuncts over earlier step tables), ``sink``,
-        ``supervisor``, ``recorder`` — the hooks every runner gets.
+        unchanged: ``sink``, ``supervisor``, ``recorder`` — the hooks
+        every runner gets.  Runtime filters render as semi-join ``IN``
+        conjuncts over earlier step tables.
         """
         db = self._require_loaded()
         self._active_guard = as_guard(guard)

@@ -260,8 +260,8 @@ class RunManifest:
     """The durable identity of one checkpointed mining run.
 
     ``flock_key`` is the canonical (alpha-equivalence) key of the query
-    plus the filter text; ``plan_fingerprint`` hashes the rendered plan
-    and join order.  Together they guarantee a resume re-executes the
+    plus the filter text; ``plan_fingerprint`` hashes the rendered plan.
+    Together they guarantee a resume re-executes the
     *same* plan over the *same* flock — anything else is a
     :class:`~repro.errors.ResumeError`.  Cross-process staleness of the
     data is screened by ``base_cards`` (relation cardinalities; version
@@ -331,12 +331,10 @@ def flock_key(flock: "QueryFlock") -> str:
     return f"{canonical_key(flock.query)} | {flock.filter}"
 
 
-def plan_fingerprint(
-    flock: "QueryFlock", plan: "QueryPlan", join_order: str = "greedy"
-) -> str:
+def plan_fingerprint(flock: "QueryFlock", plan: "QueryPlan") -> str:
     """A stable hash of the plan a run executed — resume validates the
     freshly rebuilt plan against it before trusting any checkpoint."""
-    text = f"{plan.render(flock)}\njoin_order={join_order}"
+    text = plan.render(flock)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -485,7 +483,6 @@ class CheckpointStore:
         flock: "QueryFlock",
         plan: "QueryPlan",
         db: "Database",
-        join_order: str = "greedy",
         run_id: str | None = None,
         resume: str | None = None,
     ) -> "CheckpointRecorder":
@@ -499,7 +496,7 @@ class CheckpointStore:
         survivors into a changed run would be a silent wrong answer.
         """
         key = flock_key(flock)
-        fingerprint = plan_fingerprint(flock, plan, join_order)
+        fingerprint = plan_fingerprint(flock, plan)
         cards = {
             name: len(db.get(name))
             for name in sorted(flock.predicates())
@@ -525,8 +522,8 @@ class CheckpointStore:
             if manifest.plan_fingerprint != fingerprint:
                 raise ResumeError(
                     f"run {resume!r} was checkpointed under a different "
-                    "plan (fingerprint mismatch; statistics or join "
-                    "order changed)"
+                    "plan (fingerprint mismatch: the statistics changed, "
+                    "or another build fingerprinted it)"
                 )
             if manifest.base_cards != cards:
                 raise ResumeError(

@@ -14,7 +14,6 @@ from .dictionary import ValueDictionary, stable_hash
 from .evaluate import (
     atom_binding_relation,
     evaluate_conjunctive,
-    greedy_join_order,
     term_column,
 )
 from .io import load_database, load_relation, save_database, save_relation
@@ -37,7 +36,6 @@ from .relation import Relation, relation_from_rows
 from .statistics import (
     RelationStats,
     estimate_chain_join_size,
-    estimate_join_size,
     selectivity_of_filter,
     tuples_per_assignment,
 )
@@ -56,9 +54,7 @@ __all__ = [
     "chain_upper_bounds",
     "database_from_dict",
     "estimate_chain_join_size",
-    "estimate_join_size",
     "evaluate_conjunctive",
-    "greedy_join_order",
     "group_aggregate",
     "join_bounds",
     "load_database",

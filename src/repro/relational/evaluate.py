@@ -26,13 +26,11 @@ from ..engine.planner import lower_rule
 from ..guard import GuardLike
 from .binding import atom_binding_relation, term_column
 from .catalog import Database
-from .joinorder import greedy_join_order
 from .relation import Relation
 
 __all__ = [
     "atom_binding_relation",
     "evaluate_conjunctive",
-    "greedy_join_order",
     "term_column",
 ]
 
@@ -42,7 +40,6 @@ def evaluate_conjunctive(
     query: ConjunctiveQuery,
     output_terms: Sequence[Term] | None = None,
     join_order: Sequence[int] | None = None,
-    order_strategy: str = "greedy",
     check_safe: bool = True,
     guard: GuardLike = None,
 ) -> Relation:
@@ -55,9 +52,8 @@ def evaluate_conjunctive(
             query's head terms.  Every bindable output term must occur in
             a positive subgoal.
         join_order: optional explicit ordering of the positive subgoals
-            (indices into ``query.positive_atoms()``); wins over
-            ``order_strategy``.
-        order_strategy: ``"greedy"`` (default) or ``"ues"``.
+            (indices into ``query.positive_atoms()``); wins over the
+            UES bound order.
         check_safe: set ``False`` to skip the safety assertion when the
             caller has already checked (the optimizer's hot path).
         guard: optional :class:`~repro.guard.ExecutionGuard` (or
@@ -76,7 +72,6 @@ def evaluate_conjunctive(
         query,
         output_terms=output_terms,
         join_order=join_order,
-        order_strategy=order_strategy,
     )
     engine = MemoryEngine(db, guard=guard)
     return engine.run_plan(plan)

@@ -1,19 +1,17 @@
-"""Join ordering: greedy estimates and UES bounds.
+"""Join ordering by UES bounds.
 
 The paper defers join ordering to "the general theory of cost-based
 optimization ([G*79])" and notes its filtering idea "is independent of
-how the join order is actually chosen" (Section 4.4).
-:func:`greedy_join_order` is the fast default (smallest relation first,
-then smallest estimated growth); :func:`ues_join_order` is the
-pessimistic alternative: it orders stages by *guaranteed* upper bounds
-on each join's output (UES-style, after Hertzschuch et al.), built from
-exact per-column distinct counts and maximum per-value frequencies
-instead of independence estimates — on skew-correlated data, where
-averages lie but maxima cannot, the bound-minimal order avoids the
-blown-up intermediates the estimate-minimal order walks into.  Both
-produce orders the physical planner (:mod:`repro.engine.planner`)
-lowers into the same plan IR, so what ``explain`` prints is what the
-engines run.
+how the join order is actually chosen" (Section 4.4).  Every lowered
+plan takes :func:`ues_join_order`: it orders stages by *guaranteed*
+upper bounds on each join's output (UES-style, after Hertzschuch et
+al.), built from exact per-column distinct counts and maximum per-value
+frequencies instead of independence estimates — on skew-correlated
+data, where averages lie but maxima cannot, the bound-minimal order
+avoids the blown-up intermediates an estimate-minimal order walks
+into.  The physical planner (:mod:`repro.engine.planner`) lowers the
+order into the plan IR, so what ``explain`` prints is what the engines
+run.
 
 The bound algebra (:class:`AtomBounds`, :func:`chain_upper_bounds`) is
 shared with the planner, which annotates every lowered stage with its
@@ -39,60 +37,11 @@ from typing import Mapping, Sequence
 from ..datalog.atoms import RelationalAtom, is_bindable
 from .binding import term_column
 from .catalog import Database
-from .statistics import estimate_join_size
 
 #: Per-atom scan caps for the bound algebra: atom index → rendered
 #: binding column → number of distinct survivor keys a runtime filter
 #: restricts that column's scan to.
 ScanCaps = Mapping[int, Mapping[str, int]]
-
-
-def greedy_join_order(db: Database, atoms: Sequence[RelationalAtom]) -> list[int]:
-    """A greedy join order over the positive subgoals.
-
-    Start from the smallest binding relation; repeatedly append the
-    subgoal with the smallest estimated join result among those sharing
-    a bound term (avoiding cartesian products until forced).  This is
-    the cheap stand-in for the full Selinger search the paper defers to
-    [G*79]; the plan optimizer explores FILTER placement, not join
-    orders, so a decent deterministic order suffices.
-    """
-    if not atoms:
-        return []
-    sizes = [len(db.get(a.predicate)) for a in atoms]
-    stats = [db.stats(a.predicate) for a in atoms]
-    columns = [frozenset(term_column(t) for t in a.bindable_terms()) for a in atoms]
-
-    remaining = set(range(len(atoms)))
-    order: list[int] = []
-    start = min(remaining, key=lambda i: sizes[i])
-    order.append(start)
-    remaining.remove(start)
-    bound: set[str] = set(columns[start])
-
-    while remaining:
-        connected = [i for i in remaining if columns[i] & bound]
-        pool = connected or sorted(remaining)
-        if connected:
-            # Favor the smallest estimated join growth.
-            def join_cost(i: int) -> float:
-                shared = columns[i] & bound
-                return estimate_join_size(
-                    stats[order[-1]], stats[i], tuple(shared)
-                )
-
-            pick = min(pool, key=lambda i: (join_cost(i), sizes[i]))
-        else:
-            pick = min(pool, key=lambda i: sizes[i])
-        order.append(pick)
-        remaining.remove(pick)
-        bound |= columns[pick]
-    return order
-
-
-# ----------------------------------------------------------------------
-# Pessimistic (UES) ordering: guaranteed upper bounds, never estimates
-# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -205,8 +154,8 @@ def ues_join_order(
     partner fans out explosively is a terrible opening move, and the
     pair bound knows it), then the order repeatedly appends the
     connected subgoal whose join yields the smallest certified bound
-    (cartesian products only when forced).  Unlike the estimate-driven
-    orders, a skew-correlated join — cheap on average, explosive on its
+    (cartesian products only when forced).  Unlike an estimate-driven
+    order, a skew-correlated join — cheap on average, explosive on its
     hot keys — carries its worst case in the bound and is deferred until
     selective subgoals have shrunk the prefix.
     """

@@ -5,7 +5,7 @@ numbers: relation cardinalities and "the number of tuples per assignment
 of values to the parameters" (Section 4.4).  :class:`RelationStats`
 caches the per-relation numbers; :func:`tuples_per_assignment` computes
 the Section 4.4 ratio for an intermediate relation and a parameter
-column set; and :func:`estimate_join_size` is the textbook
+column set; and :func:`estimate_chain_join_size` is the textbook
 (Selinger-style, [G*79]) independence estimate used by the static
 optimizer's cost model.
 """
@@ -108,24 +108,6 @@ def tuples_per_assignment(
     if assignments == 0:
         return 0.0
     return len(relation) / assignments
-
-
-def estimate_join_size(
-    left: RelationStats,
-    right: RelationStats,
-    join_columns: Sequence[str],
-) -> float:
-    """Independence estimate for |left ⋈ right| on ``join_columns``.
-
-    The standard System-R formula: the product of cardinalities divided
-    by the maximum distinct count of each join column.  With no join
-    columns this is the cartesian-product size.
-    """
-    size = float(left.cardinality) * float(right.cardinality)
-    for column in join_columns:
-        d = max(left.distinct_count(column), right.distinct_count(column), 1)
-        size /= d
-    return size
 
 
 def estimate_chain_join_size(

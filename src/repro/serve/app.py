@@ -106,7 +106,7 @@ class ServerConfig:
         max_queued_per_tenant: bounded queue per tenant; beyond it,
             admission fails with HTTP 429.
         cache_entries / cache_rows: shared result-cache LRU bounds.
-        backend / strategy / parallelism / join_order:
+        backend / strategy / parallelism:
             per-call defaults a request's payload overrides — the
             :class:`~repro.flocks.options.MiningOptions` fields of those
             names, collected (and validated) as :attr:`defaults`.
@@ -128,7 +128,6 @@ class ServerConfig:
     backend: str = MiningOptions.backend
     strategy: str = MiningOptions.strategy
     parallelism: Optional[int] = MiningOptions.parallelism
-    join_order: str = MiningOptions.join_order
     checkpoint_path: Optional[str] = None
     max_response_rows: int = 10_000
     defaults: MiningOptions = field(init=False, repr=False, compare=False)

@@ -231,8 +231,7 @@ class MiningSession:
         **defaults: session-wide
             :class:`~repro.flocks.options.MiningOptions` fields every
             :meth:`mine` call inherits unless it passes its own —
-            ``backend``, ``parallelism``, ``join_order``, ``retry``,
-            ``checkpoint``
+            ``backend``, ``parallelism``, ``retry``, ``checkpoint``
             (a per-call field such as ``strategy`` or ``resume`` is a
             ``TypeError`` here).  Kept as :attr:`defaults`.
     """

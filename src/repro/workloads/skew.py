@@ -12,7 +12,7 @@ The trap is *correlated skew*: a small set of bot accounts is hot in
 **both** ``clicks`` and ``views`` (hundreds of rows each) but appears in
 ``promo`` and never purchases anything.  Under the independence
 assumption, ``clicks ⋈ views`` on ``U`` looks cheap — per-user activity
-averages out — so an estimate-driven orderer (greedy or Selinger) joins
+averages out — so an estimate-driven (System-R style) orderer joins
 the two hot relations early and pays a quadratic blowup on every bot
 (``clicks_u × views_u`` rows per bot user).  The pessimistic UES orderer
 never believes the average: its bound for the hot-hot join carries the

@@ -57,13 +57,13 @@ class TestRulePlans:
         report = check_physical_plan(medical_plan, db=small_medical_db)
         assert report.is_clean
 
-    @pytest.mark.parametrize("strategy", ["greedy", "ues"])
+    @pytest.mark.parametrize("ordered_by", ["explicit", "ues"])
     def test_both_orderers_type_check(
-        self, small_medical_db, medical_query, strategy
+        self, small_medical_db, medical_query, ordered_by
     ):
-        plan = lower_rule(
-            small_medical_db, medical_query, order_strategy=strategy
-        )
+        order = [2, 1, 0] if ordered_by == "explicit" else None
+        plan = lower_rule(small_medical_db, medical_query, join_order=order)
+        assert plan.ordered_by == ordered_by
         assert check_physical_plan(plan, db=small_medical_db).is_clean
 
     def test_dangling_join_key(self, medical_plan):

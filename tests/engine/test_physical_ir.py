@@ -21,6 +21,11 @@ def medical():
     return generate_medical(n_patients=120, seed=7)
 
 
+def reversed_ues_order(db, query) -> list[int]:
+    """A second, explicit join order: the bound order backwards."""
+    return list(reversed(lower_rule(db, query).order))
+
+
 def rendered_atom_predicates(text: str) -> list[str]:
     """The predicates of the scan/join lines of an explain rendering,
     in the order they appear."""
@@ -36,19 +41,22 @@ def rendered_atom_predicates(text: str) -> list[str]:
 class TestExplainNamesExecutedOrder:
     """Satellite regression: explain output == executed join order."""
 
-    @pytest.mark.parametrize("strategy", ["greedy", "ues"])
+    @pytest.mark.parametrize("ordered_by", ["explicit", "ues"])
     def test_render_is_the_executed_plan(
-        self, medical, medical_query, strategy
+        self, medical, medical_query, ordered_by
     ):
         db = medical.db
-        plan = lower_rule(db, medical_query, order_strategy=strategy)
+        order = reversed_ues_order(db, medical_query) if (
+            ordered_by == "explicit"
+        ) else None
+        plan = lower_rule(db, medical_query, join_order=order)
 
         # repro explain renders a fresh lowering — byte identical.
         assert (
-            lower_rule(db, medical_query, order_strategy=strategy).render()
+            lower_rule(db, medical_query, join_order=order).render()
             == plan.render()
         )
-        assert f"({strategy} join order)" in plan.render()
+        assert f"({ordered_by} join order)" in plan.render()
 
         # Execute the very same plan object; the guard trace records one
         # row per join stage, in execution order.
@@ -62,11 +70,14 @@ class TestExplainNamesExecutedOrder:
             name.split(":", 1)[1] for name in executed
         ]
 
-    def test_greedy_and_ues_agree_on_answers(self, medical, medical_query):
+    def test_explicit_and_ues_agree_on_answers(self, medical, medical_query):
         db = medical.db
-        greedy = evaluate_conjunctive(db, medical_query)
-        ues = evaluate_conjunctive(db, medical_query, order_strategy="ues")
-        assert greedy == ues
+        ues = evaluate_conjunctive(db, medical_query)
+        explicit = evaluate_conjunctive(
+            db, medical_query,
+            join_order=reversed_ues_order(db, medical_query),
+        )
+        assert explicit == ues
 
 
 class TestLowering:
@@ -80,8 +91,10 @@ class TestLowering:
             lower_rule(medical.db, medical_query, join_order=[0, 0, 1])
 
     def test_unknown_strategy_rejected(self, medical, medical_query):
-        with pytest.raises(ValueError, match="unknown order strategy"):
-            lower_rule(medical.db, medical_query, order_strategy="magic")
+        """No orderer is selectable by name: a plan takes the UES bound
+        order or an explicit permutation."""
+        with pytest.raises(TypeError, match="order_strategy"):
+            lower_rule(medical.db, medical_query, order_strategy="greedy")
 
     def test_negation_attached_once(self, medical, medical_query):
         plan = lower_rule(medical.db, medical_query)
@@ -99,7 +112,7 @@ class TestLowering:
         order = [2, 0, 1]
         plan = lower_rule(medical.db, medical_query, join_order=order)
         assert list(plan.order) == order
-        assert plan.order_strategy == "explicit"
+        assert plan.ordered_by == "explicit"
 
 
 class TestReplanning:

@@ -69,8 +69,9 @@ class TestMine:
 
 
 class TestOptimizerKnobs:
-    """The ``join_order=`` knob: threading, observability, and the
-    runtime-filter pruning counter that comes with ``"ues"``."""
+    """Every plan orders its joins by UES bounds and passes pre-filter
+    survivors sideways as runtime filters: no knob selects either, and
+    the report counts the scan rows the filters pruned."""
 
     @pytest.fixture(scope="class")
     def pruning_db(self):
@@ -99,56 +100,58 @@ class TestOptimizerKnobs:
         return relation, report
 
     def test_unknown_join_order_rejected(self, small_basket_db, basket_flock):
-        with pytest.raises(ValueError, match="order strategy"):
-            mine(small_basket_db, basket_flock, join_order="magic")
-        with pytest.raises(ValueError, match="'greedy', 'ues'"):
-            mine(small_basket_db, basket_flock, join_order="selinger")
+        """There is no orderer to choose: the deleted option is an
+        unknown keyword, whichever order it names."""
+        for order in ("greedy", "ues"):
+            with pytest.raises(TypeError, match="join_order"):
+                mine(small_basket_db, basket_flock, join_order=order)
+            with pytest.raises(TypeError, match="join_order"):
+                MiningOptions(join_order=order)
 
     def test_ues_defaults_runtime_filters_on(self, pruning_db, pruning_flock):
         _, report = self.mine_pruning(
-            pruning_db, pruning_flock, join_order="ues", parallelism=1,
-        )
-        assert report.join_order == "ues"
-        assert report.runtime_filter_rows_pruned > 0
-
-    def test_greedy_defaults_runtime_filters_off(
-        self, pruning_db, pruning_flock
-    ):
-        _, report = self.mine_pruning(
             pruning_db, pruning_flock, parallelism=1,
         )
-        assert report.join_order == "greedy"
+        assert "join_order" not in report.to_dict()
+        assert report.runtime_filter_rows_pruned > 0
+
+    def test_no_pruning_prints_no_filter_line(self, pruning_db, pruning_flock):
+        """The single-step plan has no pre-filter step to pass sideways,
+        so nothing is pruned and the report says nothing about it."""
+        _, report = mine(
+            pruning_db, pruning_flock, strategy="naive", parallelism=1,
+        )
         assert report.runtime_filter_rows_pruned == 0
+        assert "runtime filters" not in str(report)
 
     def test_deleted_switches_are_type_errors(
         self, small_basket_db, basket_flock
     ):
-        """Runtime filters belong to the ``"ues"`` order and linting
-        always runs: neither has a switch of its own."""
+        """Runtime filters are part of every plan and linting always
+        runs: neither has a switch of its own."""
         with pytest.raises(TypeError, match="runtime_filters"):
             MiningOptions(runtime_filters=True)
         with pytest.raises(TypeError, match="lint"):
             mine(small_basket_db, basket_flock, lint=False)
 
     def test_runtime_filters_prune_rows(self, pruning_db, pruning_flock):
-        """The a-priori pre-filter step's survivors restrict later scans
-        exactly when the join order is ``"ues"``, and the survivors are
-        the same either way."""
-        baseline, greedy = self.mine_pruning(
-            pruning_db, pruning_flock, join_order="greedy", parallelism=1,
+        """The a-priori pre-filter step's survivors restrict later scans,
+        and the survivors are those of the single-step plan, which has
+        nothing to filter with."""
+        baseline, _ = mine(
+            pruning_db, pruning_flock, strategy="naive", parallelism=1,
         )
-        filtered, ues = self.mine_pruning(
-            pruning_db, pruning_flock, join_order="ues", parallelism=1,
+        filtered, report = self.mine_pruning(
+            pruning_db, pruning_flock, parallelism=1,
         )
         assert filtered == baseline
-        assert greedy.runtime_filter_rows_pruned == 0
-        assert ues.runtime_filter_rows_pruned > 0
+        assert report.runtime_filter_rows_pruned > 0
 
     def test_stage_observations_carry_sound_bounds(
         self, pruning_db, pruning_flock
     ):
         _, report = self.mine_pruning(
-            pruning_db, pruning_flock, join_order="ues", parallelism=1,
+            pruning_db, pruning_flock, parallelism=1,
         )
         assert report.stage_rows
         for obs in report.stage_rows:
@@ -164,10 +167,10 @@ class TestOptimizerKnobs:
         runner: when nothing was partitioned, the report carries the
         serial run's stage rows and pruned-row count."""
         _, serial = self.mine_pruning(
-            pruning_db, pruning_flock, join_order="ues", parallelism=1,
+            pruning_db, pruning_flock, parallelism=1,
         )
         _, jobs = self.mine_pruning(
-            pruning_db, pruning_flock, join_order="ues", parallelism=2,
+            pruning_db, pruning_flock, parallelism=2,
         )
         assert jobs.parallelism_used == 1
         assert jobs.stage_rows == serial.stage_rows != ()
@@ -178,7 +181,7 @@ class TestOptimizerKnobs:
 
     def test_report_str_mentions_pruning(self, pruning_db, pruning_flock):
         _, report = self.mine_pruning(
-            pruning_db, pruning_flock, join_order="ues", parallelism=1,
+            pruning_db, pruning_flock, parallelism=1,
         )
         text = str(report)
         assert "runtime filters" in text

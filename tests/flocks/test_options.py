@@ -25,7 +25,6 @@ from repro import (
 from repro.errors import EvaluationError, FilterError
 from repro.flocks.options import (
     BACKENDS,
-    JOIN_ORDERS,
     PER_CALL_FIELDS,
     STRATEGIES,
     WIRE_FIELDS,
@@ -38,7 +37,6 @@ FIELDS = [f.name for f in dataclasses.fields(MiningOptions)]
 SAMPLES = {
     "strategy": "optimized",
     "backend": "sqlite",
-    "join_order": "ues",
     "verify_plans": False,
     "parallelism": 2,
     "retry": RetryPolicy(max_attempts=1),
@@ -157,10 +155,10 @@ def test_wire_fields_round_trip_and_the_rest_are_rejected(name):
 
 
 def test_from_json_inherits_the_defaults_it_is_given():
-    defaults = MiningOptions(strategy="optimized", join_order="greedy")
+    defaults = MiningOptions(strategy="optimized", backend="sqlite")
     assert MiningOptions.from_json({"flock": FLOCK_TEXT}, defaults) is defaults
-    options = MiningOptions.from_json({"join_order": "ues"}, defaults)
-    assert (options.strategy, options.join_order) == ("optimized", "ues")
+    options = MiningOptions.from_json({"backend": "memory"}, defaults)
+    assert (options.strategy, options.backend) == ("optimized", "memory")
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +168,6 @@ def test_from_json_inherits_the_defaults_it_is_given():
 INVALID = [
     (FilterError, {"strategy": "quantum"}),
     (EvaluationError, {"backend": "duckdb"}),
-    (ValueError, {"join_order": "alphabetical"}),
     (ValueError, {"resume": "r0"}),
     (ValueError, {"checkpoint": "ckpt.sqlite", "strategy": "naive"}),
     (ValueError, {"checkpoint": "ckpt.sqlite", "strategy": "dynamic"}),
@@ -230,16 +227,13 @@ def test_library_only_option_in_a_payload_is_400(server, name):
 
 
 @pytest.mark.parametrize(
-    "strategy, backend, join_order",
-    itertools.product(STRATEGIES, BACKENDS, JOIN_ORDERS),
+    "strategy, backend", itertools.product(STRATEGIES, BACKENDS)
 )
 def test_every_configuration_matches_bruteforce(
-    small_basket_db, basket_flock, strategy, backend, join_order
+    small_basket_db, basket_flock, strategy, backend
 ):
     expected = evaluate_flock_bruteforce(small_basket_db, basket_flock)
-    options = MiningOptions(
-        strategy=strategy, backend=backend, join_order=join_order
-    )
+    options = MiningOptions(strategy=strategy, backend=backend)
     relation, report = mine(small_basket_db, basket_flock, options=options)
     assert relation.tuples == expected.tuples
     assert report.strategy_requested == strategy

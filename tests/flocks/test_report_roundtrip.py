@@ -114,7 +114,6 @@ class TestRoundTrip:
             strategy_used="optimized",
             seconds=0.5,
             warnings=(),
-            join_order="ues",
             runtime_filter_rows_pruned=594,
             stage_rows=(
                 StageObservation(
@@ -154,13 +153,11 @@ class TestRoundTrip:
         # stage_rows are recorded by the serial in-memory engine only.
         _, report = mine(
             db, parse_flock(FLOCK_TEXT),
-            strategy="optimized", join_order="ues", parallelism=1,
+            strategy="optimized", parallelism=1,
         )
-        assert report.join_order == "ues"
         assert report.stage_rows
         restored = MiningReport.from_json(report.to_json())
         assert restored.stage_rows == report.stage_rows
-        assert restored.join_order == "ues"
         assert (
             restored.runtime_filter_rows_pruned
             == report.runtime_filter_rows_pruned

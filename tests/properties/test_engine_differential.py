@@ -9,14 +9,18 @@ self-join pair, extra join, negation, composite filters) and compares
 row for row.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import atom, comparison, negated, rule
 from repro.engine.memory import MemoryEngine
+from repro.engine.planner import lower_rule
 from repro.flocks import (
     QueryFlock,
     evaluate_flock,
+    evaluate_flock_dynamic,
     parse_filter,
     single_step_plan,
 )
@@ -94,6 +98,25 @@ def naive_step_plan(db, flock):
     return lower_filter_step(db, flock, single_step_plan(flock).final_step)
 
 
+def reversed_order(db, flock) -> list[int]:
+    """A second join order for a one-rule flock: the UES order
+    backwards, as an explicit permutation."""
+    branch = naive_step_plan(db, flock).branches[0]
+    return list(reversed(branch.order))
+
+
+def reordered_step_plan(db, flock):
+    """The single-step plan with its branch lowered again in
+    :func:`reversed_order` — the plan both backends run for it."""
+    step_plan = naive_step_plan(db, flock)
+    branch = step_plan.branches[0]
+    reordered = lower_rule(
+        db, branch.query, branch.root.output_terms, branch.root.columns,
+        join_order=reversed_order(db, flock),
+    )
+    return dataclasses.replace(step_plan, branches=(reordered,))
+
+
 @pytest.mark.parametrize("make_flock", FLOCK_MAKERS)
 @given(r=r_rows, s=s_rows, bad=bad_rows, threshold=thresholds)
 @settings(max_examples=25, deadline=None)
@@ -128,9 +151,20 @@ def test_aggregate_values_identical(make_flock, r, s, bad, threshold):
 @given(r=r_rows, threshold=thresholds)
 @settings(max_examples=15, deadline=None)
 def test_ues_order_agrees_across_backends(r, threshold):
+    """The UES order and an explicit permutation give one survivor set
+    on both backends (the explicit order in memory is the dynamic
+    evaluator's pinned ``join_order``)."""
     db = make_db(r, set(), set())
     flock = pair_flock(threshold)
-    in_memory = evaluate_flock(db, flock, order_strategy="ues")
+    in_memory = evaluate_flock(db, flock)
+    explicit, _ = evaluate_flock_dynamic(
+        db, flock, join_order=reversed_order(db, flock)
+    )
     with SQLiteBackend(db) as backend:
-        on_sqlite = backend.evaluate_flock(flock, order_strategy="ues")
+        on_sqlite = backend.evaluate_flock(flock)
+        explicit_sqlite = backend.run_step(
+            reordered_step_plan(db, flock)
+        ).result
     assert in_memory.tuples == on_sqlite.tuples
+    assert explicit.relation.tuples == in_memory.tuples
+    assert explicit_sqlite.tuples == in_memory.tuples

@@ -1,13 +1,12 @@
-"""Differential properties for the join orderers and runtime filters.
+"""Differential properties for the join order and runtime filters.
 
 Join order and sideways information passing are pure *performance*
 levers: for any catalog, any flock, any backend and any worker count,
-the ``optimized`` plan under ``greedy`` (no runtime filters) and under
-``ues`` (runtime semi-join filters from every materialized pre-filter
-step) must produce the survivor set of the single-step plan, which has
-no pre-filter step and so never a filter.  Hypothesis drives random
-small catalogs through the knob space; a fixed grid covers the
-process-parallel path.
+the ``optimized`` plan (UES order, runtime semi-join filters from every
+materialized pre-filter step) must produce the survivor set of the
+single-step plan, which has no pre-filter step and so never a filter.
+Hypothesis drives random small catalogs through both backends; a fixed
+grid covers the process-parallel path.
 
 The bound algebra's soundness is a property too: every number
 :func:`chain_upper_bounds` certifies must dominate the rows the prefix
@@ -20,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.datalog import atom, comparison, rule
 from repro.flocks import QueryFlock, parse_filter
 from repro.flocks.mining import mine
-from repro.flocks.options import JOIN_ORDERS
 from repro.relational import (
     chain_upper_bounds,
     database_from_dict,
@@ -78,52 +76,40 @@ def single_step(db, flock):
     r=r_rows,
     s=s_rows,
     threshold=thresholds,
-    join_order=st.sampled_from(JOIN_ORDERS),
     backend=st.sampled_from(("memory", "sqlite")),
 )
 @settings(max_examples=25, deadline=None)
-def test_knobs_never_change_survivors(
-    make_flock, r, s, threshold, join_order, backend
-):
+def test_knobs_never_change_survivors(make_flock, r, s, threshold, backend):
     db = make_db(r, s)
     flock = make_flock(threshold)
-    variant, report = survivors(
-        db, flock, backend=backend, parallelism=1, join_order=join_order,
-    )
+    variant, report = survivors(db, flock, backend=backend, parallelism=1)
     assert variant == single_step(db, flock)
-    assert report.join_order == join_order
+    assert report.backend_used == backend
 
 
 @given(r=r_rows, threshold=thresholds)
 @settings(max_examples=15, deadline=None)
 def test_ues_defaults_runtime_filters_on(r, threshold):
-    """Filters come with ``ues`` and only with it: the greedy plan never
-    prunes a scan row, and the ues plan's pruning changes no survivor."""
+    """The single-step plan has no filter source and never prunes a
+    scan row; the searched plan's pruning changes no survivor."""
     db = make_db(r, set())
     flock = pair_flock(threshold)
-    _, greedy = survivors(
-        db, flock, backend="memory", parallelism=1, join_order="greedy"
-    )
-    variant, _ = survivors(
-        db, flock, backend="memory", parallelism=1, join_order="ues"
-    )
-    assert greedy.runtime_filter_rows_pruned == 0
+    _, naive = mine(db, flock, strategy="naive", parallelism=1)
+    variant, _ = survivors(db, flock, backend="memory", parallelism=1)
+    assert naive.runtime_filter_rows_pruned == 0
     assert variant == single_step(db, flock)
 
 
-@pytest.mark.parametrize("join_order", JOIN_ORDERS)
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_parallel_workers_agree(force_pool, join_order, jobs):
-    """The process-parallel path (explicit ``parallelism=2``) under
-    either join order matches the single-step plan exactly."""
+def test_parallel_workers_agree(force_pool, jobs):
+    """The process-parallel path (explicit ``parallelism=2``) matches
+    the single-step plan exactly."""
     db = make_db(
         {(b, i) for b in range(30) for i in range(5) if (b + i) % 3},
         set(),
     )
     flock = pair_flock(3)
-    variant, _ = survivors(
-        db, flock, backend="memory", parallelism=jobs, join_order=join_order,
-    )
+    variant, _ = survivors(db, flock, backend="memory", parallelism=jobs)
     assert variant == single_step(db, flock)
 
 

@@ -2,7 +2,8 @@
 
 The parallel executor's contract is *bit-identical* results for any
 worker count — same survivor rows, same canonical column arrays, same
-per-conjunct aggregates — across strategies, backends and join orders.
+per-conjunct aggregates — across strategies, backends and join orders
+(the UES bound order and an explicit permutation).
 Hypothesis drives random small catalogs through the full mine()
 pipeline at jobs in {1, 2, 4} and compares against the serial run.
 
@@ -23,9 +24,11 @@ from repro.flocks import QueryFlock, parse_filter
 from repro.flocks.executor import lower_filter_step
 from repro.flocks.mining import mine
 from repro.flocks.plans import single_step_plan
+from repro.flocks.sqlbackend import SQLiteBackend
 from repro.engine.memory import MemoryEngine
 from repro.relational import database_from_dict
 
+from tests.properties.test_engine_differential import reordered_step_plan
 from tests.survivor_oracle import survivors
 
 values = st.integers(min_value=0, max_value=4)
@@ -78,22 +81,19 @@ FLOCK_MAKERS = [pair_flock, join_flock, negation_flock]
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
-@pytest.mark.parametrize("join_order", ["greedy", "ues"])
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @given(r=r_rows, s=s_rows, bad=bad_rows, threshold=thresholds)
 @settings(max_examples=10, deadline=None, suppress_health_check=SHARED_FIXTURE)
 def test_mine_identical_across_worker_counts(
-    force_pool, jobs, join_order, backend, r, s, bad, threshold
+    force_pool, jobs, backend, r, s, bad, threshold
 ):
     db = make_db(r, s, bad)
     flock = pair_flock(threshold)
     serial, _ = mine(
-        db, flock, strategy="naive", backend=backend,
-        join_order=join_order, parallelism=1,
+        db, flock, strategy="naive", backend=backend, parallelism=1,
     )
     parallel, report = mine(
-        db, flock, strategy="naive", backend=backend,
-        join_order=join_order, parallelism=jobs,
+        db, flock, strategy="naive", backend=backend, parallelism=jobs,
     )
     assert parallel.tuples == serial.tuples
     assert parallel.columns == serial.columns
@@ -128,6 +128,29 @@ def test_step_output_bit_identical(
     assert outcome.result.columns_data() == expected.columns_data()
     assert outcome.answer_tuples == len(answer)
     assert with_aggs.passed.tuples == expected_passed.tuples
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@given(r=r_rows, threshold=thresholds)
+@settings(max_examples=10, deadline=None, suppress_health_check=SHARED_FIXTURE)
+def test_explicit_order_identical_across_worker_counts(
+    force_pool, backend, r, threshold
+):
+    """A second join order — the UES order reversed, as an explicit
+    permutation — gives the UES order's survivors on the pool (memory)
+    and on SQLite."""
+    db = make_db(r, set(), set())
+    flock = pair_flock(threshold)
+    expected, _ = mine(db, flock, strategy="naive", parallelism=1)
+    step_plan = reordered_step_plan(db, flock)
+    if backend == "memory":
+        with ParallelExecutor(2, db) as executor:
+            outcome = executor.run_step(step_plan)
+        assert outcome.mode == "process"
+    else:
+        with SQLiteBackend(db) as runner:
+            outcome = runner.run_step(step_plan)
+    assert outcome.result.tuples == expected.tuples
 
 
 @pytest.mark.parametrize("strategy", ["optimized", "dynamic"])

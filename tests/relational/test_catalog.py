@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.relational import Relation, RelationStats, database_from_dict, estimate_join_size, tuples_per_assignment
+from repro.relational import Relation, RelationStats, database_from_dict, tuples_per_assignment
 
 
 @pytest.fixture
@@ -93,14 +93,3 @@ class TestStatistics:
     def test_tuples_per_assignment_empty(self):
         rel = Relation("answer", ("$s", "P"))
         assert tuples_per_assignment(rel, ["$s"]) == 0.0
-
-    def test_estimate_join_size(self):
-        left = RelationStats("l", 100, {"x": 10})
-        right = RelationStats("r", 50, {"x": 25})
-        # 100 * 50 / max(10, 25) = 200
-        assert estimate_join_size(left, right, ["x"]) == pytest.approx(200.0)
-
-    def test_estimate_join_size_cartesian(self):
-        left = RelationStats("l", 10, {})
-        right = RelationStats("r", 20, {})
-        assert estimate_join_size(left, right, []) == 200.0

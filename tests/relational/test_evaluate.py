@@ -5,7 +5,7 @@ import pytest
 from repro.datalog import atom, comparison, negated, rule
 from repro.datalog.terms import Parameter, Variable
 from repro.errors import EvaluationError, SafetyError
-from repro.relational import database_from_dict, atom_binding_relation, evaluate_conjunctive, greedy_join_order
+from repro.relational import database_from_dict, atom_binding_relation, evaluate_conjunctive
 
 
 @pytest.fixture
@@ -185,23 +185,3 @@ class TestEvaluateConjunctive:
         result = evaluate_conjunctive(db, rule("answer", ["B", "B"], [atom("b", "B", "I")]))
         assert result.columns == ("B", "_h1")
         assert result.tuples == {("x", "x"), ("y", "y")}
-
-
-class TestGreedyJoinOrder:
-    def test_permutation(self, medical_db, medical_query):
-        order = greedy_join_order(medical_db, medical_query.positive_atoms())
-        assert sorted(order) == [0, 1, 2]
-
-    def test_starts_with_smallest(self):
-        db = database_from_dict(
-            {
-                "big": (("X", "Y"), [(i, i + 1) for i in range(100)]),
-                "small": (("Y", "Z"), [(1, 2)]),
-            }
-        )
-        atoms = (atom("big", "X", "Y"), atom("small", "Y", "Z"))
-        order = greedy_join_order(db, atoms)
-        assert order[0] == 1
-
-    def test_empty(self, basket_db):
-        assert greedy_join_order(basket_db, ()) == []

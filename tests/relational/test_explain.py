@@ -5,11 +5,12 @@ import pytest
 
 from repro.datalog import parse_rule
 from repro.engine.planner import lower_rule
+from repro.errors import EvaluationError
 from repro.relational import database_from_dict
 
 
-def explain(db, rule, order_strategy="greedy"):
-    return lower_rule(db, rule, order_strategy=order_strategy).render()
+def explain(db, rule, join_order=None):
+    return lower_rule(db, rule, join_order=join_order).render()
 
 
 @pytest.fixture
@@ -61,12 +62,14 @@ class TestExplainConjunctive:
         assert "cartesian!" in text
 
     def test_ues_strategy(self, medical_db):
-        text = explain(medical_db, MEDICAL_RULE, order_strategy="ues")
-        assert "ues join order" in text
+        assert "ues join order" in explain(medical_db, MEDICAL_RULE)
+        text = explain(medical_db, MEDICAL_RULE, join_order=[2, 1, 0])
+        assert "explicit join order" in text
 
     def test_unknown_strategy_rejected(self, medical_db):
-        with pytest.raises(ValueError):
-            explain(medical_db, MEDICAL_RULE, order_strategy="magic")
+        """Only a permutation of the positive subgoals names an order."""
+        with pytest.raises(EvaluationError, match="not a permutation"):
+            explain(medical_db, MEDICAL_RULE, join_order=[0, 0, 1])
 
     def test_estimates_present(self, medical_db):
         text = explain(medical_db, MEDICAL_RULE)

@@ -131,14 +131,19 @@ class TestRun:
             main(["run", str(flock_file), str(data_dir), "--jobs", "0"])
 
     @pytest.mark.parametrize("argv", [
-        ["--join-order", "selinger"], ["--runtime-filters"],
+        ["--join-order", "ues"], ["--runtime-filters"],
     ])
     def test_deleted_ordering_choices_exit_2(self, workspace, capsys, argv):
+        """Every plan takes the UES order with runtime filters: neither
+        ``run`` nor ``serve`` has a flag to choose."""
         flock_file, data_dir = workspace
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", str(flock_file), str(data_dir), *argv])
-        assert excinfo.value.code == 2
-        assert argv[0] in capsys.readouterr().err
+        for command in (
+            ["run", str(flock_file), str(data_dir)], ["serve", str(data_dir)],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*command, *argv])
+            assert excinfo.value.code == 2
+            assert argv[0] in capsys.readouterr().err
 
 
 class TestPlan:

@@ -7,6 +7,8 @@ kill-and-resume contract: a resumed run re-executes only the steps the
 killed run did not finish and returns a bit-identical answer.
 """
 
+import dataclasses
+import hashlib
 import sqlite3
 from concurrent.futures.process import BrokenProcessPool
 
@@ -365,6 +367,36 @@ class TestCheckpointStore:
                 store.recorder(
                     medical_flock, other_plan, small_medical_db, resume="r1"
                 )
+
+    def test_resume_refuses_a_join_order_suffixed_fingerprint(
+        self, tmp_path, wide_basket_db, pair_flock
+    ):
+        """A manifest fingerprinted the way builds with a ``join_order``
+        option did (the rendered plan plus ``join_order=greedy``) names
+        a plan this build cannot run, so resuming it is refused — no
+        partial answer comes back."""
+        path = str(tmp_path / "ckpt.db")
+        _, report = mine(
+            wide_basket_db, pair_flock, strategy="optimized",
+            checkpoint=path, run_id="old",
+        )
+        assert report.steps_checkpointed >= 2
+        plan = optimize(wide_basket_db, pair_flock)
+        text = f"{plan.render(pair_flock)}\njoin_order=greedy"
+        suffixed = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        with CheckpointStore(path) as store:
+            manifest = store.load_manifest("old")
+            assert manifest.plan_fingerprint == plan_fingerprint(
+                pair_flock, plan
+            ) != suffixed
+            store.save_manifest(
+                dataclasses.replace(manifest, plan_fingerprint=suffixed)
+            )
+        with pytest.raises(ResumeError, match="fingerprint mismatch"):
+            mine(
+                wide_basket_db, pair_flock, strategy="optimized",
+                checkpoint=path, resume="old",
+            )
 
 
 # ----------------------------------------------------------------------
