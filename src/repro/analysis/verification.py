@@ -1,13 +1,14 @@
 """The ambient plan-verification switch.
 
 ``mine(verify_plans=True)`` — and the test suite, via an autouse
-fixture — turn on IR checking for *every* plan the planner emits,
-including the re-lowered suffixes the dynamic strategy builds mid-run
-via ``complete_order()``.  The switch is a :class:`contextvars.ContextVar`
-rather than a parameter threaded through a dozen call sites: lowering
-happens deep inside strategies that predate the checker, and a context
-variable keeps the hot paths signature-stable while staying
-thread/async-safe (unlike a module global).
+fixture — turn on IR checking for *every* plan the planner emits (the
+dynamic strategy's included) and certification of each in-flight
+FILTER the dynamic strategy applies.  The switch is a
+:class:`contextvars.ContextVar` rather than a parameter threaded
+through a dozen call sites: lowering happens deep inside strategies
+that predate the checker, and a context variable keeps the hot paths
+signature-stable while staying thread/async-safe (unlike a module
+global).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .atoms import Comparison, RelationalAtom, Subgoal, subgoal_terms
+from .atoms import Comparison, RelationalAtom, Subgoal
 from .terms import Constant, Parameter, Term, Variable, make_term
 
 
@@ -264,8 +264,3 @@ def rule(
         tuple(make_term(t) for t in head_terms),
         tuple(body),
     )
-
-
-def query_free_terms(query: ConjunctiveQuery) -> frozenset:
-    """All bindable terms (variables + parameters) in the body of ``query``."""
-    return subgoal_terms(query.body)

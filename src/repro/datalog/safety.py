@@ -79,15 +79,6 @@ class SafetyReport:
         return self.is_safe
 
 
-def positive_bound_terms(query: ConjunctiveQuery) -> frozenset[BindableTerm]:
-    """Variables and parameters bound by some positive relational subgoal.
-
-    These are the "range restricted" terms: anything outside this set
-    ranges over an infinite domain.
-    """
-    return frozenset(binding_witnesses(query))
-
-
 def binding_witnesses(
     query: ConjunctiveQuery,
 ) -> dict[BindableTerm, RelationalAtom]:

@@ -26,7 +26,7 @@ exactly what runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from ..relational.relation import CODE_BYTES
 
@@ -58,8 +58,8 @@ class HashJoin:
 
     ``on`` holds the shared columns (sorted, for stable rendering);
     empty ``on`` means a cartesian product.  ``estimate`` is the
-    System-R style size estimate computed at lowering time; the dynamic
-    strategy compares it with observed sizes to decide when to re-plan.
+    System-R style size estimate computed at lowering time, shown next
+    to the stage's bound and actual size in EXPLAIN and ``stage_rows``.
     """
 
     on: tuple[str, ...]
@@ -125,9 +125,7 @@ class JoinStage:
     stage's column invariants are untouched).  ``bound`` is the
     guaranteed output-size upper bound from the UES bound algebra
     (:func:`repro.relational.joinorder.chain_upper_bounds`), recorded
-    for every order strategy so EXPLAIN prints estimate and bound side
-    by side and the dynamic evaluator can re-plan against whichever is
-    tighter.
+    for every order so EXPLAIN prints estimate and bound side by side.
     """
 
     scan: Scan
@@ -407,14 +405,3 @@ class StageObservation:
             actual=int(data.get("actual", 0)),  # type: ignore[arg-type]
             kernel=str(data.get("kernel", "pairs")),
         )
-
-
-def filters_render(ops: Sequence[CompareFilter | AntiJoin]) -> list[str]:
-    """Render attached filter operators (shared by plan renderers)."""
-    lines = []
-    for op in ops:
-        if isinstance(op, CompareFilter):
-            lines.append(f"filter: {op.comparison}")
-        else:
-            lines.append(f"anti-join: {op.atom}")
-    return lines

@@ -14,16 +14,16 @@ A COUNT step's last stage of the right shape may instead be counted
 by bitmap AND + popcount (:meth:`MemoryEngine._stage_counts`), picked by
 an exact size rule (:func:`bitmap_pays`) with every count unchanged.
 Binding relations are cached per engine instance, so a union's branches
-(or a dynamic re-plan) never rebuild the same scan twice.  Every
-relation the engine touches is in its catalog's code space
+never rebuild the same scan twice.  Every relation the engine touches
+is in its catalog's code space
 (:meth:`~repro.relational.catalog.Database.encoded`): joins, grouping
 and membership tests compare integer codes, and only comparisons and
 SUM/MIN/MAX decode the columns they read.
 
 The Section 4.4 dynamic strategy is a decision object handed to
 :meth:`MemoryEngine.run_step`: the one stage loop asks it for each
-stage's leaf, each intermediate join result and the remaining stages —
-the engine itself never decides to filter.
+stage's leaf and each intermediate join result — the engine itself
+never decides to filter, and the stages run in their lowered order.
 """
 
 # conlint: hot-module — loops here are engine kernels; the
@@ -190,7 +190,7 @@ class MemoryEngine:
         self, stage: JoinStage, leaf: Relation | None
     ) -> Relation:
         """The stage's scan with its runtime filters applied (cached per
-        (atom, filters) so union branches and re-plans prune once)."""
+        (atom, filters) so union branches prune once)."""
         base = leaf if leaf is not None else self.scan_atom(stage.scan.atom)
         if not stage.scan_filters:
             return base
@@ -416,14 +416,12 @@ class MemoryEngine:
 
     def _run_stages(
         self, branch: PhysicalPlan, stop: int, dynamic=None
-    ) -> tuple[Relation, PhysicalPlan]:
+    ) -> Relation:
         """The one loop over join stages: ``branch``'s stages before
         position ``stop``, from the unit relation.
 
         A ``dynamic`` decision object (see :meth:`run_step`) supplies
-        each stage's leaf, may FILTER each join result, and may swap in
-        a re-lowered branch that keeps the executed prefix; the branch
-        the loop ended on is returned.
+        each stage's leaf and may FILTER each join result.
         """
         current = unit_relation()
         for position in range(stop):
@@ -432,8 +430,8 @@ class MemoryEngine:
                 current, stage, self._leaf(branch, position, dynamic)
             )
             if dynamic is not None:
-                current, branch = dynamic.joined(self, branch, position, current)
-        return current, branch
+                current = dynamic.joined(self, branch, position, current)
+        return current
 
     def _leaf(self, branch: PhysicalPlan, position: int, dynamic):
         return None if dynamic is None else dynamic.leaf(self, branch, position)
@@ -443,15 +441,15 @@ class MemoryEngine:
         branch: PhysicalPlan,
         dynamic=None,
         count: tuple[str, tuple[str, ...]] | None = None,
-    ) -> tuple[JoinPairs | _Counted, Materialize]:
+    ) -> JoinPairs | _Counted:
         """One rule branch up to its last join, left as index pairs:
         the stage loop, the last stage's body, then each trailing stage
         that binds no new column (a static plan's ok-atoms) as one more
-        membership mask with its own observation — a re-plan may
-        reorder a dynamic branch's suffix, so it has no such tail.  A
-        branch with no stages is the unit relation's one pair; its
-        unit filters are masks like any other.  Returns the pairs and
-        the root of the branch that ran.
+        membership mask with its own observation.  A dynamic branch
+        takes no such tail: its policy is offered every stage's leaf,
+        and a stage run as a mask would hide its leaf from the policy.
+        A branch with no stages is the unit relation's one pair; its
+        unit filters are masks like any other.
 
         With ``count`` (a COUNT step's shape, :func:`_count_shape`), a
         branch with no tail and no unit filters offers its last stage
@@ -462,7 +460,7 @@ class MemoryEngine:
         if last < 0:
             pairs = JoinPairs(unit_relation(), unit_relation(), self.db.dictionary)
         else:
-            current, branch = self._run_stages(branch, last, dynamic)
+            current = self._run_stages(branch, last, dynamic)
             if last < len(branch.stages) - 1 or branch.unit_filters:
                 count = None
             pairs = self._stage_pairs(
@@ -470,7 +468,7 @@ class MemoryEngine:
                 self._leaf(branch, last, dynamic), count,
             )
             if isinstance(pairs, _Counted):
-                return pairs, branch.root
+                return pairs
         for semi in branch.stages[last + 1:]:
             trip("relational.join")
             started, before = time.perf_counter(), len(pairs)
@@ -480,7 +478,7 @@ class MemoryEngine:
             ))
             self._observe(semi, before, len(pairs), started)
         self._keep_filters(pairs, branch.unit_filters, "unit filter")
-        return pairs, branch.root
+        return pairs
 
     def _output(self, pairs: JoinPairs, root: Materialize) -> ColumnReader:
         """``root``'s output columns read through ``pairs`` by label:
@@ -536,8 +534,8 @@ class MemoryEngine:
         """Execute one rule plan end to end: its distinct output rows
         (:meth:`_answer`) gathered once, under the plan's labels."""
         self._verify_before_execution(plan)
-        column, rows = self._answer([self._run_branch(plan)])
         root = plan.root
+        column, rows = self._answer([(self._run_branch(plan), root)])
         return Relation.from_encoded(
             root.name, root.columns, [list(column(c)) for c in root.columns],
             self.db.dictionary, count=rows,
@@ -586,20 +584,21 @@ class MemoryEngine:
 
         ``dynamic`` is the Section 4.4 decision policy
         (:class:`~repro.flocks.dynamic.DynamicEvaluator`) for a
-        single-rule step: ``begin(step)`` starts it and may re-lower the
-        branch; the stage loop asks ``leaf(engine, branch, position)``
-        for each stage's (possibly FILTERed) binding relation and
-        ``joined(engine, branch, position, current)`` for the (possibly
-        FILTERed) join result and the (possibly re-lowered) remaining
-        stages; ``root(rows, survivors)`` closes it with the last
-        stage's pair count.
+        single-rule step: ``begin(step)`` starts it (re-lowering the
+        branch only for an explicit join order); the stage loop asks
+        ``leaf(engine, branch, position)`` for each stage's (possibly
+        FILTERed) binding relation and ``joined(engine, branch,
+        position, current)`` for the (possibly FILTERed) join result;
+        ``root(rows, survivors)`` closes it with the last stage's pair
+        count.
         """
         self._verify_before_execution(step)
         if dynamic is not None:
             step = dynamic.begin(step)
         count = _count_shape(step)
         parts = [
-            self._run_branch(branch, dynamic, count) for branch in step.branches
+            (self._run_branch(branch, dynamic, count), branch.root)
+            for branch in step.branches
         ]
         counted = parts[0][0]
         if isinstance(counted, _Counted):

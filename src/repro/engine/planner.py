@@ -183,8 +183,7 @@ def lower_rule(
         db, positives, join_order=join_order, scan_caps=caps,
     )
     # Guaranteed output bounds along the chosen order — explicit orders
-    # included — so EXPLAIN can print estimate vs bound and the dynamic
-    # evaluator can re-plan against the tighter of the two.
+    # included — so EXPLAIN can print estimate vs bound.
     stage_bounds = chain_upper_bounds(db, positives, order, caps)
     pending_comparisons = list(query.comparisons())
     pending_negations = list(query.negated_atoms())
@@ -283,7 +282,7 @@ def _verify_lowered(plan, db: Database) -> None:
     """Schema-check a freshly lowered plan when the ambient verification
     switch (``mine(verify_plans=True)``, or the test suite's fixture) is
     on.  This covers every lowering path — static strategies, the naive
-    evaluator, and the dynamic re-planner's ``complete_order`` suffixes."""
+    evaluator, and the dynamic strategy's explicit-order re-lowering."""
     from ..analysis.verification import plan_verification_enabled
 
     if plan_verification_enabled():
@@ -322,53 +321,6 @@ def _lower_materialize(
             )
         labels = list(output_columns)
     return Materialize(name=name, output_terms=terms, columns=tuple(labels))
-
-
-def complete_order(
-    db: Database,
-    positives: Sequence[RelationalAtom],
-    prefix: Sequence[int],
-    current_size: int,
-) -> list[int]:
-    """Re-plan the join order for the subgoals not yet joined.
-
-    Used by the dynamic strategy's runtime re-planning (Section 4.4):
-    when the observed size of the running result diverges from the
-    plan's estimate, the remaining stages are re-ordered greedily from
-    the *observed* size, keeping the already-executed ``prefix``
-    (avoiding cartesian products until forced, like the initial order).
-    """
-    bound: set[str] = set()
-    for idx in prefix:
-        bound |= set(scan_columns(positives[idx]))
-    remaining = [i for i in range(len(positives)) if i not in set(prefix)]
-    order = list(prefix)
-    size = float(max(current_size, 1))
-    while remaining:
-        stats = {i: db.stats(positives[i].predicate) for i in remaining}
-
-        def growth(i: int) -> float:
-            columns = scan_columns(positives[i])
-            shared = sorted(bound & set(columns))
-            estimate = size * stats[i].cardinality
-            for shared_column in shared:
-                base_column = _column_for(db, positives[i], shared_column)
-                estimate /= max(stats[i].distinct_count(base_column), 1)
-            return estimate
-
-        connected = [
-            i for i in remaining if bound & set(scan_columns(positives[i]))
-        ]
-        pool = connected or remaining
-        if connected:
-            pick = min(pool, key=lambda i: (growth(i), stats[i].cardinality))
-        else:
-            pick = min(pool, key=lambda i: stats[i].cardinality)
-        order.append(pick)
-        remaining.remove(pick)
-        bound |= set(scan_columns(positives[pick]))
-        size = growth(pick)
-    return order
 
 
 def lower_step(

@@ -20,12 +20,9 @@ after each join whether inserting a FILTER step would pay:
   answer, and it is the step's own group-by over the last join's index
   pairs.
 
-Watching sizes enables one more dynamic move the static strategies
-cannot make: when the observed size of an intermediate relation
-diverges badly from the stage's estimate, the *remaining* stages are
-re-planned from the observed size
-(:func:`repro.engine.planner.complete_order`) and the evaluator swaps
-in the re-lowered plan suffix — same IR, new operator order.
+The join order is decided once, when the step is lowered: the UES
+bound order every plan takes, or an explicit ``join_order``.  The
+policy decides only where FILTERs go, never which join runs next.
 
 A filter step is sound here for the same reason as in the static case:
 the subgoals joined so far form a safe subquery of the flock query (the
@@ -50,7 +47,7 @@ from ..datalog.safety import assert_safe
 from ..datalog.terms import is_bindable
 from ..engine.ir import CompareFilter, PhysicalPlan, StepPlan
 from ..engine.memory import MemoryEngine, MemoryRunner
-from ..engine.planner import complete_order, lower_rule
+from ..engine.planner import lower_rule
 from ..errors import FilterError, PlanError
 from ..guard import GuardLike, as_guard
 from ..relational.aggregates import relation_group_values, survivor_relations
@@ -137,11 +134,6 @@ class DynamicEvaluator:
             ratio observed for that set.
     """
 
-    #: Re-plan the remaining stages when the observed size of an
-    #: intermediate relation is off from the stage estimate by this
-    #: factor in either direction (and at least two stages remain).
-    REPLAN_FACTOR = 4.0
-
     def __init__(
         self,
         db: Database,
@@ -169,7 +161,7 @@ class DynamicEvaluator:
         assert_safe(self.rule)
         # The loop lowers every run on a scratch overlay, which copies
         # only the statistics the catalog has cached: compute them on
-        # the catalog, so later runs (and re-plans) reuse them.
+        # the catalog, so later runs reuse them.
         for atom in self.rule.positive_atoms():
             db.stats(atom.predicate)
         self.decision_factor = decision_factor
@@ -207,10 +199,7 @@ class DynamicEvaluator:
         else the UES bound order every plan takes — the paper: "Any of
         a number of models and approaches to selecting this join order
         may be used, our idea is independent of how the join order is
-        actually chosen".  With no explicit ``join_order``, the
-        remaining stages may be re-planned mid-flight when observed
-        sizes diverge from the estimates (or from the guaranteed bounds,
-        whichever is tighter).
+        actually chosen".  The order is fixed for the whole run.
         """
         self._join_order = join_order
         result = execute_plan(
@@ -225,7 +214,7 @@ class DynamicEvaluator:
 
     def begin(self, step: StepPlan) -> StepPlan:
         """A step starts (again, after a retry): a fresh trace, and an
-        explicit join order applied through the re-plan's re-lowering."""
+        explicit join order applied by re-lowering the branch."""
         self.last_trace = DynamicTrace()
         self._best_ratio = {}
         if self._join_order is None:
@@ -258,60 +247,22 @@ class DynamicEvaluator:
         branch: PhysicalPlan,
         position: int,
         current: Relation,
-    ) -> tuple[Relation, PhysicalPlan]:
+    ) -> Relation:
         """After stage ``position``: its join result, FILTERed when that
         pays (not after the first stage, whose leaf was offered, nor the
-        last, whose result the step's own root FILTER takes), and the
-        branch, re-lowered when the size-divergence rule fires."""
-        if 0 < position < len(branch.stages) - 1:
-            stages = branch.stages[: position + 1]
-            absorbed = [s.scan.atom for s in stages] + [
-                op.comparison if isinstance(op, CompareFilter) else op.atom
-                for s in stages
-                for op in s.filters
-            ]
-            current = self._maybe_filter(
-                engine, current, f"temp{position - 1}",
-                self._body_indices(branch, absorbed),
-            )
-        return current, self._maybe_replan(branch, position, current)
-
-    def _maybe_replan(
-        self, branch: PhysicalPlan, position: int, current: Relation
-    ) -> PhysicalPlan:
-        """Swap in a re-lowered plan suffix when the observed size of
-        the running result diverges from the stage's estimate.
-
-        The executed prefix is kept (its stages and filter placements
-        are deterministic given the order prefix, so the re-lowered plan
-        agrees with what already ran); only the remaining join order
-        changes, re-ordered greedily from the *observed* size.
-        """
-        if self._join_order is not None or len(branch.stages) - position < 3:
-            return branch
-        stage = branch.stages[position]
-        # Compare the observation against the tighter of the System-R
-        # estimate and the guaranteed UES bound: an in-flight filter (or
-        # a runtime scan filter) that proved far more selective than the
-        # bound is exactly the signal the remaining order should exploit.
-        reference = float(stage.estimate)
-        if stage.bound is not None:
-            reference = min(reference, float(stage.bound))
-        estimate = max(reference, 1.0)
-        observed = float(max(len(current), 1))
-        if max(observed / estimate, estimate / observed) < self.REPLAN_FACTOR:
-            return branch
-        prefix = list(branch.order[: position + 1])
-        new_order = complete_order(
-            self.db, branch.query.positive_atoms(), prefix, len(current)
+        last, whose result the step's own root FILTER takes)."""
+        if not 0 < position < len(branch.stages) - 1:
+            return current
+        stages = branch.stages[: position + 1]
+        absorbed = [s.scan.atom for s in stages] + [
+            op.comparison if isinstance(op, CompareFilter) else op.atom
+            for s in stages
+            for op in s.filters
+        ]
+        return self._maybe_filter(
+            engine, current, f"temp{position - 1}",
+            self._body_indices(branch, absorbed),
         )
-        if new_order == list(branch.order):
-            return branch
-        self.last_trace.plan_lines.append(
-            f"replan: join order {list(branch.order)} -> {new_order} "
-            f"(observed {len(current)} vs ~{estimate:.0f} tuples)"
-        )
-        return self._relower(branch, new_order)
 
     def root(self, rows: int, survivors: int) -> None:
         """Log the root FILTER ("We must filter at the root, simply

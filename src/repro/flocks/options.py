@@ -66,8 +66,8 @@ class MiningOptions:
             memory on backend failure, with a recorded downgrade).
         verify_plans: run the :mod:`repro.analysis` verifiers on every
             plan the call uses — the IR schema checker on each lowered
-            physical plan (dynamic re-plans included) and certificate
-            re-validation on each FILTER-step plan.  ``None`` inherits
+            physical plan and certificate re-validation on each
+            FILTER-step plan and dynamic in-flight FILTER.  ``None`` inherits
             the ambient switch, which the test suite turns on.
         parallelism: worker count of the process pool that large
             in-memory FILTER steps are partitioned over; small steps,

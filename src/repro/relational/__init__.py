@@ -33,12 +33,7 @@ from .operators import (
     union_all,
 )
 from .relation import Relation, relation_from_rows
-from .statistics import (
-    RelationStats,
-    estimate_chain_join_size,
-    selectivity_of_filter,
-    tuples_per_assignment,
-)
+from .statistics import RelationStats, tuples_per_assignment
 
 __all__ = [
     "AggregateFunction",
@@ -53,7 +48,6 @@ __all__ = [
     "cartesian_product",
     "chain_upper_bounds",
     "database_from_dict",
-    "estimate_chain_join_size",
     "evaluate_conjunctive",
     "group_aggregate",
     "join_bounds",
@@ -63,7 +57,6 @@ __all__ = [
     "relation_from_rows",
     "save_database",
     "save_relation",
-    "selectivity_of_filter",
     "semi_join",
     "shared_columns",
     "stable_hash",

@@ -124,10 +124,3 @@ def comparison_mask(
         return list(map(comp.op.fn, operand(comp.left), operand(comp.right)))
     except TypeError as error:
         raise EvaluationError(f"cannot evaluate {comp}: {error}") from None
-
-
-def terms_bound(current: Relation, subgoal: RelationalAtom) -> bool:
-    """Whether every bindable term of ``subgoal`` is a column of
-    ``current``."""
-    cols = set(current.columns)
-    return all(term_column(t) in cols for t in subgoal.bindable_terms())

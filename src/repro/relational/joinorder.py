@@ -228,8 +228,7 @@ def chain_upper_bounds(
     ``result[k]`` bounds the intermediate after joining
     ``atoms[order[0]] ⋈ ... ⋈ atoms[order[k]]`` — what the planner
     records on each lowered stage so ``explain`` can print estimate and
-    bound side by side and the dynamic evaluator can re-plan when an
-    observed result is far below its bound.
+    bound side by side.
     """
     caps = scan_caps or {}
     bounds: list[float] = []

@@ -3,11 +3,9 @@
 Section 4 decides whether a FILTER step pays off from two kinds of
 numbers: relation cardinalities and "the number of tuples per assignment
 of values to the parameters" (Section 4.4).  :class:`RelationStats`
-caches the per-relation numbers; :func:`tuples_per_assignment` computes
-the Section 4.4 ratio for an intermediate relation and a parameter
-column set; and :func:`estimate_chain_join_size` is the textbook
-(Selinger-style, [G*79]) independence estimate used by the static
-optimizer's cost model.
+caches the per-relation numbers, and :func:`tuples_per_assignment`
+computes the Section 4.4 ratio for an intermediate relation and a
+parameter column set.
 """
 
 from __future__ import annotations
@@ -108,37 +106,3 @@ def tuples_per_assignment(
     if assignments == 0:
         return 0.0
     return len(relation) / assignments
-
-
-def estimate_chain_join_size(
-    stats: Sequence[RelationStats],
-    column_sets: Sequence[Sequence[str]],
-) -> float:
-    """Estimate a left-deep chain of joins: ``stats[0] ⋈ stats[1] ⋈ ...``
-    where ``column_sets[i]`` are the columns shared between the running
-    prefix and ``stats[i+1]``.  Used by the optimizer to price the final
-    step of a plan without executing it."""
-    if not stats:
-        return 0.0
-    size = float(stats[0].cardinality)
-    for i, right in enumerate(stats[1:]):
-        size *= float(right.cardinality)
-        for column in column_sets[i]:
-            # Distinct count in the running prefix is unknown; bound it
-            # by the base relation's distinct count (independence).
-            d = max(right.distinct_count(column), 1)
-            size /= d
-    return size
-
-
-def selectivity_of_filter(
-    relation: Relation,
-    parameter_columns: Sequence[str],
-    survivors: int,
-) -> float:
-    """Fraction of parameter assignments that survive a filter —
-    the observed pruning power used in the dynamic strategy's reporting."""
-    total = len(relation.project(parameter_columns)) if parameter_columns else 1
-    if total == 0:
-        return 0.0
-    return survivors / total

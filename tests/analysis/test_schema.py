@@ -339,3 +339,20 @@ class TestExecutionGates:
             # rather than raising.
             sql = render_step(bad, column_source(small_basket_db, {}))
         assert "SELECT" in sql
+
+    def test_set_plan_verification_flips_the_ambient_switch(self):
+        from repro.analysis import (
+            plan_verification,
+            plan_verification_enabled,
+            set_plan_verification,
+        )
+
+        before = plan_verification_enabled()
+        with plan_verification(True):
+            set_plan_verification(False)
+            assert plan_verification_enabled() is False
+            set_plan_verification(True)
+            assert plan_verification_enabled() is True
+            set_plan_verification(False)
+        # Leaving the scoped block restores the switch it found.
+        assert plan_verification_enabled() is before

@@ -12,8 +12,8 @@ from repro.testing.faults import reset_faults
 @pytest.fixture(autouse=True)
 def _verify_plans():
     """Run the whole suite with plan verification on: every plan the
-    optimizer or dynamic re-planner emits is certified, and every
-    lowered physical plan is schema-checked before execution."""
+    optimizer emits and every dynamic in-flight FILTER is certified, and
+    every lowered physical plan is schema-checked before execution."""
     with plan_verification(True):
         yield
 

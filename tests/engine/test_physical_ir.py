@@ -9,7 +9,6 @@ here — exactly the order the joins run in.
 import pytest
 
 from repro.engine import MemoryEngine, lower_rule
-from repro.engine.planner import complete_order
 from repro.errors import EvaluationError
 from repro.guard import ExecutionGuard
 from repro.relational.evaluate import evaluate_conjunctive
@@ -113,19 +112,3 @@ class TestLowering:
         plan = lower_rule(medical.db, medical_query, join_order=order)
         assert list(plan.order) == order
         assert plan.ordered_by == "explicit"
-
-
-class TestReplanning:
-    def test_complete_order_keeps_prefix(self, medical, medical_query):
-        positives = medical_query.positive_atoms()
-        order = complete_order(medical.db, positives, [2], 5)
-        assert order[0] == 2
-        assert sorted(order) == list(range(len(positives)))
-
-    def test_completed_order_lowers(self, medical, medical_query):
-        positives = medical_query.positive_atoms()
-        order = complete_order(medical.db, positives, [1], 100)
-        plan = lower_rule(medical.db, medical_query, join_order=order)
-        guard = ExecutionGuard()
-        result = MemoryEngine(medical.db, guard=guard).run_plan(plan)
-        assert result == evaluate_conjunctive(medical.db, medical_query)

@@ -5,12 +5,14 @@ import pytest
 from repro import mine
 from repro.analysis import plan_verification
 from repro.datalog.safety import assert_safe
+from repro.engine import lower_rule
 from repro.errors import FilterError, PlanError
 from repro.flocks import (
     DynamicEvaluator,
     QueryFlock,
     evaluate_flock,
     evaluate_flock_dynamic,
+    fig3_flock,
     parse_filter,
     parse_flock,
     support_filter,
@@ -122,6 +124,29 @@ class TestDecisions:
         ]
         assert leaf_decisions
         assert leaf_decisions[0].tuples_per_assignment == pytest.approx(7 / 3)
+
+
+class TestJoinOrderIsFixed:
+    """A run's join order is decided once, at lowering: however far the
+    observed sizes drift from the estimates, the stages that run are the
+    lowered plan's, in its order."""
+
+    @pytest.mark.parametrize("join_order", [None, [1, 0, 2], [0, 2, 1]])
+    def test_stages_that_ran_are_the_lowered_plan(self, join_order):
+        db = generate_medical(n_patients=300, seed=3).db
+        flock = fig3_flock(support=8)
+        # Filtering at every offered node moves observed sizes furthest
+        # from the lowering-time estimates.
+        result, trace = evaluate_flock_dynamic(
+            db, flock, decision_factor=1000.0, join_order=join_order
+        )
+        plan = lower_rule(db, flock.rules[0], join_order=join_order)
+        assert trace.filters_applied() > 1
+        assert [o.node for o in result.stage_rows] == [
+            s.node for s in plan.stages
+        ]
+        assert len({s.node for s in plan.stages}) == len(plan.stages)
+        assert result.relation == evaluate_flock(db, flock)
 
 
 class TestValidation:

@@ -5,8 +5,6 @@ import pytest
 from repro.relational import (
     Relation,
     RelationStats,
-    estimate_chain_join_size,
-    selectivity_of_filter,
     tuples_per_assignment,
 )
 
@@ -30,46 +28,6 @@ class TestRelationStats:
     def test_tuples_per_value_zero_distinct(self):
         stats = RelationStats("r", 10, {"a": 0})
         assert stats.tuples_per_value("a") == 0.0
-
-
-class TestEstimateChainJoinSize:
-    def test_empty(self):
-        assert estimate_chain_join_size([], []) == 0.0
-
-    def test_single(self):
-        stats = [RelationStats("r", 100, {"x": 10})]
-        assert estimate_chain_join_size(stats, []) == 100.0
-
-    def test_two_way(self):
-        chain = [
-            RelationStats("r", 100, {"x": 10}),
-            RelationStats("s", 50, {"x": 25}),
-        ]
-        # 100 * 50 / 25 = 200
-        assert estimate_chain_join_size(chain, [["x"]]) == pytest.approx(200.0)
-
-    def test_cartesian_when_no_columns(self):
-        chain = [
-            RelationStats("r", 10, {}),
-            RelationStats("s", 20, {}),
-        ]
-        assert estimate_chain_join_size(chain, [[]]) == 200.0
-
-
-class TestSelectivityOfFilter:
-    def test_fraction(self):
-        rel = Relation(
-            "answer", ("$s", "P"), {("a", 1), ("a", 2), ("b", 3), ("c", 4)}
-        )
-        assert selectivity_of_filter(rel, ["$s"], 1) == pytest.approx(1 / 3)
-
-    def test_no_params_is_single_group(self):
-        rel = Relation("answer", ("P",), {(1,)})
-        assert selectivity_of_filter(rel, [], 1) == 1.0
-
-    def test_empty_relation(self):
-        rel = Relation("answer", ("$s", "P"))
-        assert selectivity_of_filter(rel, ["$s"], 0) == 0.0
 
 
 class TestTuplesPerAssignmentEdges:

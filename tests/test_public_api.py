@@ -1,6 +1,11 @@
-"""Public-API hygiene: exports resolve, are documented, and stay stable."""
+"""Public-API hygiene: exports resolve, are documented, stay stable, and
+every module-level function or class is used somewhere."""
 
+import ast
 import inspect
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,7 @@ import repro.workloads
 
 
 PACKAGES = [repro, repro.datalog, repro.flocks, repro.relational, repro.workloads]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestExports:
@@ -64,3 +70,38 @@ class TestVersion:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    """A module-level function or class of ``src/repro`` must be named
+    besides its own definition: again in its own module, or in a
+    non-``__init__`` file under ``src/``, ``tests/``, ``benchmarks/`` or
+    ``examples/`` (a re-export alone keeps nothing alive).  Module
+    dunders are exempt."""
+    words = {
+        path: Counter(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in (ROOT / top).rglob("*.py")
+    }
+    files_naming = Counter(
+        name
+        for path, counts in words.items()
+        if path.name != "__init__.py"
+        for name in counts
+    )
+    unused = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            # files_naming counts the defining file unless it is an __init__.
+            others = files_naming[name] - (path.name != "__init__.py")
+            if words[path][name] > 1 or others > 0:
+                continue
+            unused.append(f"{path.relative_to(ROOT)}::{name}")
+    assert not unused, f"defined but never named: {unused}"
