@@ -10,8 +10,10 @@ records what the step produced:
   sorted row set;
 * ``answer_tuples`` and each join stage's actual output rows.
 
-Two cases also record ``mine(strategy="dynamic")``'s decision log and
-result, so the in-flight FILTERs are pinned too.
+Three cases also record ``mine(strategy="dynamic")``'s decision log and
+result, so the in-flight FILTERs are pinned too: the pair flock's two
+leaf FILTERs, and the skewed clickstream's FILTERs at the interior
+nodes ``temp0`` and ``temp1``.
 
 ``tests/golden/test_step_survivors.py`` compares a fresh run against
 ``step_survivors.json``.  Regenerate the file (``make golden``) only
@@ -30,6 +32,7 @@ from repro.flocks import parse_flock, single_step_plan
 from repro.flocks.executor import lower_filter_step
 from repro.flocks.mining import mine
 from repro.relational import Relation, database_from_dict
+from repro.workloads import generate_skewed_clickstream
 
 from tests.conftest import basket_db, medical_db, web_db
 
@@ -57,6 +60,16 @@ def weighted_db():
             ),
             "importance": (("BID", "W"), sorted(weights.items())),
         }
+    )
+
+
+def skew_db():
+    """The adversarial-skew clickstream of ``bench_optimizer_modes.py``
+    at a quarter of its size: bots hot in ``clicks`` and ``views``, long
+    page and item tails."""
+    return generate_skewed_clickstream(
+        n_users=2000, n_bots=6, n_promo_users=150, n_pages=150,
+        n_videos=125, n_items=75, bot_activity=30, seed=407,
     )
 
 
@@ -92,6 +105,10 @@ BASKET_OVERLAP = "\n".join([
     "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND importance(B,W) "
     "AND W >= 30 AND $1 < $2",
 ])
+SKEW = (
+    "answer(U) :- promo(U,G) AND clicks(U,$1) AND views(U,V) "
+    "AND purchases(U,$2)"
+)
 
 #: (case name, catalog, rules, filter)
 CASES = [
@@ -125,10 +142,11 @@ CASES = [
      "COUNT(answer(*)) >= 2"),
     ("basket_repeated_head", weighted_db, BASKET.replace("(B)", "(B,B)", 1),
      "COUNT(answer(*)) >= 2"),
+    ("skew_count_ge", skew_db, SKEW, "COUNT(answer.U) >= 3"),
 ]
 
 #: Cases also mined with ``strategy="dynamic"`` (single-rule, monotone).
-DYNAMIC_CASES = ("basket_count_ge", "weighted_sum_ge")
+DYNAMIC_CASES = ("basket_count_ge", "weighted_sum_ge", "skew_count_ge")
 
 
 def flock_of(rules: str, condition: str):

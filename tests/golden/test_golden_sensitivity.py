@@ -1,8 +1,9 @@
 """The goldens notice a broken stage body or answer.
 
 Each case seeds one behaviour change into the memory engine's stage
-body or the way it reads a step's answer rows, rebuilds both goldens in-process and requires at least one record
-to differ from the committed JSON — so a "same behaviour" refactor that
+body, the way it reads a step's answer rows, or the dynamic policy's
+leaf FILTERs, rebuilds both goldens in-process and requires at least
+one record to differ from the committed JSON — so a "same behaviour" refactor that
 passes ``tests/golden/`` has really kept these behaviours.
 """
 
@@ -16,6 +17,7 @@ import pytest
 import repro.engine.memory as memory
 from repro.engine.ir import AntiJoin
 from repro.engine.memory import MemoryEngine
+from repro.flocks.dynamic import DynamicEvaluator
 
 from tests.golden import paper_artifacts, step_survivors
 
@@ -23,6 +25,8 @@ REAL_COMPARISON_MASK = memory.comparison_mask
 REAL_FILTER_MASK = MemoryEngine._filter_mask
 REAL_OBSERVE = MemoryEngine._observe
 REAL_ANSWER = MemoryEngine._answer
+REAL_DECIDE = DynamicEvaluator._decide
+REAL_LEAF = DynamicEvaluator.leaf
 
 
 def compare_codes(comp, column, rows):
@@ -55,6 +59,19 @@ def concatenate_branches(self, parts):
     return column, sum(rows for _, rows in answers)
 
 
+def flip_first_leaf(self, key, ratio):
+    """The run's first decision — its first leaf's — inverted."""
+    should, reason = REAL_DECIDE(self, key, ratio)
+    return should != (not self.last_trace.decisions), reason
+
+
+def skip_second_leaf(self, engine, branch, position):
+    """The second leaf is never offered to the FILTER policy."""
+    if position == 1:
+        return engine.scan_atom(branch.stages[position].scan.atom)
+    return REAL_LEAF(self, engine, branch, position)
+
+
 MUTATIONS = {
     "comparisons on codes": (memory, "comparison_mask", compare_codes),
     "NOT keeps every row": (MemoryEngine, "_filter_mask", keep_negated_rows),
@@ -64,6 +81,12 @@ MUTATIONS = {
     ),
     "no dedup across union branches": (
         MemoryEngine, "_answer", concatenate_branches
+    ),
+    "first leaf decision flipped": (
+        DynamicEvaluator, "_decide", flip_first_leaf
+    ),
+    "second leaf not FILTERed": (
+        DynamicEvaluator, "leaf", skip_second_leaf
     ),
 }
 
