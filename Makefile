@@ -54,15 +54,17 @@ bench-e2e:
 # Same-session A/B of two committed revisions on one e2e workload, or
 # on every BENCHMARK.json workload in turn when WORKLOAD is empty:
 # alternating pairs of fresh runs, medians, quartiles and win counts
-# (see benchmarks/ab.py).
+# (see benchmarks/ab.py).  SEED picks the workloads' data: 101 is the
+# benchmark's own, any other a held-out check of the same claim.
 A ?= HEAD~1
 B ?= HEAD
 WORKLOAD ?=
 PAIRS ?= 10
 SECONDS ?= 25
+SEED ?= 101
 bench-ab:
 	python3 benchmarks/ab.py $(A) $(B) $(if $(WORKLOAD),--workload $(WORKLOAD)) \
-		--pairs $(PAIRS) --seconds $(SECONDS)
+		--pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED)
 
 # The one definition of the ROADMAP's line budget: all lines, then
 # code-only lines (comment/docstring deletion is not a reduction), then
