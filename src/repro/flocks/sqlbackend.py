@@ -27,9 +27,11 @@ Robustness contract:
   attached;
 * *transient* operational errors ("database is locked"/"busy") are
   retried per statement with capped exponential backoff before giving
-  up (loading and the session's persistence run outside the loop's
-  retry rung) — the :func:`~repro.flocks.mining.mine` front door falls
-  back to the in-memory engine when the retries are exhausted;
+  up (:func:`~repro.recovery.run_statement`; loading runs outside the
+  loop's retry rung) — the :func:`~repro.flocks.mining.mine` front door
+  falls back to the in-memory engine when the retries are exhausted, or
+  when the data holds a value SQLite cannot store (an int outside
+  64 bits);
 * a step re-run by the loop's retry rung first drops the table its
   failed attempt may have left;
 * an :class:`~repro.guard.ExecutionGuard` is enforced from inside the
@@ -52,10 +54,9 @@ from ..engine.memory import StepResult
 from ..engine.sqlgen import column_source, materialize_step
 from ..errors import EvaluationError, ExecutionAborted
 from ..guard import ExecutionGuard, GuardLike, as_guard
-from ..recovery import RetryPolicy
+from ..recovery import STATEMENT_RETRY, run_statement
 from ..relational.catalog import Database
 from ..relational.relation import Relation
-from ..testing.faults import trip
 from .executor import execute_plan
 from .flock import QueryFlock
 from .plans import QueryPlan, single_step_plan
@@ -75,38 +76,15 @@ class SQLiteBackend:
             faster = backend.execute_plan(flock, plan)      # rewrite script
         assert result == faster
 
-    The connection is in-memory by default; pass ``path`` for a file.
-
-    Args:
-        max_retries: attempts per statement for transient operational
-            errors ("database is locked"/"busy") before the error is
-            wrapped and raised.
-        retry_backoff: initial sleep between retries; doubles per
-            attempt, capped at :attr:`MAX_BACKOFF_SECONDS`.
+    The connection is an in-memory SQLite database.
     """
 
-    MAX_BACKOFF_SECONDS = 0.25
+    #: The per-statement retry :func:`~repro.recovery.run_statement`
+    #: applies.
+    retry_policy = STATEMENT_RETRY
 
-    def __init__(
-        self,
-        db: Database | None = None,
-        path: str = ":memory:",
-        max_retries: int = 3,
-        retry_backoff: float = 0.05,
-    ):
-        self.connection = sqlite3.connect(path)
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        #: The shared recovery-layer policy behind the statement retry:
-        #: ``max_retries`` retries = ``max_retries + 1`` total attempts,
-        #: jitter off so the backoff schedule stays deterministic for a
-        #: single-connection backend.
-        self.retry_policy = RetryPolicy(
-            max_attempts=max_retries + 1,
-            base_delay=retry_backoff,
-            max_delay=self.MAX_BACKOFF_SECONDS,
-            jitter=0.0,
-        )
+    def __init__(self, db: Database | None = None):
+        self.connection = sqlite3.connect(":memory:")
         #: Injectable for tests; production uses time.sleep.
         self._sleep = time.sleep
         #: The guard of the plan currently running (polled from inside
@@ -273,98 +251,6 @@ class SQLiteBackend:
         self._step_tables = set()
 
     # ------------------------------------------------------------------
-    # Cached-result persistence (for repro.session)
-    # ------------------------------------------------------------------
-    #
-    # A file-backed session persists its exact (aggregates-kind) cache
-    # entries as real tables plus one metadata row each, so a new
-    # process pointed at the same file starts warm.  Metadata is JSON:
-    # query/filter text (both round-trip through the parsers), the
-    # parameter columns, and the cardinality of every base relation the
-    # entry was derived from — version counters are process-local, so
-    # cross-process staleness is screened by comparing cardinalities on
-    # restore (a heuristic; a same-size edit slips through, which the
-    # caller must accept or clear the file).
-
-    _CACHE_INDEX_TABLE = "_repro_cache_index"
-
-    def _ensure_cache_index(self, cursor: sqlite3.Cursor) -> None:
-        self._execute(
-            cursor,
-            f"CREATE TABLE IF NOT EXISTS {self._CACHE_INDEX_TABLE} "
-            "(table_name TEXT PRIMARY KEY, metadata TEXT)",
-        )
-
-    def persist_cached_result(
-        self, table_name: str, relation: Relation, metadata: dict
-    ) -> None:
-        """Store one cached result as a table + metadata row.
-
-        ``table_name`` must be a caller-generated identifier (the
-        session uses ``_repro_cache_<n>``); columns are quoted, so
-        parameter columns like ``$1`` are fine.
-        """
-        import json
-
-        cursor = self.connection.cursor()
-        self._ensure_cache_index(cursor)
-        quoted = ", ".join(f'"{c}"' for c in relation.columns)
-        self._execute(cursor, f'DROP TABLE IF EXISTS "{table_name}"')
-        self._execute(cursor, f'CREATE TABLE "{table_name}" ({quoted})')
-        placeholders = ", ".join("?" for _ in relation.columns)
-        self._execute(
-            cursor,
-            f'INSERT INTO "{table_name}" VALUES ({placeholders})',
-            parameters=sorted(relation.tuples, key=repr),
-            many=True,
-        )
-        full = dict(metadata)
-        full["columns"] = list(relation.columns)
-        full["relation_name"] = relation.name
-        self._execute(
-            cursor,
-            f"INSERT OR REPLACE INTO {self._CACHE_INDEX_TABLE} VALUES (?, ?)",
-            parameters=(table_name, json.dumps(full)),
-        )
-        self.connection.commit()
-
-    def list_cached_results(self) -> list[tuple[str, dict]]:
-        """All persisted entries as ``(table_name, metadata)`` pairs."""
-        import json
-
-        cursor = self.connection.cursor()
-        self._ensure_cache_index(cursor)
-        rows = self._execute(
-            cursor,
-            f"SELECT table_name, metadata FROM {self._CACHE_INDEX_TABLE}",
-        ).fetchall()
-        return [(name, json.loads(text)) for name, text in rows]
-
-    def load_cached_result(self, table_name: str, metadata: dict) -> Relation:
-        """Materialize one persisted entry back into a Relation."""
-        cursor = self.connection.cursor()
-        rows = self._execute(
-            cursor, f'SELECT * FROM "{table_name}"'
-        ).fetchall()
-        return Relation(
-            metadata.get("relation_name", table_name),
-            tuple(metadata["columns"]),
-            {tuple(r) for r in rows},
-        )
-
-    def drop_cached_result(self, table_name: str) -> None:
-        """Remove one persisted entry (table + metadata row)."""
-        cursor = self.connection.cursor()
-        self._ensure_cache_index(cursor)
-        self._execute(cursor, f'DROP TABLE IF EXISTS "{table_name}"')
-        self._execute(
-            cursor,
-            f"DELETE FROM {self._CACHE_INDEX_TABLE} WHERE table_name = ?",
-            parameters=(table_name,),
-        )
-        self.connection.commit()
-
-    # ------------------------------------------------------------------
     # Statement machinery
     # ------------------------------------------------------------------
 
@@ -375,46 +261,19 @@ class SQLiteBackend:
         parameters: Sequence | None = None,
         many: bool = False,
     ) -> sqlite3.Cursor:
-        """Run one statement with transient-error retries and wrapping.
-
-        Retries ride the shared :class:`~repro.recovery.RetryPolicy`
-        (``locked``/``busy`` are its transient SQLite markers), with
-        each backoff sleep clamped to the active guard's remaining
-        wall-clock.  Anything else — and exhausted retries — raises
-        :class:`EvaluationError` carrying the statement, except for a
-        guard-initiated interrupt, which re-raises the guard's own
-        exception.
-        """
-        attempt = 1
-        while True:
-            try:
-                trip("sqlite.execute")
-                if many:
-                    return cursor.executemany(statement, parameters or [])
-                if parameters is not None:
-                    return cursor.execute(statement, parameters)
-                return cursor.execute(statement)
-            except sqlite3.OperationalError as error:
-                if self._guard_abort:
-                    # The progress handler interrupted the VM; surface
-                    # the guard's exception, not "interrupted".
-                    raise self._guard_abort.pop() from error
-                if (
-                    not self.retry_policy.is_transient(error)
-                    or attempt >= self.retry_policy.max_attempts
-                ):
-                    raise EvaluationError(
-                        f"SQLite error: {error}", sql=statement
-                    ) from error
-                delay = self.retry_policy.delay(attempt)
-                if self._active_guard is not None:
-                    delay = self._active_guard.clamp_sleep(delay)
-                attempt += 1
-                self._sleep(delay)
-            except sqlite3.Error as error:
-                raise EvaluationError(
-                    f"SQLite error: {error}", sql=statement
-                ) from error
+        """Run one statement through :func:`~repro.recovery.run_statement`
+        (retries clamped to the active guard), except that a guard
+        interrupt from the progress handler re-raises the guard's own
+        exception, not "interrupted"."""
+        try:
+            return run_statement(
+                cursor, statement, parameters, many,
+                sleep=self._sleep, guard=self._active_guard,
+            )
+        except EvaluationError as error:
+            if self._guard_abort:
+                raise self._guard_abort.pop() from error.__cause__
+            raise
 
     def _install_guard(self, guard: ExecutionGuard | None) -> bool:
         """Poll the guard from inside the SQLite VM loop.

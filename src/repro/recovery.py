@@ -8,22 +8,25 @@ the recovery substrate :func:`repro.flocks.mining.mine` builds on:
 
 * :class:`RetryPolicy` — deadline-aware exponential backoff with seeded
   jitter, plus the transient/fatal **error classifier** every retry
-  loop in the system shares (the SQLite backend's statement retry, the
-  per-step retry in the plan executor, and the parallel executor's
-  partition salvage all consult the same :meth:`RetryPolicy.classify`);
+  loop in the system shares (the SQLite statement retry of
+  :func:`run_statement`, the per-step retry in the plan executor, and
+  the parallel executor's partition salvage all consult the same
+  :meth:`RetryPolicy.classify`);
 * :class:`RetrySupervisor` — the live retry loop one evaluation
   carries: it owns the jitter RNG, clamps every backoff sleep to the
   guard's remaining budget (a retry sleep must never outlive the
   deadline it is trying to save), and records a :class:`RetryEvent`
   per retried site so :class:`~repro.flocks.mining.MiningReport` can
   show the attempt counts;
-* :class:`CheckpointStore` / :class:`CheckpointRecorder` — step-level
-  durability: after each FILTER step completes, its survivor set is
-  written through the same SQLite persistence the session cache uses,
-  together with a :class:`RunManifest` (canonical flock key, plan
-  fingerprint, completed step ids, base-relation cardinalities), so
+* :class:`CheckpointStore` / :class:`CheckpointRecorder` — durability:
+  one SQLite file holding one keyed table of relations.  After each
+  FILTER step completes, its survivor set is written there together
+  with a :class:`RunManifest` (canonical flock key, plan fingerprint,
+  completed steps, base-relation cardinalities), so
   ``mine(checkpoint=..., resume=run_id)`` re-executes only the steps a
-  crashed or cancelled run did not finish.
+  crashed or cancelled run did not finish; a
+  :class:`~repro.session.MiningSession` with ``persist_path`` writes
+  its exact cache entries through to the same table.
 
 The escalation ladder (every rung recorded in the report)::
 
@@ -43,21 +46,21 @@ import hashlib
 import json
 import random
 import sqlite3
+import threading
 import time
 import uuid
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .concurrency import blocking
-from .errors import ExecutionAborted, ReproError, ResumeError
+from .concurrency import blocking, locked
+from .errors import EvaluationError, ExecutionAborted, ReproError, ResumeError
 from .guard import ExecutionGuard
-from .testing.faults import WorkerKill
+from .testing.faults import WorkerKill, trip
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .flocks.flock import QueryFlock
     from .flocks.plans import QueryPlan
-    from .flocks.sqlbackend import SQLiteBackend
     from .relational.catalog import Database
     from .relational.relation import Relation
 
@@ -245,14 +248,70 @@ def _one_line(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}".split("\n")[0].rstrip(": ")
 
 
+#: The per-statement retry of every SQLite statement: 4 attempts, jitter
+#: off so a single connection's backoff schedule stays deterministic.
+STATEMENT_RETRY = RetryPolicy(
+    max_attempts=4, base_delay=0.05, max_delay=0.25, jitter=0.0
+)
+
+
+def run_statement(
+    cursor: sqlite3.Cursor,
+    statement: str,
+    parameters: Sequence | None = None,
+    many: bool = False,
+    *,
+    sleep: Callable[[float], None] = time.sleep,
+    guard: ExecutionGuard | None = None,
+) -> sqlite3.Cursor:
+    """Run one SQLite statement with transient-error retries and wrapping.
+
+    Only a ``locked``/``busy`` :class:`sqlite3.OperationalError` is
+    retried here, per :data:`STATEMENT_RETRY`, each backoff sleep
+    clamped to ``guard``'s remaining wall-clock; any other
+    :mod:`sqlite3` error, a Python int SQLite cannot bind, and exhausted
+    retries raise :class:`~repro.errors.EvaluationError` carrying the
+    statement.  Everything else — a :class:`TransientFault` included —
+    propagates unchanged to the caller's own retry rung.  Every call is
+    the ``sqlite.execute`` fault site.
+    """
+    attempt = 1
+    while True:
+        try:
+            trip("sqlite.execute")
+            if many:
+                return cursor.executemany(statement, parameters or [])
+            if parameters is not None:
+                return cursor.execute(statement, parameters)
+            return cursor.execute(statement)
+        except sqlite3.OperationalError as error:
+            if (
+                not STATEMENT_RETRY.is_transient(error)
+                or attempt >= STATEMENT_RETRY.max_attempts
+            ):
+                raise EvaluationError(
+                    f"SQLite error: {error}", sql=statement
+                ) from error
+            delay = STATEMENT_RETRY.delay(attempt)
+            if guard is not None:
+                delay = guard.clamp_sleep(delay)
+            attempt += 1
+            sleep(delay)
+        except (sqlite3.Error, OverflowError) as error:
+            raise EvaluationError(
+                f"SQLite error: {error}", sql=statement
+            ) from error
+
+
 # ======================================================================
 # Step checkpointing
 # ======================================================================
 
 
-#: Manifest schema version — bumped when the JSON layout changes, so a
-#: resume never misreads an old file.
-MANIFEST_VERSION = 1
+#: Manifest schema version — bumped when the layout changes, so a resume
+#: never misreads an old file.  Version 2 is the one keyed table; a file
+#: written by version 1 (one table per relation) holds no record here.
+MANIFEST_VERSION = 2
 
 
 @dataclass
@@ -266,31 +325,30 @@ class RunManifest:
     :class:`~repro.errors.ResumeError`.  Cross-process staleness of the
     data is screened by ``base_cards`` (relation cardinalities; version
     counters are process-local) exactly like the session cache's
-    persistence.
+    persistence.  ``completed`` lists the steps whose survivors are
+    durable, in completion order.
     """
 
     run_id: str
     flock_key: str
     plan_fingerprint: str
     step_names: tuple[str, ...]
-    completed: dict[str, str] = field(default_factory=dict)
+    completed: list[str] = field(default_factory=list)
     base_cards: dict[str, int] = field(default_factory=dict)
     status: str = "running"  # "running" | "complete"
     version: int = MANIFEST_VERSION
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "run_id": self.run_id,
-                "flock_key": self.flock_key,
-                "plan_fingerprint": self.plan_fingerprint,
-                "step_names": list(self.step_names),
-                "completed": self.completed,
-                "base_cards": self.base_cards,
-                "status": self.status,
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "version": self.version,
+            "run_id": self.run_id,
+            "flock_key": self.flock_key,
+            "plan_fingerprint": self.plan_fingerprint,
+            "step_names": list(self.step_names),
+            "completed": list(self.completed),
+            "base_cards": self.base_cards,
+            "status": self.status,
+        }
 
     def to_status(self) -> dict:
         """A JSON-able status summary of this run — the shape the serve
@@ -310,14 +368,13 @@ class RunManifest:
         }
 
     @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
+    def from_dict(cls, data: dict) -> "RunManifest":
         return cls(
             run_id=data["run_id"],
             flock_key=data["flock_key"],
             plan_fingerprint=data["plan_fingerprint"],
             step_names=tuple(data["step_names"]),
-            completed=dict(data["completed"]),
+            completed=list(data["completed"]),
             base_cards={k: int(v) for k, v in data["base_cards"].items()},
             status=data.get("status", "running"),
             version=int(data.get("version", 0)),
@@ -342,44 +399,59 @@ def new_run_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
-class CheckpointStore:
-    """SQLite-file durability for run manifests and step survivor sets.
+def _record(meta: str, rows: str | None) -> tuple[dict, Relation | None]:
+    """Decode one stored ``(meta, rows)`` pair."""
+    from .relational.relation import Relation
 
-    Rides on the same persistence the session cache uses
-    (:meth:`~repro.flocks.sqlbackend.SQLiteBackend.persist_cached_result`
-    and friends): each completed step's survivors become one quoted
-    table plus a metadata row, and each run gets one manifest row.  A
-    store outlives processes — point a new process at the same path and
-    ``resume=`` picks up where the crash left off.
+    data = json.loads(meta)
+    if rows is None:
+        return data, None
+    relation = Relation(
+        data["name"], data["columns"], map(tuple, json.loads(rows))
+    )
+    return data, relation
+
+
+class CheckpointStore:
+    """One SQLite file of durable relations: one keyed table.
+
+    Every record is ``(key, meta, rows)``: ``key`` is a JSON list —
+    ``["run", run_id]`` for a :class:`RunManifest`, ``["step", run_id,
+    step_name]`` for a completed step's survivors, ``["cache",
+    canonical_key, filter]`` for a session's exact cache entry — and
+    ``meta`` / ``rows`` are JSON, so no key or value ever reaches SQL
+    text and ints of any size round-trip.  Writing a key replaces its
+    record.  A store outlives processes — point a new process at the
+    same path and ``resume=`` (or a new session) picks up what the last
+    one wrote.  One connection serves every thread, under a lock.
     """
 
-    _MANIFEST_TABLE = "_repro_run_manifest"
+    GUARDED = {"_connection": "_lock"}
+
+    _TABLE = "repro_store"
 
     def __init__(self, path: str):
-        from .flocks.sqlbackend import SQLiteBackend
-
         self.path = path
-        self.backend: "SQLiteBackend" = SQLiteBackend(path=path)
+        self._lock = threading.Lock()
+        self._connection = sqlite3.connect(path, check_same_thread=False)
         # Checkpoint writes happen once per completed FILTER step, on
         # the hot path of the run they protect.  WAL + synchronous=
         # NORMAL drops the per-commit fsync of the main database; the
-        # worst a power loss can cost is the most recent step table,
-        # and the table-first/manifest-second write order already
-        # treats a missing table as "re-execute that step".
-        cursor = self.backend.connection.cursor()
-        self.backend._execute(cursor, "PRAGMA journal_mode=WAL")
-        self.backend._execute(cursor, "PRAGMA synchronous=NORMAL")
-        self.backend._execute(
-            cursor,
-            f"CREATE TABLE IF NOT EXISTS {self._MANIFEST_TABLE} "
-            "(run_id TEXT PRIMARY KEY, manifest TEXT)",
+        # worst a power loss can cost is the most recent step record,
+        # and the step-first/manifest-second write order already
+        # treats a missing record as "re-execute that step".
+        self._sql("PRAGMA journal_mode=WAL")
+        self._sql("PRAGMA synchronous=NORMAL")
+        self._sql(
+            f"CREATE TABLE IF NOT EXISTS {self._TABLE} "
+            "(key TEXT PRIMARY KEY, meta TEXT NOT NULL, rows TEXT)"
         )
-        self.backend.connection.commit()
 
     # -- lifecycle ------------------------------------------------------
 
+    @locked("_lock")
     def close(self) -> None:
-        self.backend.close()
+        self._connection.close()
 
     def __enter__(self) -> "CheckpointStore":
         return self
@@ -387,37 +459,70 @@ class CheckpointStore:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    # -- records --------------------------------------------------------
+
+    @blocking
+    @locked("_lock")
+    def _sql(
+        self, statement: str, parameters: Sequence = (), many: bool = False
+    ) -> list:
+        """Run one statement (``many``: once per tuple of ``parameters``),
+        commit, and return its rows."""
+        cursor = self._connection.cursor()
+        rows = run_statement(cursor, statement, parameters, many).fetchall()
+        self._connection.commit()
+        return rows
+
+    @blocking
+    def put(self, key: list, meta: dict, relation: Relation | None = None) -> None:
+        """Write (or replace) the record at ``key``."""
+        rows = None
+        if relation is not None:
+            meta = {**meta, "name": relation.name, "columns": relation.columns}
+            try:
+                rows = json.dumps(list(relation.tuples))
+            except TypeError as error:
+                raise EvaluationError(f"cannot store {key}: {error}") from error
+        self._sql(
+            f"INSERT OR REPLACE INTO {self._TABLE} VALUES (?, ?, ?)",
+            (json.dumps(key), json.dumps(meta), rows),
+        )
+
+    @blocking
+    def get(self, key: list) -> tuple[dict, Relation | None] | None:
+        """``(meta, relation)`` of the record at ``key``, or None."""
+        found = self._sql(
+            f"SELECT meta, rows FROM {self._TABLE} WHERE key = ?",
+            (json.dumps(key),),
+        )
+        return _record(*found[0]) if found else None
+
+    @blocking
+    def records(self, kind: str) -> list[tuple[dict, Relation | None]]:
+        """Every ``(meta, relation)`` whose key's first element is
+        ``kind`` (``"run"``, ``"step"`` or ``"cache"``)."""
+        prefix = json.dumps([kind])[:-1] + ","
+        found = self._sql(
+            f"SELECT meta, rows FROM {self._TABLE} "
+            "WHERE substr(key, 1, ?) = ?",
+            (len(prefix), prefix),
+        )
+        return [_record(meta, rows) for meta, rows in found]
+
     # -- manifests ------------------------------------------------------
 
     @blocking
     def save_manifest(self, manifest: RunManifest) -> None:
-        cursor = self.backend.connection.cursor()
-        self.backend._execute(
-            cursor,
-            f"INSERT OR REPLACE INTO {self._MANIFEST_TABLE} VALUES (?, ?)",
-            parameters=(manifest.run_id, manifest.to_json()),
-        )
-        self.backend.connection.commit()
+        self.put(["run", manifest.run_id], manifest.to_dict())
 
     @blocking
     def load_manifest(self, run_id: str) -> RunManifest | None:
-        cursor = self.backend.connection.cursor()
-        rows = self.backend._execute(
-            cursor,
-            f"SELECT manifest FROM {self._MANIFEST_TABLE} WHERE run_id = ?",
-            parameters=(run_id,),
-        ).fetchall()
-        if not rows:
-            return None
-        return RunManifest.from_json(rows[0][0])
+        found = self.get(["run", run_id])
+        return None if found is None else RunManifest.from_dict(found[0])
 
     @blocking
     def list_runs(self) -> list[RunManifest]:
-        cursor = self.backend.connection.cursor()
-        rows = self.backend._execute(
-            cursor, f"SELECT manifest FROM {self._MANIFEST_TABLE}"
-        ).fetchall()
-        return [RunManifest.from_json(text) for (text,) in rows]
+        return [RunManifest.from_dict(meta) for meta, _ in self.records("run")]
 
     @blocking
     def run_status(self, run_id: str) -> dict | None:
@@ -430,51 +535,38 @@ class CheckpointStore:
 
     @blocking
     def drop_run(self, run_id: str) -> None:
-        """Delete one run's manifest and every step table it owns."""
+        """Delete one run's manifest and every step record it owns."""
         manifest = self.load_manifest(run_id)
-        if manifest is not None:
-            for table in manifest.completed.values():
-                self.backend.drop_cached_result(table)
-        cursor = self.backend.connection.cursor()
-        self.backend._execute(
-            cursor,
-            f"DELETE FROM {self._MANIFEST_TABLE} WHERE run_id = ?",
-            parameters=(run_id,),
+        steps = () if manifest is None else manifest.step_names
+        keys = [["run", run_id]] + [["step", run_id, s] for s in steps]
+        self._sql(
+            f"DELETE FROM {self._TABLE} WHERE key = ?",
+            [(json.dumps(key),) for key in keys],
+            many=True,
         )
-        self.backend.connection.commit()
 
     # -- step survivor sets ---------------------------------------------
 
-    def _step_table(self, run_id: str, step_name: str) -> str:
-        return f"_repro_ckpt_{run_id}_{step_name}"
-
     @blocking
     def save_step(
-        self, manifest: RunManifest, step_name: str, relation: "Relation"
+        self, manifest: RunManifest, step_name: str, relation: Relation
     ) -> None:
         """Persist one completed step's survivors and mark it done —
-        table first, manifest second, so a crash between the two writes
-        at worst re-executes a step, never trusts a missing table."""
-        table = self._step_table(manifest.run_id, step_name)
-        self.backend.persist_cached_result(
-            table,
-            relation,
-            {"run_id": manifest.run_id, "step": step_name},
-        )
-        manifest.completed[step_name] = table
+        step first, manifest second, so a crash between the two writes
+        at worst re-executes a step, never trusts a missing record."""
+        self.put(["step", manifest.run_id, step_name], {}, relation)
+        if step_name not in manifest.completed:
+            manifest.completed.append(step_name)
         self.save_manifest(manifest)
 
     @blocking
     def load_step(
         self, manifest: RunManifest, step_name: str
-    ) -> "Relation | None":
-        table = manifest.completed.get(step_name)
-        if table is None:
+    ) -> Relation | None:
+        if step_name not in manifest.completed:
             return None
-        for name, metadata in self.backend.list_cached_results():
-            if name == table:
-                return self.backend.load_cached_result(table, metadata)
-        return None
+        found = self.get(["step", manifest.run_id, step_name])
+        return None if found is None else found[1]
 
     # -- recorder factory ----------------------------------------------
 
@@ -593,9 +685,11 @@ __all__ = [
     "RetryPolicy",
     "RetrySupervisor",
     "RunManifest",
+    "STATEMENT_RETRY",
     "TransientFault",
     "TRANSIENT_SQLITE_MARKERS",
     "flock_key",
     "new_run_id",
     "plan_fingerprint",
+    "run_statement",
 ]

@@ -597,8 +597,8 @@ class MiningService:
         data = self.runs.snapshot(run_id)
         manifest_status = None
         if self.config.checkpoint_path is not None:
-            # A fresh store per probe: SQLite connections are
-            # thread-bound, and status probes are rare and cheap.
+            # A fresh store per probe: status probes are rare and
+            # cheap, and a probe never holds the store open.
             try:
                 with CheckpointStore(self.config.checkpoint_path) as store:
                     manifest_status = store.run_status(run_id)

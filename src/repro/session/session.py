@@ -24,9 +24,9 @@ such sessions.  :class:`MiningSession` is that loop's server side:
   :meth:`MiningSession.mine` call (cache hits included — the served
   answer still passes ``check_answer``), and per-call overrides win;
 * with ``persist_path``, exact entries are also written through to a
-  SQLite file (:meth:`~repro.flocks.sqlbackend.SQLiteBackend.\
-persist_cached_result`), so a new process pointed at the same file
-  starts warm — entries are re-adopted only when every source
+  :class:`~repro.recovery.CheckpointStore` file, one record per (query,
+  filter) replaced on every write, so a new process pointed at the same
+  file starts warm — entries are re-adopted only when every source
   relation's cardinality still matches the recorded one.
 """
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..concurrency import locked
-from ..errors import FilterError
+from ..errors import FilterError, ReproError
 from ..flocks.filters import (
     AnyFilter,
     CompositeFilter,
@@ -49,6 +49,7 @@ from ..flocks.filters import (
 from ..flocks.flock import QueryFlock
 from ..flocks.options import PER_CALL_FIELDS, MiningOptions
 from ..guard import CancellationToken, GuardLike, ResourceBudget
+from ..recovery import CheckpointStore
 from ..relational.catalog import Database
 from ..relational.relation import Relation
 
@@ -62,6 +63,7 @@ from .cache import (
     ResultCache,
     query_relations,
 )
+from .canonical import canonical_key
 
 
 def with_support_threshold(flock: QueryFlock, threshold: float) -> QueryFlock:
@@ -242,7 +244,7 @@ class MiningSession:
     #: cache locks itself).  Lock order: ``MiningSession._counter_lock``
     #: may be held while taking ``ResultCache._lock`` (stats), never the
     #: reverse — the cache calls back into nothing.
-    GUARDED = {"queries": "_counter_lock", "_persist_counter": "_counter_lock"}
+    GUARDED = {"queries": "_counter_lock"}
 
     def __init__(
         self,
@@ -274,12 +276,9 @@ class MiningSession:
         # the cache locks itself, this lock covers the session's own
         # counters.
         self._counter_lock = threading.Lock()
-        self._persist_backend = None
-        self._persist_counter = 0
+        self._store: CheckpointStore | None = None
         if persist_path is not None:
-            from ..flocks.sqlbackend import SQLiteBackend
-
-            self._persist_backend = SQLiteBackend(path=persist_path)
+            self._store = CheckpointStore(persist_path)
             self._restore_persisted()
 
     # ------------------------------------------------------------------
@@ -375,10 +374,10 @@ class MiningSession:
         )
 
     def close(self) -> None:
-        """Release the persistence backend, if any."""
-        if self._persist_backend is not None:
-            self._persist_backend.close()
-            self._persist_backend = None
+        """Close the ``persist_path`` store, if any."""
+        if self._store is not None:
+            self._store.close()
+            self._store = None
 
     def __enter__(self) -> "MiningSession":
         return self
@@ -391,15 +390,10 @@ class MiningSession:
     # ------------------------------------------------------------------
 
     def _persist_entry(self, entry: CachedResult) -> None:
-        """Write one exact entry through to the SQLite file."""
-        if self._persist_backend is None:
+        """Write one exact entry through to the store, replacing the
+        record of the same (query, filter)."""
+        if self._store is None:
             return
-        # Worker threads publish finals concurrently: the sequence must
-        # be unique per entry or two threads would overwrite one
-        # another's persisted table.
-        with self._counter_lock:
-            self._persist_counter += 1
-            sequence = self._persist_counter
         metadata = {
             "query": str(entry.query),
             "filter": str(entry.filter),
@@ -411,13 +405,10 @@ class MiningSession:
                 if name in self.db
             },
         }
+        key = ["cache", canonical_key(entry.query), str(entry.filter)]
         try:
-            self._persist_backend.persist_cached_result(
-                f"_repro_cache_{sequence}",
-                entry.relation,
-                metadata,
-            )
-        except Exception:
+            self._store.put(key, metadata, entry.relation)
+        except ReproError:
             # Persistence is an optimization; a full disk or locked file
             # must not fail the mining call that triggered it.
             pass
@@ -433,20 +424,14 @@ class MiningSession:
         """
         from ..datalog.parser import parse_query
 
-        assert self._persist_backend is not None
+        assert self._store is not None
         try:
-            persisted = self._persist_backend.list_cached_results()
+            persisted = self._store.records("cache")
         except Exception:
             return
-        for table_name, metadata in persisted:
-            with self._counter_lock:
-                self._persist_counter = max(
-                    self._persist_counter,
-                    int(table_name.rsplit("_", 1)[-1])
-                    if table_name.rsplit("_", 1)[-1].isdigit() else 0,
-                )
+        for metadata, relation in persisted:
             cards = metadata.get("base_cards", {})
-            if not cards:
+            if not cards or relation is None:
                 continue
             if not all(
                 name in self.db and len(self.db.get(name)) == card
@@ -456,9 +441,6 @@ class MiningSession:
             try:
                 query = parse_query(metadata["query"])
                 filter_ = parse_filter(metadata["filter"])
-                relation = self._persist_backend.load_cached_result(
-                    table_name, metadata
-                )
             except Exception:
                 continue
             self.cache.put(

@@ -486,6 +486,27 @@ class TestBackendDegradation:
             (d.kind, d.from_name, d.to_name) for d in mining_downgrades(report)
         ] == [("strategy", "dynamic", "naive")]
 
+    @pytest.mark.parametrize("strategy", ["optimized", "naive"])
+    def test_int_sqlite_cannot_store_degrades_to_memory(
+        self, basket_flock, strategy
+    ):
+        """An int outside SQLite's 64 bits fails the load as an
+        EvaluationError, so mine() answers from memory."""
+        big = 2**70
+        rows = [(big + b, item) for b in range(4) for item in ("x", "y")]
+        db = database_from_dict({"baskets": (("BID", "Item"), rows)})
+        expected = evaluate_flock(db, basket_flock)
+        relation, report = mine(
+            db, basket_flock, strategy=strategy, backend="sqlite"
+        )
+        assert relation == expected and len(relation) > 0
+        assert report.backend_used == "memory"
+        (downgrade,) = mining_downgrades(report)
+        assert (downgrade.kind, downgrade.from_name, downgrade.to_name) == (
+            "backend", "sqlite", "memory",
+        )
+        assert "too large" in downgrade.reason
+
     def test_healthy_sqlite_backend_reports_no_downgrade(
         self, small_basket_db, basket_flock
     ):

@@ -7,12 +7,15 @@
   cache; sqlite persistence warms a brand-new process's session.
 """
 
+import threading
+
 import pytest
 
 from repro.errors import BudgetExceededError, FilterError
 from repro.flocks import QueryFlock, parse_filter
 from repro.flocks.naive import evaluate_flock
 from repro.guard import ResourceBudget
+from repro.recovery import CheckpointStore
 from repro.session import MiningSession, with_support_threshold
 
 
@@ -196,6 +199,35 @@ class TestPersistence:
             warm, report = second.mine(basket_flock)
         assert report.strategy_used == "cache"
         assert warm == cold
+
+    def test_entry_mined_on_a_worker_thread_persists(
+        self, tmp_path, small_basket_db, basket_flock
+    ):
+        path = str(tmp_path / "cache.db")
+        with MiningSession(small_basket_db, persist_path=path) as first:
+            worker = threading.Thread(target=first.mine, args=(basket_flock,))
+            worker.start()
+            worker.join()
+
+        with MiningSession(small_basket_db, persist_path=path) as second:
+            _, report = second.mine(basket_flock)
+        assert report.strategy_used == "cache"
+
+    def test_remining_after_a_write_replaces_the_record(
+        self, tmp_path, small_basket_db, basket_flock
+    ):
+        path = str(tmp_path / "cache.db")
+        baskets = small_basket_db.get("baskets")
+        with MiningSession(small_basket_db, persist_path=path) as session:
+            for _ in range(3):
+                _, report = session.mine(basket_flock)
+                assert report.strategy_used != "cache"
+                # Same rows, new version: the entry goes stale.
+                session.db.add_rows(
+                    "baskets", baskets.columns, baskets.tuples
+                )
+        with CheckpointStore(path) as store:
+            assert len(store.records("cache")) == 1
 
     def test_changed_cardinality_blocks_adoption(
         self, tmp_path, small_basket_db, basket_flock

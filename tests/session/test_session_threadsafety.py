@@ -1,12 +1,11 @@
-"""Session counter races fixed alongside the conlint annotation sweep.
+"""Session races under worker threads.
 
 Two regressions:
 
-* ``_persist_entry`` must mint a *unique* sequence per persisted entry
-  even when worker threads publish finals concurrently — the increment
-  and the read now happen under ``_counter_lock`` in one critical
-  section (two threads used to be able to read the same value and
-  overwrite one another's ``_repro_cache_<n>`` table);
+* ``_persist_entry`` runs on whichever worker thread published the
+  final: concurrent writes of one entry go through the store's one
+  shared connection without error and leave exactly one record for
+  the entry's (query, filter);
 * ``stats()`` reads the query counter and the cache counters under the
   declared session → cache lock order while miners bump them.
 """
@@ -15,35 +14,32 @@ from __future__ import annotations
 
 import threading
 
+from repro.recovery import CheckpointStore
 from repro.session import MiningSession, with_support_threshold
 
 THREADS = 8
 ITERS = 50
 
 
-class RecordingBackend:
-    """Stands in for the SQLite backend; records persisted table names."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.names: list[str] = []
-
-    def persist_cached_result(self, name, relation, metadata):
-        with self._lock:
-            self.names.append(name)
-
-    def close(self):
-        pass
-
-
-def test_persist_sequence_is_unique_across_threads(
-    small_basket_db, basket_flock
+def test_concurrent_persists_keep_one_record_per_entry(
+    tmp_path, small_basket_db, basket_flock, monkeypatch
 ):
-    session = MiningSession(small_basket_db)
+    path = str(tmp_path / "session.db")
+    session = MiningSession(small_basket_db, persist_path=path)
     session.mine(basket_flock)
     (entry,) = session.cache.entries()
-    backend = RecordingBackend()
-    session._persist_backend = backend
+    store = session._store
+    errors: list[BaseException] = []
+    put = store.put
+
+    def checked_put(*args, **kwargs):
+        try:
+            put(*args, **kwargs)
+        except BaseException as error:  # pragma: no cover - fail path
+            errors.append(error)
+            raise
+
+    monkeypatch.setattr(store, "put", checked_put)
 
     def publish():
         for _ in range(ITERS):
@@ -54,10 +50,13 @@ def test_persist_sequence_is_unique_across_threads(
         thread.start()
     for thread in threads:
         thread.join()
+    session.close()
 
-    assert len(backend.names) == THREADS * ITERS
-    # Every persisted table got its own sequence number.
-    assert len(set(backend.names)) == THREADS * ITERS
+    assert errors == []
+    with CheckpointStore(path) as reopened:
+        ((meta, relation),) = reopened.records("cache")
+    assert meta["filter"] == str(entry.filter)
+    assert relation == entry.relation
 
 
 def test_stats_consistent_while_miners_run(small_basket_db, basket_flock):

@@ -9,6 +9,7 @@ killed run did not finish and returns a bit-identical answer.
 
 import dataclasses
 import hashlib
+import json
 import sqlite3
 from concurrent.futures.process import BrokenProcessPool
 
@@ -292,11 +293,11 @@ class TestCheckpointStore:
             flock_key="k",
             plan_fingerprint="f",
             step_names=("okS", "ok"),
-            completed={"okS": "_repro_ckpt_r1_okS"},
+            completed=["okS"],
             base_cards={"baskets": 12},
         )
-        text = manifest.to_json()
-        again = RunManifest.from_json(text)
+        text = json.dumps(manifest.to_dict())
+        again = RunManifest.from_dict(json.loads(text))
         assert again == manifest
 
     def test_save_load_drop(self, tmp_path, small_basket_db, basket_flock):
@@ -509,6 +510,49 @@ class TestMineCheckpointResume:
         assert report.run_id == "runA"
         assert report.steps_resumed == 1
         assert report.steps_checkpointed >= 1
+
+    @pytest.mark.parametrize("run_id", ['we"ird', "a:b", "xé y"])
+    def test_any_run_id_checkpoints_and_resumes(
+        self, tmp_path, wide_basket_db, pair_flock, run_id
+    ):
+        """A run id is a key, never SQL text."""
+        path = str(tmp_path / "ckpt.db")
+        first, _ = mine(
+            wide_basket_db, pair_flock, strategy="optimized",
+            checkpoint=path, run_id=run_id,
+        )
+        relation, report = mine(
+            wide_basket_db, pair_flock, strategy="optimized",
+            checkpoint=path, resume=run_id,
+        )
+        assert relation.tuples == first.tuples
+        assert report.run_id == run_id
+        assert report.steps_resumed >= 1
+
+    def test_ints_beyond_64_bits_checkpoint_and_resume(
+        self, tmp_path, wide_basket_db, pair_flock
+    ):
+        big = 2**70
+        baskets = wide_basket_db.get("baskets")
+        items = {item: big + n for n, item in enumerate(sorted(
+            {item for _, item in baskets.tuples}
+        ))}
+        wide_basket_db.add_rows(
+            "baskets", baskets.columns,
+            [(bid, items[item]) for bid, item in baskets.tuples],
+        )
+        path = str(tmp_path / "ckpt.db")
+        first, _ = mine(
+            wide_basket_db, pair_flock, strategy="optimized",
+            checkpoint=path, run_id="big",
+        )
+        assert big in {value for row in first.tuples for value in row}
+        relation, report = mine(
+            wide_basket_db, pair_flock, strategy="optimized",
+            checkpoint=path, resume="big",
+        )
+        assert relation.tuples == first.tuples
+        assert report.steps_resumed >= 1
 
     def test_auto_coerces_to_plan_based_strategy(
         self, tmp_path, small_basket_db, basket_flock
