@@ -56,15 +56,19 @@ bench-e2e:
 # alternating pairs of fresh runs, medians, quartiles and win counts
 # (see benchmarks/ab.py).  SEED picks the workloads' data: 101 is the
 # benchmark's own, any other a held-out check of the same claim.
+# TRACE=1 then runs one traced run per side and prints each per-layer
+# metric's A, B and B/A.
 A ?= HEAD~1
 B ?= HEAD
 WORKLOAD ?=
 PAIRS ?= 10
 SECONDS ?= 25
 SEED ?= 101
+TRACE ?= 0
 bench-ab:
 	python3 benchmarks/ab.py $(A) $(B) $(if $(WORKLOAD),--workload $(WORKLOAD)) \
-		--pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED)
+		--pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED) \
+		$(if $(filter 1,$(TRACE)),--trace)
 
 # The one definition of the ROADMAP's line budget: all lines, then
 # code-only lines (comment/docstring deletion is not a reduction), then

@@ -1,7 +1,7 @@
 """Same-session A/B of two revisions on the end-to-end workloads::
 
-    python3 benchmarks/ab.py A B [--workload words_cold] [--pairs 10] [--seconds 25]
-    make bench-ab A=HEAD~1 B=HEAD [WORKLOAD=words_cold] PAIRS=10 SECONDS=25
+    python3 benchmarks/ab.py A B [--workload words_cold] [--pairs 10] [--seconds 25] [--trace]
+    make bench-ab A=HEAD~1 B=HEAD [WORKLOAD=words_cold] PAIRS=10 SECONDS=25 [TRACE=1]
 
 Each revision is exported with ``git archive`` into its own temporary
 directory, once, so uncommitted changes take no part.  Then, for the
@@ -15,8 +15,12 @@ It prints, per workload and end-to-end metric of ``BENCHMARK.json``:
 each side's median and quartiles, B/A, how many pairs B won, and whether
 a side's spread (q3 - q1 over the median) is wider than the metric's
 bound — a change of that size cannot show there.  Also ``cpu_count``
-and the 1-minute load average before and after.  Exits 1 if any run of
-any workload failed an op or returned a wrong answer.
+and the 1-minute load average before and after.  With ``--trace``, the
+untraced pairs are followed by one ``--trace 1`` run per side, and each
+``BENCHMARK.json`` per-layer metric either side reports is printed with
+its A, B and B/A: the layer a change moves, from the same command.
+Exits 1 if any run of any workload failed an op or returned a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -49,12 +53,14 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str, args: argparse.Namespace) -> dict:
+def run_once(
+    tree: Path, workload: str, args: argparse.Namespace, trace: int = 0
+) -> dict:
     """One fresh ``run.py`` process: its result line plus its exit code
     (``metrics`` is ``None`` when the run printed no result)."""
     proc = subprocess.run(
         [sys.executable, str(tree / "benchmarks" / "e2e" / "run.py"),
-         "--workload", workload, "--trace", "0",
+         "--workload", workload, "--trace", str(trace),
          "--seconds", str(args.seconds), "--seed", str(args.seed)],
         cwd=tree, capture_output=True, text=True,
     )
@@ -93,9 +99,7 @@ def compare(
           f"workload {workload}; {args.pairs} alternating pair(s) x "
           f"{args.seconds:g} s; cpu_count {os.cpu_count()}; "
           f"1-min load {load_before:.2f} -> {load_after:.2f}")
-    bad = [r for side in runs.values() for r in side
-           if r["exit"] or not r["correct"] or r["failed"]
-           or r["metrics"] is None]
+    bad = [r for side in runs.values() for r in side if failed(r)]
     for side, side_runs in runs.items():
         print(f"{side}: {sum(r['failed'] for r in side_runs)} of "
               f"{sum(r['attempted'] for r in side_runs)} ops failed, "
@@ -120,6 +124,34 @@ def compare(
               f"{stats['B'][1] / stats['A'][1]:6.3f}  {wins:2d}/{args.pairs:<3d} "
               f"{', '.join(wide) or '-'} (bound {metric['bound']:.0%}, "
               f"{metric['unit']}, {metric['better']} is better)")
+    return layers(workload, args, trees) if args.trace else True
+
+
+def failed(run: dict) -> bool:
+    return bool(run["exit"] or not run["correct"] or run["failed"]
+                or run["metrics"] is None)
+
+
+def layers(workload: str, args: argparse.Namespace, trees: dict) -> bool:
+    """One traced run per side and its per-layer table; returns whether
+    both runs succeeded."""
+    runs = {side: run_once(tree, workload, args, trace=1)
+            for side, tree in trees.items()}
+    if any(map(failed, runs.values())):
+        print("a traced run failed; no layers compared")
+        return False
+    print(f"per-layer, one traced run per side:\n{'metric':36s} "
+          f"{'A':>12s} {'B':>12s} {'B/A':>6s}")
+    for metric in CONTRACT["per_layer"]:
+        name = metric["name"]
+        a, b = (runs[side]["metrics"].get(name, {}).get("value")
+                for side in "AB")
+        if a is None and b is None:
+            continue
+        ratio = f"{b / a:6.3f}" if a and b is not None else "     -"
+        cells = [f"{v:12.4f}" if v is not None else f"{'-':>12s}" for v in (a, b)]
+        print(f"{name:36s} {cells[0]} {cells[1]} {ratio}  "
+              f"({metric['unit']}, {metric['better']} is better)")
     return True
 
 
@@ -134,6 +166,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seconds", type=float,
                         default=CONTRACT["run_seconds"])
     parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--trace", action="store_true",
+                        help="then one traced run per side: per-layer A, B, B/A")
     args = parser.parse_args(argv)
     # A terminated A/B still removes its exported trees.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))

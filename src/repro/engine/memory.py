@@ -14,7 +14,9 @@ A COUNT step's last stage of the right shape may instead be counted
 by bitmap AND + popcount (:meth:`MemoryEngine._stage_counts`), picked by
 an exact size rule (:func:`bitmap_pays`) with every count unchanged:
 one build for two sides with the same code columns (the pair flock's
-self-join), and under ``$1 < $2`` only the key pairs it admits.
+self-join), each key's bitmap made once from its rows' positions, under
+``$1 < $2`` only the key pairs it admits, and with no mask left only the
+key pairs reaching the support cap (:func:`_count_shape`) kept.
 Binding relations are cached per engine instance, so a union's branches
 never rebuild the same scan twice.  Every relation the engine touches
 is in its catalog's code space
@@ -34,12 +36,13 @@ never decides to filter, and the stages run in their lowered order.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import itemgetter, mul, not_
+from operator import itemgetter, mul, not_, setitem
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..datalog.atoms import ComparisonOp, RelationalAtom
@@ -83,6 +86,16 @@ _SPANS = {
     ComparisonOp.GE: lambda values, left: (0, bisect_right(values, left)),
 }
 
+#: The smallest integer count that ``count <op> threshold`` passes.
+_CAPS = {
+    ComparisonOp.GE: math.ceil,
+    ComparisonOp.GT: lambda threshold: math.floor(threshold) + 1,
+}
+
+#: A COUNT step's bitmap shape (:func:`_count_shape`): the counted pair
+#: column, the group's pair columns, and the support cap.
+_CountShape = tuple[str, tuple[str, ...], int]
+
 
 def bitmap_pays(candidates: int, rows: int, pairs: int) -> bool:
     """The size rule between a COUNT step's two last-stage bodies: count
@@ -96,11 +109,12 @@ def bitmap_pays(candidates: int, rows: int, pairs: int) -> bool:
     ``words_cold`` corpus, each body forced (2 vCPUs, best of three
     medians of 7), ms pairs / bitmaps.  The pair flock at support
     10 / 20 / 40 (candidates 197k / 28.9k / 4.6k, rows 25k / 18k / 13k,
-    pairs 330k / 174k / 89k): 149 / 126, 85 / 48, 42 / 19.  The
-    pinned-word flock (444 candidates, 13k rows, pairs 11.8k down to
-    448): the pair body wins by 0.8-3.6 ms at every pair count — there
-    the candidates alone are fewer than the pairs, the candidates plus
-    the rows are not."""
+    pairs 330k / 174k / 89k): 97.5 / 33.1, 44.2 / 10.6, 23.6 / 6.2.
+    The pinned-word flock at support 10 (the 1st, 21st and 40th most
+    frequent word: about 13k rows against a pair bound of 12.7k, so the
+    rule stops at its first test): the pair body wins by 0.1-0.6 ms —
+    there the candidates alone are fewer than the pairs, the candidates
+    plus the rows are not."""
     return candidates + rows <= pairs
 
 
@@ -245,7 +259,7 @@ class MemoryEngine:
         current: Relation,
         stage: JoinStage,
         leaf: Relation | None,
-        count: tuple[str, tuple[str, ...]] | None = None,
+        count: _CountShape | None = None,
     ) -> JoinPairs | _Counted:
         """The one stage body: trip, scan, the join's index pairs, one
         keep-mask per attached filter (each followed by a checkpoint),
@@ -270,7 +284,7 @@ class MemoryEngine:
         left: Relation,
         right: Relation,
         stage: JoinStage,
-        count: tuple[str, tuple[str, ...]],
+        count: _CountShape,
         started: float,
     ) -> _Counted | None:
         """The bitmap body of a COUNT step's last stage: each group's
@@ -293,8 +307,11 @@ class MemoryEngine:
         pair body's row count, the kept counts' sum.  A first filter
         ordering the sides' keys (:meth:`_ordered`) is no mask: each left
         key ANDs only the right keys it admits, bisected from one sort.
+        With no mask left, a key pair counting below the support cap
+        (no group under it passes the threshold) only adds to the row
+        and group totals: only the others become keys.
         """
-        x, group = count
+        x, group, cap = count
         params = set(group)
         if set(left.columns) & set(right.columns) != {x} or (
             set(left.columns) | set(right.columns) != params | {x}
@@ -341,18 +358,25 @@ class MemoryEngine:
             del filters[0]
         right_keys, right_maps = [k for k, _ in rights], [b for _, b in rights]
 
+        # A mask reads every key pair the pair body holds; else only
+        # those that can pass need a key.
+        floor = 1 if filters else cap
         keys: list[tuple] = []
         counts: list[int] = []
+        rows = groups = 0
         for (key, bits), (low, high) in zip(lefts, spans or repeat((0, len(rights)))):
             for start in range(low, high, POPCOUNT_CHUNK):
                 end = min(start + POPCOUNT_CHUNK, high)
                 got = list(map(int.bit_count, map(bits.__and__, right_maps[start:end])))
-                keys += compress(map(key.__add__, right_keys[start:end]), got)
-                counts += filter(None, got)
+                rows += sum(got)
+                groups += len(got) - got.count(0)
+                keep = list(map(floor.__le__, got))
+                keys += map(key.__add__, compress(right_keys[start:end], keep))
+                counts += compress(got, keep)
                 if self.guard is not None:
                     self.guard.checkpoint(node=stage.node)
         if spans and self.guard is not None:
-            self.guard.checkpoint(rows=sum(counts), node=stage.node)
+            self.guard.checkpoint(rows=rows, node=stage.node)
 
         def column(name: str, decode: bool = False) -> Iterable:
             values = map(itemgetter(names.index(name)), keys)
@@ -362,15 +386,15 @@ class MemoryEngine:
             keep = list(self._filter_mask(op, column, len(keys)))
             keys = list(compress(keys, keep))
             counts = list(compress(counts, keep))
+            rows, groups = sum(counts), len(counts)
             if self.guard is not None:
-                self.guard.checkpoint(rows=sum(counts), node=stage.node)
-        rows = sum(counts)
+                self.guard.checkpoint(rows=rows, node=stage.node)
         self._observe(stage, len(left), rows, started, "bitmap")
         # count_groups' key shapes: a scalar, a tuple, or () for none.
         at = [names.index(c) for c in group]
         in_place = len(at) > 1 and at == sorted(at)
         by = keys if in_place else map(itemgetter(*at), keys) if at else repeat(())
-        return _Counted(dict(zip(by, counts)), rows)
+        return _Counted(dict(zip(by, counts)), rows, groups)
 
     def _ordered(
         self, first: list, names: list[str], split: int, lefts: list, rights: list
@@ -487,7 +511,7 @@ class MemoryEngine:
         self,
         branch: PhysicalPlan,
         dynamic=None,
-        count: tuple[str, tuple[str, ...]] | None = None,
+        count: _CountShape | None = None,
     ) -> JoinPairs | _Counted:
         """One rule branch up to its last join, left as index pairs:
         the stage loop, the last stage's body, then each trailing stage
@@ -662,13 +686,15 @@ class MemoryEngine:
         for _, name in conditions:
             if isinstance(counted, _Counted):
                 values.append(counted.counts)  # every conjunct's COUNT
+                groups = counted.groups
             else:
                 values.append(group_values(
                     column, step.group.group_by, spec[name].fn,
                     spec[name].target, step.answer_columns, answer_tuples,
                 ))
+                groups = len(values[-1])
             if self.guard is not None:
-                self.guard.checkpoint(rows=len(values[-1]), node=name)
+                self.guard.checkpoint(rows=groups, node=name)
         result, passed = survivor_relations(
             values, [condition for condition, _ in conditions],
             step.root.columns, step.root.name, self.db.dictionary,
@@ -682,23 +708,27 @@ class MemoryEngine:
 
 @dataclass
 class _Counted:
-    """The bitmap body's answer for a COUNT step: each group's count
-    (a group of none is absent), and as its length the rows the pair
-    body would have kept — the step's answer tuples."""
+    """The bitmap body's answer for a COUNT step: the counts of the
+    groups that can pass (a group below the support cap may be absent,
+    a group of none is), as its length the rows the pair body would have
+    kept — the step's answer tuples — and how many groups have any."""
 
     counts: dict
     rows: int
+    groups: int
 
     def __len__(self) -> int:
         return self.rows
 
 
-def _count_shape(step: StepPlan) -> tuple[str, tuple[str, ...]] | None:
+def _count_shape(step: StepPlan) -> _CountShape | None:
     """For a one-branch step whose every aggregate counts its one
     non-parameter answer column ``X`` (``COUNT(answer.X)``, or
-    ``COUNT(answer(*))`` with head ``(X)``): ``X``'s pair column and the
-    group columns' pair columns, in group order.  Otherwise ``None``:
-    the step runs the pair body only."""
+    ``COUNT(answer(*))`` with head ``(X)``): ``X``'s pair column, the
+    group columns' pair columns, in group order, and the support cap —
+    the smallest integer count passing every ``>=`` / ``>`` conjunct
+    (all count ``X``), at least 1.  Otherwise ``None``: the step runs
+    the pair body only."""
     if len(step.branches) != 1:
         return None
     group = step.group.group_by
@@ -714,9 +744,15 @@ def _count_shape(step: StepPlan) -> tuple[str, tuple[str, ...]] | None:
         isinstance(terms[c], Constant) for c in group
     ):
         return None
+    cap = max([1] + [
+        _CAPS[condition.op](condition.threshold)
+        for condition, _ in step.threshold.conditions
+        if condition.op in _CAPS and isinstance(condition.threshold, (int, float))
+        and math.isfinite(condition.threshold)
+    ])
     return term_column(terms[others[0]]), tuple(
         term_column(terms[c]) for c in group
-    )
+    ), cap
 
 
 def _key_columns(rel: Relation, x: str) -> tuple[list[list[int]], list[int]]:
@@ -737,15 +773,21 @@ def _distinct(keys: list[list[int]], rows: int) -> int:
 def _bitmaps(
     keys: list[list[int]], xs: list[int], position: dict[int, int]
 ) -> dict[tuple, int]:
-    """One int per key (a tuple of codes): bit ``position[x]`` set for
-    each of its rows' ``x``; a row whose ``x`` has no position matches
-    nothing, and is dropped before the one Python-level loop."""
+    """One int per key (a tuple of codes) with a bit per ``x`` of its
+    rows, at ``position[x]`` counted from the top of ``len(position)``
+    bits; a row whose ``x`` has no position matches nothing, and is
+    dropped.  Each key's int is made once: its rows mark their positions
+    in the key's buffer of ``b"0"`` digits, read as one base-2 number.
+    One key column keys the buffers by code, a tuple only per key."""
     kept = list(map(position.__contains__, xs))
-    rows = compress(zip(*keys) if keys else repeat(()), kept)
-    bits: dict[tuple, int] = {}
-    for key, at in zip(rows, map(position.__getitem__, compress(xs, kept))):
-        bits[key] = bits.get(key, 0) | 1 << at
-    return bits
+    column = keys[0] if len(keys) == 1 else zip(*keys) if keys else repeat(())
+    digits = defaultdict((bytearray(b"0") * len(position)).copy)
+    deque(map(setitem, map(digits.__getitem__, compress(column, kept)),
+              map(position.__getitem__, compress(xs, kept)), repeat(ord("1"))),
+          maxlen=0)
+    if len(keys) == 1:
+        return {(code,): int(buf, 2) for code, buf in digits.items()}
+    return {key: int(buf, 2) for key, buf in digits.items()}
 
 
 def _semi_join_tail(stages: Sequence[JoinStage]) -> int:

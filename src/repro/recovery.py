@@ -498,6 +498,15 @@ class CheckpointStore:
         return _record(*found[0]) if found else None
 
     @blocking
+    def delete(self, keys: Sequence[list]) -> None:
+        """Delete the records at ``keys`` (a missing key is no error)."""
+        self._sql(
+            f"DELETE FROM {self._TABLE} WHERE key = ?",
+            [(json.dumps(key),) for key in keys],
+            many=True,
+        )
+
+    @blocking
     def records(self, kind: str) -> list[tuple[dict, Relation | None]]:
         """Every ``(meta, relation)`` whose key's first element is
         ``kind`` (``"run"``, ``"step"`` or ``"cache"``)."""
@@ -538,12 +547,7 @@ class CheckpointStore:
         """Delete one run's manifest and every step record it owns."""
         manifest = self.load_manifest(run_id)
         steps = () if manifest is None else manifest.step_names
-        keys = [["run", run_id]] + [["step", run_id, s] for s in steps]
-        self._sql(
-            f"DELETE FROM {self._TABLE} WHERE key = ?",
-            [(json.dumps(key),) for key in keys],
-            many=True,
-        )
+        self.delete([["run", run_id]] + [["step", run_id, s] for s in steps])
 
     # -- step survivor sets ---------------------------------------------
 

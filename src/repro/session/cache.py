@@ -34,7 +34,10 @@ Two entry kinds:
 
 Eviction is size-bounded LRU: total cached rows and entry count are
 capped, the least-recently-*used* entry goes first, and a single result
-larger than the row budget is never admitted.
+larger than the row budget is never admitted.  Every entry the cache
+drops — evicted, invalidated or replaced in its slot — is handed to the
+:meth:`ResultCache.on_drop` listeners, so a durable copy (the session's
+``persist_path`` store) can drop it too.
 
 The cache is **thread-safe**: the serve layer shares one process-wide
 cache across a pool of worker threads, so every path that reads or
@@ -149,6 +152,7 @@ class ResultCache:
         # and the stats counters, so there is no lock-free fast path.
         # Re-entrant because put() -> _evict() nests.
         self._lock = threading.RLock()
+        self._listeners: list[Callable[[list[CachedResult]], None]] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -189,6 +193,32 @@ class ResultCache:
             return replace(self.stats)
 
     # ------------------------------------------------------------------
+    # Drop listeners
+    # ------------------------------------------------------------------
+
+    def on_drop(self, listener: Callable[[list[CachedResult]], None]) -> None:
+        """Call ``listener(entries)`` with the entries each write or
+        invalidation drops, after the cache's lock is released."""
+        with self._lock:
+            self._listeners.append(listener)
+
+    def remove_drop_listener(
+        self, listener: Callable[[list[CachedResult]], None]
+    ) -> None:
+        with self._lock:
+            self._listeners.remove(listener)
+
+    def _dropped(self, entries: list[CachedResult]) -> None:
+        """Tell the listeners; called with the lock released, so a
+        listener may block (a store write) or read the cache."""
+        if not entries:
+            return
+        with self._lock:
+            listeners = list(self._listeners)
+        for listener in listeners:
+            listener(entries)
+
+    # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
 
@@ -210,7 +240,8 @@ class ResultCache:
         slot: an entry computed under a *weaker* filter serves strictly
         more requests, so a weaker incumbent is kept (the new result
         adds nothing) and a weaker newcomer replaces a stricter
-        incumbent.
+        incumbent.  A replaced incumbent and the entries evicted to make
+        room go to the drop listeners.
         """
         with self._lock:
             if self.max_rows is not None and len(relation) > self.max_rows:
@@ -240,22 +271,27 @@ class ResultCache:
             self._entries[slot] = entry
             self._entries.move_to_end(slot)
             self.stats.stored += 1
-            self._evict()
-            return entry
+            dropped = [incumbent] if incumbent is not None else []
+            dropped += self._evict()
+        self._dropped(dropped)
+        return entry
 
     @requires("_lock")
-    def _evict(self) -> None:
+    def _evict(self) -> list[CachedResult]:
+        """Pop least-recently-used entries until both caps hold; returns
+        them."""
+        evicted = []
         while (
             self.max_entries is not None
             and len(self._entries) > self.max_entries
+        ) or (
+            self.max_rows is not None
+            and len(self._entries) > 1
+            and self.total_rows() > self.max_rows
         ):
-            self._entries.popitem(last=False)
-            self.stats.evicted += 1
-        if self.max_rows is None:
-            return
-        while len(self._entries) > 1 and self.total_rows() > self.max_rows:
-            self._entries.popitem(last=False)
-            self.stats.evicted += 1
+            evicted.append(self._entries.popitem(last=False)[1])
+        self.stats.evicted += len(evicted)
+        return evicted
 
     # ------------------------------------------------------------------
     # Reading
@@ -330,14 +366,14 @@ class ResultCache:
     def invalidate_stale(self, version_of: Callable[[str], int]) -> int:
         """Drop every entry derived from a relation whose version moved.
         ``version_of(name)`` is typically ``db.version``.  Returns the
-        number of entries dropped."""
+        number of entries dropped (they go to the drop listeners)."""
         with self._lock:
             stale = [
                 slot
                 for slot, entry in self._entries.items()
                 if not entry.is_current(version_of)
             ]
-            for slot in stale:
-                del self._entries[slot]
+            dropped = [self._entries.pop(slot) for slot in stale]
             self.stats.invalidated += len(stale)
-            return len(stale)
+        self._dropped(dropped)
+        return len(dropped)

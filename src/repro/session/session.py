@@ -25,9 +25,11 @@ such sessions.  :class:`MiningSession` is that loop's server side:
   answer still passes ``check_answer``), and per-call overrides win;
 * with ``persist_path``, exact entries are also written through to a
   :class:`~repro.recovery.CheckpointStore` file, one record per (query,
-  filter) replaced on every write, so a new process pointed at the same
-  file starts warm — entries are re-adopted only when every source
-  relation's cardinality still matches the recorded one.
+  filter) replaced on every write and deleted when the cache evicts,
+  invalidates or replaces the entry, so the file holds what the cache
+  holds and a new process pointed at it starts warm — entries are
+  re-adopted only when every source relation's cardinality still
+  matches the recorded one.
 """
 
 from __future__ import annotations
@@ -279,6 +281,7 @@ class MiningSession:
         self._store: CheckpointStore | None = None
         if persist_path is not None:
             self._store = CheckpointStore(persist_path)
+            self.cache.on_drop(self._forget_entries)
             self._restore_persisted()
 
     # ------------------------------------------------------------------
@@ -376,6 +379,7 @@ class MiningSession:
     def close(self) -> None:
         """Close the ``persist_path`` store, if any."""
         if self._store is not None:
+            self.cache.remove_drop_listener(self._forget_entries)
             self._store.close()
             self._store = None
 
@@ -405,13 +409,25 @@ class MiningSession:
                 if name in self.db
             },
         }
-        key = ["cache", canonical_key(entry.query), str(entry.filter)]
         try:
-            self._store.put(key, metadata, entry.relation)
+            self._store.put(_store_key(entry), metadata, entry.relation)
         except ReproError:
             # Persistence is an optimization; a full disk or locked file
             # must not fail the mining call that triggered it.
             pass
+
+    def _forget_entries(self, entries: list[CachedResult]) -> None:
+        """The cache's drop listener: delete the records of the exact
+        entries it evicted, invalidated or replaced, so the store holds
+        what the cache holds and a restore adopts nothing it dropped."""
+        store = self._store
+        keys = [_store_key(e) for e in entries if e.kind == KIND_AGGREGATES]
+        if store is None or not keys:
+            return
+        try:
+            store.delete(keys)
+        except ReproError:
+            pass  # as in _persist_entry: the mining call must not fail
 
     def _restore_persisted(self) -> None:
         """Adopt persisted entries whose source relations still match.
@@ -452,3 +468,8 @@ class MiningSession:
                 int(metadata.get("source_rows", 0)),
                 metadata.get("param_columns", []),
             )
+
+
+def _store_key(entry: CachedResult) -> list:
+    """The store key of one exact cache entry."""
+    return ["cache", canonical_key(entry.query), str(entry.filter)]

@@ -6,16 +6,22 @@ pair).  The step's shape decides whether the bitmap body may run, and
 an exact size rule (``memory.bitmap_pays``) whether it does.  These
 tests pin the choice — by strategy on a words-shaped corpus, and by
 shape with the rule forced — and that the guard sees the pair body's
-row counts from either body.
+row counts from either body, the support cap included; and that the
+bitmaps themselves are the rows' position sets.
 """
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.engine.memory as memory
 from repro import mine, parse_flock
 from repro.datalog import UnionQuery, atom, comparison, negated, rule
+from repro.datalog.atoms import ComparisonOp
 from repro.engine.memory import MemoryEngine
 from repro.errors import ExecutionCancelled
 from repro.flocks import QueryFlock, parse_filter, single_step_plan
@@ -120,7 +126,8 @@ def test_a_union_keeps_the_pair_body(db, always_bitmap):
 
 def guarded_run(db, plan, body, monkeypatch):
     """``plan`` run under a guard with the rule forced to ``body``: the
-    guard's row checkpoints, its high-water mark and the kernels."""
+    guard's row checkpoints, its high-water mark, the kernels, and the
+    step's survivors, ``passed`` rows, answer tuples and stage rows."""
     monkeypatch.setattr(memory, "bitmap_pays", lambda *_: body == "bitmap")
     guard = ExecutionGuard()
     seen = []
@@ -133,8 +140,11 @@ def guarded_run(db, plan, body, monkeypatch):
 
     guard.checkpoint = spy
     engine = MemoryEngine(db, guard=guard)
-    engine.run_step(plan, need_aggregates=True)
-    return seen, guard.high_water_rows, kernels(engine.stage_log)
+    outcome = engine.run_step(plan, need_aggregates=True)
+    answer = (outcome.result.tuples, outcome.passed.tuples,
+              outcome.answer_tuples,
+              [(o.node, o.estimated, o.bound, o.actual) for o in engine.stage_log])
+    return seen, guard.high_water_rows, kernels(engine.stage_log), answer
 
 
 def test_guard_sees_the_pair_body_rows_from_either_body(db, monkeypatch):
@@ -147,10 +157,94 @@ def test_guard_sees_the_pair_body_rows_from_either_body(db, monkeypatch):
                                           comparison("$2", "!=", 2)]),
             parse_filter("COUNT(answer.B) >= 1 AND COUNT(answer(*)) >= 2"),
         ))
-        pairs = guarded_run(db, plan, "pairs", monkeypatch)
-        bits = guarded_run(db, plan, "bitmap", monkeypatch)
-        assert bits[:2] == pairs[:2]
-        assert (pairs[2][-1], bits[2][-1]) == ("pairs", "bitmap")
+        assert_bodies_agree(db, plan, monkeypatch)
+
+
+def assert_bodies_agree(db, plan, monkeypatch):
+    """Either body forced: the same guard rows, high-water mark,
+    survivors, aggregates, answer tuples and stage rows."""
+    pairs = guarded_run(db, plan, "pairs", monkeypatch)
+    bits = guarded_run(db, plan, "bitmap", monkeypatch)
+    assert (pairs[2][-1], bits[2][-1]) == ("pairs", "bitmap")
+    assert bits[:2] + bits[3:] == pairs[:2] + pairs[3:]
+
+
+@pytest.fixture(scope="module")
+def spread_db():
+    """Items 0-7: 28 pairs with every count from 2 to 12, so each cap
+    below lands on a count some pair has.  Items 8 and 9 share no
+    basket: a candidate pair of count 0."""
+    rng = random.Random(5)
+    rows = {(b, i) for b in range(30) for i in range(8) if rng.random() < 0.5}
+    rows |= {(b, 8) for b in range(3)} | {(b, 9) for b in range(3, 6)}
+    return database_from_dict({"r": (("B", "I"), rows)})
+
+
+#: case -> (filter, a replacement (op, threshold) for its last
+#: conjunct or None).  A flock refuses a conjunct that an empty answer
+#: passes (``<= 9``), so those conjuncts are swapped into the lowered
+#: plan, as a hand-built plan may carry them.  Caps: 8, 9, 8, 5, 8, and
+#: 1 for the two without a ``>=`` / ``>`` conjunct.
+CAPPED = {
+    ">= 8": ("COUNT(answer.B) >= 8", None),
+    "> 8": ("COUNT(answer.B) > 8", None),
+    "> 7.5": ("COUNT(answer.B) > 7.5", None),
+    ">= 5 and <= 9": ("COUNT(answer.B) >= 5 AND COUNT(answer.B) >= 1",
+                      (ComparisonOp.LE, 9)),
+    "(*) >= 8": ("COUNT(answer(*)) >= 8", None),
+    "no support conjunct: = 8": ("COUNT(answer.B) = 8", None),
+    "no support conjunct: <= 6": ("COUNT(answer.B) >= 1", (ComparisonOp.LE, 6)),
+}
+
+
+def capped_plan(db, body, case):
+    text, swap = CAPPED[case]
+    plan = step_plan(db, QueryFlock(rule("answer", ["B"], body), parse_filter(text)))
+    if swap is None:
+        return plan
+    *conditions, (last, name) = plan.threshold.conditions
+    last = replace(last, op=swap[0], threshold=swap[1])
+    return replace(plan, threshold=replace(
+        plan.threshold, conditions=(*conditions, (last, name))
+    ))
+
+
+@pytest.mark.parametrize("case", sorted(CAPPED))
+@pytest.mark.parametrize("first", ["<", "!="])
+@pytest.mark.parametrize("mask", [False, True], ids=["no mask", "mask"])
+def test_support_cap_matches_the_pair_body(
+    spread_db, monkeypatch, case, first, mask
+):
+    """The bitmap body keys only the key pairs that reach the cap when
+    no mask reads them (``<`` ordered, no ``$2 != 3``), and every key
+    pair otherwise: either way the pair body's output and guard rows."""
+    body = PAIR + [comparison("$1", first, "$2")]
+    if mask:
+        body.append(comparison("$2", "!=", 3))
+    assert_bodies_agree(spread_db, capped_plan(spread_db, body, case), monkeypatch)
+
+
+def test_support_cap_keeps_no_group_below_it(spread_db, monkeypatch):
+    """Unmasked, the bitmap body's count map holds only the groups at
+    or over the cap, and its group total counts every group of any
+    pair, as the pair body's count map holds."""
+    monkeypatch.setattr(memory, "bitmap_pays", lambda *_: True)
+    counted = []
+    real = MemoryEngine._stage_counts
+
+    def spy(self, *args):
+        counted.append(real(self, *args))
+        return counted[-1]
+
+    monkeypatch.setattr(MemoryEngine, "_stage_counts", spy)
+    plan = step_plan(spread_db, QueryFlock(
+        rule("answer", ["B"], PAIR + [comparison("$1", "<", "$2")]),
+        parse_filter("COUNT(answer.B) > 7.5"),
+    ))
+    MemoryEngine(spread_db).run_step(plan)
+    (only,) = counted
+    assert min(only.counts.values()) == 8
+    assert (len(only.counts), only.groups) == (13, 43)  # of 45 candidates
 
 
 #: case -> (body, bitmap builds, whether the first filter is the ordered
@@ -220,3 +314,56 @@ def test_popcount_loop_polls_the_guard(db):
     build or two, masked or ordered."""
     for case in sorted(POLL_CASES):
         assert_cancel_lands_in_the_popcount_loop(db, case)
+
+
+# -- the bitmaps against per-key position sets --------------------------
+
+
+def side_rows(width):
+    """Distinct ``((k1, k2), x)`` rows; ``x`` codes from ``width`` on have
+    no position."""
+    row = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                    st.integers(0, width + 2))
+    return st.lists(row, max_size=40, unique=True)
+
+
+def built(rows, arity, position):
+    """``_bitmaps`` of ``rows`` keyed by their first ``arity`` key codes,
+    and the reference: each key's set of positions."""
+    keys = [[key[i] for key, _ in rows] for i in range(arity)]
+    reference: dict[tuple, set] = {}
+    for key, x in rows:
+        if x in position:
+            reference.setdefault(key[:arity], set()).add(position[x])
+    return memory._bitmaps(keys, [x for _, x in rows], position), reference
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 5000])
+@pytest.mark.parametrize("arity", [0, 1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bitmaps_are_the_position_sets(width, arity, data):
+    """Each key's int has exactly its rows' positions (read through one
+    single-bit probe per position), and two sides built apart AND to
+    their position sets' intersection."""
+    order = list(range(width))
+    random.Random(data.draw(st.integers(0, 2**32))).shuffle(order)
+    position = dict(enumerate(order))  # x code -> position
+    probe = {position[x]: bits for (x,), bits in memory._bitmaps(
+        [list(position)], list(position), position
+    ).items()}
+    assert sorted(b.bit_length() - 1 for b in probe.values()) == list(range(width))
+    assert all(b.bit_count() == 1 for b in probe.values())
+
+    left, left_sets = built(data.draw(side_rows(width)), arity, position)
+    right, right_sets = built(data.draw(side_rows(width)), arity, position)
+    for bits, sets in ((left, left_sets), (right, right_sets)):
+        assert bits.keys() == sets.keys()
+        for key, at in sets.items():
+            assert bits[key].bit_count() == len(at)
+            assert all(bits[key] & probe[p] for p in at)
+    for lkey, lbits in left.items():
+        for rkey, rbits in right.items():
+            assert (lbits & rbits).bit_count() == len(
+                left_sets[lkey] & right_sets[rkey]
+            )

@@ -229,6 +229,41 @@ class TestPersistence:
         with CheckpointStore(path) as store:
             assert len(store.records("cache")) == 1
 
+    def test_store_holds_only_what_the_cache_holds(
+        self, tmp_path, small_basket_db, basket_flock
+    ):
+        """A support sweep replaces one slot's entry and evicts others:
+        each dropped entry's record goes too, and a new session adopts
+        exactly the first one's exact entries."""
+        path = str(tmp_path / "cache.db")
+
+        def exact(session):
+            return sorted((e.key, str(e.filter)) for e in session.cache.entries()
+                          if e.kind == "aggregates")
+
+        with MiningSession(small_basket_db, max_cache_entries=2,
+                           persist_path=path) as first:
+            for support in range(8, 1, -1):
+                first.mine(with_support_threshold(basket_flock, support))
+            kept = exact(first)
+        with CheckpointStore(path) as store:
+            assert 1 <= len(store.records("cache")) <= 2
+        with MiningSession(small_basket_db, max_cache_entries=2,
+                           persist_path=path) as second:
+            assert exact(second) == kept
+
+    def test_invalidated_entry_leaves_the_store(
+        self, tmp_path, small_basket_db, basket_flock
+    ):
+        path = str(tmp_path / "cache.db")
+        baskets = small_basket_db.get("baskets")
+        with MiningSession(small_basket_db, persist_path=path) as session:
+            session.mine(basket_flock)
+            session.db.add_rows("baskets", baskets.columns, baskets.tuples)
+            assert session.invalidate_stale() >= 1
+        with CheckpointStore(path) as store:
+            assert store.records("cache") == []
+
     def test_changed_cardinality_blocks_adoption(
         self, tmp_path, small_basket_db, basket_flock
     ):
