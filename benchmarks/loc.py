@@ -1,12 +1,14 @@
-"""``make loc``'s second and third lines: code-only lines under a source
-tree, and the ``MiningOptions`` inventory.
+"""``make loc``'s second to fourth lines: code-only lines under a source
+tree, the ``MiningOptions`` inventory, and the length of ``mine()``.
 
 A line counts when it carries at least one token that is not a comment,
 and is not part of a docstring — so deleting comments or docstrings
 never shows up as a reduction (the simplicity guide does not count it
 as one).  The inventory lists every ``mine()`` option field, with the
 number of values of each enumerated one (its CLI ``choices``), so a
-change that grows or shrinks the option surface shows it.  Usage:
+change that grows or shrinks the option surface shows it.  The length
+of ``mine()`` counts every line from its ``def`` to its last, docstring
+included (ROADMAP item 2's budget for it).  Usage:
 ``python benchmarks/loc.py src/repro``.
 """
 
@@ -53,9 +55,20 @@ def option_inventory() -> str:
     return f"{len(names):>7} MiningOptions fields: {' '.join(names)}"
 
 
+def mine_length(root: Path) -> str:
+    source = (root / "flocks" / "mining.py").read_text()
+    (node,) = [
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "mine"
+    ]
+    lines = node.end_lineno - node.lineno + 1
+    return f"{lines:>7} lines in mine() (docstring included)"
+
+
 if __name__ == "__main__":
     root = Path(sys.argv[1])
     total = sum(code_lines(p.read_text()) for p in root.rglob("*.py"))
     print(f"{total:>7} code-only (no blank, comment or docstring lines)")
     sys.path.insert(0, str(root.resolve().parent))
     print(option_inventory())
+    print(mine_length(root))

@@ -34,6 +34,8 @@ from ..datalog.containment import (
     ExtendedWitness,
     find_containment_mapping,
     find_extended_witness,
+    has_negation,
+    is_pure,
     is_subquery_bound,
     verify_containment_mapping,
     verify_extended_witness,
@@ -110,30 +112,18 @@ ContainmentWitness = Union[
 ]
 
 
-def _is_pure_cq(query: ConjunctiveQuery) -> bool:
-    return all(
-        isinstance(sg, RelationalAtom) and not sg.negated for sg in query.body
-    )
-
-
-def _has_negation(query: ConjunctiveQuery) -> bool:
-    return any(
-        isinstance(sg, RelationalAtom) and sg.negated for sg in query.body
-    )
-
-
 def find_witness(
     subquery: ConjunctiveQuery, flock_rule: ConjunctiveQuery
 ) -> Optional[ContainmentWitness]:
     """The strongest applicable containment witness for
     ``flock_rule ⊆ subquery``, or ``None`` when no test succeeds."""
-    if _is_pure_cq(subquery) and _is_pure_cq(flock_rule):
+    if is_pure(subquery) and is_pure(flock_rule):
         mapping = find_containment_mapping(subquery, flock_rule)
         if mapping is not None:
             return HomomorphismWitness(
                 tuple(sorted(mapping.items(), key=repr))
             )
-    elif not (_has_negation(subquery) or _has_negation(flock_rule)):
+    elif not (has_negation(subquery) or has_negation(flock_rule)):
         extended = find_extended_witness(subquery, flock_rule)
         if extended is not None:
             return KlugWitness(extended)
@@ -154,13 +144,13 @@ def verify_witness(
 ) -> bool:
     """Re-check one containment witness without searching."""
     if isinstance(witness, HomomorphismWitness):
-        if not (_is_pure_cq(subquery) and _is_pure_cq(flock_rule)):
+        if not (is_pure(subquery) and is_pure(flock_rule)):
             return False
         return verify_containment_mapping(
             subquery, flock_rule, dict(witness.mapping)
         )
     if isinstance(witness, KlugWitness):
-        if _has_negation(subquery) or _has_negation(flock_rule):
+        if has_negation(subquery) or has_negation(flock_rule):
             return False
         return verify_extended_witness(subquery, flock_rule, witness.witness)
     if isinstance(witness, SubgoalSubsetWitness):

@@ -34,10 +34,19 @@ from .query import ConjunctiveQuery
 from .terms import Constant, Parameter, Term
 
 
-def _is_pure(query: ConjunctiveQuery) -> bool:
-    """True when the query is a plain CQ: positive relational atoms only."""
+def is_pure(query: ConjunctiveQuery) -> bool:
+    """True when the query is a plain CQ: positive relational atoms only
+    (the Chandra–Merlin test applies)."""
     return all(
         isinstance(sg, RelationalAtom) and not sg.negated for sg in query.body
+    )
+
+
+def has_negation(query: ConjunctiveQuery) -> bool:
+    """True when the query negates a relational atom: neither the
+    Chandra–Merlin nor Klug's test applies."""
+    return any(
+        isinstance(sg, RelationalAtom) and sg.negated for sg in query.body
     )
 
 
@@ -71,7 +80,7 @@ def find_containment_mapping(
     CQs).  Both queries must be pure; callers should use
     :func:`is_subquery_bound` for extended queries.
     """
-    if not _is_pure(container) or not _is_pure(contained):
+    if not is_pure(container) or not is_pure(contained):
         raise ValueError(
             "containment mappings are defined for pure conjunctive queries; "
             "use is_subquery_bound for extended queries"
@@ -216,11 +225,7 @@ def find_extended_witness(
     A non-``None`` result witnesses ``contained ⊆ container`` and can be
     re-checked without search by :func:`verify_extended_witness`.
     """
-    if any(
-        isinstance(sg, RelationalAtom) and sg.negated
-        for q in (container, contained)
-        for sg in q.body
-    ):
+    if has_negation(container) or has_negation(contained):
         raise ValueError(
             "contains_extended handles arithmetic but not negation; "
             "use is_subquery_bound for negated queries"
@@ -389,7 +394,7 @@ def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
     flock queries before subquery enumeration so that redundant subgoals
     don't inflate the plan space.
     """
-    if not _is_pure(query):
+    if not is_pure(query):
         raise ValueError("minimization implemented for pure conjunctive queries")
     current = query
     changed = True

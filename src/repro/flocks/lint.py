@@ -37,10 +37,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
+from ..analysis.certify import find_witness
 from ..analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
 from ..datalog.arithmetic import is_satisfiable
 from ..datalog.atoms import RelationalAtom
-from ..datalog.containment import contains, contains_extended
 from ..datalog.query import ConjunctiveQuery, as_union
 from .flock import QueryFlock
 
@@ -196,12 +196,13 @@ def _redundant_subgoals(
     Dropping a subgoal can only *widen* a query, so the rule without
     subgoal *i* always contains the rule; when the rule also contains
     the widened version, the two are equivalent and subgoal *i* does no
-    work.  Pure CQ rules use the Chandra–Merlin test; rules with
-    arithmetic (but no negation) use Klug's extended test — e.g. in
-    ``p(X,$1) AND p(X,$2) AND $1 <= $2 AND $1 < $2`` the ``<=`` subgoal
-    is entailed by the ``<`` and flagged.  Rules with negation are
-    skipped (no sound-and-complete containment test is available) —
-    reported explicitly at ``info`` severity rather than silently.
+    work.  The test is :func:`repro.analysis.certify.find_witness`'s one
+    dispatch: Chandra–Merlin for pure CQ rules, Klug's extended test for
+    rules with arithmetic (but no negation) — e.g. in ``p(X,$1) AND
+    p(X,$2) AND $1 <= $2 AND $1 < $2`` the ``<=`` subgoal is entailed by
+    the ``<`` and flagged.  Rules with negation are skipped (no
+    sound-and-complete containment test is available) — reported
+    explicitly at ``info`` severity rather than silently.
     """
     if len(rule.body) <= 1:
         return []
@@ -221,16 +222,13 @@ def _redundant_subgoals(
                 severity=Severity.INFO,
             )
         ]
-    is_pure = all(isinstance(sg, RelationalAtom) for sg in rule.body)
-    test = contains if is_pure else contains_extended
-
     warnings: list[LintWarning] = []
     for i in range(len(rule.body)):
         candidate = rule.without_subgoals([i])
         if not candidate.body:
             continue
         try:
-            redundant = test(rule, candidate)
+            redundant = find_witness(rule, candidate) is not None
         except Exception:  # unsupported shape (e.g. exotic comparison)
             continue
         if redundant:

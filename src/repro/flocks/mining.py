@@ -5,9 +5,14 @@ default: lint the flock, pick an evaluation strategy appropriate to its
 shape, execute, and return the result together with a human-readable
 report of what was done.
 
-*How* a call evaluates — strategy, backend, join order, parallelism,
-retry, checkpointing — is one :class:`MiningOptions`; every field is
-documented there.  Strategy selection (``strategy="auto"``):
+*How* a call evaluates — strategy, backend, parallelism, retry,
+checkpointing — is one :class:`MiningOptions`; every field is
+documented there.  One pass: :func:`mine` picks the strategy, and
+``_run_strategy`` turns it into a plan (the strategies are plan
+producers), picks the backend — both SQLite switches are made there —
+and runs the one executor loop; every rung of the ladder below is
+recorded once, by ``_Attempt.downgrade``, in the order it happened.
+Strategy selection (``strategy="auto"``):
 
 * non-monotone filter → naive evaluation (nothing else is sound);
 * union flock → the Section 3.4 union optimizer;
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..analysis.verification import plan_verification
@@ -66,7 +71,6 @@ from ..engine.parallel import ParallelExecutor, clamp_default_jobs, resolve_jobs
 from ..errors import (
     BudgetExceededError,
     EvaluationError,
-    ExecutionAborted,
     FilterError,
     PlanError,
 )
@@ -115,7 +119,7 @@ class MiningReport:
     strategy_requested: str
     strategy_used: str
     seconds: float
-    warnings: tuple[LintWarning, ...]
+    warnings: tuple[LintWarning, ...] = ()
     plan_text: str | None = None
     decision_text: str | None = None
     backend_requested: str = "memory"
@@ -180,52 +184,28 @@ class MiningReport:
 
     # -- wire format ---------------------------------------------------
     #
-    # The serve layer ships reports over HTTP as JSON.  Certificates are
-    # *not* serialized (they hold query/plan objects and are re-checkable
-    # only in-process); a deserialized report carries ``certificate=None``
-    # and no decision certificates.  Everything else round-trips exactly.
+    # The serve layer ships reports over HTTP as JSON: every field of
+    # ``_WIRE_FIELDS`` in field order, the three nested ones converted.
+    # Certificates are *not* serialized (they hold query/plan objects and
+    # are re-checkable only in-process); a deserialized report carries
+    # ``certificate=None`` and no decision certificates.  Everything else
+    # round-trips exactly.
 
     def to_dict(self) -> dict:
         """A JSON-able dict of this report (certificates omitted)."""
-        return {
-            "strategy_requested": self.strategy_requested,
-            "strategy_used": self.strategy_used,
-            "seconds": self.seconds,
-            "warnings": [
-                {
-                    "code": w.code.value,
-                    "message": w.message,
-                    "rule_index": w.rule_index,
-                    "severity": w.severity.value,
-                }
-                for w in self.warnings
-            ],
-            "plan_text": self.plan_text,
-            "decision_text": self.decision_text,
-            "backend_requested": self.backend_requested,
-            "backend_used": self.backend_used,
-            "runtime_filter_rows_pruned": self.runtime_filter_rows_pruned,
-            "stage_rows": [o.to_dict() for o in self.stage_rows],
-            "parallelism_requested": self.parallelism_requested,
-            "parallelism_used": self.parallelism_used,
-            "peak_partition_bytes": self.peak_partition_bytes,
-            "downgrades": [
-                {
-                    "kind": d.kind,
-                    "from_name": d.from_name,
-                    "to_name": d.to_name,
-                    "reason": d.reason,
-                }
-                for d in self.downgrades
-            ],
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_step_hits": self.cache_step_hits,
-            "rows_saved": self.rows_saved,
-            "run_id": self.run_id,
-            "steps_resumed": self.steps_resumed,
-            "steps_checkpointed": self.steps_checkpointed,
-        }
+        data = {name: getattr(self, name) for name in _WIRE_FIELDS}
+        data["warnings"] = [
+            {
+                "code": w.code.value,
+                "message": w.message,
+                "rule_index": w.rule_index,
+                "severity": w.severity.value,
+            }
+            for w in self.warnings
+        ]
+        data["stage_rows"] = [o.to_dict() for o in self.stage_rows]
+        data["downgrades"] = [dict(vars(d)) for d in self.downgrades]
+        return data
 
     def to_json(self) -> str:
         """This report as a JSON string (see :meth:`to_dict`)."""
@@ -234,55 +214,29 @@ class MiningReport:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MiningReport":
-        """Rebuild a report from :meth:`to_dict` output."""
+    def from_dict(cls, payload: dict) -> "MiningReport":
+        """Rebuild a report from :meth:`to_dict` output.  Unknown keys
+        are ignored and missing ones take their defaults."""
         from ..analysis.diagnostics import Severity
         from .lint import LintCode, LintWarning
 
-        return cls(
-            strategy_requested=data["strategy_requested"],
-            strategy_used=data["strategy_used"],
-            seconds=float(data["seconds"]),
-            warnings=tuple(
-                LintWarning(
-                    code=LintCode(w["code"]),
-                    message=w["message"],
-                    rule_index=w.get("rule_index"),
-                    severity=Severity(w.get("severity", "warning")),
-                )
-                for w in data.get("warnings", ())
-            ),
-            plan_text=data.get("plan_text"),
-            decision_text=data.get("decision_text"),
-            backend_requested=data.get("backend_requested", "memory"),
-            backend_used=data.get("backend_used", "memory"),
-            runtime_filter_rows_pruned=int(
-                data.get("runtime_filter_rows_pruned", 0)
-            ),
-            stage_rows=tuple(
-                StageObservation.from_dict(o)
-                for o in data.get("stage_rows", ())
-            ),
-            parallelism_requested=int(data.get("parallelism_requested", 1)),
-            parallelism_used=int(data.get("parallelism_used", 1)),
-            peak_partition_bytes=int(data.get("peak_partition_bytes", 0)),
-            downgrades=tuple(
-                Downgrade(
-                    kind=d["kind"],
-                    from_name=d["from_name"],
-                    to_name=d["to_name"],
-                    reason=d["reason"],
-                )
-                for d in data.get("downgrades", ())
-            ),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get("cache_misses", 0)),
-            cache_step_hits=int(data.get("cache_step_hits", 0)),
-            rows_saved=int(data.get("rows_saved", 0)),
-            run_id=data.get("run_id"),
-            steps_resumed=int(data.get("steps_resumed", 0)),
-            steps_checkpointed=int(data.get("steps_checkpointed", 0)),
+        data = {name: payload[name] for name in _WIRE_FIELDS if name in payload}
+        data["warnings"] = tuple(
+            LintWarning(
+                code=LintCode(w["code"]),
+                message=w["message"],
+                rule_index=w.get("rule_index"),
+                severity=Severity(w.get("severity", "warning")),
+            )
+            for w in data.get("warnings", ())
         )
+        data["stage_rows"] = tuple(
+            StageObservation.from_dict(o) for o in data.get("stage_rows", ())
+        )
+        data["downgrades"] = tuple(
+            Downgrade(**d) for d in data.get("downgrades", ())
+        )
+        return cls(**data)
 
     @classmethod
     def from_json(cls, text: str) -> "MiningReport":
@@ -353,6 +307,13 @@ class MiningReport:
         return "\n".join(lines)
 
 
+#: The report fields on the wire: all but the in-process certificates.
+_WIRE_FIELDS = tuple(
+    f.name for f in fields(MiningReport)
+    if f.name not in ("certificate", "decision_certificates")
+)
+
+
 def _choose_strategy(flock: QueryFlock) -> str:
     if not flock.filter.is_monotone:
         return "naive"
@@ -385,6 +346,15 @@ class _Attempt:
     decision_certificates: tuple["BranchCertificate", ...] = ()
     recorder: Optional[CheckpointRecorder] = None
 
+    def downgrade(
+        self, kind: str, from_name: str, to_name: str, reason: str
+    ) -> None:
+        """Record one rung of the ladder; a ``"backend"`` rung also moves
+        :attr:`backend_used` to ``to_name``."""
+        self.downgrades.append(Downgrade(kind, from_name, to_name, reason))
+        if kind == "backend":
+            self.backend_used = to_name
+
     def abandon_plan(self) -> None:
         """Forget what a failed strategy's plan left here.  The checkpoint
         ``recorder`` stays: the manifest it names is on disk and
@@ -399,16 +369,12 @@ def _run_strategy(
     flock: QueryFlock,
     strategy: str,
     options: MiningOptions,
-    guard: ExecutionGuard | None,
     attempt: _Attempt,
-    sink,
-    parallel,
-    supervisor: RetrySupervisor,
     checkpoint_store: CheckpointStore | None,
+    **loop: Any,
 ) -> None:
     """Execute one strategy, filling ``attempt``: pick the plan
-    producer, then hand the plan to :func:`_run_plan` (which picks the
-    step runner and runs the one executor loop).
+    producer and the backend, then run the one executor loop.
 
     Raises whatever the strategy raises; the caller decides whether a
     failure degrades or propagates.
@@ -416,46 +382,49 @@ def _run_strategy(
     The strategies are plan producers: naive and dynamic run the
     single-step plan (dynamic on a serial :class:`MemoryRunner` whose
     step body consults the Section 4.4 :class:`DynamicEvaluator`),
-    optimized the searched plan.
+    optimized the searched plan.  Both backend switches are made here:
+    the dynamic strategy moves an SQLite call to memory (SQLite cannot
+    host its decision policy), and an SQLite failure (after the
+    backend's own transient-error retries) falls back to the in-memory
+    runners.  Guard aborts (budget/cancellation) are *not* degraded —
+    they are user-requested limits, not backend faults.
 
     ``strategy`` is the one actually run (``options.strategy`` after
-    auto-selection and any degradation).  ``sink`` is the session's
-    cache side-channel, ``parallel`` the call's shared
-    :class:`~repro.engine.parallel.ParallelExecutor` (or None; only the
-    in-memory plan runners use it — dynamic and SQLite runs are serial),
-    ``supervisor`` the retry rung — per FILTER step inside the
-    executor loop (a dynamic step restarts its decision log) and
-    around plan *search*.  ``checkpoint_store`` arms step checkpointing
-    for the searched plans: the recorder built here lands on
-    ``attempt.recorder`` for the report's accounting.
+    auto-selection and any degradation).  ``loop`` holds the executor
+    loop's hooks, the same whichever step runner runs the plan:
+    ``guard``, the session's cache ``sink``, the call's shared
+    :class:`~repro.engine.parallel.ParallelExecutor` as ``parallel`` (or
+    None; dynamic and SQLite runs are serial and ignore it) and the
+    ``supervisor`` — the retry rung, per FILTER step inside the loop (a
+    dynamic step restarts its decision log) and around plan *search*.
+    ``checkpoint_store`` arms step checkpointing for the searched plans:
+    the recorder built here lands on ``attempt.recorder`` for the
+    report's accounting.
     """
-    backend = options.backend
+    # Every strategy starts on the requested backend: a fallback from
+    # dynamic, which moved to memory, runs on SQLite again.
+    attempt.backend_used = options.backend
     evaluator = None
-    loop: dict[str, Any] = dict(
-        guard=guard, sink=sink, supervisor=supervisor, parallel=parallel,
-    )
     if strategy == "dynamic":
-        # The decision policy runs inside the in-memory step body;
-        # SQLite cannot host it.  The evaluator refuses a flock it cannot
-        # run before any backend switch is recorded.
-        evaluator = DynamicEvaluator(db, flock, guard=guard, sink=sink)
-        if backend == "sqlite":
-            attempt.downgrades.append(
-                Downgrade(
-                    "backend", "sqlite", "memory",
-                    "dynamic strategy runs in the in-memory engine",
-                )
+        # The evaluator refuses a flock it cannot run before any backend
+        # switch is recorded.
+        evaluator = DynamicEvaluator(
+            db, flock, guard=loop["guard"], sink=loop["sink"]
+        )
+        if attempt.backend_used == "sqlite":
+            attempt.downgrade(
+                "backend", "sqlite", "memory",
+                "dynamic strategy runs in the in-memory engine",
             )
-            attempt.backend_used = backend = "memory"
-        loop["runner"] = MemoryRunner(guard, dynamic=evaluator)
+        loop["runner"] = MemoryRunner(loop["guard"], dynamic=evaluator)
     if strategy in ("naive", "dynamic"):
         plan = single_step_plan(flock)
     else:
         # Plan search — the 'mid-search' phase degradation watches.
         # PlanError/FilterError *and* budget exhaustion here degrade: no
         # answer work has been lost yet.
-        plan, attempt.certificate = supervisor.run(
-            lambda: certified_plan(db, flock, guard=guard),
+        plan, attempt.certificate = loop["supervisor"].run(
+            lambda: certified_plan(db, flock, guard=loop["guard"]),
             site="plan-search",
         )
         attempt.plan_text = plan.render(flock)
@@ -465,44 +434,21 @@ def _run_strategy(
             )
     # Execution.  Only backend failures degrade from here;
     # budget/cancellation aborts propagate with their partial trace.
-    attempt.result = _run_plan(db, flock, plan, backend, attempt, **loop)
+    if attempt.backend_used == "sqlite":
+        try:
+            with SQLiteBackend(db) as sqlite:
+                attempt.result = FlockResult(
+                    sqlite.execute_plan(flock, plan, **loop)
+                )
+        except EvaluationError as error:
+            attempt.downgrade(
+                "backend", "sqlite", "memory", str(error).split("\n")[0]
+            )
+    if attempt.backend_used == "memory":
+        attempt.result = execute_plan(db, flock, plan, validate=False, **loop)
     if evaluator is not None:
         attempt.decision_text = str(evaluator.last_trace)
         attempt.decision_certificates = evaluator.last_trace.certificates
-
-
-def _run_plan(
-    db: Database,
-    flock: QueryFlock,
-    plan,
-    backend: str,
-    attempt: _Attempt,
-    **loop: Any,
-) -> FlockResult:
-    """Run the executor loop with ``loop``'s hooks on ``backend``'s
-    step runner — the same arguments whichever runner it is (the
-    SQLite runner ignores ``parallel``: its SQL runs serially; a
-    ``runner`` in ``loop`` is the dynamic strategy's, memory only).
-
-    A (post-retry) SQLite failure degrades to the in-memory runners.
-    Guard aborts (budget/cancellation) are *not* degraded — they are
-    user-requested limits, not backend faults.
-    """
-    if backend == "sqlite":
-        try:
-            with SQLiteBackend(db) as sqlite:
-                attempt.backend_used = "sqlite"
-                return FlockResult(sqlite.execute_plan(flock, plan, **loop))
-        except ExecutionAborted:
-            raise
-        except EvaluationError as error:
-            attempt.downgrades.append(
-                Downgrade(
-                    "backend", "sqlite", "memory", str(error).split("\n")[0]
-                )
-            )
-            attempt.backend_used = "memory"
-    return execute_plan(db, flock, plan, validate=False, **loop)
 
 
 def mine(
@@ -563,8 +509,7 @@ def mine(
         live_guard = None
 
     requested_jobs = resolve_jobs(options.parallelism)
-    jobs = requested_jobs
-    clamp_reason: str | None = None
+    jobs, clamp_reason = requested_jobs, None
     if options.parallelism is None:
         # Only the env/default path is clamped; an explicit
         # parallelism= argument is honored as given.
@@ -612,15 +557,10 @@ def mine(
         cache_misses = 1
         sink = session.sink(flock)
 
-    attempt = _Attempt(backend_used=options.backend)
+    attempt = _Attempt()
     if clamp_reason is not None:
-        attempt.downgrades.append(
-            Downgrade(
-                "parallelism",
-                f"{requested_jobs} jobs",
-                f"{jobs} jobs",
-                clamp_reason,
-            )
+        attempt.downgrade(
+            "parallelism", f"{requested_jobs} jobs", f"{jobs} jobs", clamp_reason
         )
     parallel = (
         ParallelExecutor(jobs, db, guard=live_guard) if jobs > 1 else None
@@ -641,15 +581,14 @@ def mine(
             while True:
                 try:
                     _run_strategy(
-                        db, flock, used, options, live_guard, attempt,
-                        sink=sink, parallel=parallel,
-                        supervisor=supervisor, checkpoint_store=store,
+                        db, flock, used, options, attempt, store,
+                        guard=live_guard, sink=sink, parallel=parallel,
+                        supervisor=supervisor,
                     )
                     break
                 except (PlanError, FilterError, BudgetExceededError) as error:
-                    if isinstance(error, BudgetExceededError) and not (
-                        used == "optimized"
-                        and attempt.plan_text is None
+                    if isinstance(error, BudgetExceededError) and (
+                        used != "optimized" or attempt.plan_text is not None
                     ):
                         # The budget died during execution, not mid
                         # plan-search — a cheaper strategy cannot recover
@@ -663,11 +602,8 @@ def mine(
                     fallback = _fallback(flock, used)
                     if fallback is None:
                         raise
-                    attempt.downgrades.append(
-                        Downgrade(
-                            "strategy", used, fallback,
-                            str(error).split("\n")[0],
-                        )
+                    attempt.downgrade(
+                        "strategy", used, fallback, str(error).split("\n")[0]
                     )
                     used = fallback
                     attempt.abandon_plan()
@@ -678,40 +614,27 @@ def mine(
             store.close()
 
     for event in supervisor.events:
-        attempt.downgrades.append(
-            Downgrade(
-                "retry",
-                event.site,
-                "recovered" if event.recovered else "exhausted",
-                f"{event.attempts} attempt(s)"
-                + (f"; last error: {event.error}" if event.error else ""),
-            )
+        attempt.downgrade(
+            "retry", event.site,
+            "recovered" if event.recovered else "exhausted",
+            f"{event.attempts} attempt(s)"
+            + (f"; last error: {event.error}" if event.error else ""),
         )
     if parallel is not None:
         for event in parallel.watchdog_events:
-            attempt.downgrades.append(
-                Downgrade(
-                    "watchdog", f"{jobs} jobs", "serial salvage", event
-                )
-            )
+            attempt.downgrade("watchdog", f"{jobs} jobs", "serial salvage", event)
         for reason in parallel.downgrades:
-            attempt.downgrades.append(
-                Downgrade("parallelism", f"{jobs} jobs", "serial", reason)
-            )
-    parallelism_used = (
-        jobs if parallel is not None and parallel.ran_parallel else 1
-    )
+            attempt.downgrade("parallelism", f"{jobs} jobs", "serial", reason)
 
     result = attempt.result
     assert result is not None
     if live_guard is not None:
         live_guard.check_answer(len(result))
 
-    seconds = time.perf_counter() - started
     report = MiningReport(
         strategy_requested=options.strategy,
         strategy_used=used,
-        seconds=seconds,
+        seconds=time.perf_counter() - started,
         warnings=warnings,
         plan_text=attempt.plan_text,
         decision_text=attempt.decision_text,
@@ -720,7 +643,9 @@ def mine(
         runtime_filter_rows_pruned=result.runtime_filter_rows_pruned,
         stage_rows=tuple(result.stage_rows),
         parallelism_requested=requested_jobs,
-        parallelism_used=parallelism_used,
+        parallelism_used=(
+            jobs if parallel is not None and parallel.ran_parallel else 1
+        ),
         peak_partition_bytes=(
             parallel.peak_partition_bytes if parallel is not None else 0
         ),
@@ -730,16 +655,6 @@ def mine(
         rows_saved=sink.rows_saved if sink is not None else 0,
         certificate=attempt.certificate,
         decision_certificates=attempt.decision_certificates,
-        run_id=(
-            attempt.recorder.run_id if attempt.recorder is not None else None
-        ),
-        steps_resumed=(
-            attempt.recorder.steps_resumed
-            if attempt.recorder is not None else 0
-        ),
-        steps_checkpointed=(
-            attempt.recorder.steps_checkpointed
-            if attempt.recorder is not None else 0
-        ),
+        **(attempt.recorder.report_fields() if attempt.recorder else {}),
     )
     return result.relation, report

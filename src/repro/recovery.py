@@ -507,16 +507,16 @@ class CheckpointStore:
         )
 
     @blocking
-    def records(self, kind: str) -> list[tuple[dict, Relation | None]]:
-        """Every ``(meta, relation)`` whose key's first element is
+    def records(self, kind: str) -> list[tuple[list, dict, Relation | None]]:
+        """Every ``(key, meta, relation)`` whose key's first element is
         ``kind`` (``"run"``, ``"step"`` or ``"cache"``)."""
         prefix = json.dumps([kind])[:-1] + ","
         found = self._sql(
-            f"SELECT meta, rows FROM {self._TABLE} "
+            f"SELECT key, meta, rows FROM {self._TABLE} "
             "WHERE substr(key, 1, ?) = ?",
             (len(prefix), prefix),
         )
-        return [_record(meta, rows) for meta, rows in found]
+        return [(json.loads(key), *_record(meta, rows)) for key, meta, rows in found]
 
     # -- manifests ------------------------------------------------------
 
@@ -531,7 +531,7 @@ class CheckpointStore:
 
     @blocking
     def list_runs(self) -> list[RunManifest]:
-        return [RunManifest.from_dict(meta) for meta, _ in self.records("run")]
+        return [RunManifest.from_dict(meta) for _, meta, _ in self.records("run")]
 
     @blocking
     def run_status(self, run_id: str) -> dict | None:
@@ -659,6 +659,15 @@ class CheckpointRecorder:
     @property
     def run_id(self) -> str:
         return self.manifest.run_id
+
+    def report_fields(self) -> dict:
+        """This run's checkpoint accounting, keyed as the
+        :class:`~repro.flocks.mining.MiningReport` fields it fills."""
+        return {
+            "run_id": self.run_id,
+            "steps_resumed": self.steps_resumed,
+            "steps_checkpointed": self.steps_checkpointed,
+        }
 
     def served(self, step_name: str) -> "Relation | None":
         """The saved survivor set of an already-completed step (resume

@@ -42,12 +42,8 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Iterator, Optional
 
+from ..analysis.certify import find_witness
 from ..datalog.atoms import Comparison, ComparisonOp, RelationalAtom, Subgoal
-from ..datalog.containment import (
-    contains,
-    contains_extended,
-    is_subquery_bound,
-)
 from ..datalog.query import ConjunctiveQuery, FlockQuery, as_union
 from ..datalog.terms import Constant, Parameter, Term, Variable
 
@@ -318,18 +314,6 @@ def _match_bijective(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     return search(0, body2, *seed)
 
 
-def _has_negation(query: ConjunctiveQuery) -> bool:
-    return any(
-        isinstance(sg, RelationalAtom) and sg.negated for sg in query.body
-    )
-
-
-def _is_pure(query: ConjunctiveQuery) -> bool:
-    return all(
-        isinstance(sg, RelationalAtom) and not sg.negated for sg in query.body
-    )
-
-
 def serves_as_bound(container: FlockQuery, contained: FlockQuery) -> bool:
     """Sound test that ``container``'s answer upper-bounds ``contained``'s.
 
@@ -340,13 +324,10 @@ def serves_as_bound(container: FlockQuery, contained: FlockQuery) -> bool:
     (Section 3.1's Optimization Principle, applied across queries
     instead of within one).
 
-    Dispatch (strongest sound test first):
-
-    * both pure CQs → Chandra–Merlin :func:`contains` (exact);
-    * arithmetic but no negation → Klug's :func:`contains_extended`
-      (sound, complete under a total order);
-    * otherwise → the paper's subgoal-subset criterion
-      :func:`is_subquery_bound` (sound).
+    Alpha-equivalent rules bound each other; otherwise the test is
+    :func:`repro.analysis.certify.find_witness`'s one dispatch
+    (Chandra–Merlin for pure CQs, Klug's test for arithmetic without
+    negation, the paper's subgoal-subset criterion otherwise).
     """
     u1, u2 = as_union(container), as_union(contained)
     if len(u1.rules) != 1 or len(u2.rules) != 1:
@@ -359,11 +340,4 @@ def serves_as_bound(container: FlockQuery, contained: FlockQuery) -> bool:
     c_rule, d_rule = u1.rules[0], u2.rules[0]
     if alpha_equivalent(c_rule, d_rule):
         return True
-    if _is_pure(c_rule) and _is_pure(d_rule):
-        return contains(c_rule, d_rule)
-    if not _has_negation(c_rule) and not _has_negation(d_rule):
-        try:
-            return contains_extended(c_rule, d_rule)
-        except ValueError:  # pragma: no cover - guarded by _has_negation
-            pass
-    return is_subquery_bound(c_rule, d_rule)
+    return find_witness(c_rule, d_rule) is not None

@@ -430,36 +430,42 @@ class MiningSession:
             pass  # as in _persist_entry: the mining call must not fail
 
     def _restore_persisted(self) -> None:
-        """Adopt persisted entries whose source relations still match.
+        """Adopt persisted entries whose source relations still match,
+        and delete every record not adopted.
 
         Version counters are process-local, so the cross-process
         staleness screen compares each base relation's *cardinality*
         with the recorded one; survivors are adopted under the current
         versions.  (A same-cardinality edit defeats the screen — callers
-        who mutate data between processes should clear the file.)
+        who mutate data between processes should clear the file.)  A
+        record whose cardinalities do not match, that does not parse, or
+        that the cache declines (a weaker entry of its slot came first)
+        is deleted, so no later session re-reads it.
         """
         from ..datalog.parser import parse_query
 
-        assert self._store is not None
+        store = self._store
+        assert store is not None
         try:
-            persisted = self._store.records("cache")
+            persisted = store.records("cache")
         except Exception:
             return
-        for metadata, relation in persisted:
+        stale = []
+        for key, metadata, relation in persisted:
             cards = metadata.get("base_cards", {})
-            if not cards or relation is None:
-                continue
-            if not all(
+            if not cards or relation is None or not all(
                 name in self.db and len(self.db.get(name)) == card
                 for name, card in cards.items()
             ):
+                stale.append(key)
                 continue
             try:
                 query = parse_query(metadata["query"])
                 filter_ = parse_filter(metadata["filter"])
             except Exception:
+                stale.append(key)
                 continue
-            self.cache.put(
+            adopted = self.cache.put(
                 query,
                 filter_,
                 KIND_AGGREGATES,
@@ -468,6 +474,13 @@ class MiningSession:
                 int(metadata.get("source_rows", 0)),
                 metadata.get("param_columns", []),
             )
+            if adopted is None:
+                stale.append(key)
+        if stale:
+            try:
+                store.delete(stale)
+            except ReproError:
+                pass  # as in _persist_entry: opening must not fail
 
 
 def _store_key(entry: CachedResult) -> list:

@@ -169,3 +169,25 @@ class TestRoundTrip:
         restored = MiningReport.from_json(report.to_json())
         assert restored.certificate is None
         assert restored.decision_certificates == ()
+
+
+class TestWireContract:
+    def test_payload_keys_are_the_fields_but_certificates(self, db):
+        _, report = mine(db, parse_flock(FLOCK_TEXT), strategy="optimized")
+        expected = [
+            f.name for f in dataclasses.fields(MiningReport)
+            if f.name not in ("certificate", "decision_certificates")
+        ]
+        assert list(report.to_dict()) == expected
+        assert list(json.loads(report.to_json())) == expected
+
+    def test_unknown_keys_ignored_and_missing_keys_default(self):
+        payload = {
+            "strategy_requested": "auto",
+            "strategy_used": "dynamic",
+            "seconds": 0.25,
+            "join_order": "ues",  # an old payload's key
+        }
+        assert MiningReport.from_dict(payload) == MiningReport(
+            strategy_requested="auto", strategy_used="dynamic", seconds=0.25
+        )

@@ -280,6 +280,49 @@ class TestPersistence:
             _, report = second.mine(basket_flock)
         assert report.strategy_used != "cache"
 
+    def test_restore_deletes_the_records_it_does_not_adopt(
+        self, tmp_path, small_basket_db, basket_flock
+    ):
+        """Two sessions writing one file leave a weaker and a stricter
+        record of one slot, plus an unparsable one.  A restore adopts
+        the weaker, deletes the other two, and a later session restores
+        exactly what it adopted."""
+        path = str(tmp_path / "cache.db")
+        weak = with_support_threshold(basket_flock, 2)
+        strict = with_support_threshold(basket_flock, 3)
+        with MiningSession(small_basket_db, persist_path=path) as first, \
+                MiningSession(small_basket_db, persist_path=path) as second:
+            first.mine(weak)
+            second.mine(strict)  # its cache is empty: a miss, written
+        with CheckpointStore(path) as store:
+            ((_, meta, relation), _) = store.records("cache")
+            store.put(["cache", "garbled"], {**meta, "query": "p(X :-"},
+                      relation)
+            assert len(store.records("cache")) == 3
+
+        def restored():
+            with MiningSession(small_basket_db, persist_path=path) as session:
+                entries = [str(e.filter) for e in session.cache.entries()]
+            with CheckpointStore(path) as store:
+                kept = [meta["filter"] for _, meta, _ in store.records("cache")]
+            return entries, kept
+
+        assert restored() == ([str(weak.filter)], [str(weak.filter)])
+        assert restored() == ([str(weak.filter)], [str(weak.filter)])
+
+    def test_restore_deletes_records_of_changed_relations(
+        self, tmp_path, small_basket_db, basket_flock
+    ):
+        path = str(tmp_path / "cache.db")
+        with MiningSession(small_basket_db, persist_path=path) as first:
+            first.mine(basket_flock)
+        baskets = small_basket_db.get("baskets")
+        small_basket_db.add_rows("baskets", baskets.columns, [(99, "soap")])
+        with MiningSession(small_basket_db, persist_path=path) as second:
+            assert len(second.cache) == 0
+        with CheckpointStore(path) as store:
+            assert store.records("cache") == []
+
 
 class TestStats:
     def test_stats_reflect_traffic(self, session, basket_flock):

@@ -54,7 +54,7 @@ def test_concurrent_persists_keep_one_record_per_entry(
 
     assert errors == []
     with CheckpointStore(path) as reopened:
-        ((meta, relation),) = reopened.records("cache")
+        ((_, meta, relation),) = reopened.records("cache")
     assert meta["filter"] == str(entry.filter)
     assert relation == entry.relation
 
